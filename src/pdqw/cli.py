@@ -318,12 +318,12 @@ def main(argv=None) -> int:
             cfg.output_dir = args.out
         if args.threads < 1:
             raise ConfigError("threads", "must be >= 1")
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, MapParseError, OSError) as exc:
         print(f"pdqw {command}: error while loading configuration: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
         outputs = _COMMANDS[command](cfg, args, out_dir, args.threads)

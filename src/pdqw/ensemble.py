@@ -37,17 +37,25 @@ class EnsembleResult:
     mean_distributions: list[Distribution]
 
 
+def _phase_tensor(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
+    """Phases of maps start..stop-1 as a (block, steps, 2*steps+1) tensor
+    over sites -steps..steps; row n covers sites -n..n, the rest is 0."""
+    steps = spec.steps
+    phases = np.zeros((stop - start, steps, 2 * steps + 1))
+    for i, k in enumerate(range(start, stop)):
+        pm = generate_phase_map(spec, k)
+        for n, row in enumerate(pm.rows, start=1):
+            phases[i, n - 1, steps - n : steps + n + 1] = row
+    return phases
+
+
 def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, start: int, stop: int):
     """Evolve maps start..stop-1 together; returns per-map variances and
     per-map per-step distributions."""
     steps = spec.steps
     n_sites = 2 * steps + 1
     block = stop - start
-    phases = np.zeros((block, steps, n_sites))
-    for i, k in enumerate(range(start, stop)):
-        pm = generate_phase_map(spec, k)
-        for n, row in enumerate(pm.rows, start=1):
-            phases[i, n - 1, steps - n : steps + n + 1] = row
+    phases = _phase_tensor(spec, start, stop)
 
     psi0 = np.zeros((block, n_sites), dtype=complex)
     psi1 = np.zeros((block, n_sites), dtype=complex)

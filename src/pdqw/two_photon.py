@@ -5,6 +5,10 @@ gives the probability of the unordered outcome {mode k, mode l} and is
 mirrored across the diagonal, so the upper triangle including the diagonal
 sums to 1. Partial distinguishability is a classical mixture: a fraction
 eta of pairs interferes, the rest behaves as independent photons.
+
+The single-unitary functions take a dense mode unitary; the disorder
+ensemble reads only the two input columns of it, and evolves just those
+through the shared step kernel.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
-from .disorder import DisorderSpec, generate_phase_map
+from .disorder import DisorderSpec
+from .ensemble import CHUNK_SIZE, _phase_tensor
 from .errors import DomainError
-from .walk_core import mode_index, mode_unitary_steps, single_particle_unitary
+from .walk_core import _check_coin, _step_kernel, mode_index, single_particle_unitary
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -137,17 +142,20 @@ def site_coincidences(mode_matrix: np.ndarray) -> CoincidenceMatrix:
     return CoincidenceMatrix(offset=-n_max, probabilities=unordered)
 
 
-def _require_pair_normalized(cm: CoincidenceMatrix) -> None:
-    total = cm.triangle_total()
-    if abs(total - 1.0) > PAIR_NORMALIZATION_TOL:
+def _require_pair_normalized(mass) -> None:
+    """Raise unless every pair mass (one triangle total, or one per map) is 1
+    within PAIR_NORMALIZATION_TOL."""
+    mass = np.asarray(mass, dtype=float)
+    worst = float(mass.flat[np.abs(mass - 1.0).argmax()])
+    if abs(worst - 1.0) > PAIR_NORMALIZATION_TOL:
         raise DomainError(
-            f"coincidence matrix mass {total!r} is not 1 within {PAIR_NORMALIZATION_TOL}"
+            f"coincidence matrix mass {worst!r} is not 1 within {PAIR_NORMALIZATION_TOL}"
         )
 
 
 def variance2(cm: CoincidenceMatrix) -> float:
     """Variance of the pair centroid (i+j)/2 over the coincidence matrix."""
-    _require_pair_normalized(cm)
+    _require_pair_normalized(cm.triangle_total())
     ordered = _ordered_density(cm.probabilities)
     sites = cm.sites.astype(float)
     centroid = (sites[:, None] + sites[None, :]) / 2.0
@@ -159,7 +167,7 @@ def variance2(cm: CoincidenceMatrix) -> float:
 def pair_marginal(cm: CoincidenceMatrix) -> Distribution:
     """Distribution of one detector's site, with pair multiplicity handled:
     off-diagonal outcomes contribute half their mass to each member site."""
-    _require_pair_normalized(cm)
+    _require_pair_normalized(cm.triangle_total())
     ordered = _ordered_density(cm.probabilities)
     return Distribution(offset=cm.offset, probabilities=ordered.sum(axis=1))
 
@@ -185,25 +193,70 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
     Both photons traverse the same phase map. Returns the ensemble-mean
     site-coincidence matrix after each step and the mean/std of the pair
     centroid variance across maps (n-1 normalization, 0 for a single map).
+
+    Only the two input columns A, B of each map's mode unitary are evolved,
+    blocks of maps at a time, on the periodic lattice of
+    single_particle_unitary(spec.steps, ...). With per-site sums
+    pA = sum_c |A_sc|^2, pB likewise and G = sum_c A_sc conj(B_sc), the
+    ordered site-pair density is 1/2 (pA x pB + pB x pA) + eta Re(G x G*),
+    which is pA x pA when both photons enter the same mode.
     """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
+    pair = PairInput(pair_modes[0], pair_modes[1], eta=eta)
+    coin = _check_coin(coin)
     steps = spec.steps
     n_sites = 2 * steps + 1
-    matrix_sums = [np.zeros((n_sites, n_sites)) for _ in range(steps)]
+    ia = mode_index(*pair.mode_a, steps)
+    ib = mode_index(*pair.mode_b, steps)
+    same_input = ia == ib
+    sites = np.arange(-steps, steps + 1, dtype=float)
+    centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
+    centroid_sq = centroid * centroid
+
+    density_sums = np.zeros((steps, n_sites, n_sites))
     var2 = np.empty((n_maps, steps))
-    for k in range(n_maps):
-        pm = generate_phase_map(spec, k)
-        for n, u in enumerate(mode_unitary_steps(steps, coin, pm, steps), start=1):
-            dist = two_photon_mode_distribution(
-                u, PairInput(pair_modes[0], pair_modes[1], eta=eta)
+    for start in range(0, n_maps, CHUNK_SIZE):
+        stop = min(start + CHUNK_SIZE, n_maps)
+        block = stop - start
+        phases = _phase_tensor(spec, start, stop)
+        # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
+        psi = np.zeros((2, block, 2, n_sites), dtype=complex)
+        psi[ia % 2, :, 0, ia // 2] = 1.0
+        psi[ib % 2, :, 1, ib // 2] = 1.0
+        psi0, psi1 = psi
+        for n in range(1, steps + 1):
+            factors = np.exp(1j * phases[:, None, n - 1, :])
+            psi0, psi1 = _step_kernel(psi0, psi1, coin, factors)
+            weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
+            pa, pb = weights[:, 0], weights[:, 1]
+            g = psi0[:, 0] * psi0[:, 1].conj() + psi1[:, 0] * psi1[:, 1].conj()
+            drift = max(
+                np.abs(pa.sum(axis=1) - 1.0).max(),
+                np.abs(pb.sum(axis=1) - 1.0).max(),
+                np.abs(g.sum(axis=1) - (1.0 if same_input else 0.0)).max(),
             )
-            cm = site_coincidences(dist)
-            matrix_sums[n - 1] += cm.probabilities
-            var2[k, n - 1] = variance2(cm)
-    mean_matrices = [
-        CoincidenceMatrix(offset=-steps, probabilities=s / n_maps) for s in matrix_sums
-    ]
+            if drift > UNITARY_TOL:
+                raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
+
+            if same_input:
+                density = pa[:, :, None] * pa[:, None, :]
+            else:
+                density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
+                density += pair.eta * (
+                    g.real[:, :, None] * g.real[:, None, :] + g.imag[:, :, None] * g.imag[:, None, :]
+                )
+            flat = density.reshape(block, -1)
+            _require_pair_normalized(flat.sum(axis=1))
+            m1 = flat @ centroid
+            var2[start:stop, n - 1] = flat @ centroid_sq - m1 * m1
+            density_sums[n - 1] += density.sum(axis=0)
+
+    mean_matrices = []
+    for s in density_sums:
+        unordered = 2.0 * s
+        np.fill_diagonal(unordered, np.diagonal(s))
+        mean_matrices.append(CoincidenceMatrix(offset=-steps, probabilities=unordered / n_maps))
     std = var2.std(axis=0, ddof=1) if n_maps > 1 else np.zeros(steps)
     return PairEnsemble(
         p=spec.p,

@@ -95,8 +95,11 @@ def initial_state(n_max: int, coin_amplitudes=(1.0, 0.0)) -> WalkState:
 def _step_kernel(psi0, psi1, coin, phase_factors):
     """One step on coin-component arrays whose last axis is the site axis.
 
-    Shared by the single-walker path and the batched ensemble runner so both
-    perform identical elementwise float operations.
+    Shared by the single-walker path, the batched ensemble runner and the
+    two-photon column runner so all perform identical elementwise float
+    operations. The shift is periodic, the convention of
+    single_particle_unitary; a walk from the origin that stays within its
+    lattice has zero amplitude at the edges, so the wrap moves nothing.
     """
     b1 = phase_factors * psi1
     a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
@@ -105,6 +108,8 @@ def _step_kernel(psi0, psi1, coin, phase_factors):
     out1 = np.zeros_like(a1)
     out0[..., :-1] = a0[..., 1:]
     out1[..., 1:] = a1[..., :-1]
+    out0[..., -1] = a0[..., 0]
+    out1[..., 0] = a1[..., -1]
     return out0, out1
 
 
@@ -195,10 +200,13 @@ def mode_index(site: int, coin: int, n_max: int) -> int:
     return 2 * (site + n_max) + coin
 
 
-def mode_unitary_steps(n_max: int, coin, phase_map, steps: int):
-    """Yield the accumulated mode unitary after each of steps 1..steps.
+def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarray:
+    """Full mode unitary of `steps` steps over the 2*(2*n_max+1) lattice modes.
 
-    See single_particle_unitary for conventions.
+    The shift is periodic here so the operator is exactly unitary on the
+    finite lattice; columns whose light cone stays inside the lattice agree
+    with `evolve`. Phase rows cover sites -n..+n at step n, all other sites
+    get phase 0. steps=0 returns the identity.
     """
     coin = _check_coin(coin)
     if n_max < 1:
@@ -225,18 +233,4 @@ def mode_unitary_steps(n_max: int, coin, phase_map, steps: int):
         diag = np.ones(dim, dtype=complex)
         diag[1::2] = np.exp(1j * phases)
         u = shift @ (coin_full @ (diag[:, None] * u))
-        yield u
-
-
-def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarray:
-    """Full mode unitary of `steps` steps over the 2*(2*n_max+1) lattice modes.
-
-    The shift is periodic here so the operator is exactly unitary on the
-    finite lattice; columns whose light cone stays inside the lattice agree
-    with `evolve`. Phase rows cover sites -n..+n at step n, all other sites
-    get phase 0. steps=0 returns the identity.
-    """
-    u = np.eye(2 * (2 * n_max + 1), dtype=complex)
-    for u in mode_unitary_steps(n_max, coin, phase_map, steps):
-        pass
     return u

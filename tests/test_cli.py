@@ -235,6 +235,14 @@ class TestFailureModes:
         cfg = write_config(tmp_path, "steps: 2\n")
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
 
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "steps: 2\n")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert main(["evolve", "--config", cfg, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("pdqw evolve: error")
+        assert taken.read_text() == "not a directory\n"
+
 
 class TestEntryPoint:
     def test_module_invocation_reports_version(self):

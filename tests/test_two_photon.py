@@ -23,7 +23,7 @@ from pdqw import (
     two_photon_mode_distribution,
     variance2,
 )
-from pdqw.walk_core import mode_unitary_steps
+from pdqw.ensemble import CHUNK_SIZE
 
 COIN = hadamard_coin()
 
@@ -168,24 +168,91 @@ class TestSiteAggregation:
             variance2(cm)
 
 
+def manual_pair_ensemble(spec, n_maps, eta, pair_modes=((0, 0), (0, 1))):
+    """Per-map loop over dense step unitaries: (mean matrices, per-map var2)."""
+    steps = spec.steps
+    mean = np.zeros((steps, 2 * steps + 1, 2 * steps + 1))
+    var2 = np.zeros((n_maps, steps))
+    for k in range(n_maps):
+        pm = generate_phase_map(spec, k)
+        for n in range(1, steps + 1):
+            u = single_particle_unitary(steps, COIN, pm, n)
+            cm = site_coincidences(
+                two_photon_mode_distribution(u, PairInput(*pair_modes, eta=eta))
+            )
+            mean[n - 1] += cm.probabilities / n_maps
+            var2[k, n - 1] = variance2(cm)
+    return mean, var2
+
+
+def fock_site_pairs(u, pair_modes, eta):
+    """Unordered site-pair probabilities from the Fock oracle, coin traced
+    out: a same-site outcome sums the unordered mode pairs within the site."""
+    n_max = (u.shape[0] // 2 - 1) // 2
+    modes = two_boson_pair_probabilities(
+        u, mode_index(*pair_modes[0], n_max), mode_index(*pair_modes[1], n_max), eta
+    )
+    blocks = modes.reshape(2 * n_max + 1, 2, 2 * n_max + 1, 2)
+    sites = blocks.sum(axis=(1, 3))
+    for s in range(2 * n_max + 1):
+        within = blocks[s, :, s, :]
+        sites[s, s] = (within.sum() + np.trace(within)) / 2.0
+    return sites
+
+
+def centroid_variance(unordered):
+    """Pair-centroid variance over the upper triangle of a site-pair matrix."""
+    half = (unordered.shape[0] - 1) // 2
+    m1 = m2 = 0.0
+    for i in range(unordered.shape[0]):
+        for j in range(i, unordered.shape[0]):
+            c = (i + j) / 2.0 - half
+            m1 += c * unordered[i, j]
+            m2 += c * c * unordered[i, j]
+    return m2 - m1 * m1
+
+
+PAIR_MODES = [((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 0))]
+
+
 class TestPairEnsemble:
     def test_mean_matches_manual_loop(self):
         spec = DisorderSpec(p=1.0, steps=3, master_seed=14)
         res = run_pair_ensemble(spec, COIN, 3, eta=1.0)
-        manual = np.zeros((3, 7, 7))
-        var2 = np.zeros((3, 3))
-        for k in range(3):
-            pm = generate_phase_map(spec, k)
-            for n, u in enumerate(mode_unitary_steps(3, COIN, pm, 3), start=1):
-                cm = site_coincidences(
-                    two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=1.0))
-                )
-                manual[n - 1] += cm.probabilities / 3.0
-                var2[k, n - 1] = variance2(cm)
+        manual, var2 = manual_pair_ensemble(spec, 3, eta=1.0)
         for n in range(3):
             np.testing.assert_allclose(res.mean_matrices[n].probabilities, manual[n], atol=1e-12)
         np.testing.assert_allclose(res.mean_variance2, var2.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance2, var2.std(axis=0, ddof=1), atol=1e-12)
+
+    def test_chunk_boundary_matches_manual_loop(self):
+        # Up to step 3 every {0, pi} map gives the same pair statistics. With
+        # this alphabet and seed, maps 128-130 differ from maps 0-2, so a
+        # chunk that reads the wrong maps shows.
+        n_maps = CHUNK_SIZE + 3
+        spec = DisorderSpec(p=0.5, steps=3, master_seed=21, alphabet=(0.0, 1.0, 2.0))
+        res = run_pair_ensemble(spec, COIN, n_maps, eta=0.4)
+        manual, var2 = manual_pair_ensemble(spec, n_maps, eta=0.4)
+        for n in range(3):
+            np.testing.assert_allclose(res.mean_matrices[n].probabilities, manual[n], atol=1e-12)
+        np.testing.assert_allclose(res.mean_variance2, var2.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(res.std_variance2, var2.std(axis=0, ddof=1), atol=1e-12)
+
+    # The Fock lift of an 18-mode unitary takes about 0.4 s, so each case is
+    # checked on the final step of one map. Inputs at sites +-1 reach the
+    # lattice edge by step 4 and wrap around, as in single_particle_unitary.
+    @pytest.mark.parametrize(
+        "p, eta, pair_modes",
+        [(0.5, eta, modes) for eta in (0.0, 0.4, 1.0) for modes in PAIR_MODES]
+        + [(0.0, 0.4, PAIR_MODES[0]), (1.0, 0.4, PAIR_MODES[0]), (1.0, 0.4, ((1, 0), (-1, 1)))],
+    )
+    def test_matches_fock_oracle(self, p, eta, pair_modes):
+        spec = DisorderSpec(p=p, steps=4, master_seed=12)
+        res = run_pair_ensemble(spec, COIN, 1, eta=eta, pair_modes=pair_modes)
+        u = single_particle_unitary(4, COIN, generate_phase_map(spec, 0), 4)
+        expect = fock_site_pairs(u, pair_modes, eta)
+        np.testing.assert_allclose(res.mean_matrices[-1].probabilities, expect, atol=1e-10)
+        assert res.mean_variance2[-1] == pytest.approx(centroid_variance(expect), abs=1e-10)
 
     def test_mean_matrices_stay_normalized(self):
         res = run_pair_ensemble(DisorderSpec(p=0.5, steps=4, master_seed=3), COIN, 5, eta=0.7)
