@@ -3,8 +3,9 @@
 Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool version, sha256 per output, timings) into the
 output directory, and exits 0 only if all outputs were produced. Float
-cells use repr formatting, so identical runs produce byte-identical files;
---threads changes scheduling only, never results.
+cells use repr formatting, so identical runs produce byte-identical files.
+--threads is validated and echoed in the manifest, but maps run serially in
+fixed chunks whatever its value.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _distribution_rows(dists):
                 yield step, int(site), float(prob)
 
 
-def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     n_max = cfg.effective_n_max()
     outputs = []
@@ -94,9 +95,9 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list
     return outputs
 
 
-def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
-    results = [run_ensemble(_spec(cfg, p), coin, cfg.n_maps, threads) for p in cfg.p_grid]
+    results = [run_ensemble(_spec(cfg, p), coin, cfg.n_maps) for p in cfg.p_grid]
     mean_by_step = np.array([r.mean_variance for r in results])  # (n_p, steps)
     peak = mean_by_step.max(axis=0)
 
@@ -123,12 +124,12 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> li
     return [path, dist_path]
 
 
-def cmd_beta(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_beta(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     fit_range = cfg.effective_fit_range()
     rows = []
     for p in cfg.p_values:
-        res = run_ensemble(_spec(cfg, p), coin, cfg.n_maps, threads)
+        res = run_ensemble(_spec(cfg, p), coin, cfg.n_maps)
         fit = fit_beta(res.mean_variance, fit_range)
         rows.append((
             p, fit.beta, fit.beta_stderr, fit.prefactor,
@@ -139,7 +140,7 @@ def cmd_beta(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[P
     return [path]
 
 
-def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     grid = np.asarray(cfg.p_grid, dtype=float)
     if np.diff(grid).max() > LOW_RESOLUTION_SPACING:
         print(
@@ -149,7 +150,7 @@ def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> li
         )
     scan = similarity_scan(
         grid, cfg.steps, cfg.n_maps, _coin(cfg), cfg.master_seed,
-        sampling_mode=cfg.sampling_mode, alphabet=cfg.alphabet, n_workers=threads,
+        sampling_mode=cfg.sampling_mode, alphabet=cfg.alphabet,
     )
     scan_rows = []
     for n in range(cfg.steps):
@@ -167,7 +168,7 @@ def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> li
     return [scan_path, cross_path]
 
 
-def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     eta = cfg.two_photon.eta
     outputs = []
@@ -204,7 +205,7 @@ def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> 
     return outputs
 
 
-def cmd_hom(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     scan = hom_scan(
         cfg.two_photon.delays, cfg.two_photon.coherence_time,
         cfg.two_photon.visibility, _coin(cfg),
@@ -218,7 +219,7 @@ def cmd_hom(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Pa
     return [path]
 
 
-def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path, threads: int) -> list[Path]:
+def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     outputs = []
     for p in cfg.p_values:
         sub = out_dir / "maps" / f"p{_p_tag(p)}"
@@ -298,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the YAML run configuration")
         cmd.add_argument("--seed", type=int, default=None, help="override master_seed")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+        cmd.add_argument("--threads", type=int, default=1,
+                         help="must be >= 1; recorded in the manifest, but maps always run serially")
         cmd.add_argument("--out", default=None, help="override output_dir")
         if name == "evolve":
             cmd.add_argument("--map", default=None, help="evolve this phase-map file instead of sampling")
@@ -326,15 +328,14 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        outputs = _COMMANDS[command](cfg, args, out_dir, args.threads)
+        outputs = _COMMANDS[command](cfg, args, out_dir)
+        _write_manifest(out_dir, command, cfg, args, outputs, time.perf_counter() - started)
     except (ConfigError, MapParseError) as exc:
         print(f"pdqw {command}: input error: {exc}", file=sys.stderr)
         return 2
-    except PdqwError as exc:
+    except (PdqwError, OSError) as exc:
         print(f"pdqw {command}: error: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - started
-    _write_manifest(out_dir, command, cfg, args, outputs, elapsed)
     return 0
 
 

@@ -13,17 +13,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .disorder import SAMPLING_MODES
+from .disorder import MAX_ALPHABET, SAMPLING_MODES, parse_alphabet_token
 from .errors import ConfigError
 
 
 def _parse_alphabet_value(value, field_name: str) -> float:
     if isinstance(value, str):
-        token = value.strip()
-        if token == "pi":
-            return math.pi
         try:
-            return float(token) * math.pi
+            return parse_alphabet_token(value.strip())
         except ValueError:
             raise ConfigError(field_name, f"bad alphabet token {value!r}") from None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -191,6 +188,8 @@ def config_from_dict(data: dict) -> SimulationConfig:
     if "alphabet" in data:
         if not isinstance(data["alphabet"], list) or not data["alphabet"]:
             raise ConfigError("alphabet", "expected a non-empty list")
+        if len(data["alphabet"]) > MAX_ALPHABET:
+            raise ConfigError("alphabet", f"at most {MAX_ALPHABET} entries")
         cfg.alphabet = tuple(_parse_alphabet_value(v, "alphabet") for v in data["alphabet"])
     if "fit_range" in data and data["fit_range"] is not None:
         fr = data["fit_range"]

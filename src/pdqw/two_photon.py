@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
-from .disorder import DisorderSpec
-from .ensemble import CHUNK_SIZE, _phase_tensor
+from .disorder import DisorderSpec, phase_factors, sample_block
+from .ensemble import CHUNK_SIZE
 from .errors import DomainError
 from .walk_core import _check_coin, _step_kernel, mode_index, single_particle_unitary
 
@@ -213,21 +213,21 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
     sites = np.arange(-steps, steps + 1, dtype=float)
     centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
     centroid_sq = centroid * centroid
+    table = phase_factors(spec.alphabet)
 
     density_sums = np.zeros((steps, n_sites, n_sites))
     var2 = np.empty((n_maps, steps))
     for start in range(0, n_maps, CHUNK_SIZE):
         stop = min(start + CHUNK_SIZE, n_maps)
         block = stop - start
-        phases = _phase_tensor(spec, start, stop)
+        codes = sample_block(spec, start, stop)
         # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
         psi = np.zeros((2, block, 2, n_sites), dtype=complex)
         psi[ia % 2, :, 0, ia // 2] = 1.0
         psi[ib % 2, :, 1, ib // 2] = 1.0
         psi0, psi1 = psi
         for n in range(1, steps + 1):
-            factors = np.exp(1j * phases[:, None, n - 1, :])
-            psi0, psi1 = _step_kernel(psi0, psi1, coin, factors)
+            psi0, psi1 = _step_kernel(psi0, psi1, coin, table[codes[:, None, n - 1]])
             weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
             pa, pb = weights[:, 0], weights[:, 1]
             g = psi0[:, 0] * psi0[:, 1].conj() + psi1[:, 0] * psi1[:, 1].conj()

@@ -8,6 +8,7 @@ keep lattice sizes small.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -142,3 +143,27 @@ def brute_force_positions(steps: int, coin: np.ndarray, phase_rows=None):
     for (site, _), amp in amps.items():
         out[site] = out.get(site, 0.0) + abs(amp) ** 2
     return out
+
+
+def reference_phase_map(master_seed: int, map_index: int, steps: int, p: float,
+                        alphabet, sampling_mode: str):
+    """(seed, rows, mask) of one phase map, drawn with numpy's own
+    SeedSequence and default_rng, one generator per map, in the documented
+    draw order: the marks of all cells in row order (a uniform below p, or
+    an exact_fraction choice), then one alphabet index per cell."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(map_index,))
+    seed = int(ss.generate_state(1, np.uint64)[0])
+    rng = np.random.default_rng(seed)
+    sizes = [2 * n + 1 for n in range(1, steps + 1)]
+    total = sum(sizes)
+    if sampling_mode == "bernoulli":
+        mask = rng.random(total) < p
+    else:
+        mask = np.zeros(total, dtype=bool)
+        count = int(Fraction(p) * total)
+        if count > 0:
+            mask[rng.choice(total, size=count, replace=False)] = True
+    letters = rng.integers(0, len(alphabet), size=total)
+    phases = np.where(mask, np.asarray(alphabet, dtype=float)[letters], 0.0)
+    cuts = np.cumsum(sizes)[:-1]
+    return seed, np.split(phases, cuts), np.split(mask, cuts)

@@ -36,14 +36,11 @@ GRID = [round(0.01 * k, 2) for k in range(101)]
 N_MAPS = 1000
 SEED = 1
 FIT_RANGE = (1, 7)
-# Worker count only affects wall time; results are chunk-ordered and
-# bit-identical for any value (criterion 10 checks this through the CLI).
-WORKERS = 4
 
 
 def _ensemble(p, steps):
     spec = DisorderSpec(p=p, steps=steps, master_seed=SEED)
-    return run_ensemble(spec, COIN, N_MAPS, n_workers=WORKERS)
+    return run_ensemble(spec, COIN, N_MAPS)
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +61,7 @@ def dilution_scan():
 
 @pytest.fixture(scope="module")
 def similarity_curves():
-    return similarity_scan(
-        GRID, steps=7, n_maps=N_MAPS, coin=COIN, master_seed=SEED, n_workers=WORKERS
-    )
+    return similarity_scan(GRID, steps=7, n_maps=N_MAPS, coin=COIN, master_seed=SEED)
 
 
 @pytest.fixture(scope="module")

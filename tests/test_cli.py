@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdqw
 from pdqw import (
     DisorderSpec,
     coin_from_reflectivity,
@@ -243,11 +246,25 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("pdqw evolve: error")
         assert taken.read_text() == "not a directory\n"
 
+    def test_unwritable_output_is_a_run_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "steps: 2\nn_maps: 2\np_grid: [0.0, 1.0]\n")
+        out = tmp_path / "bad"
+        (out / "ensemble.csv").mkdir(parents=True)
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pdqw ensemble: error: ")
+        assert "Traceback" not in err
+
 
 class TestEntryPoint:
     def test_module_invocation_reports_version(self):
+        # The child imports the same pdqw as this process, also when only
+        # pytest's own path settings put it on sys.path.
+        package_root = str(Path(pdqw.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run(
-            [sys.executable, "-m", "pdqw.cli", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "pdqw.cli", "--version"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0.1.0")

@@ -98,6 +98,7 @@ class TestRejection:
             ({"sampling_mode": "sobol"}, "sampling_mode"),
             ({"alphabet": []}, "alphabet"),
             ({"alphabet": ["tau"]}, "alphabet"),
+            ({"alphabet": [0] * 128}, "alphabet"),
             ({"fit_range": [3]}, "fit_range"),
             ({"fit_range": [0, 5]}, "fit_range"),
             ({"fit_range": [5, 5]}, "fit_range"),

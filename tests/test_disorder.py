@@ -19,7 +19,17 @@ from pdqw import (
     save_map,
     zero_map,
 )
-from pdqw.disorder import map_seed
+from oracles import reference_phase_map
+from pdqw.disorder import (
+    DEFAULT_ALPHABET,
+    MAX_ALPHABET,
+    SAMPLING_MODES,
+    _pcg64_states,
+    map_seed,
+    map_seeds,
+    sample_block,
+)
+from pdqw.ensemble import CHUNK_SIZE
 
 # Frozen outputs of the seed derivation and the draw order. These pin the
 # on-disk compatibility contract: a change here silently invalidates every
@@ -106,6 +116,60 @@ class TestGeneration:
         assert realized_fraction(pm) == 0.0
 
 
+class TestBlockSampler:
+    # Spawn keys of one and two words, and master seeds at the word edges.
+    MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    INDICES = [0, 127, 128, 2**32 - 1, 2**32]
+
+    @staticmethod
+    def numpy_seed(master, index):
+        ss = np.random.SeedSequence(master, spawn_key=(index,))
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_seeds_match_numpy_seed_sequence(self, master):
+        for k in self.INDICES:
+            assert map_seed(master, k) == self.numpy_seed(master, k)
+        # one block holding both key widths
+        block = map_seeds(master, 2**32 - 2, 2**32 + 2)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [self.numpy_seed(master, k) for k in range(2**32 - 2, 2**32 + 2)]
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_pcg64_states_match_default_rng(self, master):
+        # derived seeds (all above 2**32 here) plus seeds below and at 2**32
+        seeds = [map_seed(master, k) for k in self.INDICES] + [0, 1, 2**32 - 1, 2**32, master]
+        states = _pcg64_states(np.array(seeds, dtype=np.uint64))
+        for seed, (state, inc) in zip(seeds, states):
+            expect = np.random.default_rng(seed).bit_generator.state["state"]
+            assert (state, inc) == (expect["state"], expect["inc"])
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    @pytest.mark.parametrize(
+        "alphabet", [(math.pi,), DEFAULT_ALPHABET, (0.0, 0.5 * math.pi, math.pi)]
+    )
+    def test_block_matches_per_map_generation(self, mode, alphabet):
+        steps = 4
+        spec = DisorderSpec(p=0.3, steps=steps, alphabet=alphabet, sampling_mode=mode, master_seed=12)
+        codes = sample_block(spec, 0, CHUNK_SIZE + 3)
+        assert codes.dtype == np.int8
+        assert codes.shape == (CHUNK_SIZE + 3, steps, 2 * steps + 1)
+        np.testing.assert_array_equal(sample_block(spec, CHUNK_SIZE, CHUNK_SIZE + 3), codes[CHUNK_SIZE:])
+        letters = np.array([0.0, *alphabet])
+        for k in range(CHUNK_SIZE + 3):
+            pm = generate_phase_map(spec, k)
+            seed, ref_rows, ref_mask = reference_phase_map(12, k, steps, 0.3, alphabet, mode)
+            assert pm.seed == seed
+            for n in range(1, steps + 1):
+                window = codes[k, n - 1, steps - n : steps + n + 1]
+                np.testing.assert_array_equal(letters[window], pm.rows[n - 1])
+                np.testing.assert_array_equal(window > 0, pm.mask[n - 1])
+                np.testing.assert_array_equal(pm.rows[n - 1], ref_rows[n - 1])
+                np.testing.assert_array_equal(pm.mask[n - 1], ref_mask[n - 1])
+                assert not codes[k, n - 1, : steps - n].any()
+                assert not codes[k, n - 1, steps + n + 1 :].any()
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("p", [-0.01, 1.01])
     def test_p_range(self, p):
@@ -120,9 +184,10 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             DisorderSpec(p=0.5, steps=3, sampling_mode="sobol")
 
-    def test_alphabet_nonempty(self):
+    @pytest.mark.parametrize("size", [0, MAX_ALPHABET + 1])
+    def test_alphabet_size(self, size):
         with pytest.raises(DomainError):
-            DisorderSpec(p=0.5, steps=3, alphabet=())
+            DisorderSpec(p=0.5, steps=3, alphabet=(0.0,) * size)
 
     def test_master_seed_64_bits(self):
         with pytest.raises(DomainError):
@@ -196,8 +261,12 @@ class TestFileFormat:
             ("steps=x\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 1),
             ("steps=2\np=1.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 2),
             ("steps=2\np=0.5\nseed=q\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 3),
+            ("steps=2\np=0.5\nseed=-1\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 3),
+            (f"steps=2\np=0.5\nseed={2**64}\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 3),
             ("steps=2\np=0.5\nseed=1\nmode=latin\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 4),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,tau\n0 0 0\n0 0 0 0 0\n", 5),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=" + ",".join(["0"] * 128)
+             + "\n0 0 0\n0 0 0 0 0\n", 5),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0\n0 0 0 0 0\n", 6),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 z 0\n0 0 0 0 0\n", 6),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0.5 0\n0 0 0 0 0\n", 6),

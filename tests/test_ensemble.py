@@ -16,6 +16,7 @@ from pdqw import (
     similarity_scan,
     variance,
 )
+from pdqw.ensemble import CHUNK_SIZE
 
 COIN = hadamard_coin()
 
@@ -36,10 +37,13 @@ class TestRunner:
         np.testing.assert_allclose(res.mean_variance, per_map_variances(spec, 1)[0], atol=1e-12)
         np.testing.assert_array_equal(res.std_variance, np.zeros(6))
 
-    def test_mean_and_std_match_a_python_loop(self):
+    @pytest.mark.parametrize("n_maps", [12, CHUNK_SIZE + 3])
+    def test_mean_and_std_match_a_python_loop(self, n_maps):
+        # CHUNK_SIZE + 3 maps span two chunks: the second must sample maps
+        # CHUNK_SIZE.., and reduction must stay in index order.
         spec = DisorderSpec(p=0.5, steps=5, master_seed=7)
-        res = run_ensemble(spec, COIN, 12)
-        manual = per_map_variances(spec, 12)
+        res = run_ensemble(spec, COIN, n_maps)
+        manual = per_map_variances(spec, n_maps)
         np.testing.assert_allclose(res.mean_variance, manual.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance, manual.std(axis=0, ddof=1), atol=1e-12)
 
@@ -64,17 +68,6 @@ class TestRunner:
                 atol=1e-12,
             )
 
-    @pytest.mark.parametrize("n_workers", [2, 3, 8])
-    def test_worker_count_never_changes_results(self, n_workers):
-        # 300 maps spans three chunks; reduction must stay in index order.
-        spec = DisorderSpec(p=0.4, steps=6, master_seed=99)
-        base = run_ensemble(spec, COIN, 300, n_workers=1)
-        other = run_ensemble(spec, COIN, 300, n_workers=n_workers)
-        np.testing.assert_array_equal(base.mean_variance, other.mean_variance)
-        np.testing.assert_array_equal(base.std_variance, other.std_variance)
-        for a, b in zip(base.mean_distributions, other.mean_distributions):
-            np.testing.assert_array_equal(a.probabilities, b.probabilities)
-
     def test_repeat_call_is_bit_identical(self):
         spec = DisorderSpec(p=0.6, steps=5, master_seed=5)
         a = run_ensemble(spec, COIN, 40)
@@ -96,8 +89,6 @@ class TestRunner:
         spec = DisorderSpec(p=0.5, steps=3, master_seed=1)
         with pytest.raises(DomainError):
             run_ensemble(spec, COIN, 0)
-        with pytest.raises(DomainError):
-            run_ensemble(spec, COIN, 5, n_workers=0)
 
 
 class TestSimilarityScan:
