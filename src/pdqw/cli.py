@@ -75,11 +75,10 @@ def _distribution_rows(dists):
 
 def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
-    n_max = cfg.effective_n_max()
     outputs = []
     if args.map is not None:
         pm = load_map(args.map)
-        states = evolve(n_max, coin, pm, cfg.steps)
+        states = evolve(cfg.steps, coin, pm, cfg.steps)
         path = out_dir / "evolve_map.csv"
         _write_csv(path, ["step", "site", "probability"],
                    _distribution_rows(position_distribution(s) for s in states))
@@ -87,7 +86,7 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
         return outputs
     for p in cfg.p_values:
         pm = generate_phase_map(_spec(cfg, p), 0)
-        states = evolve(n_max, coin, pm, cfg.steps)
+        states = evolve(cfg.steps, coin, pm, cfg.steps)
         path = out_dir / f"evolve_p{_p_tag(p)}.csv"
         _write_csv(path, ["step", "site", "probability"],
                    _distribution_rows(position_distribution(s) for s in states))
@@ -113,12 +112,9 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     path = out_dir / "ensemble.csv"
     _write_csv(path, ["p", "step", "mean_var", "std_var", "mean_var_normalized", "n_maps", "seed"], rows)
 
-    dist_rows = []
-    for res in results:
-        for step, dist in enumerate(res.mean_distributions, start=1):
-            for site, prob in zip(dist.sites, dist.probabilities):
-                if abs(site) <= step:
-                    dist_rows.append((res.p, step, int(site), float(prob)))
+    dist_rows = (
+        (res.p, *row) for res in results for row in _distribution_rows(res.mean_distributions)
+    )
     dist_path = out_dir / "ensemble_distributions.csv"
     _write_csv(dist_path, ["p", "step", "site", "probability"], dist_rows)
     return [path, dist_path]

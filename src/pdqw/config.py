@@ -31,7 +31,6 @@ def _parse_alphabet_value(value, field_name: str) -> float:
 
 @dataclass
 class TwoPhotonSettings:
-    enabled: bool = False
     eta: float = 1.0
     visibility: float = 0.93
     coherence_time: float = 1.0
@@ -44,7 +43,6 @@ class SimulationConfig:
     """Validated run parameters; defaults reproduce the experiment's scale."""
 
     steps: int = 7
-    n_max: int | None = None
     p_values: list[float] = field(default_factory=lambda: [0.0, 0.05, 0.10, 0.20, 1.0])
     n_maps: int = 1000
     master_seed: int = 1
@@ -57,9 +55,6 @@ class SimulationConfig:
     two_photon: TwoPhotonSettings = field(default_factory=TwoPhotonSettings)
     output_dir: str = "out"
 
-    def effective_n_max(self) -> int:
-        return self.steps if self.n_max is None else self.n_max
-
     def effective_fit_range(self) -> tuple[int, int]:
         if self.fit_range is not None:
             return self.fit_range
@@ -67,12 +62,12 @@ class SimulationConfig:
 
 
 _TOP_KEYS = {
-    "steps", "n_max", "p_values", "n_maps", "master_seed", "coin_reflectivity",
+    "steps", "p_values", "n_maps", "master_seed", "coin_reflectivity",
     "sampling_mode", "alphabet", "fit_range", "p_grid", "crossing_steps",
     "two_photon", "output_dir",
 }
 _TWO_PHOTON_KEYS = {
-    "enabled", "eta", "visibility", "coherence_time", "delays", "display_normalization",
+    "eta", "visibility", "coherence_time", "delays", "display_normalization",
 }
 
 
@@ -120,10 +115,6 @@ def _parse_two_photon(raw) -> TwoPhotonSettings:
     if unknown:
         raise ConfigError("two_photon", f"unknown keys {sorted(unknown)}")
     tp = TwoPhotonSettings()
-    if "enabled" in raw:
-        if not isinstance(raw["enabled"], bool):
-            raise ConfigError("two_photon.enabled", "expected true/false")
-        tp.enabled = raw["enabled"]
     if "eta" in raw:
         tp.eta = _as_number(raw["eta"], "two_photon.eta")
         if not 0.0 <= tp.eta <= 1.0:
@@ -159,10 +150,6 @@ def config_from_dict(data: dict) -> SimulationConfig:
         cfg.steps = _as_int(data["steps"], "steps")
         if cfg.steps < 1:
             raise ConfigError("steps", f"must be >= 1, got {cfg.steps}")
-    if "n_max" in data and data["n_max"] is not None:
-        cfg.n_max = _as_int(data["n_max"], "n_max")
-        if cfg.n_max < cfg.steps:
-            raise ConfigError("n_max", f"must be >= steps ({cfg.steps}), got {cfg.n_max}")
     if "p_values" in data:
         if not isinstance(data["p_values"], list) or not data["p_values"]:
             raise ConfigError("p_values", "expected a non-empty list")
@@ -232,7 +219,6 @@ def config_echo(cfg: SimulationConfig) -> dict:
     """JSON-ready dump of the effective configuration, for the run manifest."""
     return {
         "steps": cfg.steps,
-        "n_max": cfg.effective_n_max(),
         "p_values": list(cfg.p_values),
         "n_maps": cfg.n_maps,
         "master_seed": cfg.master_seed,
@@ -243,7 +229,6 @@ def config_echo(cfg: SimulationConfig) -> dict:
         "p_grid": list(cfg.p_grid),
         "crossing_steps": list(cfg.crossing_steps),
         "two_photon": {
-            "enabled": cfg.two_photon.enabled,
             "eta": cfg.two_photon.eta,
             "visibility": cfg.two_photon.visibility,
             "coherence_time": cfg.two_photon.coherence_time,

@@ -313,7 +313,7 @@ def _format_pi_units(value_rad: float) -> str:
     units = value_rad / math.pi if value_rad != 0.0 else 0.0
     if units == int(units):
         return str(int(units))
-    return repr(units)
+    return repr(float(units))
 
 
 def _alphabet_token(value_rad: float) -> str:
@@ -355,12 +355,13 @@ def save_map(phase_map: PhaseMap, path) -> None:
 
 
 def _snap_to_alphabet(value_rad: float, alphabet: tuple[float, ...], line: int, col: int) -> float:
-    for member in alphabet:
+    # 0 is the phase of an unmarked cell, whether or not the alphabet holds it.
+    for member in (*alphabet, 0.0):
         if abs(value_rad - member) <= 1e-9:
             return member
     raise MapParseError(
         f"entry {col} is {value_rad / math.pi!r} pi, outside the alphabet "
-        f"{tuple(round(a / math.pi, 12) for a in alphabet)} (in pi units)",
+        f"{tuple(round(a / math.pi, 12) for a in alphabet)} (in pi units) and not 0",
         line,
     )
 
@@ -368,10 +369,10 @@ def _snap_to_alphabet(value_rad: float, alphabet: tuple[float, ...], line: int, 
 def load_map(path) -> PhaseMap:
     """Parse a map file; inverse of save_map.
 
-    Entries are snapped onto the declared alphabet (tolerance 1e-9 rad) so
-    round trips are bit-exact. If regenerating from the header reproduces
-    the stored rows, the disorder mask is re-attached; otherwise the map is
-    treated as hand-made and carries no mask.
+    Entries are snapped onto the declared alphabet or 0 (tolerance 1e-9
+    rad) so round trips are bit-exact. If regenerating from the header
+    reproduces the stored rows, the disorder mask is re-attached; otherwise
+    the map is treated as hand-made and carries no mask.
     """
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()

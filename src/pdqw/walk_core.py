@@ -3,13 +3,14 @@
 State model: a walker on sites -n_max..+n_max with a two-level coin. One
 step applies, in order, the per-site phase stage (coin-1 amplitudes pick up
 exp(i*phi)), the coin mix, and the coin-conditioned shift (coin 0 moves one
-site left, coin 1 one site right). Amplitudes outside the light cone stay
-exactly zero because the shift is implemented with slice moves, never wraps.
+site left, coin 1 one site right). The shift is periodic, so every step is
+exactly unitary on the finite lattice; a walk from the origin with
+steps <= n_max never reaches the edge, so the wrap moves only zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +53,12 @@ class WalkState:
     """Walker amplitudes on the lattice.
 
     amplitudes[i, c] is the amplitude at site (i - n_max) with coin c.
-    `step` counts applied steps; `transmission` < 1 records uniform per-step
-    amplitude loss (distributions are renormalized at measurement time).
+    `step` counts applied steps.
     """
 
     n_max: int
     amplitudes: np.ndarray
     step: int = 0
-    transmission: float = field(default=1.0)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -72,11 +71,6 @@ class WalkState:
 
     def norm(self) -> float:
         return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum()))
-
-    def site_index(self, site: int) -> int:
-        if abs(site) > self.n_max:
-            raise DomainError(f"site {site} outside lattice of half-width {self.n_max}")
-        return site + self.n_max
 
 
 def initial_state(n_max: int, coin_amplitudes=(1.0, 0.0)) -> WalkState:
@@ -95,11 +89,11 @@ def initial_state(n_max: int, coin_amplitudes=(1.0, 0.0)) -> WalkState:
 def _step_kernel(psi0, psi1, coin, phase_factors):
     """One step on coin-component arrays whose last axis is the site axis.
 
-    Shared by the single-walker path, the batched ensemble runner and the
-    two-photon column runner so all perform identical elementwise float
-    operations. The shift is periodic, the convention of
-    single_particle_unitary; a walk from the origin that stays within its
-    lattice has zero amplitude at the edges, so the wrap moves nothing.
+    The one step implementation: the single-walker path, the batched
+    ensemble runner, the two-photon column runner and the mode unitary all
+    call it, so all perform identical elementwise float operations. The
+    shift is periodic; a walk from the origin that stays within its lattice
+    has zero amplitude at the edges, so the wrap moves nothing.
     """
     b1 = phase_factors * psi1
     a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
@@ -137,19 +131,14 @@ def apply_step(state: WalkState, coin, phase_row, step_index: int) -> WalkState:
     lo = state.n_max - step_index
     factors[lo : lo + row.size] = np.exp(1j * row)
     psi0, psi1 = _step_kernel(state.amplitudes[:, 0], state.amplitudes[:, 1], coin, factors)
-    if state.transmission != 1.0:
-        psi0 = psi0 * state.transmission
-        psi1 = psi1 * state.transmission
     return WalkState(
         n_max=state.n_max,
         amplitudes=np.stack([psi0, psi1], axis=1),
         step=state.step + 1,
-        transmission=state.transmission,
     )
 
 
-def evolve(n_max: int, coin, phase_map, steps: int, start: WalkState | None = None,
-           transmission: float = 1.0) -> list[WalkState]:
+def evolve(n_max: int, coin, phase_map, steps: int, start: WalkState | None = None) -> list[WalkState]:
     """Run `steps` steps from the origin (or `start`) and return every state.
 
     phase_map may be None to skip the phase stage entirely; otherwise its
@@ -162,11 +151,7 @@ def evolve(n_max: int, coin, phase_map, steps: int, start: WalkState | None = No
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
     if phase_map is not None and phase_map.steps < steps:
         raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
-    if not 0.0 < transmission <= 1.0:
-        raise DomainError("transmission must lie in (0, 1]")
     state = start if start is not None else initial_state(n_max)
-    if transmission != 1.0:
-        state = WalkState(state.n_max, state.amplitudes, state.step, transmission)
     out: list[WalkState] = []
     for n in range(1, steps + 1):
         if phase_map is None:
@@ -181,8 +166,7 @@ def evolve(n_max: int, coin, phase_map, steps: int, start: WalkState | None = No
 def position_distribution(state: WalkState) -> Distribution:
     """Measurement statistics of the site register.
 
-    The coin is traced out and the result normalized by the total weight, so
-    uniform per-step loss drops out.
+    The coin is traced out and the result normalized by the total weight.
     """
     weights = (np.abs(state.amplitudes) ** 2).sum(axis=1)
     total = weights.sum()
@@ -203,10 +187,11 @@ def mode_index(site: int, coin: int, n_max: int) -> int:
 def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarray:
     """Full mode unitary of `steps` steps over the 2*(2*n_max+1) lattice modes.
 
-    The shift is periodic here so the operator is exactly unitary on the
-    finite lattice; columns whose light cone stays inside the lattice agree
-    with `evolve`. Phase rows cover sites -n..+n at step n, all other sites
-    get phase 0. steps=0 returns the identity.
+    Every basis column is pushed through the step kernel in one batch; its
+    periodic shift makes the operator exactly unitary on the finite lattice,
+    and columns whose light cone stays inside the lattice agree with
+    `evolve`. Phase rows cover sites -n..+n at step n, all other sites get
+    phase 0. steps=0 returns the identity.
     """
     coin = _check_coin(coin)
     if n_max < 1:
@@ -217,12 +202,9 @@ def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarr
         raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
     n_sites = 2 * n_max + 1
     dim = 2 * n_sites
-    coin_full = np.kron(np.eye(n_sites), coin)
-    shift = np.zeros((dim, dim), dtype=complex)
-    for s in range(n_sites):
-        shift[2 * ((s - 1) % n_sites), 2 * s] = 1.0
-        shift[2 * ((s + 1) % n_sites) + 1, 2 * s + 1] = 1.0
-    u = np.eye(dim, dtype=complex)
+    # psi_c[j, s]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
+    basis = np.eye(dim, dtype=complex).reshape(dim, n_sites, 2)
+    psi0, psi1 = basis[..., 0], basis[..., 1]
     for n in range(1, steps + 1):
         phases = np.zeros(n_sites)
         if phase_map is not None:
@@ -230,7 +212,5 @@ def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarr
             width = min(n, n_max)
             lo = n_max - width
             phases[lo : lo + 2 * width + 1] = row[n - width : n + width + 1]
-        diag = np.ones(dim, dtype=complex)
-        diag[1::2] = np.exp(1j * phases)
-        u = shift @ (coin_full @ (diag[:, None] * u))
-    return u
+        psi0, psi1 = _step_kernel(psi0, psi1, coin, np.exp(1j * phases))
+    return np.stack([psi0, psi1], axis=-1).reshape(dim, dim).T

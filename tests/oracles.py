@@ -13,18 +13,24 @@ from fractions import Fraction
 import numpy as np
 
 
-def dense_step_matrix(n_max: int, coin: np.ndarray, phase_row: np.ndarray, step: int) -> np.ndarray:
+def dense_step_matrix(n_max: int, coin: np.ndarray, phase_row: np.ndarray, step: int,
+                      periodic: bool = False) -> np.ndarray:
     """One walk step as a dense matrix over basis |site, coin>.
 
     Basis index m = 2*(site + n_max) + c. The shift moves coin 0 one site
-    left and coin 1 one site right; amplitudes at the lattice edge would be
-    dropped, so callers must keep steps <= n_max.
+    left and coin 1 one site right. By default amplitudes at the lattice
+    edge would be dropped, so callers must keep steps <= n_max. With
+    periodic=True the lattice is a ring: coin 0 at site -n_max moves to
+    +n_max, coin 1 at +n_max moves to -n_max, and phase-row entries for
+    sites beyond the lattice are ignored, so any step count is allowed.
     """
     n_sites = 2 * n_max + 1
     dim = 2 * n_sites
 
     phase = np.eye(dim, dtype=complex)
     for idx, site in enumerate(range(-step, step + 1)):
+        if abs(site) > n_max:
+            continue
         m = 2 * (site + n_max) + 1
         phase[m, m] = np.exp(1j * phase_row[idx])
 
@@ -38,8 +44,12 @@ def dense_step_matrix(n_max: int, coin: np.ndarray, phase_row: np.ndarray, step:
     for s in range(n_sites):
         if s - 1 >= 0:
             shift[2 * (s - 1) + 0, 2 * s + 0] = 1.0
+        elif periodic:
+            shift[2 * (n_sites - 1) + 0, 2 * s + 0] = 1.0
         if s + 1 < n_sites:
             shift[2 * (s + 1) + 1, 2 * s + 1] = 1.0
+        elif periodic:
+            shift[2 * 0 + 1, 2 * s + 1] = 1.0
 
     return shift @ coin_full @ phase
 

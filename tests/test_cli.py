@@ -173,7 +173,7 @@ class TestTwoPhotonCommands:
         cfg = write_config(
             tmp_path,
             "steps: 2\nn_maps: 3\nmaster_seed: 9\np_values: [1.0]\n"
-            "two_photon: {enabled: true, display_normalization: true}\n",
+            "two_photon: {display_normalization: true}\n",
         )
         out = tmp_path / "out"
         assert main(["two-photon", "--config", cfg, "--out", str(out)]) == 0
@@ -192,7 +192,7 @@ class TestTwoPhotonCommands:
 
     def test_hom_curve(self, tmp_path):
         cfg = write_config(
-            tmp_path, "two_photon: {enabled: true, delays: [-1.0, 0.0, 1.0]}\n"
+            tmp_path, "two_photon: {delays: [-1.0, 0.0, 1.0]}\n"
         )
         out = tmp_path / "out"
         assert main(["hom", "--config", cfg, "--out", str(out)]) == 0
@@ -215,6 +215,23 @@ class TestGenMaps:
         manifest = json.loads((out / "manifest_gen_maps.json").read_text())
         assert len(manifest["outputs"]) == 3
 
+    def test_fractional_pi_alphabet_maps_evolve(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "steps: 4\nn_maps: 2\nmaster_seed: 6\np_values: [0.9]\nalphabet: [0, 0.5, pi]\n",
+        )
+        out = tmp_path / "out"
+        assert main(["gen-maps", "--config", cfg, "--out", str(out)]) == 0
+        spec = DisorderSpec(p=0.9, steps=4, alphabet=(0.0, 0.5 * np.pi, np.pi), master_seed=6)
+        for k in range(2):
+            path = out / "maps" / "p0.9" / f"map_{k:05d}.txt"
+            saved = generate_phase_map(spec, k)
+            assert any(np.any(row == 0.5 * np.pi) for row in saved.rows)
+            back = load_map(path)
+            assert back == saved
+            assert back.mask is not None
+            assert main(["evolve", "--config", cfg, "--out", str(out), "--map", str(path)]) == 0
+
 
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path):
@@ -223,6 +240,16 @@ class TestFailureModes:
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, "stepz: 3\n")
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [("n_max: 7\n", "n_max"), ("two_photon: {enabled: true}\n", "enabled")],
+        ids=["n_max", "two_photon.enabled"],
+    )
+    def test_removed_config_fields_are_rejected(self, tmp_path, capsys, text, field):
+        cfg = write_config(tmp_path, "steps: 2\n" + text)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_corrupt_map_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

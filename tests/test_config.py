@@ -19,12 +19,10 @@ class TestDefaults:
         assert cfg.sampling_mode == "bernoulli"
         assert cfg.alphabet == (0.0, math.pi)
         assert cfg.crossing_steps == [5, 6, 7]
-        assert not cfg.two_photon.enabled
         assert cfg.two_photon.visibility == 0.93
 
     def test_effective_values(self):
         cfg = SimulationConfig()
-        assert cfg.effective_n_max() == 7
         assert cfg.effective_fit_range() == (1, 7)
         cfg = config_from_dict({"steps": 20})
         assert cfg.effective_fit_range() == (1, 7)
@@ -56,23 +54,19 @@ class TestParsing:
             "fit_range: [2, 5]\n"
             "p_grid: {start: 0.0, stop: 1.0, step: 0.25}\n"
             "crossing_steps: [4, 5]\n"
-            "two_photon: {enabled: true, eta: 0.8, delays: [-1.0, 0.0, 1.0]}\n"
+            "two_photon: {eta: 0.8, delays: [-1.0, 0.0, 1.0]}\n"
             "output_dir: results\n"
         )
         cfg = load_config(path)
         assert cfg.steps == 5
         assert cfg.fit_range == (2, 5)
         assert cfg.p_grid == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert cfg.two_photon.enabled and cfg.two_photon.eta == 0.8
+        assert cfg.two_photon.eta == 0.8
         assert cfg.output_dir == "results"
 
     def test_alphabet_tokens_are_pi_multiples(self):
         cfg = config_from_dict({"alphabet": [0, "pi", 0.5]})
         assert cfg.alphabet == (0.0, math.pi, 0.5 * math.pi)
-
-    def test_n_max_override(self):
-        cfg = config_from_dict({"steps": 5, "n_max": 9})
-        assert cfg.effective_n_max() == 9
 
     def test_invalid_yaml_is_a_config_error(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -88,7 +82,8 @@ class TestRejection:
             ({"stepz": 3}, "stepz"),
             ({"steps": 0}, "steps"),
             ({"steps": 2.5}, "steps"),
-            ({"n_max": 3, "steps": 5}, "n_max"),
+            # n_max and two_photon.enabled were removed: they never changed an output.
+            ({"n_max": 9, "steps": 5}, "n_max"),
             ({"p_values": []}, "p_values"),
             ({"p_values": [1.5]}, "p_values"),
             ({"n_maps": 0}, "n_maps"),
@@ -116,7 +111,7 @@ class TestRejection:
             ({"two_photon": {"visibility": -0.1}}, "visibility"),
             ({"two_photon": {"coherence_time": 0}}, "coherence_time"),
             ({"two_photon": {"delays": []}}, "delays"),
-            ({"two_photon": {"enabled": "yes"}}, "enabled"),
+            ({"two_photon": {"enabled": True}}, "enabled"),
             ({"two_photon": 3}, "two_photon"),
             ({"output_dir": ""}, "output_dir"),
         ],
@@ -138,7 +133,7 @@ class TestEcho:
         assert echo["steps"] == 5
         assert echo["alphabet_pi_units"] == [0.0, 1.0]
         assert echo["fit_range"] == [1, 5]
-        assert echo["n_max"] == 5
+        assert "n_max" not in echo and "enabled" not in echo["two_photon"]
         import json
 
         json.dumps(echo)

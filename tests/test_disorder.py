@@ -212,6 +212,21 @@ class TestFileFormat:
         assert back.mask is not None
         assert realized_fraction(back) == realized_fraction(pm)
 
+    @pytest.mark.parametrize(
+        "alphabet",
+        [(0.0, 0.5 * math.pi, math.pi), (0.25 * math.pi, 1.5 * math.pi), (math.pi,)],
+        ids=["0,0.5,1", "0.25,1.5", "1"],
+    )
+    def test_round_trip_of_alphabets_beyond_0_and_pi(self, tmp_path, alphabet):
+        # Fractional pi multiples, and alphabets without the unmarked phase 0.
+        pm = generate_phase_map(DisorderSpec(p=0.7, steps=6, alphabet=alphabet, master_seed=5), 1)
+        path = tmp_path / "map.txt"
+        save_map(pm, path)
+        back = load_map(path)
+        assert back == pm
+        assert back.mask is not None
+        assert all(np.array_equal(a, b) for a, b in zip(back.mask, pm.mask))
+
     def test_round_trip_is_byte_stable(self, tmp_path):
         pm = generate_phase_map(
             DisorderSpec(p=0.6, steps=5, sampling_mode="exact_fraction", master_seed=8), 0

@@ -240,7 +240,8 @@ class TestPairEnsemble:
 
     # The Fock lift of an 18-mode unitary takes about 0.4 s, so each case is
     # checked on the final step of one map. Inputs at sites +-1 reach the
-    # lattice edge by step 4 and wrap around, as in single_particle_unitary.
+    # lattice edge by step 4 and wrap around; test_walk_core pins the
+    # unitary's periodic edge to the loop-built dense oracle.
     @pytest.mark.parametrize(
         "p, eta, pair_modes",
         [(0.5, eta, modes) for eta in (0.0, 0.4, 1.0) for modes in PAIR_MODES]

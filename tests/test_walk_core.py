@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_positions, dense_walk
+from oracles import brute_force_positions, dense_step_matrix, dense_walk
 from pdqw import (
     CapacityError,
     DisorderSpec,
@@ -164,18 +164,6 @@ class TestInvariants:
         for state, expect in zip(evolve(8, COIN, pm, 8), ORDERED_VARIANCES):
             assert variance(position_distribution(state)) == pytest.approx(expect, abs=1e-12)
 
-    def test_transmission_drops_out_of_distributions(self):
-        pm = random_map(0.5, 6, seed=8)
-        lossless = evolve(7, COIN, pm, 6)
-        lossy = evolve(7, COIN, pm, 6, transmission=0.9)
-        for a, b in zip(lossless, lossy):
-            np.testing.assert_allclose(
-                position_distribution(a).probabilities,
-                position_distribution(b).probabilities,
-                atol=1e-13,
-            )
-        assert lossy[-1].norm() == pytest.approx(0.9**6, rel=1e-12)
-
     @given(
         reflectivity=st.floats(min_value=0.05, max_value=0.95),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -219,6 +207,19 @@ class TestModeUnitary:
                     final.amplitudes[site + n_max, c], abs=1e-12
                 )
 
+    def test_every_column_matches_the_periodic_dense_product(self):
+        # steps > n_max, so every column wraps around the ring; (0, 1, 2) rad
+        # phases and an unbalanced coin leave no symmetry to hide a wrong edge.
+        n_max, steps = 3, 6
+        coin = coin_from_reflectivity(0.45)
+        spec = DisorderSpec(p=0.8, steps=steps, alphabet=(0.0, 1.0, 2.0), master_seed=31)
+        pm = generate_phase_map(spec, 0)
+        expect = np.eye(2 * (2 * n_max + 1), dtype=complex)
+        for n in range(1, steps + 1):
+            expect = dense_step_matrix(n_max, coin, pm.rows[n - 1], n, periodic=True) @ expect
+        u = single_particle_unitary(n_max, coin, pm, steps)
+        np.testing.assert_allclose(u, expect, rtol=0, atol=1e-12)
+
     def test_mode_index_validation(self):
         assert mode_index(-2, 1, 2) == 1
         with pytest.raises(DomainError):
@@ -247,11 +248,6 @@ class TestValidation:
     def test_unnormalized_start_rejected(self):
         with pytest.raises(DomainError):
             initial_state(3, coin_amplitudes=(1.0, 1.0))
-
-    @pytest.mark.parametrize("transmission", [0.0, -0.1, 1.5])
-    def test_bad_transmission_rejected(self, transmission):
-        with pytest.raises(DomainError):
-            evolve(3, COIN, None, 2, transmission=transmission)
 
     def test_reflectivity_range_checked(self):
         with pytest.raises(DomainError):
