@@ -246,6 +246,6 @@ def crossing_point(p_grid, s_ordered, s_disordered, step: int) -> CrossingPoint:
     if len(crossings) != 1:
         raise AmbiguityError(
             f"expected exactly one crossing for step {step}, found {len(crossings)} "
-            f"at {crossings!r} on grid [{p[0]!r}..{p[-1]!r}] ({p.size} points)"
+            f"at {crossings!r} on grid [{float(p[0])!r}..{float(p[-1])!r}] ({p.size} points)"
         )
     return CrossingPoint(step=step, p_star=crossings[0])

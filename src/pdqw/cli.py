@@ -4,6 +4,9 @@ Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool version, sha256 per output, timings) into the
 output directory, and exits 0 only if all outputs were produced. Float
 cells use repr formatting, so identical runs produce byte-identical files.
+Each CSV and manifest is written under a temporary name and renamed into
+place, and a command deletes its old manifest before it runs, so a failed
+command leaves no truncated CSV and no manifest of its own.
 --threads is validated and echoed in the manifest, but maps run serially in
 fixed chunks whatever its value.
 """
@@ -11,11 +14,12 @@ fixed chunks whatever its value.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,18 +37,33 @@ from .walk_core import coin_from_reflectivity, evolve, position_distribution
 LOW_RESOLUTION_SPACING = 0.1
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+@contextmanager
+def _replacing(path: Path):
+    """Yield a text file that replaces `path` when the block completes; if
+    the block fails, the partial file is deleted and `path` is untouched."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write a CSV one block of rows at a time.
+
+    A block is a list of columns: equal-length 1-D arrays, or scalars that
+    repeat down the block. A float column is written as repr of each value,
+    any other column with str.
+    """
+    with _replacing(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            columns = np.broadcast_arrays(*map(np.atleast_1d, block))
+            cells = [map(repr if c.dtype.kind == "f" else str, c.tolist()) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _p_tag(p: float) -> str:
@@ -52,166 +71,124 @@ def _p_tag(p: float) -> str:
 
 
 def _spec(cfg: SimulationConfig, p: float) -> DisorderSpec:
-    return DisorderSpec(
-        p=p,
-        steps=cfg.steps,
-        alphabet=cfg.alphabet,
-        sampling_mode=cfg.sampling_mode,
-        master_seed=cfg.master_seed,
-    )
+    return DisorderSpec(p=p, steps=cfg.steps, alphabet=cfg.alphabet,
+                        sampling_mode=cfg.sampling_mode, master_seed=cfg.master_seed)
 
 
 def _coin(cfg: SimulationConfig) -> np.ndarray:
     return coin_from_reflectivity(cfg.coin_reflectivity)
 
 
-def _distribution_rows(dists):
+def _cone(sites: np.ndarray, step: int) -> np.ndarray:
+    """Mask of the sites a walk from the origin can reach in `step` steps."""
+    return np.abs(sites) <= step
+
+
+def _cone_blocks(dists, *lead):
+    """One (*lead, step, site, probability) block per step's distribution,
+    restricted to the light cone."""
     for step, dist in enumerate(dists, start=1):
-        sites = dist.sites
-        for site, prob in zip(sites, dist.probabilities):
-            if abs(site) <= step:
-                yield step, int(site), float(prob)
+        keep = _cone(dist.sites, step)
+        yield [*lead, step, dist.sites[keep], dist.probabilities[keep]]
 
 
 def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
-    outputs = []
     if args.map is not None:
-        pm = load_map(args.map)
+        runs = [("evolve_map.csv", load_map(args.map))]
+    else:
+        runs = [(f"evolve_p{_p_tag(p)}.csv", generate_phase_map(_spec(cfg, p), 0)) for p in cfg.p_values]
+    for name, pm in runs:
         states = evolve(cfg.steps, coin, pm, cfg.steps)
-        path = out_dir / "evolve_map.csv"
-        _write_csv(path, ["step", "site", "probability"],
-                   _distribution_rows(position_distribution(s) for s in states))
-        outputs.append(path)
-        return outputs
-    for p in cfg.p_values:
-        pm = generate_phase_map(_spec(cfg, p), 0)
-        states = evolve(cfg.steps, coin, pm, cfg.steps)
-        path = out_dir / f"evolve_p{_p_tag(p)}.csv"
-        _write_csv(path, ["step", "site", "probability"],
-                   _distribution_rows(position_distribution(s) for s in states))
-        outputs.append(path)
-    return outputs
+        _write_csv(out_dir / name, ["step", "site", "probability"],
+                   _cone_blocks(position_distribution(s) for s in states))
+    return [out_dir / name for name, _ in runs]
 
 
 def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     results = [run_ensemble(_spec(cfg, p), coin, cfg.n_maps) for p in cfg.p_grid]
-    mean_by_step = np.array([r.mean_variance for r in results])  # (n_p, steps)
-    peak = mean_by_step.max(axis=0)
-
-    rows = []
-    for j, res in enumerate(results):
-        for n in range(cfg.steps):
-            rows.append((
-                res.p, n + 1,
-                res.mean_variance[n], res.std_variance[n],
-                res.mean_variance[n] / peak[n],
-                res.n_maps, res.master_seed,
-            ))
+    peak = np.max([r.mean_variance for r in results], axis=0)
+    step = np.arange(1, cfg.steps + 1)
     path = out_dir / "ensemble.csv"
-    _write_csv(path, ["p", "step", "mean_var", "std_var", "mean_var_normalized", "n_maps", "seed"], rows)
-
-    dist_rows = (
-        (res.p, *row) for res in results for row in _distribution_rows(res.mean_distributions)
-    )
+    _write_csv(path, ["p", "step", "mean_var", "std_var", "mean_var_normalized", "n_maps", "seed"], (
+        [r.p, step, r.mean_variance, r.std_variance, r.mean_variance / peak, r.n_maps, r.master_seed]
+        for r in results
+    ))
     dist_path = out_dir / "ensemble_distributions.csv"
-    _write_csv(dist_path, ["p", "step", "site", "probability"], dist_rows)
+    _write_csv(dist_path, ["p", "step", "site", "probability"],
+               (block for r in results for block in _cone_blocks(r.mean_distributions, r.p)))
     return [path, dist_path]
 
 
 def cmd_beta(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     fit_range = cfg.effective_fit_range()
-    rows = []
-    for p in cfg.p_values:
-        res = run_ensemble(_spec(cfg, p), coin, cfg.n_maps)
-        fit = fit_beta(res.mean_variance, fit_range)
-        rows.append((
-            p, fit.beta, fit.beta_stderr, fit.prefactor,
-            fit.fit_range[0], fit.fit_range[1], cfg.n_maps, cfg.master_seed,
-        ))
+    fits = [fit_beta(run_ensemble(_spec(cfg, p), coin, cfg.n_maps).mean_variance, fit_range)
+            for p in cfg.p_values]
     path = out_dir / "beta.csv"
-    _write_csv(path, ["p", "beta", "beta_stderr", "prefactor", "fit_lo", "fit_hi", "n_maps", "seed"], rows)
+    _write_csv(path, ["p", "beta", "beta_stderr", "prefactor", "fit_lo", "fit_hi", "n_maps", "seed"], (
+        [p, fit.beta, fit.beta_stderr, fit.prefactor, *fit.fit_range, cfg.n_maps, cfg.master_seed]
+        for p, fit in zip(cfg.p_values, fits)
+    ))
     return [path]
 
 
 def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+    cfg.check_crossing_steps()
     grid = np.asarray(cfg.p_grid, dtype=float)
     if np.diff(grid).max() > LOW_RESOLUTION_SPACING:
-        print(
-            f"warning: p_grid spacing exceeds {LOW_RESOLUTION_SPACING}; "
-            "crossing interpolation is low-resolution",
-            file=sys.stderr,
-        )
+        print(f"warning: p_grid spacing exceeds {LOW_RESOLUTION_SPACING}; "
+              "crossing interpolation is low-resolution", file=sys.stderr)
     scan = similarity_scan(
         grid, cfg.steps, cfg.n_maps, _coin(cfg), cfg.master_seed,
         sampling_mode=cfg.sampling_mode, alphabet=cfg.alphabet,
     )
-    scan_rows = []
-    for n in range(cfg.steps):
-        for j, p in enumerate(grid):
-            scan_rows.append((float(p), n + 1, scan.s_ordered[n, j], scan.s_disordered[n, j]))
     scan_path = out_dir / "similarity_scan.csv"
-    _write_csv(scan_path, ["p", "step", "s_ordered", "s_disordered"], scan_rows)
+    _write_csv(scan_path, ["p", "step", "s_ordered", "s_disordered"],
+               ([grid, n + 1, scan.s_ordered[n], scan.s_disordered[n]] for n in range(cfg.steps)))
 
-    cross_rows = []
-    for n in cfg.crossing_steps:
-        cp = crossing_point(grid, scan.s_ordered[n - 1], scan.s_disordered[n - 1], n)
-        cross_rows.append((cp.step, cp.p_star))
+    points = [crossing_point(grid, scan.s_ordered[n - 1], scan.s_disordered[n - 1], n)
+              for n in cfg.crossing_steps]
     cross_path = out_dir / "crossing.csv"
-    _write_csv(cross_path, ["step", "p_star"], cross_rows)
+    _write_csv(cross_path, ["step", "p_star"], ([cp.step, cp.p_star] for cp in points))
     return [scan_path, cross_path]
 
 
 def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
-    eta = cfg.two_photon.eta
+    display = cfg.two_photon.display_normalization
+    header = ["site_i", "site_j", "probability"] + (["probability_display"] if display else [])
+    step = np.arange(1, cfg.steps + 1)
     outputs = []
-    var_rows = []
+    var_blocks = []
     for p in cfg.p_values:
-        ens = run_pair_ensemble(_spec(cfg, p), coin, cfg.n_maps, eta)
-        for n in range(cfg.steps):
-            var_rows.append((
-                p, n + 1, ens.mean_variance2[n], ens.std_variance2[n],
-                cfg.n_maps, cfg.master_seed,
-            ))
+        ens = run_pair_ensemble(_spec(cfg, p), coin, cfg.n_maps, cfg.two_photon.eta)
+        var_blocks.append([p, step, ens.mean_variance2, ens.std_variance2, cfg.n_maps, cfg.master_seed])
         for n, cm in enumerate(ens.mean_matrices, start=1):
-            header = ["site_i", "site_j", "probability"]
-            display = cfg.two_photon.display_normalization
+            keep = _cone(cm.sites, n)
+            i, j = np.triu_indices(int(keep.sum()))
+            sites = cm.sites[keep]
+            prob = cm.probabilities[np.ix_(keep, keep)][i, j]
+            block = [sites[i], sites[j], prob]
             if display:
-                header.append("probability_display")
-            peak = cm.probabilities.max()
-            rows = []
-            sites = cm.sites
-            for i in range(sites.size):
-                for j in range(i, sites.size):
-                    if abs(sites[i]) > n or abs(sites[j]) > n:
-                        continue
-                    row = [int(sites[i]), int(sites[j]), float(cm.probabilities[i, j])]
-                    if display:
-                        row.append(float(cm.probabilities[i, j] / peak) if peak > 0 else 0.0)
-                    rows.append(row)
+                peak = cm.probabilities.max()
+                block.append(prob / peak if peak > 0 else 0.0)
             path = out_dir / f"two_photon_matrix_p{_p_tag(p)}_step{n}.csv"
-            _write_csv(path, header, rows)
+            _write_csv(path, header, [block])
             outputs.append(path)
     var_path = out_dir / "two_photon_var2.csv"
-    _write_csv(var_path, ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], var_rows)
+    _write_csv(var_path, ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], var_blocks)
     outputs.append(var_path)
     return outputs
 
 
 def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
-    scan = hom_scan(
-        cfg.two_photon.delays, cfg.two_photon.coherence_time,
-        cfg.two_photon.visibility, _coin(cfg),
-    )
-    rows = []
-    for tau, c in zip(scan.delays, scan.coincidences):
-        eta = scan.visibility * float(np.exp(-((tau / scan.coherence_time) ** 2)))
-        rows.append((float(tau), eta, float(c)))
+    tp = cfg.two_photon
+    scan = hom_scan(tp.delays, tp.coherence_time, tp.visibility, _coin(cfg))
     path = out_dir / "hom.csv"
-    _write_csv(path, ["delay", "eta", "normalized_coincidence"], rows)
+    _write_csv(path, ["delay", "eta", "normalized_coincidence"],
+               [[scan.delays, scan.etas, scan.coincidences]])
     return [path]
 
 
@@ -247,8 +224,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: SimulationConfig, args,
-                    outputs: list[Path], elapsed: float) -> Path:
+def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
+                    outputs: list[Path], elapsed: float) -> None:
     manifest = {
         "tool": "pdqw",
         "version": __version__,
@@ -264,16 +241,14 @@ def _write_manifest(out_dir: Path, command: str, cfg: SimulationConfig, args,
         },
         "pair_convention": PAIR_CONVENTION,
         "outputs": {
-            str(p.relative_to(out_dir)): {"sha256": _sha256(p), "bytes": p.stat().st_size}
+            str(p.relative_to(path.parent)): {"sha256": _sha256(p), "bytes": p.stat().st_size}
             for p in outputs
         },
         "timings_seconds": {"total": elapsed},
     }
-    path = out_dir / f"manifest_{command.replace('-', '_')}.json"
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,9 +298,11 @@ def main(argv=None) -> int:
         return 2
 
     started = time.perf_counter()
+    manifest = out_dir / f"manifest_{command.replace('-', '_')}.json"
     try:
+        manifest.unlink(missing_ok=True)
         outputs = _COMMANDS[command](cfg, args, out_dir)
-        _write_manifest(out_dir, command, cfg, args, outputs, time.perf_counter() - started)
+        _write_manifest(manifest, command, cfg, args, outputs, time.perf_counter() - started)
     except (ConfigError, MapParseError) as exc:
         print(f"pdqw {command}: input error: {exc}", file=sys.stderr)
         return 2

@@ -60,6 +60,13 @@ class SimulationConfig:
             return self.fit_range
         return (1, min(7, self.steps))
 
+    def check_crossing_steps(self) -> None:
+        """Raise unless every crossing step lies in 1..steps; the default
+        list can exceed a small `steps`."""
+        bad = [n for n in self.crossing_steps if not 1 <= n <= self.steps]
+        if bad:
+            raise ConfigError("crossing_steps", f"entries must lie in 1..steps ({self.steps}), got {bad}")
+
 
 _TOP_KEYS = {
     "steps", "p_values", "n_maps", "master_seed", "coin_reflectivity",
@@ -192,9 +199,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
         if not isinstance(data["crossing_steps"], list) or not data["crossing_steps"]:
             raise ConfigError("crossing_steps", "expected a non-empty list")
         cfg.crossing_steps = [_as_int(v, "crossing_steps") for v in data["crossing_steps"]]
-        bad = [n for n in cfg.crossing_steps if not 1 <= n <= cfg.steps]
-        if bad:
-            raise ConfigError("crossing_steps", f"entries must lie in 1..steps ({cfg.steps}), got {bad}")
+        cfg.check_crossing_steps()
     if "two_photon" in data:
         cfg.two_photon = _parse_two_photon(data["two_photon"])
     if "output_dir" in data:

@@ -39,6 +39,7 @@ class DisorderSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"dilution p must lie in [0, 1], got {self.p!r}")
+        self.p = float(self.p)
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
         if self.sampling_mode not in SAMPLING_MODES:

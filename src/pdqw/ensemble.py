@@ -35,6 +35,14 @@ class EnsembleResult:
     mean_distributions: list[Distribution]
 
 
+def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over maps (axis 0) and the n-1 standard deviation, which is
+    exactly 0 wherever every map holds the same value (one map included)."""
+    std = values.std(axis=0, ddof=1) if len(values) > 1 else np.zeros(values.shape[1:])
+    std[(values == values[0]).all(axis=0)] = 0.0
+    return values.mean(axis=0), std
+
+
 def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, start: int, stop: int):
     """Evolve maps start..stop-1 together; returns per-map variances and
     per-map per-step distributions."""
@@ -68,8 +76,9 @@ def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
     """Mean and standard deviation of the variance, step by step, plus the
     ensemble-mean distribution after each step.
 
-    The standard deviation uses the n-1 normalization; for n_maps == 1 it is
-    reported as 0. Output is a pure function of (spec, coin, n_maps).
+    The standard deviation uses the n-1 normalization and is exactly 0 where
+    all maps agree (see mean_and_std). Output is a pure function of
+    (spec, coin, n_maps).
     """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
@@ -81,11 +90,7 @@ def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
     variances = np.concatenate([p[0] for p in parts], axis=0)
     dists = np.concatenate([p[1] for p in parts], axis=0)
 
-    mean_var = variances.mean(axis=0)
-    if n_maps > 1:
-        std_var = variances.std(axis=0, ddof=1)
-    else:
-        std_var = np.zeros(spec.steps)
+    mean_var, std_var = mean_and_std(variances)
     mean_dists = [
         Distribution(offset=-spec.steps, probabilities=dists[:, n, :].mean(axis=0))
         for n in range(spec.steps)
@@ -130,17 +135,18 @@ def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
         kwargs["alphabet"] = tuple(alphabet)
 
     ordered = [position_distribution(s) for s in evolve(steps, coin, None, steps)]
-    disordered = run_ensemble(DisorderSpec(p=1.0, **kwargs), coin, n_maps)
+    # Each distinct p, the p=1 reference included, is evolved once.
+    means = {}
+    for p in (1.0, *p_grid.tolist()):
+        if p not in means:
+            means[p] = run_ensemble(DisorderSpec(p=p, **kwargs), coin, n_maps).mean_distributions
 
     s_ordered = np.empty((steps, p_grid.size))
     s_disordered = np.empty((steps, p_grid.size))
-    for j, p in enumerate(p_grid):
-        res = run_ensemble(DisorderSpec(p=float(p), **kwargs), coin, n_maps)
+    for j, p in enumerate(p_grid.tolist()):
         for n in range(steps):
-            s_ordered[n, j] = similarity(res.mean_distributions[n], ordered[n])
-            s_disordered[n, j] = similarity(
-                res.mean_distributions[n], disordered.mean_distributions[n]
-            )
+            s_ordered[n, j] = similarity(means[p][n], ordered[n])
+            s_disordered[n, j] = similarity(means[p][n], means[1.0][n])
     return SimilarityScan(
         p_grid=p_grid,
         steps=steps,

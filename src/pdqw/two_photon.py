@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import Distribution
 from .disorder import DisorderSpec, phase_factors, sample_block
-from .ensemble import CHUNK_SIZE
+from .ensemble import CHUNK_SIZE, mean_and_std
 from .errors import DomainError
 from .walk_core import _check_coin, _step_kernel, mode_index, single_particle_unitary
 
@@ -192,7 +192,8 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
 
     Both photons traverse the same phase map. Returns the ensemble-mean
     site-coincidence matrix after each step and the mean/std of the pair
-    centroid variance across maps (n-1 normalization, 0 for a single map).
+    centroid variance across maps (mean_and_std: n-1 normalization, exactly 0
+    where all maps agree).
 
     Only the two input columns A, B of each map's mode unitary are evolved,
     blocks of maps at a time, on the periodic lattice of
@@ -257,7 +258,7 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
         unordered = 2.0 * s
         np.fill_diagonal(unordered, np.diagonal(s))
         mean_matrices.append(CoincidenceMatrix(offset=-steps, probabilities=unordered / n_maps))
-    std = var2.std(axis=0, ddof=1) if n_maps > 1 else np.zeros(steps)
+    mean_var2, std_var2 = mean_and_std(var2)
     return PairEnsemble(
         p=spec.p,
         steps=steps,
@@ -265,8 +266,8 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
         eta=eta,
         master_seed=spec.master_seed,
         mean_matrices=mean_matrices,
-        mean_variance2=var2.mean(axis=0),
-        std_variance2=std,
+        mean_variance2=mean_var2,
+        std_variance2=std_var2,
     )
 
 
@@ -277,6 +278,7 @@ class HomScan:
     delays: np.ndarray
     coherence_time: float
     visibility: float
+    etas: np.ndarray
     coincidences: np.ndarray
 
 
@@ -305,16 +307,18 @@ def hom_scan(delays, coherence_time: float, visibility: float, coin) -> HomScan:
     baseline = _distinct_mode_mass(
         two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=0.0))
     )
+    etas = np.empty(delays.size)
     coincidences = np.empty(delays.size)
     for i, tau in enumerate(delays):
-        eta = visibility * float(np.exp(-((tau / coherence_time) ** 2)))
+        etas[i] = visibility * float(np.exp(-((tau / coherence_time) ** 2)))
         raw = _distinct_mode_mass(
-            two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=eta))
+            two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=etas[i]))
         )
         coincidences[i] = raw / baseline
     return HomScan(
         delays=delays,
         coherence_time=coherence_time,
         visibility=visibility,
+        etas=etas,
         coincidences=coincidences,
     )

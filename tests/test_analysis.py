@@ -200,6 +200,12 @@ class TestCrossingPoint:
         with pytest.raises(AmbiguityError):
             crossing_point(p, [1.0, 0.9, 0.8], [0.2, 0.3, 0.4], step=5)
 
+    def test_ambiguity_message_prints_plain_floats(self):
+        p = np.linspace(0.9, 1.0, 3)
+        with pytest.raises(AmbiguityError, match=r"on grid \[0\.9\.\.1\.0\]") as err:
+            crossing_point(p, [1.0, 0.9, 0.8], [0.2, 0.3, 0.4], step=3)
+        assert "np.float64" not in str(err.value)
+
     def test_multiple_crossings_raise(self):
         p = [0.0, 0.25, 0.5, 0.75, 1.0]
         diff_up_down = [0.1, -0.1, 0.1, -0.1, 0.1]

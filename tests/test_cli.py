@@ -167,6 +167,38 @@ class TestCrossing:
         )
         assert main(["crossing", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
+    def test_default_crossing_steps_beyond_steps_is_a_usage_error(self, tmp_path, capsys):
+        # The default crossing_steps [5, 6, 7] exceed steps 5: crossing names
+        # the field and exits 2, and commands that never cross still run.
+        cfg = write_config(tmp_path, "steps: 5\nn_maps: 3\np_grid: [0.0, 1.0]\n")
+        out = tmp_path / "out"
+        assert main(["crossing", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "crossing_steps" in err and "Traceback" not in err
+        assert not (out / "similarity_scan.csv").exists()
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        good = write_config(
+            tmp_path,
+            "steps: 4\nn_maps: 60\nmaster_seed: 11\n"
+            "p_grid: [0.0, 0.25, 0.5, 0.75, 1.0]\ncrossing_steps: [3, 4]\n",
+            name="good.yaml",
+        )
+        assert main(["crossing", "--config", good, "--out", str(out)]) == 0
+        assert (out / "manifest_crossing.json").exists()
+        # No crossing on this grid: the scan is rewritten, then the run fails.
+        bad = write_config(
+            tmp_path,
+            "steps: 3\nn_maps: 10\nmaster_seed: 4\np_grid: [0.9, 0.95, 1.0]\ncrossing_steps: [3]\n",
+            name="bad.yaml",
+        )
+        assert main(["crossing", "--config", bad, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["crossing.csv", "similarity_scan.csv"]
+        _, rows = read_csv(out / "similarity_scan.csv")
+        assert len(rows) == 3 * 3
+
 
 class TestTwoPhotonCommands:
     def test_matrix_files_are_triangles(self, tmp_path):
@@ -281,6 +313,8 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("pdqw ensemble: error: ")
         assert "Traceback" not in err
+        # The partial temporary file is gone, and no manifest was written.
+        assert [p.name for p in out.iterdir()] == ["ensemble.csv"]
 
 
 class TestEntryPoint:

@@ -227,6 +227,18 @@ class TestFileFormat:
         assert back.mask is not None
         assert all(np.array_equal(a, b) for a, b in zip(back.mask, pm.mask))
 
+    def test_round_trip_of_a_numpy_p(self, tmp_path):
+        # p taken from a numpy grid must be written as a plain number.
+        spec = DisorderSpec(p=np.linspace(0.0, 1.0, 3)[1], steps=4, master_seed=9)
+        assert type(spec.p) is float
+        pm = generate_phase_map(spec, 0)
+        path = tmp_path / "map.txt"
+        save_map(pm, path)
+        assert "p=0.5\n" in path.read_text()
+        back = load_map(path)
+        assert back == pm
+        assert back.mask is not None
+
     def test_round_trip_is_byte_stable(self, tmp_path):
         pm = generate_phase_map(
             DisorderSpec(p=0.6, steps=5, sampling_mode="exact_fraction", master_seed=8), 0

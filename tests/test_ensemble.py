@@ -16,7 +16,8 @@ from pdqw import (
     similarity_scan,
     variance,
 )
-from pdqw.ensemble import CHUNK_SIZE
+import pdqw.ensemble
+from pdqw.ensemble import CHUNK_SIZE, mean_and_std
 
 COIN = hadamard_coin()
 
@@ -46,6 +47,21 @@ class TestRunner:
         manual = per_map_variances(spec, n_maps)
         np.testing.assert_allclose(res.mean_variance, manual.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance, manual.std(axis=0, ddof=1), atol=1e-12)
+
+    def test_identical_maps_have_exactly_zero_std(self):
+        # At p = 0 every map is the ordered walk. Their mean can differ from
+        # the common value in the last bit, which makes a plain n-1 std read
+        # ~4.6e-16 at step 3 instead of 0.
+        res = run_ensemble(DisorderSpec(p=0.0, steps=5, master_seed=1), COIN, 20)
+        np.testing.assert_array_equal(res.std_variance, np.zeros(5))
+
+    def test_mean_and_std_zero_only_where_all_rows_agree(self):
+        values = np.array([[0.1, 1.0, 2.0], [0.1, 1.0, 2.5], [0.1, 1.0, 3.0]])
+        mean, std = mean_and_std(values)
+        np.testing.assert_array_equal(mean, values.mean(axis=0))
+        np.testing.assert_array_equal(std, [0.0, 0.0, values[:, 2].std(ddof=1)])
+        mean, std = mean_and_std(values[:1])
+        np.testing.assert_array_equal(std, np.zeros(3))
 
     def test_mean_distributions_are_normalized_means(self):
         spec = DisorderSpec(p=0.9, steps=4, master_seed=13)
@@ -106,6 +122,18 @@ class TestSimilarityScan:
         scan = similarity_scan(grid, steps=6, n_maps=80, coin=COIN, master_seed=23)
         last = scan.s_ordered[-1]
         assert last[0] > last[1] > last[2]
+
+    def test_each_distinct_p_runs_once(self, monkeypatch):
+        runs = []
+        real = pdqw.ensemble.run_ensemble
+
+        def counting(spec, coin, n_maps):
+            runs.append(spec.p)
+            return real(spec, coin, n_maps)
+
+        monkeypatch.setattr(pdqw.ensemble, "run_ensemble", counting)
+        similarity_scan([0.0, 0.5, 1.0], steps=4, n_maps=10, coin=COIN, master_seed=3)
+        assert sorted(runs) == [0.0, 0.5, 1.0]
 
     def test_short_grid_rejected(self):
         with pytest.raises(DomainError):

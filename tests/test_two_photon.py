@@ -266,6 +266,12 @@ class TestPairEnsemble:
         b = run_pair_ensemble(spec, COIN, 4, eta=0.5)
         np.testing.assert_array_equal(a.mean_variance2, b.mean_variance2)
 
+    def test_identical_maps_have_exactly_zero_std(self):
+        # Every p = 0 map is the same walk; a plain n-1 std of their equal
+        # values reads up to ~2.2e-14 here, from the rounding of their mean.
+        res = run_pair_ensemble(DisorderSpec(p=0.0, steps=20, master_seed=1), COIN, 12, eta=1.0)
+        np.testing.assert_array_equal(res.std_variance2, np.zeros(20))
+
     def test_n_maps_validated(self):
         with pytest.raises(DomainError):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 0, eta=1.0)
@@ -283,6 +289,10 @@ class TestHomScan:
     def test_far_delay_baseline_is_one(self):
         scan = hom_scan([40.0, -40.0], coherence_time=1.0, visibility=0.93, coin=COIN)
         np.testing.assert_allclose(scan.coincidences, 1.0, atol=1e-12)
+
+    def test_etas_follow_the_gaussian_overlap(self):
+        scan = hom_scan([-1.0, 0.0, 2.0], coherence_time=2.0, visibility=0.9, coin=COIN)
+        np.testing.assert_allclose(scan.etas, 0.9 * np.exp(-((scan.delays / 2.0) ** 2)), rtol=1e-15)
 
     def test_dip_shape(self):
         delays = np.linspace(-3.0, 3.0, 25)
