@@ -4,9 +4,9 @@ Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool version, sha256 per output, timings) into the
 output directory, and exits 0 only if all outputs were produced. Float
 cells use repr formatting, so identical runs produce byte-identical files.
-Each CSV and manifest is written under a temporary name and renamed into
-place, and a command deletes its old manifest before it runs, so a failed
-command leaves no truncated CSV and no manifest of its own.
+Each CSV, map file and manifest is written under a temporary name and
+renamed into place, and a command deletes its old manifest before it runs,
+so a failed command leaves no truncated output and no manifest of its own.
 --threads is validated and echoed in the manifest, but maps run serially in
 fixed chunks whatever its value.
 """
@@ -200,7 +200,8 @@ def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
         spec = _spec(cfg, p)
         for k in range(cfg.n_maps):
             path = sub / f"map_{k:05d}.txt"
-            save_map(generate_phase_map(spec, k), path)
+            with _replacing(path) as fh:
+                save_map(generate_phase_map(spec, k), fh)
             outputs.append(path)
     return outputs
 

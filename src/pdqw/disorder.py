@@ -12,6 +12,8 @@ the stored header is bit-identical.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -217,24 +219,24 @@ def _cell_index(steps: int) -> np.ndarray:
     )
 
 
-def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds) -> np.ndarray:
-    """Cell codes of one map per seed, as a (maps, steps, 2*steps+1) int8
-    tensor over sites -steps..steps: 0 is an unmarked cell, 1 + i a cell
-    marked with alphabet letter i.
+def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
+    """What default_rng(seed) draws for one map per seed, in the order that
+    is part of the format: the marks of all cells, then a letter for every
+    cell. Returns (marks, letters) over the cells in _cell_index order.
 
-    Each map draws what default_rng(seed) would, in the order that is part
-    of the format: the mark of every cell (a uniform below p, or an
-    exact_fraction choice of cells), then a letter for every cell.
+    With count None (bernoulli) the marks are the cells' uniforms, which
+    do not depend on p: a cell is marked where its uniform is below p.
+    Otherwise (exact_fraction) they are booleans with `count` cells chosen.
+    Letters come back as int8 codes, 1 + letter index.
     """
-    cells = _cell_index(steps)
-    total = cells.size
-    # Floor of p*total on the exact rational value of the float p, so the
-    # count never suffers a binary off-by-one.
-    count = int(Fraction(p) * total)
+    total = steps * (steps + 2)
+    if count is None:
+        marks = np.empty((len(seeds), total))
+    else:
+        marks = np.zeros((len(seeds), total), dtype=bool)
+    letters = np.empty((len(seeds), total), dtype=np.int8)
     bit_gen = np.random.PCG64(0)  # its state is replaced for every map
     rng = np.random.Generator(bit_gen)
-    marked = np.zeros((len(seeds), total), dtype=bool)
-    letters = np.empty((len(seeds), total), dtype=np.int8)
     for i, (state, inc) in enumerate(_pcg64_states(seeds)):
         bit_gen.state = {
             "bit_generator": "PCG64",
@@ -242,19 +244,88 @@ def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds)
             "has_uint32": 0,
             "uinteger": 0,
         }
-        if sampling_mode == "bernoulli":
-            np.less(rng.random(total), p, out=marked[i])
+        if count is None:
+            rng.random(out=marks[i])
         elif count > 0:
-            marked[i, rng.choice(total, size=count, replace=False)] = True
+            marks[i, rng.choice(total, size=count, replace=False)] = True
         letters[i] = rng.integers(0, n_letters, size=total)
-    codes = np.zeros((len(seeds), steps, 2 * steps + 1), dtype=np.int8)
-    codes.reshape(len(seeds), -1)[:, cells] = np.where(marked, letters + 1, 0)
+    letters += 1
+    return marks, letters
+
+
+def _codes(steps: int, marked: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Scatter the cell codes of each map into a (maps, steps, 2*steps+1)
+    int8 tensor over sites -steps..steps: 0 is an unmarked cell, 1 + i a
+    cell marked with alphabet letter i."""
+    codes = np.zeros((len(marked), steps, 2 * steps + 1), dtype=np.int8)
+    codes.reshape(len(marked), -1)[:, _cell_index(steps)] = letters * marked
     return codes
+
+
+def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds) -> np.ndarray:
+    """Cell codes of one map per seed (see _codes), drawn afresh."""
+    if sampling_mode == "bernoulli":
+        uniforms, letters = _draw(steps, n_letters, seeds)
+        return _codes(steps, uniforms < p, letters)
+    # Floor of p*total on the exact rational value of the float p, so the
+    # count never suffers a binary off-by-one.
+    count = int(Fraction(p) * steps * (steps + 2))
+    return _codes(steps, *_draw(steps, n_letters, seeds, count))
+
+
+class _DrawCache:
+    """Bernoulli draws of map blocks, least recently used first out, held
+    within a byte budget.
+
+    A block's uniforms and letters depend on (steps, number of letters,
+    master seed, start, stop) and not on p, so a scan over p draws each
+    block once. The arrays are read-only because every caller shares them.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self.misses = 0
+        self._blocks: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, steps: int, n_letters: int, master_seed: int, start: int, stop: int):
+        key = (steps, n_letters, master_seed, start, stop)
+        with self._lock:
+            hit = self._blocks.get(key)
+            if hit is not None:
+                self._blocks.move_to_end(key)
+                return hit
+            self.misses += 1
+        draws = _draw(steps, n_letters, map_seeds(master_seed, start, stop))
+        size = sum(a.nbytes for a in draws)
+        for a in draws:
+            a.setflags(write=False)
+        with self._lock:
+            if size <= self.budget and key not in self._blocks:
+                self._blocks[key] = draws
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= sum(a.nbytes for a in self._blocks.popitem(last=False)[1])
+        return draws
+
+
+# 32 MiB holds every block of a 1000-map scan up to steps 60; at steps 20
+# that is 8 blocks of 0.5 MB.
+_draws = _DrawCache(budget=32 << 20)
 
 
 def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
     """Cell codes of maps start..stop-1 of the ensemble described by `spec`,
-    as a (maps, steps, 2*steps+1) int8 tensor (see phase_factors)."""
+    as a (maps, steps, 2*steps+1) int8 tensor (see phase_factors).
+
+    Bernoulli draws come from the shared cache, so every p of a scan sees
+    the same uniforms; exact_fraction draws afresh, as its choice of cells
+    depends on p.
+    """
+    if spec.sampling_mode == "bernoulli":
+        uniforms, letters = _draws.get(spec.steps, len(spec.alphabet), int(spec.master_seed), start, stop)
+        return _codes(spec.steps, uniforms < spec.p, letters)
     seeds = map_seeds(spec.master_seed, start, stop)
     return _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)
 
@@ -336,8 +407,9 @@ def parse_alphabet_token(token: str) -> float:
         raise ValueError(f"bad alphabet token {token!r}") from None
 
 
-def save_map(phase_map: PhaseMap, path) -> None:
-    """Write the plain-text map format: header lines, then one row per step.
+def save_map(phase_map: PhaseMap, dest) -> None:
+    """Write the plain-text map format to `dest`, a path or an open text
+    file: header lines, then one row per step.
 
     Row entries are multiples of pi (so the default alphabet serializes as
     0/1). The header is sufficient to regenerate the map, which is how the
@@ -352,7 +424,11 @@ def save_map(phase_map: PhaseMap, path) -> None:
     ]
     for row in phase_map.rows:
         lines.append(" ".join(_format_pi_units(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text, encoding="ascii")
 
 
 def _snap_to_alphabet(value_rad: float, alphabet: tuple[float, ...], line: int, col: int) -> float:

@@ -66,8 +66,10 @@ def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, start: int, stop: int)
         totals = weights.sum(axis=1, keepdims=True)
         prob = weights / totals
         dists[:, n - 1, :] = prob
-        m1 = prob @ sites
-        m2 = prob @ sites_sq
+        # Row-wise sums round the same for a map whatever its block size;
+        # a matrix-vector product does not.
+        m1 = (prob * sites).sum(axis=1)
+        m2 = (prob * sites_sq).sum(axis=1)
         variances[:, n - 1] = m2 - m1 * m1
     return variances, dists
 

@@ -249,8 +249,8 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
                 )
             flat = density.reshape(block, -1)
             _require_pair_normalized(flat.sum(axis=1))
-            m1 = flat @ centroid
-            var2[start:stop, n - 1] = flat @ centroid_sq - m1 * m1
+            m1 = (flat * centroid).sum(axis=1)
+            var2[start:stop, n - 1] = (flat * centroid_sq).sum(axis=1) - m1 * m1
             density_sums[n - 1] += density.sum(axis=0)
 
     mean_matrices = []

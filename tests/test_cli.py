@@ -264,6 +264,44 @@ class TestGenMaps:
             assert back.mask is not None
             assert main(["evolve", "--config", cfg, "--out", str(out), "--map", str(path)]) == 0
 
+    def test_a_failed_write_leaves_no_truncated_map(self, tmp_path):
+        pytest.importorskip("resource")
+        # With the file-size limit between the sizes of the p = 0 and p = 1
+        # maps, the run writes every p = 0 map and then fails partway
+        # through the first p = 1 map, with EFBIG.
+        cfg = write_config(
+            tmp_path,
+            "steps: 3\nn_maps: 2\nmaster_seed: 6\np_values: [0.0, 1.0]\nalphabet: [0, 0.5, pi]\n",
+        )
+        specs = {p: DisorderSpec(p=p, steps=3, alphabet=(0.0, 0.5 * np.pi, np.pi), master_seed=6)
+                 for p in (0.0, 1.0)}
+        sizes = {}
+        for p, spec in specs.items():
+            for k in range(2):
+                save_map(generate_phase_map(spec, k), tmp_path / "probe.txt")
+                sizes.setdefault(p, []).append((tmp_path / "probe.txt").stat().st_size)
+        limit = max(sizes[0.0])
+        assert limit < min(sizes[1.0])
+        out = tmp_path / "out"
+        child = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from pdqw.cli import main\n"
+            f"sys.exit(main(['gen-maps', '--config', {cfg!r}, '--out', {str(out)!r}]))\n"
+        )
+        package_root = str(Path(pdqw.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "pdqw gen-maps: error" in proc.stderr
+        for k in range(2):
+            assert load_map(out / "maps" / "p0" / f"map_{k:05d}.txt") == generate_phase_map(specs[0.0], k)
+        assert list((out / "maps" / "p1").iterdir()) == []
+        assert not list(out.rglob("*.tmp"))
+        assert not (out / "manifest_gen_maps.json").exists()
+
 
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path):

@@ -20,16 +20,20 @@ from pdqw import (
     zero_map,
 )
 from oracles import reference_phase_map
+import pdqw.disorder
 from pdqw.disorder import (
     DEFAULT_ALPHABET,
     MAX_ALPHABET,
     SAMPLING_MODES,
+    _draw_codes,
+    _DrawCache,
     _pcg64_states,
     map_seed,
     map_seeds,
     sample_block,
 )
-from pdqw.ensemble import CHUNK_SIZE
+from pdqw.ensemble import CHUNK_SIZE, similarity_scan
+from pdqw.walk_core import hadamard_coin
 
 # Frozen outputs of the seed derivation and the draw order. These pin the
 # on-disk compatibility contract: a change here silently invalidates every
@@ -168,6 +172,117 @@ class TestBlockSampler:
                 np.testing.assert_array_equal(pm.mask[n - 1], ref_mask[n - 1])
                 assert not codes[k, n - 1, : steps - n].any()
                 assert not codes[k, n - 1, steps + n + 1 :].any()
+
+
+@pytest.fixture
+def draw_cache(monkeypatch):
+    """A fresh, empty cache in place of the process-wide one."""
+    cache = _DrawCache(budget=1 << 24)
+    monkeypatch.setattr(pdqw.disorder, "_draws", cache)
+    return cache
+
+
+def assert_codes_match_reference(codes, master, start, steps, p, alphabet):
+    letters = np.array([0.0, *alphabet])
+    for i, plane in enumerate(codes):
+        _, ref_rows, ref_mask = reference_phase_map(master, start + i, steps, p, alphabet, "bernoulli")
+        for n in range(1, steps + 1):
+            window = plane[n - 1, steps - n : steps + n + 1]
+            np.testing.assert_array_equal(letters[window], ref_rows[n - 1])
+            np.testing.assert_array_equal(window > 0, ref_mask[n - 1])
+            assert not plane[n - 1, : steps - n].any()
+            assert not plane[n - 1, steps + n + 1 :].any()
+
+
+class TestDrawCache:
+    P_GRID = [0.0, 0.3, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "alphabet", [(math.pi,), DEFAULT_ALPHABET, (0.0, 0.5 * math.pi, math.pi)]
+    )
+    def test_warm_blocks_match_the_reference_at_every_p(self, draw_cache, alphabet):
+        steps = 4
+        chunks = [(0, CHUNK_SIZE), (CHUNK_SIZE, CHUNK_SIZE + 3)]
+        for p in [0.7, *self.P_GRID]:
+            spec = DisorderSpec(p=p, steps=steps, alphabet=alphabet, master_seed=12)
+            for start, stop in chunks:
+                codes = sample_block(spec, start, stop)
+                if p != 0.7:  # the first p only warms the cache
+                    assert_codes_match_reference(codes, 12, start, steps, p, alphabet)
+        assert draw_cache.misses == len(chunks)
+
+    def test_master_seeds_at_the_word_edges(self, draw_cache):
+        # one cache for both seeds, so each must key its own blocks
+        for master in (2**32 - 1, 2**64 - 1):
+            for p in self.P_GRID:
+                spec = DisorderSpec(p=p, steps=3, master_seed=master)
+                assert_codes_match_reference(sample_block(spec, 5, 9), master, 5, 3, p, DEFAULT_ALPHABET)
+        assert draw_cache.misses == 2
+
+    def test_alphabets_of_one_size_share_draws(self, draw_cache):
+        a = DisorderSpec(p=0.4, steps=5, alphabet=(0.0, math.pi), master_seed=3)
+        b = DisorderSpec(p=0.6, steps=5, alphabet=(0.25 * math.pi, 1.5 * math.pi), master_seed=3)
+        c = DisorderSpec(p=0.6, steps=5, alphabet=(0.0, 1.0, 2.0), master_seed=3)
+        codes_a = sample_block(a, 0, 10)
+        codes_b = sample_block(b, 0, 10)
+        assert draw_cache.misses == 1
+        # b marks a superset of a's cells, with the same letters
+        np.testing.assert_array_equal(codes_b[codes_a > 0], codes_a[codes_a > 0])
+        assert_codes_match_reference(codes_b, 3, 0, 5, 0.6, b.alphabet)
+        sample_block(c, 0, 10)
+        assert draw_cache.misses == 2
+
+    def test_cached_arrays_are_read_only(self, draw_cache):
+        uniforms, letters = draw_cache.get(3, 2, 1, 0, 4)
+        with pytest.raises(ValueError):
+            uniforms[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            letters[0, 0] = 1
+        assert draw_cache.get(3, 2, 1, 0, 4)[0] is uniforms
+
+    def test_exact_fraction_never_enters_the_cache(self, draw_cache):
+        for p in self.P_GRID:
+            spec = DisorderSpec(p=p, steps=4, sampling_mode="exact_fraction", master_seed=2)
+            sample_block(spec, 0, CHUNK_SIZE + 3)
+        assert draw_cache.misses == 0
+        assert draw_cache.nbytes == 0
+
+    def test_a_scan_draws_each_chunk_once(self, draw_cache):
+        p_grid = [0.0, 0.1, 0.2, 0.4, 0.8]
+        similarity_scan(p_grid, 3, CHUNK_SIZE + 3, hadamard_coin(), master_seed=8)
+        # len(p_grid) + 1 ensembles (the p = 1 reference), two chunks each
+        assert draw_cache.misses == 2
+
+    def test_budget_bounds_the_held_bytes(self):
+        block = 10 * 3 * 5 * 9  # 10 maps of 15 cells, float64 uniforms and int8 letters
+        cache = _DrawCache(budget=2 * block + block // 2)
+        for start in (0, 10, 20, 0):
+            cache.get(3, 2, 1, start, start + 10)
+            assert cache.nbytes <= cache.budget
+        assert cache.misses == 4  # block 0 was evicted by block 20
+        cache.get(3, 2, 1, 20, 30)
+        assert cache.misses == 4
+        big = _DrawCache(budget=block - 1)
+        big.get(3, 2, 1, 0, 10)
+        assert big.nbytes == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        master=st.integers(0, 2**64 - 1),
+        steps=st.integers(1, 8),
+        n_letters=st.integers(1, 4),
+        p=st.floats(0.0, 1.0),
+        maps=st.integers(1, 300),
+    )
+    def test_cached_codes_equal_a_fresh_draw(self, master, steps, n_letters, p, maps):
+        spec = DisorderSpec(p=p, steps=steps, alphabet=range(n_letters), master_seed=master)
+        fresh = _draw_codes(steps, p, n_letters, "bernoulli", map_seeds(master, 0, maps))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pdqw.disorder, "_draws", _DrawCache(budget=1 << 24))
+            cold = sample_block(spec, 0, maps)
+            warm = sample_block(spec, 0, maps)
+        np.testing.assert_array_equal(cold, fresh)
+        np.testing.assert_array_equal(warm, fresh)
 
 
 class TestSpecValidation:

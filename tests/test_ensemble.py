@@ -48,12 +48,15 @@ class TestRunner:
         np.testing.assert_allclose(res.mean_variance, manual.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance, manual.std(axis=0, ddof=1), atol=1e-12)
 
-    def test_identical_maps_have_exactly_zero_std(self):
+    @pytest.mark.parametrize("steps,n_maps", [(5, 20), (20, CHUNK_SIZE + 2)])
+    def test_identical_maps_have_exactly_zero_std(self, steps, n_maps):
         # At p = 0 every map is the ordered walk. Their mean can differ from
         # the common value in the last bit, which makes a plain n-1 std read
-        # ~4.6e-16 at step 3 instead of 0.
-        res = run_ensemble(DisorderSpec(p=0.0, steps=5, master_seed=1), COIN, 20)
-        np.testing.assert_array_equal(res.std_variance, np.zeros(5))
+        # ~4.6e-16 at step 3 instead of 0. Across two chunks each map's
+        # moments must also round the same whatever its block size (a
+        # matrix-vector product left 1.8e-15 at steps 14, 15 and 18).
+        res = run_ensemble(DisorderSpec(p=0.0, steps=steps, master_seed=1), COIN, n_maps)
+        np.testing.assert_array_equal(res.std_variance, np.zeros(steps))
 
     def test_mean_and_std_zero_only_where_all_rows_agree(self):
         values = np.array([[0.1, 1.0, 2.0], [0.1, 1.0, 2.5], [0.1, 1.0, 3.0]])
