@@ -13,20 +13,18 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .disorder import MAX_ALPHABET, SAMPLING_MODES, parse_alphabet_token
-from .errors import ConfigError
+from .disorder import SAMPLING_MODES, check_alphabet, parse_alphabet_token
+from .errors import ConfigError, DomainError
 
 
-def _parse_alphabet_value(value, field_name: str) -> float:
-    if isinstance(value, str):
-        try:
-            return parse_alphabet_token(value.strip())
-        except ValueError:
-            raise ConfigError(field_name, f"bad alphabet token {value!r}") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        # Bare numbers are multiples of pi, same convention as map files.
-        return float(value) * math.pi
-    raise ConfigError(field_name, f"alphabet entries must be numbers or 'pi', got {value!r}")
+def _parse_alphabet_value(value) -> float:
+    # Bare numbers are multiples of pi, same convention as map files.
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError("alphabet", f"alphabet entries must be numbers or 'pi', got {value!r}")
+    try:
+        return parse_alphabet_token(str(value).strip())
+    except ValueError:
+        raise ConfigError("alphabet", f"bad alphabet token {value!r}") from None
 
 
 @dataclass
@@ -85,9 +83,12 @@ def _as_int(value, field_name: str) -> int:
 
 
 def _as_number(value, field_name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field_name, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(field_name, f"expected a finite number, got {value!r}")
 
 
 def _parse_p_grid(raw) -> list[float]:
@@ -180,11 +181,12 @@ def config_from_dict(data: dict) -> SimulationConfig:
             raise ConfigError("sampling_mode", f"must be one of {SAMPLING_MODES}")
         cfg.sampling_mode = data["sampling_mode"]
     if "alphabet" in data:
-        if not isinstance(data["alphabet"], list) or not data["alphabet"]:
+        if not isinstance(data["alphabet"], list):
             raise ConfigError("alphabet", "expected a non-empty list")
-        if len(data["alphabet"]) > MAX_ALPHABET:
-            raise ConfigError("alphabet", f"at most {MAX_ALPHABET} entries")
-        cfg.alphabet = tuple(_parse_alphabet_value(v, "alphabet") for v in data["alphabet"])
+        try:
+            cfg.alphabet = check_alphabet(_parse_alphabet_value(v) for v in data["alphabet"])
+        except DomainError as exc:
+            raise ConfigError("alphabet", str(exc)) from None
     if "fit_range" in data and data["fit_range"] is not None:
         fr = data["fit_range"]
         if not isinstance(fr, list) or len(fr) != 2:
@@ -210,10 +212,9 @@ def config_from_dict(data: dict) -> SimulationConfig:
 
 
 def load_config(path) -> SimulationConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bytes not UTF-8, an int too long
         raise ConfigError("<file>", f"not valid YAML: {exc}") from None
     if data is None:
         data = {}

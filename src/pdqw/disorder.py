@@ -1,12 +1,13 @@
 """Generation and persistence of per-(step, site) phase maps.
 
-A map for `steps` steps holds one dense row per step; row n covers sites
+A map for `steps` steps has one row of cells per step; row n covers sites
 -n..+n (2n+1 cells, parity-unreachable cells included, they are provably
 inert). A fraction p of cells is marked disordered and draws its phase
 uniformly from the alphabet (default {0, pi}); every other cell carries
-phase 0. Sampling is reproducible: the per-map seed is derived from
-(master_seed, map_index) and the draw order is fixed, so regenerating from
-the stored header is bit-identical.
+phase 0. In memory a map is an int8 code plane (see PhaseMap); radians
+appear only in the map-file text. Sampling is reproducible: the per-map
+seed is derived from (master_seed, map_index) and the draw order is fixed,
+so regenerating from the stored header is bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,17 @@ DEFAULT_ALPHABET = (0.0, math.pi)
 # Cell codes are int8: 0 for an unmarked cell, 1 + letter index otherwise.
 MAX_ALPHABET = 127
 SAMPLING_MODES = ("bernoulli", "exact_fraction")
+
+
+def check_alphabet(alphabet) -> tuple[float, ...]:
+    """The alphabet as a tuple of radians; DomainError unless it holds 1 to
+    MAX_ALPHABET finite phases."""
+    alphabet = tuple(float(a) for a in alphabet)
+    if not 1 <= len(alphabet) <= MAX_ALPHABET:
+        raise DomainError(f"alphabet must hold 1 to {MAX_ALPHABET} phases, got {len(alphabet)}")
+    if not all(map(math.isfinite, alphabet)):
+        raise DomainError(f"alphabet phases must be finite, got {alphabet}")
+    return alphabet
 
 
 @dataclass
@@ -46,37 +58,40 @@ class DisorderSpec:
             raise DomainError("steps must be >= 1")
         if self.sampling_mode not in SAMPLING_MODES:
             raise DomainError(f"sampling_mode must be one of {SAMPLING_MODES}")
-        self.alphabet = tuple(float(a) for a in self.alphabet)
-        if not 1 <= len(self.alphabet) <= MAX_ALPHABET:
-            raise DomainError(f"alphabet must hold 1 to {MAX_ALPHABET} phases")
+        self.alphabet = check_alphabet(self.alphabet)
         if not 0 <= int(self.master_seed) < 2**64:
             raise DomainError("master_seed must fit in 64 bits")
 
 
 @dataclass(eq=False)
 class PhaseMap:
-    """One disorder realization.
+    """One disorder realization as an int8 code plane.
 
-    rows[n-1] holds radians for sites -n..+n of step n. `mask` marks the
-    cells that were drawn as disordered; it is in-memory metadata (the file
-    format stores phases only) and is excluded from equality.
+    codes[n-1, steps+s] is the cell of step n at site s (|s| <= n): 0 for an
+    unmarked cell, 1 + i for a cell marked with alphabet letter i; cells
+    outside the light cone are 0. `marks_known` is False for a map loaded
+    from a file whose header does not regenerate it: its phases are right,
+    but which cells were marked is unknown. It is excluded from equality.
     """
 
     steps: int
-    rows: tuple[np.ndarray, ...]
+    codes: np.ndarray
     alphabet: tuple[float, ...]
     p_nominal: float
     seed: int
     sampling_mode: str
-    mask: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    marks_known: bool = True
 
     def __post_init__(self):
-        self.rows = tuple(np.asarray(r, dtype=float) for r in self.rows)
-        if len(self.rows) != self.steps:
-            raise DomainError(f"expected {self.steps} rows, got {len(self.rows)}")
-        for n, row in enumerate(self.rows, start=1):
-            if row.shape != (2 * n + 1,):
-                raise DomainError(f"row {n} must have {2 * n + 1} entries, got {row.size}")
+        codes = np.asarray(self.codes)
+        shape = (self.steps, 2 * self.steps + 1)
+        if codes.shape != shape:
+            raise DomainError(f"code plane must have shape {shape}, got {codes.shape}")
+        # Checked before the cast to int8, which would wrap.
+        top = len(self.alphabet)
+        if codes.dtype.kind not in "iu" or codes.min(initial=0) < 0 or codes.max(initial=0) > top:
+            raise DomainError(f"cell codes must be integers in 0..{top}")
+        self.codes = codes.astype(np.int8, copy=False)
 
     @property
     def n_cells(self) -> int:
@@ -85,14 +100,9 @@ class PhaseMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseMap):
             return NotImplemented
-        return (
-            self.steps == other.steps
-            and self.p_nominal == other.p_nominal
-            and self.seed == other.seed
-            and self.sampling_mode == other.sampling_mode
-            and self.alphabet == other.alphabet
-            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
-        )
+        header = ("steps", "p_nominal", "seed", "sampling_mode", "alphabet")
+        same = all(getattr(self, f) == getattr(other, f) for f in header)
+        return same and np.array_equal(self.codes, other.codes)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -210,19 +220,11 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _cell_index(steps: int) -> np.ndarray:
-    """Flat positions in a (steps, 2*steps+1) plane of the map cells, in
-    draw order: row n covers sites -n..n of step n."""
-    width = 2 * steps + 1
-    return np.concatenate(
-        [(n - 1) * width + np.arange(steps - n, steps + n + 1) for n in range(1, steps + 1)]
-    )
-
-
 def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
     """What default_rng(seed) draws for one map per seed, in the order that
     is part of the format: the marks of all cells, then a letter for every
-    cell. Returns (marks, letters) over the cells in _cell_index order.
+    cell. Returns (marks, letters) over the cells in row order: row n covers
+    sites -n..n of step n.
 
     With count None (bernoulli) the marks are the cells' uniforms, which
     do not depend on p: a cell is marked where its uniform is below p.
@@ -254,11 +256,14 @@ def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
 
 
 def _codes(steps: int, marked: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Scatter the cell codes of each map into a (maps, steps, 2*steps+1)
-    int8 tensor over sites -steps..steps: 0 is an unmarked cell, 1 + i a
-    cell marked with alphabet letter i."""
+    """Lay the cell codes of each map, row by row, into a (maps, steps,
+    2*steps+1) int8 tensor over sites -steps..steps: 0 is an unmarked cell,
+    1 + i a cell marked with alphabet letter i."""
     codes = np.zeros((len(marked), steps, 2 * steps + 1), dtype=np.int8)
-    codes.reshape(len(marked), -1)[:, _cell_index(steps)] = letters * marked
+    cells = letters * marked
+    for n in range(1, steps + 1):
+        # Rows 1..n-1 hold n*n - 1 cells.
+        codes[:, n - 1, steps - n : steps + n + 1] = cells[:, n * n - 1 : n * n + 2 * n]
     return codes
 
 
@@ -317,7 +322,7 @@ _draws = _DrawCache(budget=32 << 20)
 
 def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
     """Cell codes of maps start..stop-1 of the ensemble described by `spec`,
-    as a (maps, steps, 2*steps+1) int8 tensor (see phase_factors).
+    as a (maps, steps, 2*steps+1) int8 tensor of PhaseMap code planes.
 
     Bernoulli draws come from the shared cache, so every p of a scan sees
     the same uniforms; exact_fraction draws afresh, as its choice of cells
@@ -335,50 +340,24 @@ def phase_factors(alphabet) -> np.ndarray:
     return np.exp(1j * np.array([0.0, *alphabet]))
 
 
-def _rows(plane: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The map rows held in a (steps, 2*steps+1) plane."""
-    steps = plane.shape[0]
-    return tuple(plane[n - 1, steps - n : steps + n + 1] for n in range(1, steps + 1))
-
-
-def _phase_rows(codes: np.ndarray, alphabet) -> tuple[np.ndarray, ...]:
-    return _rows(np.array([0.0, *alphabet])[codes])
-
-
 def generate_phase_map(spec: DisorderSpec, map_index: int) -> PhaseMap:
     """Map number `map_index` of the ensemble described by `spec`."""
     if map_index < 0:
         raise DomainError("map_index must be >= 0")
     seeds = map_seeds(spec.master_seed, map_index, map_index + 1)
     codes = _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)[0]
-    return PhaseMap(
-        steps=spec.steps,
-        rows=_phase_rows(codes, spec.alphabet),
-        alphabet=spec.alphabet,
-        p_nominal=spec.p,
-        seed=int(seeds[0]),
-        sampling_mode=spec.sampling_mode,
-        mask=_rows(codes > 0),
-    )
-
-
-def zero_map(steps: int) -> PhaseMap:
-    """The ordered map: every cell phase 0, nothing marked disordered."""
-    rows = _rows(np.zeros((steps, 2 * steps + 1)))
-    mask = _rows(np.zeros((steps, 2 * steps + 1), dtype=bool))
-    return PhaseMap(steps, rows, DEFAULT_ALPHABET, 0.0, 0, "bernoulli", mask)
+    return PhaseMap(spec.steps, codes, spec.alphabet, spec.p, int(seeds[0]), spec.sampling_mode)
 
 
 def realized_fraction(phase_map: PhaseMap) -> float:
     """Fraction of cells marked disordered (not the fraction of nonzero phases:
     a disordered cell may legitimately draw 0)."""
-    if phase_map.mask is None:
+    if not phase_map.marks_known:
         raise DomainError(
             "disorder mask unavailable: this map was loaded from a file whose header "
             "does not regenerate its rows, so realized_fraction is undefined"
         )
-    marked = sum(int(m.sum()) for m in phase_map.mask)
-    return marked / phase_map.n_cells
+    return int((phase_map.codes > 0).sum()) / phase_map.n_cells
 
 
 def _format_pi_units(value_rad: float) -> str:
@@ -413,7 +392,7 @@ def save_map(phase_map: PhaseMap, dest) -> None:
 
     Row entries are multiples of pi (so the default alphabet serializes as
     0/1). The header is sufficient to regenerate the map, which is how the
-    disordered-cell mask survives a round trip.
+    marked cells survive a round trip.
     """
     lines = [
         f"steps={phase_map.steps}",
@@ -422,8 +401,11 @@ def save_map(phase_map: PhaseMap, dest) -> None:
         f"mode={phase_map.sampling_mode}",
         "alphabet=" + ",".join(_alphabet_token(a) for a in phase_map.alphabet),
     ]
-    for row in phase_map.rows:
-        lines.append(" ".join(_format_pi_units(v) for v in row))
+    tokens = [_format_pi_units(a) for a in (0.0, *phase_map.alphabet)]
+    steps = phase_map.steps
+    for n in range(1, steps + 1):
+        row = phase_map.codes[n - 1, steps - n : steps + n + 1]
+        lines.append(" ".join(tokens[c] for c in row.tolist()))
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
@@ -431,11 +413,14 @@ def save_map(phase_map: PhaseMap, dest) -> None:
         Path(dest).write_text(text, encoding="ascii")
 
 
-def _snap_to_alphabet(value_rad: float, alphabet: tuple[float, ...], line: int, col: int) -> float:
-    # 0 is the phase of an unmarked cell, whether or not the alphabet holds it.
-    for member in (*alphabet, 0.0):
+def _snap_to_code(value_rad: float, alphabet: tuple[float, ...], line: int, col: int) -> int:
+    """Code of the first alphabet letter within 1e-9 rad of the value, else
+    0 (unmarked) for a value near 0, whether or not the alphabet holds it."""
+    for i, member in enumerate(alphabet):
         if abs(value_rad - member) <= 1e-9:
-            return member
+            return 1 + i
+    if abs(value_rad) <= 1e-9:
+        return 0
     raise MapParseError(
         f"entry {col} is {value_rad / math.pi!r} pi, outside the alphabet "
         f"{tuple(round(a / math.pi, 12) for a in alphabet)} (in pi units) and not 0",
@@ -446,13 +431,18 @@ def _snap_to_alphabet(value_rad: float, alphabet: tuple[float, ...], line: int, 
 def load_map(path) -> PhaseMap:
     """Parse a map file; inverse of save_map.
 
-    Entries are snapped onto the declared alphabet or 0 (tolerance 1e-9
-    rad) so round trips are bit-exact. If regenerating from the header
-    reproduces the stored rows, the disorder mask is re-attached; otherwise
-    the map is treated as hand-made and carries no mask.
+    Entries are snapped straight to cell codes: the declared alphabet's
+    letters, or 0 (tolerance 1e-9 rad). If the codes regenerated from the
+    header give the same phases, the map holds the regenerated codes and its
+    marks are known; otherwise it is treated as hand-made and holds the
+    parsed codes, with marks unknown.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MapParseError(f"non-ASCII byte {data[exc.start]:#04x}", line) from None
     header: dict[str, str] = {}
     expected = ["steps", "p", "seed", "mode", "alphabet"]
     for i, key in enumerate(expected):
@@ -488,20 +478,16 @@ def load_map(path) -> PhaseMap:
     if mode not in SAMPLING_MODES:
         raise MapParseError(f"mode must be one of {SAMPLING_MODES}, got {mode!r}", 4)
     try:
-        alphabet = tuple(
+        alphabet = check_alphabet(
             parse_alphabet_token(tok.strip()) for tok in header["alphabet"].split(",") if tok.strip()
         )
     except ValueError as exc:
         raise MapParseError(str(exc), 5) from None
-    if not alphabet:
-        raise MapParseError("alphabet is empty", 5)
-    if len(alphabet) > MAX_ALPHABET:
-        raise MapParseError(f"alphabet has more than {MAX_ALPHABET} letters", 5)
 
     body = lines[5:]
     if len(body) < steps:
         raise MapParseError(f"expected {steps} row lines, file has {len(body)}", len(lines))
-    rows = []
+    codes = np.zeros((steps, 2 * steps + 1), dtype=np.int8)
     for n in range(1, steps + 1):
         line_no = 5 + n
         tokens = body[n - 1].split()
@@ -509,28 +495,18 @@ def load_map(path) -> PhaseMap:
             raise MapParseError(
                 f"row {n} must have {2 * n + 1} entries, got {len(tokens)}", line_no
             )
-        row = np.empty(2 * n + 1)
         for col, tok in enumerate(tokens):
             try:
                 units = float(tok)
             except ValueError:
                 raise MapParseError(f"entry {col} is not a number: {tok!r}", line_no) from None
-            row[col] = _snap_to_alphabet(units * math.pi, alphabet, line_no, col)
-        rows.append(row)
+            codes[n - 1, steps - n + col] = _snap_to_code(units * math.pi, alphabet, line_no, col)
     trailing = [ln for ln in body[steps:] if ln.strip()]
     if trailing:
         raise MapParseError(f"unexpected trailing content: {trailing[0]!r}", 5 + steps + 1)
 
-    mask = None
-    codes = _draw_codes(steps, p_nominal, len(alphabet), mode, np.array([seed], dtype=np.uint64))[0]
-    if all(np.array_equal(a, b) for a, b in zip(_phase_rows(codes, alphabet), rows)):
-        mask = _rows(codes > 0)
-    return PhaseMap(
-        steps=steps,
-        rows=tuple(rows),
-        alphabet=alphabet,
-        p_nominal=p_nominal,
-        seed=seed,
-        sampling_mode=mode,
-        mask=mask,
-    )
+    regenerated = _draw_codes(steps, p_nominal, len(alphabet), mode, np.array([seed], dtype=np.uint64))[0]
+    phases = np.array([0.0, *alphabet])
+    marks_known = np.array_equal(phases[regenerated], phases[codes])
+    return PhaseMap(steps, regenerated if marks_known else codes, alphabet, p_nominal, seed, mode,
+                    marks_known)

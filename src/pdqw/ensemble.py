@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution, similarity
-from .disorder import DisorderSpec, phase_factors, sample_block
+from .disorder import DEFAULT_ALPHABET, DisorderSpec, phase_factors, sample_block
 from .errors import DomainError
-from .walk_core import _step_kernel, evolve, position_distribution
+from .walk_core import _check_coin, _walk, evolve, position_distribution
 
 # Maps sampled and evolved together.
 CHUNK_SIZE = 128
@@ -43,25 +43,22 @@ def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(axis=0), std
 
 
-def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, start: int, stop: int):
+def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, table: np.ndarray, start: int, stop: int):
     """Evolve maps start..stop-1 together; returns per-map variances and
     per-map per-step distributions."""
     steps = spec.steps
     n_sites = 2 * steps + 1
     block = stop - start
-    codes = sample_block(spec, start, stop)
-    table = phase_factors(spec.alphabet)
-
-    psi0 = np.zeros((block, n_sites), dtype=complex)
-    psi1 = np.zeros((block, n_sites), dtype=complex)
-    psi0[:, steps] = 1.0
+    # psi[c]: coin-c amplitudes, one row per map.
+    psi = np.zeros((2, block, n_sites), dtype=complex)
+    psi[0, :, steps] = 1.0
     sites = np.arange(-steps, steps + 1, dtype=float)
     sites_sq = sites * sites
 
     variances = np.empty((block, steps))
     dists = np.empty((block, steps, n_sites))
-    for n in range(1, steps + 1):
-        psi0, psi1 = _step_kernel(psi0, psi1, coin, table[codes[:, n - 1]])
+    walk = _walk(*psi, coin, sample_block(spec, start, stop), table)
+    for n, (psi0, psi1) in enumerate(walk, start=1):
         weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
         totals = weights.sum(axis=1, keepdims=True)
         prob = weights / totals
@@ -84,9 +81,10 @@ def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
     """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
-    coin = np.asarray(coin, dtype=complex)
+    coin = _check_coin(coin)
+    table = phase_factors(spec.alphabet)
     parts = [
-        _simulate_chunk(spec, coin, a, min(a + CHUNK_SIZE, n_maps))
+        _simulate_chunk(spec, coin, table, a, min(a + CHUNK_SIZE, n_maps))
         for a in range(0, n_maps, CHUNK_SIZE)
     ]
     variances = np.concatenate([p[0] for p in parts], axis=0)
@@ -126,22 +124,20 @@ class SimilarityScan:
 
 
 def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
-                    sampling_mode: str = "bernoulli", alphabet=None) -> SimilarityScan:
+                    sampling_mode: str = "bernoulli", alphabet=DEFAULT_ALPHABET) -> SimilarityScan:
     """Scan the dilution axis and score each ensemble mean against both
     reference walks, for every step count up to `steps`."""
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.size < 2:
         raise DomainError("p_grid needs at least 2 points")
-    kwargs = {"steps": steps, "sampling_mode": sampling_mode, "master_seed": master_seed}
-    if alphabet is not None:
-        kwargs["alphabet"] = tuple(alphabet)
 
     ordered = [position_distribution(s) for s in evolve(steps, coin, None, steps)]
     # Each distinct p, the p=1 reference included, is evolved once.
     means = {}
     for p in (1.0, *p_grid.tolist()):
         if p not in means:
-            means[p] = run_ensemble(DisorderSpec(p=p, **kwargs), coin, n_maps).mean_distributions
+            spec = DisorderSpec(p, steps, alphabet, sampling_mode, master_seed)
+            means[p] = run_ensemble(spec, coin, n_maps).mean_distributions
 
     s_ordered = np.empty((steps, p_grid.size))
     s_disordered = np.empty((steps, p_grid.size))

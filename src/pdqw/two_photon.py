@@ -8,7 +8,7 @@ eta of pairs interferes, the rest behaves as independent photons.
 
 The single-unitary functions take a dense mode unitary; the disorder
 ensemble reads only the two input columns of it, and evolves just those
-through the shared step kernel.
+through the shared walk driver.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .analysis import Distribution
 from .disorder import DisorderSpec, phase_factors, sample_block
 from .ensemble import CHUNK_SIZE, mean_and_std
 from .errors import DomainError
-from .walk_core import _check_coin, _step_kernel, mode_index, single_particle_unitary
+from .walk_core import _check_coin, _walk, mode_index, single_particle_unitary
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -83,13 +83,6 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _pair_columns(u: np.ndarray, pair: PairInput) -> tuple[np.ndarray, np.ndarray, bool]:
-    n_max = (u.shape[0] // 2 - 1) // 2
-    ia = mode_index(*pair.mode_a, n_max)
-    ib = mode_index(*pair.mode_b, n_max)
-    return u[:, ia], u[:, ib], ia == ib
-
-
 def two_photon_mode_distribution(u: np.ndarray, pair: PairInput) -> np.ndarray:
     """Unordered mode-pair probabilities for a photon pair sent through u.
 
@@ -100,13 +93,15 @@ def two_photon_mode_distribution(u: np.ndarray, pair: PairInput) -> np.ndarray:
     normalization (diagonal |u_ka|^4).
     """
     u = _check_unitary(u)
-    ca, cb, same_input = _pair_columns(u, pair)
+    n_max = (u.shape[0] // 2 - 1) // 2
+    ia, ib = mode_index(*pair.mode_a, n_max), mode_index(*pair.mode_b, n_max)
+    ca, cb = u[:, ia], u[:, ib]
     diag = np.diag_indices(u.shape[0])
 
     amp = np.outer(ca, cb) + np.outer(cb, ca)
     interfering = np.abs(amp) ** 2
     interfering[diag] *= 0.5
-    if same_input:
+    if ia == ib:
         interfering *= 0.5
 
     pa = np.abs(ca) ** 2
@@ -221,14 +216,12 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
     for start in range(0, n_maps, CHUNK_SIZE):
         stop = min(start + CHUNK_SIZE, n_maps)
         block = stop - start
-        codes = sample_block(spec, start, stop)
+        codes = sample_block(spec, start, stop)[:, None]
         # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
         psi = np.zeros((2, block, 2, n_sites), dtype=complex)
         psi[ia % 2, :, 0, ia // 2] = 1.0
         psi[ib % 2, :, 1, ib // 2] = 1.0
-        psi0, psi1 = psi
-        for n in range(1, steps + 1):
-            psi0, psi1 = _step_kernel(psi0, psi1, coin, table[codes[:, None, n - 1]])
+        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table), start=1):
             weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
             pa, pb = weights[:, 0], weights[:, 1]
             g = psi0[:, 0] * psi0[:, 1].conj() + psi1[:, 0] * psi1[:, 1].conj()

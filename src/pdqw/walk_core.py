@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
+from .disorder import phase_factors
 from .errors import CapacityError, DomainError
-
-# Norm drift tolerated per lossless step.
-NORM_TOL = 1e-12
 
 
 def hadamard_coin() -> np.ndarray:
@@ -73,94 +71,64 @@ class WalkState:
         return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum()))
 
 
-def initial_state(n_max: int, coin_amplitudes=(1.0, 0.0)) -> WalkState:
-    """Walker localized at the origin with the given coin amplitudes."""
-    a0, a1 = complex(coin_amplitudes[0]), complex(coin_amplitudes[1])
-    if abs(abs(a0) ** 2 + abs(a1) ** 2 - 1.0) > NORM_TOL:
-        raise DomainError("coin amplitudes must be normalized within 1e-12")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    amps = np.zeros((2 * n_max + 1, 2), dtype=complex)
-    amps[n_max, 0] = a0
-    amps[n_max, 1] = a1
-    return WalkState(n_max=n_max, amplitudes=amps)
+def _walk(psi0, psi1, coin, codes, table):
+    """Step coin-component arrays whose last axis is the site axis; yield
+    (psi0, psi1) after each step.
 
-
-def _step_kernel(psi0, psi1, coin, phase_factors):
-    """One step on coin-component arrays whose last axis is the site axis.
-
-    The one step implementation: the single-walker path, the batched
-    ensemble runner, the two-photon column runner and the mode unitary all
-    call it, so all perform identical elementwise float operations. The
-    shift is periodic; a walk from the origin that stays within its lattice
-    has zero amplitude at the edges, so the wrap moves nothing.
+    The one walk driver: the single walker, the batched ensemble, the
+    two-photon input columns and the mode unitary all step through it, so
+    all perform identical elementwise float operations. Step n multiplies
+    the coin-1 amplitudes by table[codes[..., n-1, :]], mixes with the coin
+    and shifts coin 0 one site left, coin 1 one site right. The shift is
+    periodic; a walk from the origin that stays within its lattice has zero
+    amplitude at the edges, so the wrap moves nothing.
     """
-    b1 = phase_factors * psi1
-    a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
-    a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
-    out0 = np.zeros_like(a0)
-    out1 = np.zeros_like(a1)
-    out0[..., :-1] = a0[..., 1:]
-    out1[..., 1:] = a1[..., :-1]
-    out0[..., -1] = a0[..., 0]
-    out1[..., 0] = a1[..., -1]
-    return out0, out1
+    for n in range(codes.shape[-2]):
+        b1 = table[codes[..., n, :]] * psi1
+        a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
+        a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
+        psi0 = np.empty_like(a0)
+        psi1 = np.empty_like(a1)
+        psi0[..., :-1] = a0[..., 1:]
+        psi1[..., 1:] = a1[..., :-1]
+        psi0[..., -1] = a0[..., 0]
+        psi1[..., 0] = a1[..., -1]
+        yield psi0, psi1
 
 
-def apply_step(state: WalkState, coin, phase_row, step_index: int) -> WalkState:
-    """Advance one step using the phase row for `step_index` (1-based).
-
-    phase_row holds radians for sites -step_index..+step_index (length
-    2*step_index + 1); entries at the light-cone edge multiply zero
-    amplitudes and are inert.
-    """
-    coin = _check_coin(coin)
-    if step_index < 1:
-        raise DomainError("step_index is 1-based")
-    if step_index > state.n_max:
-        raise CapacityError(
-            f"step {step_index} would leave the lattice (n_max={state.n_max}); "
-            "allocate a wider lattice instead of truncating"
-        )
-    row = np.asarray(phase_row, dtype=float)
-    if row.shape != (2 * step_index + 1,):
-        raise DomainError(
-            f"phase row for step {step_index} must have {2 * step_index + 1} entries, got {row.shape}"
-        )
-    factors = np.ones(2 * state.n_max + 1, dtype=complex)
-    lo = state.n_max - step_index
-    factors[lo : lo + row.size] = np.exp(1j * row)
-    psi0, psi1 = _step_kernel(state.amplitudes[:, 0], state.amplitudes[:, 1], coin, factors)
-    return WalkState(
-        n_max=state.n_max,
-        amplitudes=np.stack([psi0, psi1], axis=1),
-        step=state.step + 1,
-    )
+def _map_on_lattice(phase_map, n_max: int, steps: int):
+    """The first `steps` rows of the map's code plane on sites -n_max..n_max
+    (cropped, or padded with unmarked cells), and its phase factors. None
+    stands for the map with no phases."""
+    if phase_map is None:
+        return np.zeros((steps, 2 * n_max + 1), dtype=np.int8), phase_factors(())
+    if phase_map.steps < steps:
+        raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
+    padded = np.pad(phase_map.codes[:steps], ((0, 0), (n_max, n_max)))
+    first = phase_map.steps  # the padded column of site -n_max
+    return padded[:, first : first + 2 * n_max + 1], phase_factors(phase_map.alphabet)
 
 
-def evolve(n_max: int, coin, phase_map, steps: int, start: WalkState | None = None) -> list[WalkState]:
-    """Run `steps` steps from the origin (or `start`) and return every state.
+def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
+    """Run `steps` steps from the origin with coin state (1, 0) and return
+    every state.
 
     phase_map may be None to skip the phase stage entirely; otherwise its
     rows 1..steps feed the per-step phase stage. steps beyond n_max raise
     CapacityError before any work is done.
     """
+    coin = _check_coin(coin)
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if steps > n_max:
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
-    if phase_map is not None and phase_map.steps < steps:
-        raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
-    state = start if start is not None else initial_state(n_max)
-    out: list[WalkState] = []
-    for n in range(1, steps + 1):
-        if phase_map is None:
-            row = np.zeros(2 * n + 1)
-        else:
-            row = phase_map.rows[n - 1]
-        state = apply_step(state, coin, row, n)
-        out.append(state)
-    return out
+    codes, table = _map_on_lattice(phase_map, n_max, steps)
+    psi0 = np.zeros(2 * n_max + 1, dtype=complex)
+    psi0[n_max] = 1.0
+    return [
+        WalkState(n_max=n_max, amplitudes=np.stack(psi, axis=1), step=n)
+        for n, psi in enumerate(_walk(psi0, np.zeros_like(psi0), coin, codes, table), start=1)
+    ]
 
 
 def position_distribution(state: WalkState) -> Distribution:
@@ -187,30 +155,22 @@ def mode_index(site: int, coin: int, n_max: int) -> int:
 def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarray:
     """Full mode unitary of `steps` steps over the 2*(2*n_max+1) lattice modes.
 
-    Every basis column is pushed through the step kernel in one batch; its
-    periodic shift makes the operator exactly unitary on the finite lattice,
-    and columns whose light cone stays inside the lattice agree with
-    `evolve`. Phase rows cover sites -n..+n at step n, all other sites get
-    phase 0. steps=0 returns the identity.
+    Every basis column steps through `_walk` in one batch; its periodic
+    shift makes the operator exactly unitary on the finite lattice, and
+    columns whose light cone stays inside the lattice agree with `evolve`.
+    Sites beyond the map's rows get phase 0. steps=0 returns the identity.
     """
     coin = _check_coin(coin)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if steps < 0:
         raise DomainError("steps must be >= 0")
-    if phase_map is not None and phase_map.steps < steps:
-        raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
+    codes, table = _map_on_lattice(phase_map, n_max, steps)
     n_sites = 2 * n_max + 1
     dim = 2 * n_sites
     # psi_c[j, s]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
     basis = np.eye(dim, dtype=complex).reshape(dim, n_sites, 2)
-    psi0, psi1 = basis[..., 0], basis[..., 1]
-    for n in range(1, steps + 1):
-        phases = np.zeros(n_sites)
-        if phase_map is not None:
-            row = np.asarray(phase_map.rows[n - 1], dtype=float)
-            width = min(n, n_max)
-            lo = n_max - width
-            phases[lo : lo + 2 * width + 1] = row[n - width : n + width + 1]
-        psi0, psi1 = _step_kernel(psi0, psi1, coin, np.exp(1j * phases))
-    return np.stack([psi0, psi1], axis=-1).reshape(dim, dim).T
+    psi = basis[..., 0], basis[..., 1]
+    for psi in _walk(*psi, coin, codes, table):
+        pass  # only the last step's amplitudes are wanted
+    return np.stack(psi, axis=-1).reshape(dim, dim).T

@@ -75,6 +75,19 @@ def dense_walk(n_max: int, coin: np.ndarray, phase_rows, steps: int, coin_amplit
     return out
 
 
+def cone_rows(plane) -> list[np.ndarray]:
+    """Row n of a (steps, 2*steps+1) plane over sites -steps..steps, cut to
+    the sites -n..n that step n reaches."""
+    steps = plane.shape[0]
+    return [plane[n - 1, steps - n : steps + n + 1] for n in range(1, steps + 1)]
+
+
+def phase_rows(codes, alphabet) -> list[np.ndarray]:
+    """Radians of each row of a cell-code plane, as the oracles take them:
+    code 0 is phase 0 and code 1 + i is alphabet[i]."""
+    return cone_rows(np.concatenate([[0.0], np.asarray(alphabet, dtype=float)])[np.asarray(codes)])
+
+
 def permanent_2x2(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]
 

@@ -258,10 +258,10 @@ class TestGenMaps:
         for k in range(2):
             path = out / "maps" / "p0.9" / f"map_{k:05d}.txt"
             saved = generate_phase_map(spec, k)
-            assert any(np.any(row == 0.5 * np.pi) for row in saved.rows)
+            assert (saved.codes == 2).any()  # letter 1, 0.5 pi
             back = load_map(path)
             assert back == saved
-            assert back.mask is not None
+            assert back.marks_known
             assert main(["evolve", "--config", cfg, "--out", str(out), "--map", str(path)]) == 0
 
     def test_a_failed_write_leaves_no_truncated_map(self, tmp_path):
@@ -321,11 +321,39 @@ class TestFailureModes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
 
-    def test_corrupt_map_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0\n0 0 0 0 0\n", 6),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=nan\n0 0 0\n0 0 0 0 0\n", 5),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 \u00b5 0 0 0\n", 7),
+        ],
+        ids=["short-row", "nan-alphabet", "non-ascii"],
+    )
+    def test_corrupt_map_file(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
-        bad.write_text("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0\n0 0 0 0 0\n")
+        bad.write_text(text, encoding="utf-8")
         cfg = write_config(tmp_path, "steps: 2\n")
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out"), "--map", str(bad)]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            ("ensemble", "alphabet: [.nan]\n", "alphabet"),
+            ("ensemble", "alphabet: [\"inf\"]\n", "alphabet"),
+            ("ensemble", "p_grid: {stop: .nan}\n", "p_grid.stop"),
+            ("hom", "two_photon: {coherence_time: .nan}\n", "two_photon.coherence_time"),
+        ],
+        ids=["nan-alphabet", "inf-alphabet", "nan-p_grid-stop", "nan-coherence_time"],
+    )
+    def test_non_finite_config_values_are_usage_errors(self, tmp_path, capsys, command, text, field):
+        cfg = write_config(tmp_path, "steps: 2\nn_maps: 2\np_grid: [0.0, 1.0]\n" + text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_bad_thread_count(self, tmp_path):
         cfg = write_config(tmp_path, "steps: 2\n")

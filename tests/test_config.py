@@ -74,6 +74,14 @@ class TestParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("content", [b"steps: 3\n# \xff\n", b"steps: 1" + b"0" * 5000 + b"\n"],
+                             ids=["not-utf8", "5001-digit-int"])
+    def test_undecodable_file_is_a_config_error(self, tmp_path, content):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="<file>"):
+            load_config(path)
+
 
 class TestRejection:
     @pytest.mark.parametrize(
@@ -90,10 +98,14 @@ class TestRejection:
             ({"master_seed": -1}, "master_seed"),
             ({"master_seed": 2**64}, "master_seed"),
             ({"coin_reflectivity": 1.2}, "coin_reflectivity"),
+            ({"coin_reflectivity": 10**400}, "coin_reflectivity"),
             ({"sampling_mode": "sobol"}, "sampling_mode"),
             ({"alphabet": []}, "alphabet"),
             ({"alphabet": ["tau"]}, "alphabet"),
             ({"alphabet": [0] * 128}, "alphabet"),
+            ({"alphabet": [float("nan")]}, "alphabet"),
+            ({"alphabet": ["inf"]}, "alphabet"),
+            ({"alphabet": [0, float("-inf")]}, "alphabet"),
             ({"fit_range": [3]}, "fit_range"),
             ({"fit_range": [0, 5]}, "fit_range"),
             ({"fit_range": [5, 5]}, "fit_range"),
@@ -103,6 +115,8 @@ class TestRejection:
             ({"p_grid": [0.0, 2.0]}, "p_grid"),
             ({"p_grid": {"start": 0.5, "stop": 0.1}}, "p_grid"),
             ({"p_grid": {"step": -1}}, "p_grid"),
+            ({"p_grid": {"stop": float("nan")}}, "p_grid.stop"),
+            ({"p_grid": {"step": float("inf")}}, "p_grid.step"),
             ({"p_grid": "dense"}, "p_grid"),
             ({"crossing_steps": []}, "crossing_steps"),
             ({"crossing_steps": [9], "steps": 7}, "crossing_steps"),
@@ -110,6 +124,8 @@ class TestRejection:
             ({"two_photon": {"eta": 2.0}}, "eta"),
             ({"two_photon": {"visibility": -0.1}}, "visibility"),
             ({"two_photon": {"coherence_time": 0}}, "coherence_time"),
+            ({"two_photon": {"coherence_time": float("nan")}}, "coherence_time"),
+            ({"two_photon": {"delays": [0.0, float("nan")]}}, "delays"),
             ({"two_photon": {"delays": []}}, "delays"),
             ({"two_photon": {"enabled": True}}, "enabled"),
             ({"two_photon": 3}, "two_photon"),

@@ -17,14 +17,14 @@ from pdqw import (
     load_map,
     realized_fraction,
     save_map,
-    zero_map,
 )
-from oracles import reference_phase_map
+from oracles import cone_rows, phase_rows, reference_phase_map
 import pdqw.disorder
 from pdqw.disorder import (
     DEFAULT_ALPHABET,
     MAX_ALPHABET,
     SAMPLING_MODES,
+    check_alphabet,
     _draw_codes,
     _DrawCache,
     _pcg64_states,
@@ -46,6 +46,11 @@ FROZEN_FIRST_MAP = {
 }
 
 
+def marks(pm: PhaseMap):
+    """Which cells of each row were marked, read off the code plane."""
+    return cone_rows(pm.codes > 0)
+
+
 class TestGeneration:
     def test_seed_derivation_is_frozen(self):
         for (master, idx), expect in FROZEN_SEEDS.items():
@@ -54,9 +59,9 @@ class TestGeneration:
     def test_draw_order_is_frozen(self):
         pm = generate_phase_map(DisorderSpec(p=0.5, steps=3, master_seed=42), 0)
         assert pm.seed == FROZEN_FIRST_MAP["seed"]
-        for row, expect in zip(pm.rows, FROZEN_FIRST_MAP["rows_pi_units"]):
+        for row, expect in zip(phase_rows(pm.codes, pm.alphabet), FROZEN_FIRST_MAP["rows_pi_units"]):
             np.testing.assert_array_equal(row, np.asarray(expect, dtype=float) * math.pi)
-        for got, expect in zip(pm.mask, FROZEN_FIRST_MAP["mask"]):
+        for got, expect in zip(marks(pm), FROZEN_FIRST_MAP["mask"]):
             np.testing.assert_array_equal(got, np.asarray(expect, dtype=bool))
 
     def test_same_spec_same_index_regenerates_identically(self):
@@ -68,20 +73,22 @@ class TestGeneration:
         seeds = {generate_phase_map(spec, k).seed for k in range(50)}
         assert len(seeds) == 50
 
-    def test_row_shapes_and_cell_count(self):
-        pm = generate_phase_map(DisorderSpec(p=0.5, steps=7, master_seed=0), 0)
-        assert [r.size for r in pm.rows] == [2 * n + 1 for n in range(1, 8)]
-        assert pm.n_cells == 63
+    def test_code_plane_shape_and_cell_count(self):
+        pm = generate_phase_map(DisorderSpec(p=1.0, steps=7, master_seed=0), 0)
+        assert pm.codes.shape == (7, 15)
+        assert pm.codes.dtype == np.int8
+        assert pm.n_cells == 63 == int((pm.codes > 0).sum())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_alphabet_closure(self, seed):
         pm = generate_phase_map(DisorderSpec(p=1.0, steps=8, master_seed=seed), 0)
-        for row in pm.rows:
+        assert set(np.unique(pm.codes)) <= {0, 1, 2}
+        for row in phase_rows(pm.codes, pm.alphabet):
             assert all(v in (0.0, math.pi) for v in row)
 
     def test_p0_is_the_zero_map(self):
         pm = generate_phase_map(DisorderSpec(p=0.0, steps=5, master_seed=1), 0)
-        assert all(not row.any() for row in pm.rows)
+        assert not pm.codes.any()
         assert realized_fraction(pm) == 0.0
 
     def test_p1_marks_every_cell(self):
@@ -95,8 +102,7 @@ class TestGeneration:
     def test_exact_fraction_count(self, p, steps):
         spec = DisorderSpec(p=p, steps=steps, sampling_mode="exact_fraction", master_seed=3)
         pm = generate_phase_map(spec, 0)
-        marked = sum(int(m.sum()) for m in pm.mask)
-        assert marked == int(Fraction(p) * pm.n_cells)
+        assert int((pm.codes > 0).sum()) == int(Fraction(p) * pm.n_cells)
 
     def test_bernoulli_calibration_three_sigma(self):
         # steps=100 -> 10200 cells, comfortably past the 1e4 bar.
@@ -106,18 +112,14 @@ class TestGeneration:
         sigma = math.sqrt(p * (1 - p) / pm.n_cells)
         assert abs(realized_fraction(pm) - p) <= 3 * sigma
 
-    def test_mask_not_part_of_equality(self):
+    def test_marks_known_not_part_of_equality(self):
         pm = generate_phase_map(DisorderSpec(p=0.4, steps=4, master_seed=5), 0)
         stripped = PhaseMap(
-            pm.steps, pm.rows, pm.alphabet, pm.p_nominal, pm.seed, pm.sampling_mode, mask=None
+            pm.steps, pm.codes, pm.alphabet, pm.p_nominal, pm.seed, pm.sampling_mode, marks_known=False
         )
         assert pm == stripped
-
-    def test_zero_map_shape(self):
-        pm = zero_map(6)
-        assert pm.steps == 6
-        assert all(not row.any() for row in pm.rows)
-        assert realized_fraction(pm) == 0.0
+        with pytest.raises(DomainError, match="mask unavailable"):
+            realized_fraction(stripped)
 
 
 class TestBlockSampler:
@@ -159,17 +161,14 @@ class TestBlockSampler:
         assert codes.dtype == np.int8
         assert codes.shape == (CHUNK_SIZE + 3, steps, 2 * steps + 1)
         np.testing.assert_array_equal(sample_block(spec, CHUNK_SIZE, CHUNK_SIZE + 3), codes[CHUNK_SIZE:])
-        letters = np.array([0.0, *alphabet])
         for k in range(CHUNK_SIZE + 3):
             pm = generate_phase_map(spec, k)
             seed, ref_rows, ref_mask = reference_phase_map(12, k, steps, 0.3, alphabet, mode)
             assert pm.seed == seed
+            np.testing.assert_array_equal(pm.codes, codes[k])
             for n in range(1, steps + 1):
-                window = codes[k, n - 1, steps - n : steps + n + 1]
-                np.testing.assert_array_equal(letters[window], pm.rows[n - 1])
-                np.testing.assert_array_equal(window > 0, pm.mask[n - 1])
-                np.testing.assert_array_equal(pm.rows[n - 1], ref_rows[n - 1])
-                np.testing.assert_array_equal(pm.mask[n - 1], ref_mask[n - 1])
+                np.testing.assert_array_equal(phase_rows(pm.codes, alphabet)[n - 1], ref_rows[n - 1])
+                np.testing.assert_array_equal(marks(pm)[n - 1], ref_mask[n - 1])
                 assert not codes[k, n - 1, : steps - n].any()
                 assert not codes[k, n - 1, steps + n + 1 :].any()
 
@@ -183,13 +182,13 @@ def draw_cache(monkeypatch):
 
 
 def assert_codes_match_reference(codes, master, start, steps, p, alphabet):
-    letters = np.array([0.0, *alphabet])
     for i, plane in enumerate(codes):
         _, ref_rows, ref_mask = reference_phase_map(master, start + i, steps, p, alphabet, "bernoulli")
+        got_rows = phase_rows(plane, alphabet)
+        got_marks = cone_rows(plane > 0)
         for n in range(1, steps + 1):
-            window = plane[n - 1, steps - n : steps + n + 1]
-            np.testing.assert_array_equal(letters[window], ref_rows[n - 1])
-            np.testing.assert_array_equal(window > 0, ref_mask[n - 1])
+            np.testing.assert_array_equal(got_rows[n - 1], ref_rows[n - 1])
+            np.testing.assert_array_equal(got_marks[n - 1], ref_mask[n - 1])
             assert not plane[n - 1, : steps - n].any()
             assert not plane[n - 1, steps + n + 1 :].any()
 
@@ -304,6 +303,13 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             DisorderSpec(p=0.5, steps=3, alphabet=(0.0,) * size)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_alphabet_phases_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            DisorderSpec(p=0.5, steps=3, alphabet=(0.0, bad))
+        with pytest.raises(DomainError, match="finite"):
+            check_alphabet([bad])
+
     def test_master_seed_64_bits(self):
         with pytest.raises(DomainError):
             DisorderSpec(p=0.5, steps=3, master_seed=2**64)
@@ -312,9 +318,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             generate_phase_map(DisorderSpec(p=0.5, steps=3), -1)
 
-    def test_bad_row_shape_rejected(self):
-        with pytest.raises(DomainError):
-            PhaseMap(2, (np.zeros(3), np.zeros(4)), (0.0,), 0.0, 0, "bernoulli")
+    def test_bad_code_plane_rejected(self):
+        with pytest.raises(DomainError, match="shape"):
+            PhaseMap(2, np.zeros((2, 4)), (0.0,), 0.0, 0, "bernoulli")
+        for codes in ([[0, 2, 0]], [[0, 257, 0]], [[0, 0.5, 0]]):
+            with pytest.raises(DomainError, match="codes"):
+                PhaseMap(1, codes, (0.0,), 0.0, 0, "bernoulli")
 
 
 class TestFileFormat:
@@ -324,7 +333,7 @@ class TestFileFormat:
         save_map(pm, path)
         back = load_map(path)
         assert back == pm
-        assert back.mask is not None
+        assert back.marks_known
         assert realized_fraction(back) == realized_fraction(pm)
 
     @pytest.mark.parametrize(
@@ -339,8 +348,8 @@ class TestFileFormat:
         save_map(pm, path)
         back = load_map(path)
         assert back == pm
-        assert back.mask is not None
-        assert all(np.array_equal(a, b) for a, b in zip(back.mask, pm.mask))
+        assert back.marks_known
+        np.testing.assert_array_equal(back.codes, pm.codes)
 
     def test_round_trip_of_a_numpy_p(self, tmp_path):
         # p taken from a numpy grid must be written as a plain number.
@@ -352,7 +361,7 @@ class TestFileFormat:
         assert "p=0.5\n" in path.read_text()
         back = load_map(path)
         assert back == pm
-        assert back.mask is not None
+        assert back.marks_known
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         pm = generate_phase_map(
@@ -382,8 +391,8 @@ class TestFileFormat:
             "steps=2\np=0.5\nseed=123\nmode=bernoulli\nalphabet=0,pi\n1 0 1\n0 1 0 1 0\n"
         )
         pm = load_map(path)
-        np.testing.assert_array_equal(pm.rows[0], [math.pi, 0.0, math.pi])
-        assert pm.mask is None
+        np.testing.assert_array_equal(phase_rows(pm.codes, pm.alphabet)[0], [math.pi, 0.0, math.pi])
+        assert not pm.marks_known
         with pytest.raises(DomainError, match="mask unavailable"):
             realized_fraction(pm)
 
@@ -393,8 +402,7 @@ class TestFileFormat:
             "steps=1\np=0\nseed=0\nmode=bernoulli\nalphabet=0,pi\n0.9999999999 0 1e-11\n"
         )
         pm = load_map(path)
-        assert pm.rows[0][0] == math.pi
-        assert pm.rows[0][2] == 0.0
+        np.testing.assert_array_equal(phase_rows(pm.codes, pm.alphabet)[0], [math.pi, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "text,line",
@@ -407,17 +415,22 @@ class TestFileFormat:
             (f"steps=2\np=0.5\nseed={2**64}\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 3),
             ("steps=2\np=0.5\nseed=1\nmode=latin\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\n", 4),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,tau\n0 0 0\n0 0 0 0 0\n", 5),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=nan\n0 0 0\n0 0 0 0 0\n", 5),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,-inf\n0 0 0\n0 0 0 0 0\n", 5),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=\n0 0 0\n0 0 0 0 0\n", 5),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=" + ",".join(["0"] * 128)
              + "\n0 0 0\n0 0 0 0 0\n", 5),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0\n0 0 0 0 0\n", 6),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 z 0\n0 0 0 0 0\n", 6),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0.5 0\n0 0 0 0 0\n", 6),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 nan 0\n0 0 0 0 0\n", 6),
+            ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 \u00e9 0 0\n", 7),
             ("steps=2\np=0.5\nseed=1\nmode=bernoulli\nalphabet=0,pi\n0 0 0\n0 0 0 0 0\njunk\n", 8),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(MapParseError) as err:
             load_map(path)
         assert err.value.line == line
@@ -445,4 +458,4 @@ class TestFileFormat:
         save_map(pm, path)
         back = load_map(path)
         assert back == pm
-        assert back.mask is not None
+        assert back.marks_known

@@ -7,25 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_positions, dense_step_matrix, dense_walk
+from oracles import brute_force_positions, dense_step_matrix, dense_walk, phase_rows
 from pdqw import (
     CapacityError,
     DisorderSpec,
     DomainError,
     PhaseMap,
-    WalkState,
     coin_from_reflectivity,
     evolve,
     generate_phase_map,
     hadamard_coin,
-    initial_state,
     mode_index,
     position_distribution,
+    run_ensemble,
+    run_pair_ensemble,
     single_particle_unitary,
     variance,
-    zero_map,
 )
-from pdqw.walk_core import apply_step
 
 COIN = hadamard_coin()
 
@@ -41,6 +39,10 @@ STEP3_PROBS = {-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8}
 
 def random_map(p: float, steps: int, seed: int) -> PhaseMap:
     return generate_phase_map(DisorderSpec(p=p, steps=steps, master_seed=seed), 0)
+
+
+def rows(pm: PhaseMap):
+    return phase_rows(pm.codes, pm.alphabet)
 
 
 def dist_after(states, n, n_max):
@@ -67,8 +69,8 @@ class TestOracleSelfChecks:
 
     def test_path_sum_matches_dense_oracle_on_disordered_map(self):
         pm = random_map(0.6, 5, seed=11)
-        probs = dense_walk(6, COIN, pm.rows, 5)[-1]
-        by_site = brute_force_positions(5, COIN, pm.rows)
+        probs = dense_walk(6, COIN, rows(pm), 5)[-1]
+        by_site = brute_force_positions(5, COIN, rows(pm))
         for site, mass in by_site.items():
             assert probs[site + 6] == pytest.approx(mass, abs=1e-12)
         assert sum(by_site.values()) == pytest.approx(1.0, abs=1e-12)
@@ -91,7 +93,7 @@ class TestAgainstOracles:
         steps, n_max = 5, 6
         pm = random_map(p, steps, seed)
         states = evolve(n_max, COIN, pm, steps)
-        expected = dense_walk(n_max, COIN, pm.rows, steps)
+        expected = dense_walk(n_max, COIN, rows(pm), steps)
         for n in range(1, steps + 1):
             np.testing.assert_allclose(dist_after(states, n, n_max), expected[n - 1], atol=1e-12)
 
@@ -99,18 +101,26 @@ class TestAgainstOracles:
         steps = 7
         pm = random_map(0.8, steps, seed=5)
         final = position_distribution(evolve(steps, COIN, pm, steps)[-1])
-        by_site = brute_force_positions(steps, COIN, pm.rows)
+        by_site = brute_force_positions(steps, COIN, rows(pm))
         for site in range(-steps, steps + 1):
             assert final.probabilities[site + steps] == pytest.approx(
                 by_site.get(site, 0.0), abs=1e-12
             )
+
+    def test_map_longer_than_the_lattice_is_cropped(self):
+        # An 8-step map on a half-width-4 lattice: rows 1..3 drive 3 steps.
+        pm = random_map(0.7, 8, seed=19)
+        states = evolve(4, COIN, pm, 3)
+        expected = dense_walk(4, COIN, rows(pm)[:3], 3)
+        for n in range(1, 4):
+            np.testing.assert_allclose(dist_after(states, n, 4), expected[n - 1], atol=1e-12)
 
     @pytest.mark.parametrize("reflectivity", [0.3, 0.45, 0.7])
     def test_hardware_coin_matches_dense_oracle(self, reflectivity):
         coin = coin_from_reflectivity(reflectivity)
         pm = random_map(1.0, 4, seed=9)
         states = evolve(5, coin, pm, 4)
-        expected = dense_walk(5, coin, pm.rows, 4)
+        expected = dense_walk(5, coin, rows(pm), 4)
         np.testing.assert_allclose(dist_after(states, 4, 5), expected[-1], atol=1e-12)
 
 
@@ -139,28 +149,23 @@ class TestInvariants:
                 if outside:
                     assert weights[i] == 0.0
 
-    def test_global_phase_on_state_is_invisible(self):
-        pm = random_map(1.0, 6, seed=13)
-        base = initial_state(7)
-        rotated = WalkState(7, base.amplitudes * np.exp(1j * 0.9))
-        d1 = position_distribution(evolve(7, COIN, pm, 6)[-1])
-        d2 = position_distribution(evolve(7, COIN, pm, 6, start=rotated)[-1])
-        np.testing.assert_allclose(d1.probabilities, d2.probabilities, atol=1e-14)
-
     def test_uniform_pi_row_is_not_a_gauge_transformation(self):
         # A pi on every cell of row 3 moves P(-1) at step 3 from 5/8 to 1/8:
         # per-row uniform phases act only on coin-1 amplitudes and do change
         # the interference pattern.
-        rows = (np.zeros(3), np.zeros(5), np.full(7, math.pi))
-        pm = PhaseMap(3, rows, (0.0, math.pi), 0.0, 0, "bernoulli")
+        codes = np.zeros((3, 7), dtype=np.int8)
+        codes[2] = 2  # alphabet letter 1, pi
+        pm = PhaseMap(3, codes, (0.0, math.pi), 0.0, 0, "bernoulli")
         dist = position_distribution(evolve(4, COIN, pm, 3)[-1])
         assert dist.probabilities[-1 + 4] == pytest.approx(1 / 8, abs=1e-14)
 
     def test_all_pi_map_reproduces_ordered_variances(self):
         # pi everywhere is gauge-equivalent to no phases at all, which is
         # why densities p and 1-p of forced flips act alike at the ends.
-        rows = tuple(np.full(2 * n + 1, math.pi) for n in range(1, 9))
-        pm = PhaseMap(8, rows, (0.0, math.pi), 1.0, 0, "bernoulli")
+        codes = np.zeros((8, 17), dtype=np.int8)
+        for n in range(1, 9):
+            codes[n - 1, 8 - n : 9 + n] = 2  # alphabet letter 1, pi
+        pm = PhaseMap(8, codes, (0.0, math.pi), 1.0, 0, "bernoulli")
         for state, expect in zip(evolve(8, COIN, pm, 8), ORDERED_VARIANCES):
             assert variance(position_distribution(state)) == pytest.approx(expect, abs=1e-12)
 
@@ -171,15 +176,19 @@ class TestInvariants:
     )
     @settings(max_examples=30, deadline=None)
     def test_norm_and_cone_hold_for_arbitrary_phase_rows(self, reflectivity, seed, steps):
-        # Phases beyond the {0, pi} alphabet: unitarity must not care.
+        # Phases beyond the {0, pi} alphabet: unitarity must not care. Every
+        # cell gets its own letter, at most 35 of them.
         coin = coin_from_reflectivity(reflectivity)
-        rng = np.random.default_rng(seed)
-        state = initial_state(steps)
+        n_cells = steps * (steps + 2)
+        alphabet = tuple(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=n_cells))
+        codes = np.zeros((steps, 2 * steps + 1), dtype=np.int8)
         for n in range(1, steps + 1):
-            row = rng.uniform(0.0, 2.0 * math.pi, size=2 * n + 1)
-            state = apply_step(state, coin, row, n)
+            codes[n - 1, steps - n : steps + n + 1] = np.arange(n * n, n * n + 2 * n + 1)
+        pm = PhaseMap(steps, codes, alphabet, 1.0, 0, "bernoulli")
+        states = evolve(steps, coin, pm, steps)
+        for state in states:
             assert abs(state.norm() - 1.0) <= 1e-12
-        weights = (np.abs(state.amplitudes) ** 2).sum(axis=1)
+        weights = (np.abs(states[-1].amplitudes) ** 2).sum(axis=1)
         for i, site in enumerate(range(-steps, steps + 1)):
             if (site + steps) % 2 == 1:
                 assert weights[i] == 0.0
@@ -201,11 +210,8 @@ class TestModeUnitary:
         u = single_particle_unitary(n_max, COIN, pm, steps)
         col = u[:, mode_index(0, 0, n_max)]
         final = evolve(n_max, COIN, pm, steps)[-1]
-        for site in range(-n_max, n_max + 1):
-            for c in (0, 1):
-                assert col[mode_index(site, c, n_max)] == pytest.approx(
-                    final.amplitudes[site + n_max, c], abs=1e-12
-                )
+        # mode_index(site, c) is 2 * (site + n_max) + c, the amplitude layout
+        np.testing.assert_array_equal(col.reshape(-1, 2), final.amplitudes)
 
     def test_every_column_matches_the_periodic_dense_product(self):
         # steps > n_max, so every column wraps around the ring; (0, 1, 2) rad
@@ -216,7 +222,7 @@ class TestModeUnitary:
         pm = generate_phase_map(spec, 0)
         expect = np.eye(2 * (2 * n_max + 1), dtype=complex)
         for n in range(1, steps + 1):
-            expect = dense_step_matrix(n_max, coin, pm.rows[n - 1], n, periodic=True) @ expect
+            expect = dense_step_matrix(n_max, coin, rows(pm)[n - 1], n, periodic=True) @ expect
         u = single_particle_unitary(n_max, coin, pm, steps)
         np.testing.assert_allclose(u, expect, rtol=0, atol=1e-12)
 
@@ -233,21 +239,26 @@ class TestValidation:
         with pytest.raises(CapacityError):
             evolve(3, COIN, None, 4)
 
-    def test_nonunitary_coin_rejected(self):
-        with pytest.raises(DomainError):
-            evolve(3, np.array([[1.0, 0.0], [0.0, 0.5]]), None, 2)
-
-    def test_bad_phase_row_length(self):
-        with pytest.raises(DomainError):
-            apply_step(initial_state(3), COIN, np.zeros(4), 1)
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda coin: evolve(3, coin, None, 2),
+            lambda coin: single_particle_unitary(3, coin, None, 2),
+            lambda coin: run_ensemble(DisorderSpec(p=0.5, steps=4), coin, 3),
+            lambda coin: run_pair_ensemble(DisorderSpec(p=0.5, steps=4), coin, 3, eta=1.0),
+        ],
+        ids=["evolve", "single_particle_unitary", "run_ensemble", "run_pair_ensemble"],
+    )
+    def test_nonunitary_coin_rejected(self, run):
+        with pytest.raises(DomainError, match="unitary"):
+            run(np.array([[1.0, 0.0], [0.0, 0.5]]))
 
     def test_short_phase_map_rejected(self):
+        pm = random_map(0.5, 2, seed=1)
         with pytest.raises(DomainError):
-            evolve(5, COIN, zero_map(2), 4)
-
-    def test_unnormalized_start_rejected(self):
+            evolve(5, COIN, pm, 4)
         with pytest.raises(DomainError):
-            initial_state(3, coin_amplitudes=(1.0, 1.0))
+            single_particle_unitary(5, COIN, pm, 4)
 
     def test_reflectivity_range_checked(self):
         with pytest.raises(DomainError):
