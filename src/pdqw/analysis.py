@@ -132,7 +132,7 @@ _BETA_GRID_POINTS = 321
 _BETA_GOLDEN_ITERS = 120
 
 
-def _profile_sse(n_pow_cache: np.ndarray, logn: np.ndarray, y: np.ndarray, beta: float):
+def _profile_sse(logn: np.ndarray, y: np.ndarray, beta: float):
     # For fixed beta the optimal prefactor is a linear LSQ in closed form.
     basis = np.exp(beta * logn)
     c = float(basis @ y) / float(basis @ basis)
@@ -171,26 +171,26 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
     # Coarse scan brackets the minimum, golden-section refines it. The
     # profiled objective is smooth in beta and this stays deterministic.
     grid = np.linspace(_BETA_BRACKET[0], _BETA_BRACKET[1], _BETA_GRID_POINTS)
-    sses = [_profile_sse(n, logn, y, b)[0] for b in grid]
+    sses = [_profile_sse(logn, y, b)[0] for b in grid]
     k = int(np.argmin(sses))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, grid.size - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1 = _profile_sse(n, logn, y, x1)[0]
-    f2 = _profile_sse(n, logn, y, x2)[0]
+    f1 = _profile_sse(logn, y, x1)[0]
+    f2 = _profile_sse(logn, y, x2)[0]
     for _ in range(_BETA_GOLDEN_ITERS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = _profile_sse(n, logn, y, x1)[0]
+            f1 = _profile_sse(logn, y, x1)[0]
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = _profile_sse(n, logn, y, x2)[0]
+            f2 = _profile_sse(logn, y, x2)[0]
     beta = (a + b) / 2.0
-    sse, c = _profile_sse(n, logn, y, beta)
+    sse, c = _profile_sse(logn, y, beta)
 
     # Standard error from the Gauss-Newton covariance at the optimum.
     dof = n.size - 2

@@ -95,7 +95,10 @@ def _cone_blocks(dists, *lead):
 def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     if args.map is not None:
-        runs = [("evolve_map.csv", load_map(args.map))]
+        pm = load_map(args.map)
+        if pm.steps < cfg.steps:
+            raise ConfigError("steps", f"phase map has {pm.steps} rows but {cfg.steps} steps were requested")
+        runs = [("evolve_map.csv", pm)]
     else:
         runs = [(f"evolve_p{_p_tag(p)}.csv", generate_phase_map(_spec(cfg, p), 0)) for p in cfg.p_values]
     for name, pm in runs:

@@ -101,7 +101,9 @@ def _parse_p_grid(raw) -> list[float]:
         step = _as_number(raw.get("step", 0.01), "p_grid.step")
         if step <= 0 or stop < start:
             raise ConfigError("p_grid", "need step > 0 and stop >= start")
-        count = int(round((stop - start) / step))
+        # Floor, not round, so no point lies past stop; the tolerance keeps
+        # the last point of grids such as 0.3/0.1 = 2.9999999999999996.
+        count = math.floor((stop - start) / step + 1e-9)
         grid = [round(start + k * step, 10) for k in range(count + 1)]
     elif isinstance(raw, list):
         grid = [_as_number(v, "p_grid") for v in raw]

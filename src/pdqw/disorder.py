@@ -105,119 +105,24 @@ class PhaseMap:
         return same and np.array_equal(self.codes, other.codes)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-
-
-def _hash(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix (mult A) or output hash (mult B) on word
-    lanes; returns the hashed lanes and the next hash constant.
-
-    Here and below, 32-bit words live in uint64 lanes and every product is
-    masked back to 32 bits: wrapping mod 2**64, then masking, is wrapping
-    mod 2**32.
-    """
-    values = values ^ np.uint64(const)
-    const = const * mult & _MASK32
-    values = values * np.uint64(const) & np.uint64(_MASK32)
-    return values ^ (values >> 16), const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & np.uint64(_MASK32)
-    return r ^ (r >> 16)
-
-
-def _seed_pool(words, extra=()) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy with the default pool of 4 words, lane-wise.
-
-    `words` are the 4 entropy words that fill the pool; `extra` holds
-    (word, first) pairs of entropy past the pool, each mixed only into
-    lanes first.. (the lanes whose entropy is that long).
-    """
-    const = _INIT_A
-    pool = []
-    for word in words:
-        hashed, const = _hash(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word, first in extra:
-        for dst in range(4):
-            hashed, const = _hash(word[first:], const, _MULT_A)
-            pool[dst][first:] = _mix(pool[dst][first:], hashed)
-    return pool
-
-
-def _generate_state(pool, n_words: int) -> list[np.ndarray]:
-    """SeedSequence.generate_state(n_words, uint64), lane-wise."""
-    const = _INIT_B
-    halves = []
-    for i in range(2 * n_words):
-        hashed, const = _hash(pool[i % 4], const, _MULT_B)
-        halves.append(hashed)
-    return [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
-
-
-def _split_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 32-bit words of uint64 lanes."""
-    return values & np.uint64(_MASK32), values >> 32
-
-
 def map_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """64-bit seeds of maps start..stop-1 as a uint64 array.
-
-    Seed k is SeedSequence(master_seed, spawn_key=(k,)).generate_state(1,
-    uint64)[0], computed for all k in one pass over the lanes. A spawned
-    sequence pads the master seed's words to the pool size, so its word
-    count does not matter; an index from 2**32 up is a two-word key and
-    takes one more mixing round.
-    """
+    """64-bit seeds of maps start..stop-1 as a uint64 array: seed k is
+    SeedSequence(master_seed, spawn_key=(k,)).generate_state(1, uint64)[0]."""
     if not 0 <= int(master_seed) < 2**64:
         raise DomainError("master_seed must fit in 64 bits")
     if not 0 <= start < stop <= 2**64:
         raise DomainError(f"need 0 <= start < stop <= 2**64, got {start}..{stop}")
-    n = stop - start
-    master = np.full(n, int(master_seed), dtype=np.uint64)
-    zero = np.zeros(n, dtype=np.uint64)
-    lo, hi = _split_words(np.arange(n, dtype=np.uint64) + np.uint64(start))
-    two_words = min(max(2**32 - start, 0), n)  # first lane whose index is >= 2**32
-    pool = _seed_pool([*_split_words(master), zero, zero], extra=[(lo, 0), (hi, two_words)])
-    return _generate_state(pool, 1)[0]
+    master = int(master_seed)
+    return np.array(
+        [np.random.SeedSequence(master, spawn_key=(k,)).generate_state(1, np.uint64)[0]
+         for k in range(start, stop)],
+        dtype=np.uint64,
+    )
 
 
 def map_seed(master_seed: int, map_index: int) -> int:
     """64-bit seed for map `map_index`, derived deterministically."""
     return int(map_seeds(master_seed, map_index, map_index + 1)[0])
-
-
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of the PCG64 that default_rng(seed) builds, per seed.
-
-    SeedSequence(seed).generate_state(4, uint64) gives the initial state and
-    stream; PCG's srandom then runs on 128-bit ints. A seed below 2**32 is
-    one entropy word and a larger one two, but a zero high word hashes like
-    the pool's own zero fill, so both take this one path.
-    """
-    lo, hi = _split_words(np.asarray(seeds, dtype=np.uint64))
-    zero = np.zeros_like(lo)
-    words = _generate_state(_seed_pool([lo, hi, zero, zero]), 4)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        # srandom: one LCG step from 0, add the initial state, one more step.
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
 
 
 def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
@@ -237,15 +142,8 @@ def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
     else:
         marks = np.zeros((len(seeds), total), dtype=bool)
     letters = np.empty((len(seeds), total), dtype=np.int8)
-    bit_gen = np.random.PCG64(0)  # its state is replaced for every map
-    rng = np.random.Generator(bit_gen)
-    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for i, seed in enumerate(seeds.tolist()):
+        rng = np.random.default_rng(seed)
         if count is None:
             rng.random(out=marks[i])
         elif count > 0:

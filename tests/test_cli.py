@@ -337,6 +337,15 @@ class TestFailureModes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out"), "--map", str(bad)]) == 2
         assert f"line {line}:" in capsys.readouterr().err
 
+    def test_map_shorter_than_steps_is_a_usage_error(self, tmp_path, capsys):
+        short = tmp_path / "short.txt"
+        save_map(generate_phase_map(DisorderSpec(p=0.5, steps=2, master_seed=1), 0), short)
+        cfg = write_config(tmp_path, "steps: 7\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--map", str(short)]) == 2
+        assert "phase map has 2 rows but 7 steps were requested" in capsys.readouterr().err
+        assert not (out / "evolve_map.csv").exists()
+
     @pytest.mark.parametrize(
         "command, text, field",
         [

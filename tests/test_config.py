@@ -64,6 +64,21 @@ class TestParsing:
         assert cfg.two_photon.eta == 0.8
         assert cfg.output_dir == "results"
 
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [
+            ({"stop": 0.5, "step": 0.3}, [0.0, 0.3]),
+            ({"stop": 1.0, "step": 0.6}, [0.0, 0.6]),
+            ({"start": 0.1, "stop": 0.4, "step": 0.1}, [0.1, 0.2, 0.3, 0.4]),
+            *(({"step": step}, [round(k * step, 10) for k in range(round(1 / step) + 1)])
+              for step in (0.01, 0.02, 0.05, 0.1, 0.25)),
+        ],
+    )
+    def test_p_grid_mapping_never_passes_stop(self, grid, expected):
+        # A step that does not divide the range stops short of stop; one
+        # that does keeps stop as its last point despite float round-off.
+        assert config_from_dict({"p_grid": grid}).p_grid == expected
+
     def test_alphabet_tokens_are_pi_multiples(self):
         cfg = config_from_dict({"alphabet": [0, "pi", 0.5]})
         assert cfg.alphabet == (0.0, math.pi, 0.5 * math.pi)

@@ -27,7 +27,6 @@ from pdqw.disorder import (
     check_alphabet,
     _draw_codes,
     _DrawCache,
-    _pcg64_states,
     map_seed,
     map_seeds,
     sample_block,
@@ -140,15 +139,6 @@ class TestBlockSampler:
         block = map_seeds(master, 2**32 - 2, 2**32 + 2)
         assert block.dtype == np.uint64
         assert block.tolist() == [self.numpy_seed(master, k) for k in range(2**32 - 2, 2**32 + 2)]
-
-    @pytest.mark.parametrize("master", MASTERS)
-    def test_pcg64_states_match_default_rng(self, master):
-        # derived seeds (all above 2**32 here) plus seeds below and at 2**32
-        seeds = [map_seed(master, k) for k in self.INDICES] + [0, 1, 2**32 - 1, 2**32, master]
-        states = _pcg64_states(np.array(seeds, dtype=np.uint64))
-        for seed, (state, inc) in zip(seeds, states):
-            expect = np.random.default_rng(seed).bit_generator.state["state"]
-            assert (state, inc) == (expect["state"], expect["inc"])
 
     @pytest.mark.parametrize("mode", SAMPLING_MODES)
     @pytest.mark.parametrize(
