@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand reads one YAML config, writes CSVs plus a JSON run
-manifest (config echo, tool version, sha256 per output, timings) into the
-output directory, and exits 0 only if all outputs were produced. Float
-cells use repr formatting, so identical runs produce byte-identical files.
+manifest (config echo, tool, Python and numpy versions, sha256 per output,
+timings) into the output directory, and exits 0 only if all outputs were
+produced. One writer formats each CSV column in a single pass, float cells
+with repr, so identical runs produce byte-identical files.
 Each CSV, map file and manifest is written under a temporary name and
 renamed into place, and a command deletes its old manifest before it runs,
 so a failed command leaves no truncated output and no manifest of its own.
@@ -56,14 +57,22 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
 
     A block is a list of columns: equal-length 1-D arrays, or scalars that
     repeat down the block. A float column is written as repr of each value,
-    any other column with str.
+    any other column with str. A scalar is formatted once and repeated, and
+    each block goes to the file in one write.
     """
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            columns = np.broadcast_arrays(*map(np.atleast_1d, block))
-            cells = [map(repr if c.dtype.kind == "f" else str, c.tolist()) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            columns = [np.asarray(c) for c in block]
+            # One row for an all-scalar block; ValueError if array lengths differ.
+            (n_rows,) = {len(c) for c in columns if c.ndim} or {1}
+            cells = []
+            for c in columns:
+                fmt = repr if c.dtype.kind == "f" else str
+                cells.append(map(fmt, c.tolist()) if c.ndim else [fmt(c.tolist())] * n_rows)
+            text = "\n".join(map(",".join, zip(*cells)))
+            if text:
+                fh.write(text + "\n")
 
 
 def _p_tag(p: float) -> str:
@@ -79,17 +88,21 @@ def _coin(cfg: SimulationConfig) -> np.ndarray:
     return coin_from_reflectivity(cfg.coin_reflectivity)
 
 
-def _cone(sites: np.ndarray, step: int) -> np.ndarray:
-    """Mask of the sites a walk from the origin can reach in `step` steps."""
+def _cone(sites: np.ndarray, step) -> np.ndarray:
+    """Mask of the sites a walk from the origin can reach in `step` steps;
+    a column of step counts gives one row of the mask per step."""
     return np.abs(sites) <= step
 
 
-def _cone_blocks(dists, *lead):
-    """One (*lead, step, site, probability) block per step's distribution,
-    restricted to the light cone."""
-    for step, dist in enumerate(dists, start=1):
-        keep = _cone(dist.sites, step)
-        yield [*lead, step, dist.sites[keep], dist.probabilities[keep]]
+def _cone_block(dists, *lead):
+    """One (*lead, step, site, probability) block over the distributions of
+    steps 1, 2, ... (all on one lattice), each restricted to its light cone."""
+    probs = np.stack([d.probabilities for d in dists])
+    sites = dists[0].sites
+    step = np.arange(1, len(probs) + 1)[:, None]
+    keep = _cone(sites, step)
+    return [*lead, np.broadcast_to(step, keep.shape)[keep],
+            np.broadcast_to(sites, keep.shape)[keep], probs[keep]]
 
 
 def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
@@ -104,7 +117,7 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     for name, pm in runs:
         states = evolve(cfg.steps, coin, pm, cfg.steps)
         _write_csv(out_dir / name, ["step", "site", "probability"],
-                   _cone_blocks(position_distribution(s) for s in states))
+                   [_cone_block([position_distribution(s) for s in states])])
     return [out_dir / name for name, _ in runs]
 
 
@@ -120,7 +133,7 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     ))
     dist_path = out_dir / "ensemble_distributions.csv"
     _write_csv(dist_path, ["p", "step", "site", "probability"],
-               (block for r in results for block in _cone_blocks(r.mean_distributions, r.p)))
+               (_cone_block(r.mean_distributions, r.p) for r in results))
     return [path, dist_path]
 
 
@@ -233,6 +246,8 @@ def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
     manifest = {
         "tool": "pdqw",
         "version": __version__,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config_path": str(Path(args.config).resolve()),

@@ -13,7 +13,6 @@ so regenerating from the stored header is bit-identical.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,26 +189,23 @@ class _DrawCache:
         self.nbytes = 0
         self.misses = 0
         self._blocks: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, steps: int, n_letters: int, master_seed: int, start: int, stop: int):
         key = (steps, n_letters, master_seed, start, stop)
-        with self._lock:
-            hit = self._blocks.get(key)
-            if hit is not None:
-                self._blocks.move_to_end(key)
-                return hit
-            self.misses += 1
+        hit = self._blocks.get(key)
+        if hit is not None:
+            self._blocks.move_to_end(key)
+            return hit
+        self.misses += 1
         draws = _draw(steps, n_letters, map_seeds(master_seed, start, stop))
         size = sum(a.nbytes for a in draws)
         for a in draws:
             a.setflags(write=False)
-        with self._lock:
-            if size <= self.budget and key not in self._blocks:
-                self._blocks[key] = draws
-                self.nbytes += size
-                while self.nbytes > self.budget:
-                    self.nbytes -= sum(a.nbytes for a in self._blocks.popitem(last=False)[1])
+        if size <= self.budget:
+            self._blocks[key] = draws
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                self.nbytes -= sum(a.nbytes for a in self._blocks.popitem(last=False)[1])
         return draws
 
 

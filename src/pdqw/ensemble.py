@@ -53,22 +53,19 @@ def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, table: np.ndarray, sta
     psi = np.zeros((2, block, n_sites), dtype=complex)
     psi[0, :, steps] = 1.0
     sites = np.arange(-steps, steps + 1, dtype=float)
-    sites_sq = sites * sites
 
-    variances = np.empty((block, steps))
     dists = np.empty((block, steps, n_sites))
     walk = _walk(*psi, coin, sample_block(spec, start, stop), table)
-    for n, (psi0, psi1) in enumerate(walk, start=1):
-        weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-        totals = weights.sum(axis=1, keepdims=True)
-        prob = weights / totals
-        dists[:, n - 1, :] = prob
-        # Row-wise sums round the same for a map whatever its block size;
-        # a matrix-vector product does not.
-        m1 = (prob * sites).sum(axis=1)
-        m2 = (prob * sites_sq).sum(axis=1)
-        variances[:, n - 1] = m2 - m1 * m1
-    return variances, dists
+    for n, (psi0, psi1) in enumerate(walk):
+        dists[:, n, :] = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
+    # Free the amplitudes before the moment products raise peak memory.
+    del psi, psi0, psi1
+    dists /= dists.sum(axis=2, keepdims=True)
+    # Row-wise sums round the same for a map whatever its block size;
+    # a matrix-vector product does not.
+    m1 = (dists * sites).sum(axis=2)
+    m2 = (dists * (sites * sites)).sum(axis=2)
+    return m2 - m1 * m1, dists
 
 
 def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
@@ -91,10 +88,7 @@ def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
     dists = np.concatenate([p[1] for p in parts], axis=0)
 
     mean_var, std_var = mean_and_std(variances)
-    mean_dists = [
-        Distribution(offset=-spec.steps, probabilities=dists[:, n, :].mean(axis=0))
-        for n in range(spec.steps)
-    ]
+    mean_dists = [Distribution(offset=-spec.steps, probabilities=m) for m in dists.mean(axis=0)]
     return EnsembleResult(
         p=spec.p,
         steps=spec.steps,

@@ -41,7 +41,7 @@ def _check_coin(coin: np.ndarray) -> np.ndarray:
     coin = np.asarray(coin, dtype=complex)
     if coin.shape != (2, 2):
         raise DomainError(f"coin must be 2x2, got shape {coin.shape}")
-    if not np.allclose(coin.conj().T @ coin, np.eye(2), atol=1e-12):
+    if not np.allclose(coin.conj().T @ coin, np.eye(2), rtol=0.0, atol=1e-12):
         raise DomainError("coin must be unitary within 1e-12")
     return coin
 
@@ -77,14 +77,16 @@ def _walk(psi0, psi1, coin, codes, table):
 
     The one walk driver: the single walker, the batched ensemble, the
     two-photon input columns and the mode unitary all step through it, so
-    all perform identical elementwise float operations. Step n multiplies
-    the coin-1 amplitudes by table[codes[..., n-1, :]], mixes with the coin
-    and shifts coin 0 one site left, coin 1 one site right. The shift is
-    periodic; a walk from the origin that stays within its lattice has zero
-    amplitude at the edges, so the wrap moves nothing.
+    all perform identical elementwise float operations. Step n gathers the
+    phase factors of row n-1 with table.take(codes[..., n-1, :]) (the values
+    fancy indexing gives, gathered faster), multiplies the coin-1 amplitudes
+    by them, mixes with the coin and shifts coin 0 one site left, coin 1
+    one site right. The shift is periodic; a walk from the origin that
+    stays within its lattice has zero amplitude at the edges, so the wrap
+    moves nothing.
     """
     for n in range(codes.shape[-2]):
-        b1 = table[codes[..., n, :]] * psi1
+        b1 = table.take(codes[..., n, :]) * psi1
         a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
         a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
         psi0 = np.empty_like(a0)

@@ -61,6 +61,8 @@ class TestEvolve:
         assert manifest["tool"] == "pdqw"
         assert manifest["command"] == "evolve"
         assert manifest["config"]["steps"] == 4
+        assert manifest["python"] == sys.version.split()[0]
+        assert manifest["numpy"] == np.__version__
         for name, meta in manifest["outputs"].items():
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == meta["sha256"]

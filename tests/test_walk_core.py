@@ -240,6 +240,16 @@ class TestValidation:
             evolve(3, COIN, None, 4)
 
     @pytest.mark.parametrize(
+        "coin",
+        [
+            np.array([[1.0, 0.0], [0.0, 0.5]]),
+            # ||C^dagger C - I|| = 8e-6: inside numpy's default rtol of 1e-5,
+            # far outside the documented 1e-12.
+            hadamard_coin() * (1 + 4e-6),
+        ],
+        ids=["contracting", "off-by-8e-6"],
+    )
+    @pytest.mark.parametrize(
         "run",
         [
             lambda coin: evolve(3, coin, None, 2),
@@ -249,9 +259,9 @@ class TestValidation:
         ],
         ids=["evolve", "single_particle_unitary", "run_ensemble", "run_pair_ensemble"],
     )
-    def test_nonunitary_coin_rejected(self, run):
+    def test_nonunitary_coin_rejected(self, run, coin):
         with pytest.raises(DomainError, match="unitary"):
-            run(np.array([[1.0, 0.0], [0.0, 0.5]]))
+            run(coin)
 
     def test_short_phase_map_rejected(self):
         pm = random_map(0.5, 2, seed=1)
