@@ -8,8 +8,8 @@ with repr, so identical runs produce byte-identical files.
 Each CSV, map file and manifest is written under a temporary name and
 renamed into place, and a command deletes its old manifest before it runs,
 so a failed command leaves no truncated output and no manifest of its own.
---threads is validated and echoed in the manifest, but maps run serially in
-fixed chunks whatever its value.
+--threads is validated and echoed in the manifest, but every scan runs
+serially in one process whatever its value.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import __version__
 from .analysis import crossing_point, fit_beta
 from .config import SimulationConfig, config_echo, load_config
 from .disorder import DisorderSpec, generate_phase_map, load_map, save_map
-from .ensemble import run_ensemble, similarity_scan
+from .ensemble import run_ensembles, similarity_scan
 from .errors import ConfigError, MapParseError, PdqwError
 from .two_photon import PAIR_CONVENTION, hom_scan, run_pair_ensemble
 from .walk_core import coin_from_reflectivity, evolve, position_distribution
@@ -94,11 +94,12 @@ def _cone(sites: np.ndarray, step) -> np.ndarray:
     return np.abs(sites) <= step
 
 
-def _cone_block(dists, *lead):
-    """One (*lead, step, site, probability) block over the distributions of
-    steps 1, 2, ... (all on one lattice), each restricted to its light cone."""
-    probs = np.stack([d.probabilities for d in dists])
-    sites = dists[0].sites
+def _cone_block(probs: np.ndarray, *lead):
+    """One (*lead, step, site, probability) block from probs[n-1], the
+    distribution after step n on a lattice centered on the origin, each row
+    restricted to its light cone."""
+    half = probs.shape[1] // 2
+    sites = np.arange(-half, half + 1)
     step = np.arange(1, len(probs) + 1)[:, None]
     keep = _cone(sites, step)
     return [*lead, np.broadcast_to(step, keep.shape)[keep],
@@ -117,13 +118,13 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     for name, pm in runs:
         states = evolve(cfg.steps, coin, pm, cfg.steps)
         _write_csv(out_dir / name, ["step", "site", "probability"],
-                   [_cone_block([position_distribution(s) for s in states])])
+                   [_cone_block(np.stack([position_distribution(s).probabilities for s in states]))])
     return [out_dir / name for name, _ in runs]
 
 
 def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
-    results = [run_ensemble(_spec(cfg, p), coin, cfg.n_maps) for p in cfg.p_grid]
+    results = run_ensembles([_spec(cfg, p) for p in cfg.p_grid], coin, cfg.n_maps)
     peak = np.max([r.mean_variance for r in results], axis=0)
     step = np.arange(1, cfg.steps + 1)
     path = out_dir / "ensemble.csv"
@@ -133,15 +134,15 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     ))
     dist_path = out_dir / "ensemble_distributions.csv"
     _write_csv(dist_path, ["p", "step", "site", "probability"],
-               (_cone_block(r.mean_distributions, r.p) for r in results))
+               (_cone_block(r.mean_probabilities, r.p) for r in results))
     return [path, dist_path]
 
 
 def cmd_beta(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     coin = _coin(cfg)
     fit_range = cfg.effective_fit_range()
-    fits = [fit_beta(run_ensemble(_spec(cfg, p), coin, cfg.n_maps).mean_variance, fit_range)
-            for p in cfg.p_values]
+    fits = [fit_beta(r.mean_variance, fit_range)
+            for r in run_ensembles([_spec(cfg, p) for p in cfg.p_values], coin, cfg.n_maps)]
     path = out_dir / "beta.csv"
     _write_csv(path, ["p", "beta", "beta_stderr", "prefactor", "fit_lo", "fit_hi", "n_maps", "seed"], (
         [p, fit.beta, fit.beta_stderr, fit.prefactor, *fit.fit_range, cfg.n_maps, cfg.master_seed]

@@ -210,7 +210,7 @@ class _DrawCache:
 
 
 # 32 MiB holds every block of a 1000-map scan up to steps 60; at steps 20
-# that is 8 blocks of 0.5 MB.
+# the blocks of 1000 maps hold 4.0 MB.
 _draws = _DrawCache(budget=32 << 20)
 
 

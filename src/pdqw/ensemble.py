@@ -1,10 +1,12 @@
 """Ensemble averaging over disorder realizations.
 
 The runner samples and evolves whole blocks of maps at once (amplitude
-arrays shaped (maps, sites)), which is what makes thousand-map scans over a
-dense p grid cheap. Chunk boundaries are constant, per-map results are
-concatenated in map-index order, and the mean/std pass runs over the
-assembled arrays.
+arrays shaped (rows, sites)), which is what makes thousand-map scans over a
+dense p grid cheap. The maps of one p are split into chunks of at most
+BATCH_CELLS // sites maps; chunks of several p are stacked into one batch
+and walked together. Every moment is taken row by row after each step, and
+each p's mean distribution is a running sum over its maps in index order,
+so no result depends on where chunks or batches split.
 """
 
 from __future__ import annotations
@@ -13,18 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Distribution, similarity
+from .analysis import Distribution
 from .disorder import DEFAULT_ALPHABET, DisorderSpec, phase_factors, sample_block
 from .errors import DomainError
 from .walk_core import _check_coin, _walk, evolve, position_distribution
 
-# Maps sampled and evolved together.
-CHUNK_SIZE = 128
+# Cells (rows x sites) stepped together: it bounds the amplitude arrays of a
+# batch and sets the maps per chunk. Larger batches save per-call overhead
+# but raise peak memory.
+BATCH_CELLS = 8192
 
 
 @dataclass
 class EnsembleResult:
-    """Per-step statistics over n_maps disorder realizations."""
+    """Per-step statistics over n_maps disorder realizations.
+
+    mean_probabilities[n-1] is the ensemble-mean distribution after step n
+    on sites -steps..steps.
+    """
 
     p: float
     steps: int
@@ -32,7 +40,12 @@ class EnsembleResult:
     master_seed: int
     mean_variance: np.ndarray
     std_variance: np.ndarray
-    mean_distributions: list[Distribution]
+    mean_probabilities: np.ndarray
+
+    @property
+    def mean_distributions(self) -> list[Distribution]:
+        """mean_probabilities as Distribution objects, built on each read."""
+        return [Distribution(offset=-self.steps, probabilities=m) for m in self.mean_probabilities]
 
 
 def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,29 +56,78 @@ def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(axis=0), std
 
 
-def _simulate_chunk(spec: DisorderSpec, coin: np.ndarray, table: np.ndarray, start: int, stop: int):
-    """Evolve maps start..stop-1 together; returns per-map variances and
-    per-map per-step distributions."""
-    steps = spec.steps
-    n_sites = 2 * steps + 1
-    block = stop - start
-    # psi[c]: coin-c amplitudes, one row per map.
-    psi = np.zeros((2, block, n_sites), dtype=complex)
-    psi[0, :, steps] = 1.0
-    sites = np.arange(-steps, steps + 1, dtype=float)
+def chunk_maps(steps: int) -> int:
+    """Maps per chunk at `steps` steps: as many rows as BATCH_CELLS holds."""
+    return max(1, BATCH_CELLS // (2 * steps + 1))
 
-    dists = np.empty((block, steps, n_sites))
-    walk = _walk(*psi, coin, sample_block(spec, start, stop), table)
-    for n, (psi0, psi1) in enumerate(walk):
-        dists[:, n, :] = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-    # Free the amplitudes before the moment products raise peak memory.
-    del psi, psi0, psi1
-    dists /= dists.sum(axis=2, keepdims=True)
-    # Row-wise sums round the same for a map whatever its block size;
-    # a matrix-vector product does not.
-    m1 = (dists * sites).sum(axis=2)
-    m2 = (dists * (sites * sites)).sum(axis=2)
-    return m2 - m1 * m1, dists
+
+def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
+    """run_ensemble for every spec, in order; the specs may differ only in p.
+
+    One coin check and one phase table serve the whole scan. Whole p (or,
+    past chunk_maps(steps) maps, single chunks of one p) are stacked along
+    the batch axis of one walk, and each result equals the one-spec call
+    bit for bit.
+    """
+    specs = list(specs)
+    if not specs:
+        raise DomainError("specs must not be empty")
+    if n_maps < 1:
+        raise DomainError("n_maps must be >= 1")
+    first = specs[0]
+    shared = ("steps", "alphabet", "sampling_mode", "master_seed")
+    if any(getattr(s, f) != getattr(first, f) for s in specs for f in shared):
+        raise DomainError(f"specs of one scan may differ only in p, not in {shared}")
+    coin = _check_coin(coin)
+    table = phase_factors(first.alphabet)
+    steps = first.steps
+    n_sites = 2 * steps + 1
+    sites = np.arange(-steps, steps + 1, dtype=float)
+    sites_sq = sites * sites
+
+    size = chunk_maps(steps)
+    chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
+    # Several whole p per batch, or one chunk; either way equal-sized chunks.
+    per_batch = max(1, size // n_maps)
+    sums = np.empty((len(specs), steps, n_sites))
+    moments = []
+    variances = []  # per-map variances of the chunks of the current p so far
+    for b in range(0, len(chunks), per_batch):
+        batch = chunks[b : b + per_batch]
+        (i, start, stop), k = batch[0], len(batch)
+        rows = k * (stop - start)
+        codes = np.concatenate([sample_block(specs[j], a, z) for j, a, z in batch])
+        # psi[c]: coin-c amplitudes, one row per map.
+        psi = np.zeros((2, rows, n_sites), dtype=complex)
+        psi[0, :, steps] = 1.0
+        walk = _walk(*psi, coin, codes, table)
+        del psi  # the start state is freed once the walk takes its first step
+        var = np.empty((rows, steps))
+        acc = sums[i : i + k]
+        for n, (psi0, psi1) in enumerate(walk):
+            w = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
+            # Sums over C-contiguous rows round the same for a map whatever
+            # its batch; a matrix-vector product does not.
+            w /= w.sum(axis=1, keepdims=True)
+            m1 = (w * sites).sum(axis=1)
+            m2 = (w * sites_sq).sum(axis=1)
+            var[:, n] = m2 - m1 * m1
+            w = w.reshape(k, -1, n_sites)
+            if start > 0:
+                # Carry the earlier chunks' sum into the first map, so the
+                # reduction adds the maps in index order, as one mean would.
+                w[:, 0] += acc[:, n]
+            acc[:, n] = w.sum(axis=1)
+        for var_chunk, (_, _, z) in zip(np.split(var, k), batch):
+            variances.append(var_chunk)
+            if z == n_maps:
+                moments.append(mean_and_std(np.concatenate(variances)))
+                variances = []
+    return [
+        EnsembleResult(p=s.p, steps=steps, n_maps=n_maps, master_seed=s.master_seed,
+                       mean_variance=mean, std_variance=std, mean_probabilities=total / n_maps)
+        for s, (mean, std), total in zip(specs, moments, sums)
+    ]
 
 
 def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
@@ -76,28 +138,7 @@ def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
     all maps agree (see mean_and_std). Output is a pure function of
     (spec, coin, n_maps).
     """
-    if n_maps < 1:
-        raise DomainError("n_maps must be >= 1")
-    coin = _check_coin(coin)
-    table = phase_factors(spec.alphabet)
-    parts = [
-        _simulate_chunk(spec, coin, table, a, min(a + CHUNK_SIZE, n_maps))
-        for a in range(0, n_maps, CHUNK_SIZE)
-    ]
-    variances = np.concatenate([p[0] for p in parts], axis=0)
-    dists = np.concatenate([p[1] for p in parts], axis=0)
-
-    mean_var, std_var = mean_and_std(variances)
-    mean_dists = [Distribution(offset=-spec.steps, probabilities=m) for m in dists.mean(axis=0)]
-    return EnsembleResult(
-        p=spec.p,
-        steps=spec.steps,
-        n_maps=n_maps,
-        master_seed=spec.master_seed,
-        mean_variance=mean_var,
-        std_variance=std_var,
-        mean_distributions=mean_dists,
-    )
+    return run_ensembles([spec], coin, n_maps)[0]
 
 
 @dataclass
@@ -117,6 +158,16 @@ class SimilarityScan:
     s_disordered: np.ndarray
 
 
+def _similarities(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """analysis.similarity of the rows of g against those of h (both on one
+    lattice, broadcast over the leading axes), value for value: sums over
+    C-contiguous rows round as the 1-D sums do, and each square is taken on
+    a Python float, whose pow rounds differently from numpy's x*x."""
+    root = np.sqrt((g / g.sum(axis=-1, keepdims=True)) * (h / h.sum(axis=-1, keepdims=True))).sum(axis=-1)
+    # Cauchy-Schwarz bounds the exact value by 1; clip float residue only.
+    return np.array([min(max(r**2, 0.0), 1.0) for r in root.ravel().tolist()]).reshape(root.shape)
+
+
 def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
                     sampling_mode: str = "bernoulli", alphabet=DEFAULT_ALPHABET) -> SimilarityScan:
     """Scan the dilution axis and score each ensemble mean against both
@@ -125,20 +176,14 @@ def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
     if p_grid.size < 2:
         raise DomainError("p_grid needs at least 2 points")
 
-    ordered = [position_distribution(s) for s in evolve(steps, coin, None, steps)]
-    # Each distinct p, the p=1 reference included, is evolved once.
-    means = {}
-    for p in (1.0, *p_grid.tolist()):
-        if p not in means:
-            spec = DisorderSpec(p, steps, alphabet, sampling_mode, master_seed)
-            means[p] = run_ensemble(spec, coin, n_maps).mean_distributions
-
-    s_ordered = np.empty((steps, p_grid.size))
-    s_disordered = np.empty((steps, p_grid.size))
-    for j, p in enumerate(p_grid.tolist()):
-        for n in range(steps):
-            s_ordered[n, j] = similarity(means[p][n], ordered[n])
-            s_disordered[n, j] = similarity(means[p][n], means[1.0][n])
+    ordered = np.stack([position_distribution(s).probabilities for s in evolve(steps, coin, None, steps)])
+    # Each distinct p, the p=1 reference included, is walked once.
+    distinct = list(dict.fromkeys([1.0, *p_grid.tolist()]))
+    specs = [DisorderSpec(p, steps, alphabet, sampling_mode, master_seed) for p in distinct]
+    means = {p: r.mean_probabilities for p, r in zip(distinct, run_ensembles(specs, coin, n_maps))}
+    scan = np.stack([means[p] for p in p_grid.tolist()], axis=1)  # (step, p, site)
+    s_ordered = _similarities(scan, ordered[:, None])
+    s_disordered = _similarities(scan, means[1.0][:, None])
     return SimilarityScan(
         p_grid=p_grid,
         steps=steps,

@@ -19,13 +19,15 @@ import numpy as np
 
 from .analysis import Distribution
 from .disorder import DisorderSpec, phase_factors, sample_block
-from .ensemble import CHUNK_SIZE, mean_and_std
+from .ensemble import mean_and_std
 from .errors import DomainError
 from .walk_core import _check_coin, _walk, mode_index, single_particle_unitary
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
 PAIR_CONVENTION = "unordered-pairs, diagonal counted once"
+# Maps sampled and evolved together.
+CHUNK_SIZE = 128
 
 
 @dataclass

@@ -31,8 +31,11 @@ from pdqw.disorder import (
     map_seeds,
     sample_block,
 )
-from pdqw.ensemble import CHUNK_SIZE, similarity_scan
+from pdqw.ensemble import chunk_maps, similarity_scan
 from pdqw.walk_core import hadamard_coin
+
+# A block boundary past the first map, where a runner's chunks could split.
+CHUNK_SIZE = 128
 
 # Frozen outputs of the seed derivation and the draw order. These pin the
 # on-disk compatibility contract: a change here silently invalidates every
@@ -238,7 +241,7 @@ class TestDrawCache:
 
     def test_a_scan_draws_each_chunk_once(self, draw_cache):
         p_grid = [0.0, 0.1, 0.2, 0.4, 0.8]
-        similarity_scan(p_grid, 3, CHUNK_SIZE + 3, hadamard_coin(), master_seed=8)
+        similarity_scan(p_grid, 3, chunk_maps(3) + 3, hadamard_coin(), master_seed=8)
         # len(p_grid) + 1 ensembles (the p = 1 reference), two chunks each
         assert draw_cache.misses == 2
 

@@ -1,5 +1,7 @@
 """Ensemble runner: batching, reduction order, and scan structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from pdqw import (
     hadamard_coin,
     position_distribution,
     run_ensemble,
+    run_ensembles,
     similarity,
     similarity_scan,
     variance,
 )
 import pdqw.ensemble
-from pdqw.ensemble import CHUNK_SIZE, mean_and_std
+from pdqw.analysis import Distribution
+from pdqw.ensemble import _similarities, chunk_maps, mean_and_std
 
 COIN = hadamard_coin()
 
@@ -38,17 +42,17 @@ class TestRunner:
         np.testing.assert_array_equal(res.mean_variance, per_map_variances(spec, 1)[0])
         np.testing.assert_array_equal(res.std_variance, np.zeros(6))
 
-    @pytest.mark.parametrize("n_maps", [12, CHUNK_SIZE + 3])
+    @pytest.mark.parametrize("n_maps", [12, chunk_maps(5) + 3])
     def test_mean_and_std_match_a_python_loop(self, n_maps):
-        # CHUNK_SIZE + 3 maps span two chunks: the second must sample maps
-        # CHUNK_SIZE.., and reduction must stay in index order.
+        # chunk_maps(5) + 3 maps span two chunks: the second must sample
+        # maps chunk_maps(5).., and reduction must stay in index order.
         spec = DisorderSpec(p=0.5, steps=5, master_seed=7)
         res = run_ensemble(spec, COIN, n_maps)
         manual = per_map_variances(spec, n_maps)
         np.testing.assert_allclose(res.mean_variance, manual.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance, manual.std(axis=0, ddof=1), atol=1e-12)
 
-    @pytest.mark.parametrize("steps,n_maps", [(5, 20), (20, CHUNK_SIZE + 2)])
+    @pytest.mark.parametrize("steps,n_maps", [(5, 20), (20, chunk_maps(20) + 2)])
     def test_identical_maps_have_exactly_zero_std(self, steps, n_maps):
         # At p = 0 every map is the ordered walk. Their mean can differ from
         # the common value in the last bit, which makes a plain n-1 std read
@@ -109,6 +113,34 @@ class TestRunner:
         with pytest.raises(DomainError):
             run_ensemble(spec, COIN, 0)
 
+    @pytest.mark.parametrize("other", [
+        DisorderSpec(p=0.5, steps=4, master_seed=1),
+        DisorderSpec(p=0.5, steps=3, master_seed=2),
+        DisorderSpec(p=0.5, steps=3, master_seed=1, alphabet=(0.5,)),
+        DisorderSpec(p=0.5, steps=3, master_seed=1, sampling_mode="exact_fraction"),
+    ], ids=["steps", "seed", "alphabet", "mode"])
+    def test_specs_of_one_call_differ_only_in_p(self, other):
+        spec = DisorderSpec(p=0.2, steps=3, master_seed=1)
+        with pytest.raises(DomainError):
+            run_ensembles([spec, other], COIN, 4)
+
+    def test_no_specs_rejected(self):
+        with pytest.raises(DomainError):
+            run_ensembles([], COIN, 4)
+
+    def test_memory_stays_within_a_few_batches(self):
+        # Keeping every map's (steps, sites) distributions until the end
+        # peaked at 13.0 MB here (a 6.6 MB tensor, concatenated once more).
+        spec = DisorderSpec(p=0.5, steps=20, master_seed=2)
+        run_ensemble(spec, COIN, 1000)  # the draws of this scan are cached from here on
+        tracemalloc.start()
+        try:
+            run_ensemble(spec, COIN, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestSimilarityScan:
     def test_shapes_and_limits(self):
@@ -126,17 +158,39 @@ class TestSimilarityScan:
         last = scan.s_ordered[-1]
         assert last[0] > last[1] > last[2]
 
-    def test_each_distinct_p_runs_once(self, monkeypatch):
-        runs = []
-        real = pdqw.ensemble.run_ensemble
+    def test_each_distinct_p_is_walked_once(self, monkeypatch):
+        walked = []
+        real = pdqw.ensemble.sample_block
 
-        def counting(spec, coin, n_maps):
-            runs.append(spec.p)
-            return real(spec, coin, n_maps)
+        def counting(spec, start, stop):
+            walked.append(spec.p)
+            return real(spec, start, stop)
 
-        monkeypatch.setattr(pdqw.ensemble, "run_ensemble", counting)
-        similarity_scan([0.0, 0.5, 1.0], steps=4, n_maps=10, coin=COIN, master_seed=3)
-        assert sorted(runs) == [0.0, 0.5, 1.0]
+        monkeypatch.setattr(pdqw.ensemble, "sample_block", counting)
+        # 10 maps are one chunk per p; 1.0 is the grid's and the reference's
+        similarity_scan([0.0, 0.5, 1.0, 0.5], steps=4, n_maps=10, coin=COIN, master_seed=3)
+        assert sorted(walked) == [0.0, 0.5, 1.0]
+
+    def test_matches_scalar_similarity(self):
+        grid = [0.0, 0.02, 0.3, 0.7, 1.0]
+        scan = similarity_scan(grid, steps=7, n_maps=30, coin=COIN, master_seed=9)
+        ordered = [position_distribution(s) for s in evolve(7, COIN, None, 7)]
+        ref = run_ensemble(DisorderSpec(p=1.0, steps=7, master_seed=9), COIN, 30).mean_distributions
+        for j, p in enumerate(grid):
+            means = run_ensemble(DisorderSpec(p=p, steps=7, master_seed=9), COIN, 30).mean_distributions
+            for n in range(7):
+                assert scan.s_ordered[n, j] == similarity(means[n], ordered[n])
+                assert scan.s_disordered[n, j] == similarity(means[n], ref[n])
+
+    def test_rows_score_as_the_scalar_similarity(self):
+        # The scalar path squares with pow, which rounds differently from
+        # x*x in about 1 value in 1000, so this needs many rows.
+        rng = np.random.default_rng(1)
+        g = rng.random((10000, 9)) ** 4
+        h = rng.random((1, 9))
+        got = _similarities(g, h)
+        ref = Distribution(offset=0, probabilities=h[0])
+        assert got.tolist() == [similarity(Distribution(offset=0, probabilities=row), ref) for row in g]
 
     def test_short_grid_rejected(self):
         with pytest.raises(DomainError):

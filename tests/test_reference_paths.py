@@ -1,4 +1,4 @@
-"""The chunk-tensor moments, the one-block light cone and the CSV writer,
+"""The batched moments, the one-block light cone and the CSV writer,
 bit for bit against the step-by-step and broadcasting code they replaced.
 
 numpy does not promise one reduction order across releases, so every test
@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from pdqw import DisorderSpec, evolve, hadamard_coin, position_distribution, run_ensemble
+from pdqw import DisorderSpec, evolve, hadamard_coin, position_distribution, run_ensemble, run_ensembles
 from pdqw.analysis import Distribution
 from pdqw.cli import _cone_block, _write_csv
 from pdqw.disorder import phase_factors, sample_block
-from pdqw.ensemble import CHUNK_SIZE, _simulate_chunk, mean_and_std
+from pdqw.ensemble import chunk_maps, mean_and_std
 
 COIN = hadamard_coin()
 ALPHABET = (0.0, 0.5 * math.pi, math.pi)
@@ -72,31 +72,43 @@ def reference_cone_blocks(dists, *lead):
         yield [*lead, step, dist.sites[keep], dist.probabilities[keep]]
 
 
-class TestChunkMoments:
+class TestBatchedMoments:
+    @pytest.mark.parametrize("mode", ["bernoulli", "exact_fraction"])
     @pytest.mark.parametrize("steps", [1, 7, 20])
-    # 130 and 300 maps span two and three chunks.
+    # The three p share one batch, except at 300 maps of steps 7 (one p per
+    # batch) and at 130 and 300 maps of steps 20 (one chunk per batch, and
+    # 300 maps split every p in two).
     @pytest.mark.parametrize("n_maps", [1, 64, 130, 300])
-    def test_matches_the_per_step_loop(self, n_maps, steps):
-        spec = DisorderSpec(p=0.5, steps=steps, alphabet=ALPHABET,
-                            sampling_mode="exact_fraction", master_seed=5)
-        table = phase_factors(spec.alphabet)
-        chunks = [(a, min(a + CHUNK_SIZE, n_maps)) for a in range(0, n_maps, CHUNK_SIZE)]
-        ref = [reference_chunk(spec, COIN, table, a, b) for a, b in chunks]
-        for (a, b), (ref_var, ref_dists) in zip(chunks, ref):
-            variances, dists = _simulate_chunk(spec, COIN, table, a, b)
-            assert np.array_equal(variances, ref_var)
-            assert np.array_equal(dists, ref_dists)
+    def test_matches_the_per_step_loop(self, n_maps, steps, mode):
+        specs = [DisorderSpec(p=p, steps=steps, alphabet=ALPHABET, sampling_mode=mode, master_seed=5)
+                 for p in (0.5, 0.0, 0.9)]
+        table = phase_factors(ALPHABET)
+        for spec, res in zip(specs, run_ensembles(specs, COIN, n_maps)):
+            ref_var, ref_dists = reference_chunk(spec, COIN, table, 0, n_maps)
+            mean, std = mean_and_std(ref_var)
+            assert (res.p, res.steps, res.n_maps) == (spec.p, steps, n_maps)
+            assert np.array_equal(res.mean_variance, mean)
+            assert np.array_equal(res.std_variance, std)
+            assert res.mean_probabilities.shape == (steps, 2 * steps + 1)
+            assert np.array_equal(res.mean_probabilities, ref_dists.mean(axis=0))
+            assert len(res.mean_distributions) == steps
+            for n, dist in enumerate(res.mean_distributions):
+                assert dist.offset == -steps
+                assert np.array_equal(dist.probabilities, ref_dists[:, n, :].mean(axis=0))
 
-        ref_var = np.concatenate([r[0] for r in ref])
-        ref_dists = np.concatenate([r[1] for r in ref])
-        res = run_ensemble(spec, COIN, n_maps)
-        mean, std = mean_and_std(ref_var)
-        assert np.array_equal(res.mean_variance, mean)
-        assert np.array_equal(res.std_variance, std)
-        assert len(res.mean_distributions) == steps
-        for n, dist in enumerate(res.mean_distributions):
-            assert dist.offset == -steps
-            assert np.array_equal(dist.probabilities, ref_dists[:, n, :].mean(axis=0))
+    # A third of a chunk puts three p in a batch, so seven p leave a last
+    # batch of one; a chunk and 51 maps put one chunk in each batch and
+    # split every p in two.
+    @pytest.mark.parametrize("n_maps", [chunk_maps(20) // 3, chunk_maps(20) + 51])
+    def test_uneven_batches_match_one_p_at_a_time(self, n_maps):
+        grid = [0.0, 0.13, 0.5, 0.13, 1.0, 0.27, 0.9]
+        specs = [DisorderSpec(p=p, steps=20, master_seed=11) for p in grid]
+        for spec, res in zip(specs, run_ensembles(specs, COIN, n_maps), strict=True):
+            one = run_ensemble(spec, COIN, n_maps)
+            assert res.p == one.p
+            assert np.array_equal(res.mean_variance, one.mean_variance)
+            assert np.array_equal(res.std_variance, one.std_variance)
+            assert np.array_equal(res.mean_probabilities, one.mean_probabilities)
 
 
 def csv_text(tmp_path, writer, header, blocks):
@@ -141,7 +153,8 @@ class TestConeBlock:
                 for p in (0.0, 0.37, 1.0)}
         header = ["p", "step", "site", "probability"]
         got = csv_text(tmp_path, _write_csv, header,
-                       (_cone_block(dists, p) for p, dists in runs.items()))
+                       (_cone_block(np.stack([d.probabilities for d in dists]), p)
+                        for p, dists in runs.items()))
         want = csv_text(tmp_path, reference_write_csv, header,
                         (b for p, dists in runs.items() for b in reference_cone_blocks(dists, p)))
         assert got == want
@@ -150,5 +163,6 @@ class TestConeBlock:
     def test_evolve_block_matches_blocks_per_step(self, tmp_path, n_max):
         dists = [position_distribution(s) for s in evolve(n_max, COIN, None, 5)]
         header = ["step", "site", "probability"]
-        assert (csv_text(tmp_path, _write_csv, header, [_cone_block(dists)])
+        probs = np.stack([d.probabilities for d in dists])
+        assert (csv_text(tmp_path, _write_csv, header, [_cone_block(probs)])
                 == csv_text(tmp_path, reference_write_csv, header, reference_cone_blocks(dists)))

@@ -23,7 +23,7 @@ from pdqw import (
     two_photon_mode_distribution,
     variance2,
 )
-from pdqw.ensemble import CHUNK_SIZE
+from pdqw.two_photon import CHUNK_SIZE
 
 COIN = hadamard_coin()
 
