@@ -230,8 +230,20 @@ def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
 
 
 def phase_factors(alphabet) -> np.ndarray:
-    """e^{i phase} for every cell code: 1 for code 0, e^{i a} for letter a."""
-    return np.exp(1j * np.array([0.0, *alphabet]))
+    """e^{i phase} for every cell code: 1 for code 0, e^{i a} for letter a.
+
+    A letter that is a whole number of quarter turns (a / (pi/2) an integer,
+    as 0, pi/2, pi and 3pi/2 are) gets exactly 1, i, -1 or -i; np.exp leaves
+    a residue of about 1e-16 in the other component, which would keep a
+    walk over the default {0, pi} alphabet complex. Every other letter keeps
+    np.exp's value.
+    """
+    phases = np.array([0.0, *alphabet])
+    turns = phases / (np.pi / 2)
+    exact = turns == np.floor(turns)
+    factors = np.exp(1j * phases)
+    factors[exact] = np.array([1, 1j, -1, -1j])[(turns[exact] % 4).astype(int)]
+    return factors
 
 
 def generate_phase_map(spec: DisorderSpec, map_index: int) -> PhaseMap:

@@ -29,6 +29,8 @@ from pdqw.disorder import (
     _DrawCache,
     map_seed,
     map_seeds,
+    parse_alphabet_token,
+    phase_factors,
     sample_block,
 )
 from pdqw.ensemble import chunk_maps, similarity_scan
@@ -275,6 +277,31 @@ class TestDrawCache:
             warm = sample_block(spec, 0, maps)
         np.testing.assert_array_equal(cold, fresh)
         np.testing.assert_array_equal(warm, fresh)
+
+
+class TestPhaseFactors:
+    # Tokens in units of pi, as config and map files give them.
+    @pytest.mark.parametrize("token, factor", [
+        ("0", 1), ("0.5", 1j), ("-0.5", -1j), ("1", -1), ("pi", -1), ("1.5", -1j), ("2", 1),
+    ])
+    def test_quarter_turns_are_exact(self, token, factor):
+        table = phase_factors([parse_alphabet_token(token)])
+        assert table.dtype == complex
+        assert table[0] == 1
+        assert (table[1].real, table[1].imag) == (factor.real, factor.imag)
+
+    def test_default_alphabet_is_real(self):
+        table = phase_factors(DEFAULT_ALPHABET)
+        assert np.array_equal(table.real, [1.0, 1.0, -1.0])
+        assert not table.imag.any()
+
+    @pytest.mark.parametrize("token", ["0.25", "-0.75", repr(1 / 3), "0.1"])
+    def test_other_letters_keep_exp(self, token):
+        a = parse_alphabet_token(token)
+        table = phase_factors([0.0, a])
+        reference = np.exp(1j * np.array([0.0, 0.0, a]))
+        assert table[2:].tobytes() == reference[2:].tobytes()
+        assert table[2].imag != 0.0
 
 
 class TestSpecValidation:
