@@ -2,7 +2,8 @@
 
 Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool, Python and numpy versions, sha256 per output,
-timings) into the output directory, and exits 0 only if all outputs were
+timings, and for the ensemble commands the largest norm drift) into the
+output directory, and exits 0 only if all outputs were
 produced. One writer formats each CSV column in a single pass, float cells
 with repr, so identical runs produce byte-identical files.
 Each CSV, map file and manifest is written under a temporary name and
@@ -106,7 +107,7 @@ def _cone_block(probs: np.ndarray, *lead):
             np.broadcast_to(sites, keep.shape)[keep], probs[keep]]
 
 
-def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     coin = _coin(cfg)
     if args.map is not None:
         pm = load_map(args.map)
@@ -119,10 +120,10 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
         states = evolve(cfg.steps, coin, pm, cfg.steps)
         _write_csv(out_dir / name, ["step", "site", "probability"],
                    [_cone_block(np.stack([position_distribution(s).probabilities for s in states]))])
-    return [out_dir / name for name, _ in runs]
+    return [out_dir / name for name, _ in runs], {}
 
 
-def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     coin = _coin(cfg)
     results = run_ensembles([_spec(cfg, p) for p in cfg.p_grid], coin, cfg.n_maps)
     peak = np.max([r.mean_variance for r in results], axis=0)
@@ -135,23 +136,23 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     dist_path = out_dir / "ensemble_distributions.csv"
     _write_csv(dist_path, ["p", "step", "site", "probability"],
                (_cone_block(r.mean_probabilities, r.p) for r in results))
-    return [path, dist_path]
+    return [path, dist_path], {"max_norm_drift": max(r.max_norm_drift for r in results)}
 
 
-def cmd_beta(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_beta(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     coin = _coin(cfg)
     fit_range = cfg.effective_fit_range()
-    fits = [fit_beta(r.mean_variance, fit_range)
-            for r in run_ensembles([_spec(cfg, p) for p in cfg.p_values], coin, cfg.n_maps)]
+    results = run_ensembles([_spec(cfg, p) for p in cfg.p_values], coin, cfg.n_maps)
+    fits = [fit_beta(r.mean_variance, fit_range) for r in results]
     path = out_dir / "beta.csv"
     _write_csv(path, ["p", "beta", "beta_stderr", "prefactor", "fit_lo", "fit_hi", "n_maps", "seed"], (
         [p, fit.beta, fit.beta_stderr, fit.prefactor, *fit.fit_range, cfg.n_maps, cfg.master_seed]
         for p, fit in zip(cfg.p_values, fits)
     ))
-    return [path]
+    return [path], {"max_norm_drift": max(r.max_norm_drift for r in results)}
 
 
-def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     cfg.check_crossing_steps()
     grid = np.asarray(cfg.p_grid, dtype=float)
     if np.diff(grid).max() > LOW_RESOLUTION_SPACING:
@@ -169,18 +170,20 @@ def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
               for n in cfg.crossing_steps]
     cross_path = out_dir / "crossing.csv"
     _write_csv(cross_path, ["step", "p_star"], ([cp.step, cp.p_star] for cp in points))
-    return [scan_path, cross_path]
+    return [scan_path, cross_path], {"max_norm_drift": scan.max_norm_drift}
 
 
-def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     coin = _coin(cfg)
     display = cfg.two_photon.display_normalization
     header = ["site_i", "site_j", "probability"] + (["probability_display"] if display else [])
     step = np.arange(1, cfg.steps + 1)
     outputs = []
     var_blocks = []
+    drift = 0.0
     for p in cfg.p_values:
         ens = run_pair_ensemble(_spec(cfg, p), coin, cfg.n_maps, cfg.two_photon.eta)
+        drift = max(drift, ens.max_norm_drift)
         var_blocks.append([p, step, ens.mean_variance2, ens.std_variance2, cfg.n_maps, cfg.master_seed])
         for n, cm in enumerate(ens.mean_matrices, start=1):
             keep = _cone(cm.sites, n)
@@ -197,19 +200,19 @@ def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
     var_path = out_dir / "two_photon_var2.csv"
     _write_csv(var_path, ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], var_blocks)
     outputs.append(var_path)
-    return outputs
+    return outputs, {"max_norm_drift": drift}
 
 
-def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     tp = cfg.two_photon
     scan = hom_scan(tp.delays, tp.coherence_time, tp.visibility, _coin(cfg))
     path = out_dir / "hom.csv"
     _write_csv(path, ["delay", "eta", "normalized_coincidence"],
                [[scan.delays, scan.etas, scan.coincidences]])
-    return [path]
+    return [path], {}
 
 
-def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
+def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     outputs = []
     for p in cfg.p_values:
         sub = out_dir / "maps" / f"p{_p_tag(p)}"
@@ -220,7 +223,7 @@ def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> list[Path]:
             with _replacing(path) as fh:
                 save_map(generate_phase_map(spec, k), fh)
             outputs.append(path)
-    return outputs
+    return outputs, {}
 
 
 _COMMANDS = {
@@ -243,7 +246,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
-                    outputs: list[Path], elapsed: float) -> None:
+                    outputs: list[Path], fields: dict, elapsed: float) -> None:
+    """Write the run manifest; `fields` are the command's own entries."""
     manifest = {
         "tool": "pdqw",
         "version": __version__,
@@ -265,6 +269,7 @@ def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
             for p in outputs
         },
         "timings_seconds": {"total": elapsed},
+        **fields,
     }
     with _replacing(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -321,8 +326,8 @@ def main(argv=None) -> int:
     manifest = out_dir / f"manifest_{command.replace('-', '_')}.json"
     try:
         manifest.unlink(missing_ok=True)
-        outputs = _COMMANDS[command](cfg, args, out_dir)
-        _write_manifest(manifest, command, cfg, args, outputs, time.perf_counter() - started)
+        outputs, fields = _COMMANDS[command](cfg, args, out_dir)
+        _write_manifest(manifest, command, cfg, args, outputs, fields, time.perf_counter() - started)
     except (ConfigError, MapParseError) as exc:
         print(f"pdqw {command}: input error: {exc}", file=sys.stderr)
         return 2

@@ -235,8 +235,8 @@ def phase_factors(alphabet) -> np.ndarray:
     A letter that is a whole number of quarter turns (a / (pi/2) an integer,
     as 0, pi/2, pi and 3pi/2 are) gets exactly 1, i, -1 or -i; np.exp leaves
     a residue of about 1e-16 in the other component, which would keep a
-    walk over the default {0, pi} alphabet complex. Every other letter keeps
-    np.exp's value.
+    walk over the default {0, pi} alphabet out of float64 (see
+    walk_core._walk_operands). Every other letter keeps np.exp's value.
     """
     phases = np.array([0.0, *alphabet])
     turns = phases / (np.pi / 2)

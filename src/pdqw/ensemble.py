@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
-from .disorder import DEFAULT_ALPHABET, DisorderSpec, phase_factors, sample_block
+from .disorder import DEFAULT_ALPHABET, DisorderSpec, sample_block
 from .errors import DomainError
-from .walk_core import _check_coin, _walk, evolve, position_distribution
+from .walk_core import _walk, _walk_operands, evolve, position_distribution
 
 # Cells (rows x sites) stepped together: it bounds the amplitude arrays of a
 # batch and sets the maps per chunk. Larger batches save per-call overhead
@@ -31,7 +31,9 @@ class EnsembleResult:
     """Per-step statistics over n_maps disorder realizations.
 
     mean_probabilities[n-1] is the ensemble-mean distribution after step n
-    on sites -steps..steps.
+    on sites -steps..steps. max_norm_drift is the largest |weight - 1| of a
+    map's walk before its distribution is normalized: the walk is unitary,
+    so it measures round-off.
     """
 
     p: float
@@ -41,6 +43,7 @@ class EnsembleResult:
     mean_variance: np.ndarray
     std_variance: np.ndarray
     mean_probabilities: np.ndarray
+    max_norm_drift: float
 
     @property
     def mean_distributions(self) -> list[Distribution]:
@@ -78,8 +81,7 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     shared = ("steps", "alphabet", "sampling_mode", "master_seed")
     if any(getattr(s, f) != getattr(first, f) for s in specs for f in shared):
         raise DomainError(f"specs of one scan may differ only in p, not in {shared}")
-    coin = _check_coin(coin)
-    table = phase_factors(first.alphabet)
+    coin, table = _walk_operands(coin, first.alphabet)
     steps = first.steps
     n_sites = 2 * steps + 1
     sites = np.arange(-steps, steps + 1, dtype=float)
@@ -90,6 +92,7 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     # Several whole p per batch, or one chunk; either way equal-sized chunks.
     per_batch = max(1, size // n_maps)
     sums = np.empty((len(specs), steps, n_sites))
+    drifts = np.zeros(len(specs))
     moments = []
     variances = []  # per-map variances of the chunks of the current p so far
     for b in range(0, len(chunks), per_batch):
@@ -98,17 +101,19 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
         rows = k * (stop - start)
         codes = np.concatenate([sample_block(specs[j], a, z) for j, a, z in batch])
         # psi[c]: coin-c amplitudes, one row per map.
-        psi = np.zeros((2, rows, n_sites), dtype=complex)
+        psi = np.zeros((2, rows, n_sites), dtype=coin.dtype)
         psi[0, :, steps] = 1.0
         walk = _walk(*psi, coin, codes, table)
         del psi  # the start state is freed once the walk takes its first step
         var = np.empty((rows, steps))
+        totals = np.empty((steps, rows))
         acc = sums[i : i + k]
         for n, (psi0, psi1) in enumerate(walk):
             w = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
             # Sums over C-contiguous rows round the same for a map whatever
             # its batch; a matrix-vector product does not.
-            w /= w.sum(axis=1, keepdims=True)
+            totals[n] = w.sum(axis=1)
+            w /= totals[n, :, None]
             m1 = (w * sites).sum(axis=1)
             m2 = (w * sites_sq).sum(axis=1)
             var[:, n] = m2 - m1 * m1
@@ -118,6 +123,8 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
                 # reduction adds the maps in index order, as one mean would.
                 w[:, 0] += acc[:, n]
             acc[:, n] = w.sum(axis=1)
+        drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
+        np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
         for var_chunk, (_, _, z) in zip(np.split(var, k), batch):
             variances.append(var_chunk)
             if z == n_maps:
@@ -125,8 +132,9 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
                 variances = []
     return [
         EnsembleResult(p=s.p, steps=steps, n_maps=n_maps, master_seed=s.master_seed,
-                       mean_variance=mean, std_variance=std, mean_probabilities=total / n_maps)
-        for s, (mean, std), total in zip(specs, moments, sums)
+                       mean_variance=mean, std_variance=std, mean_probabilities=total / n_maps,
+                       max_norm_drift=float(drift))
+        for s, (mean, std), total, drift in zip(specs, moments, sums, drifts)
     ]
 
 
@@ -148,6 +156,8 @@ class SimilarityScan:
     s_ordered[n-1, j] compares the mean distribution at step n, dilution
     p_grid[j], against the zero-phase walk; s_disordered compares against
     the p=1 ensemble mean at the same n_maps and master seed.
+    max_norm_drift is the largest of the scanned ensembles' (see
+    EnsembleResult).
     """
 
     p_grid: np.ndarray
@@ -156,6 +166,7 @@ class SimilarityScan:
     master_seed: int
     s_ordered: np.ndarray
     s_disordered: np.ndarray
+    max_norm_drift: float
 
 
 def _similarities(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -180,7 +191,8 @@ def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
     # Each distinct p, the p=1 reference included, is walked once.
     distinct = list(dict.fromkeys([1.0, *p_grid.tolist()]))
     specs = [DisorderSpec(p, steps, alphabet, sampling_mode, master_seed) for p in distinct]
-    means = {p: r.mean_probabilities for p, r in zip(distinct, run_ensembles(specs, coin, n_maps))}
+    results = run_ensembles(specs, coin, n_maps)
+    means = {p: r.mean_probabilities for p, r in zip(distinct, results)}
     scan = np.stack([means[p] for p in p_grid.tolist()], axis=1)  # (step, p, site)
     s_ordered = _similarities(scan, ordered[:, None])
     s_disordered = _similarities(scan, means[1.0][:, None])
@@ -191,4 +203,5 @@ def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
         master_seed=master_seed,
         s_ordered=s_ordered,
         s_disordered=s_disordered,
+        max_norm_drift=max(r.max_norm_drift for r in results),
     )

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
-from .disorder import DisorderSpec, phase_factors, sample_block
+from .disorder import DisorderSpec, sample_block
 from .ensemble import mean_and_std
 from .errors import DomainError
-from .walk_core import _check_coin, _walk, mode_index, single_particle_unitary
+from .walk_core import _walk, _walk_operands, mode_index, single_particle_unitary
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -171,7 +171,12 @@ def pair_marginal(cm: CoincidenceMatrix) -> Distribution:
 
 @dataclass
 class PairEnsemble:
-    """Disorder-averaged pair statistics, step by step."""
+    """Disorder-averaged pair statistics, step by step.
+
+    max_norm_drift is the largest deviation of the evolved input columns
+    from orthonormality (|pA| - 1, |pB| - 1, and their overlap) over every
+    map and step: the walk is unitary, so it measures round-off.
+    """
 
     p: float
     steps: int
@@ -181,6 +186,7 @@ class PairEnsemble:
     mean_matrices: list[CoincidenceMatrix]
     mean_variance2: np.ndarray
     std_variance2: np.ndarray
+    max_norm_drift: float
 
 
 def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
@@ -202,7 +208,7 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
     pair = PairInput(pair_modes[0], pair_modes[1], eta=eta)
-    coin = _check_coin(coin)
+    coin, table = _walk_operands(coin, spec.alphabet)
     steps = spec.steps
     n_sites = 2 * steps + 1
     ia = mode_index(*pair.mode_a, steps)
@@ -211,16 +217,16 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
     sites = np.arange(-steps, steps + 1, dtype=float)
     centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
     centroid_sq = centroid * centroid
-    table = phase_factors(spec.alphabet)
 
     density_sums = np.zeros((steps, n_sites, n_sites))
     var2 = np.empty((n_maps, steps))
+    worst = 0.0
     for start in range(0, n_maps, CHUNK_SIZE):
         stop = min(start + CHUNK_SIZE, n_maps)
         block = stop - start
         codes = sample_block(spec, start, stop)[:, None]
         # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
-        psi = np.zeros((2, block, 2, n_sites), dtype=complex)
+        psi = np.zeros((2, block, 2, n_sites), dtype=coin.dtype)
         psi[ia % 2, :, 0, ia // 2] = 1.0
         psi[ib % 2, :, 1, ib // 2] = 1.0
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table), start=1):
@@ -234,6 +240,7 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
             )
             if drift > UNITARY_TOL:
                 raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
+            worst = max(worst, float(drift))
 
             if same_input:
                 density = pa[:, :, None] * pa[:, None, :]
@@ -263,6 +270,7 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
         mean_matrices=mean_matrices,
         mean_variance2=mean_var2,
         std_variance2=std_var2,
+        max_norm_drift=worst,
     )
 
 

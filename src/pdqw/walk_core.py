@@ -46,6 +46,24 @@ def _check_coin(coin: np.ndarray) -> np.ndarray:
     return coin
 
 
+def _walk_operands(coin, alphabet) -> tuple[np.ndarray, np.ndarray]:
+    """The checked coin and the phase-factor table of `alphabet` (indexed by
+    cell code, see phase_factors), in the dtype every walk runs in.
+
+    This is the one place that dtype is chosen: float64 when neither the
+    coin nor the table has an imaginary part, as for any
+    coin_from_reflectivity coin over the default {0, pi} alphabet, and
+    complex128 otherwise. With zero imaginary parts complex products and
+    sums give the real parts that float64 gives, and |x| = hypot(x, 0), so
+    both dtypes walk to the same probabilities bit for bit.
+    """
+    coin = _check_coin(coin)
+    table = phase_factors(alphabet)
+    if coin.imag.any() or table.imag.any():
+        return coin, table
+    return coin.real.copy(), table.real.copy()
+
+
 @dataclass
 class WalkState:
     """Walker amplitudes on the lattice.
@@ -77,7 +95,8 @@ def _walk(psi0, psi1, coin, codes, table):
 
     The one walk driver: the single walker, the batched ensemble, the
     two-photon input columns and the mode unitary all step through it, so
-    all perform identical elementwise float operations. Step n gathers the
+    all perform identical elementwise float operations, in the dtype of the
+    operands that _walk_operands gives them. Step n gathers the
     phase factors of row n-1 with table.take(codes[..., n-1, :]) (the values
     fancy indexing gives, gathered faster), multiplies the coin-1 amplitudes
     by them, mixes with the coin and shifts coin 0 one site left, coin 1
@@ -98,17 +117,17 @@ def _walk(psi0, psi1, coin, codes, table):
         yield psi0, psi1
 
 
-def _map_on_lattice(phase_map, n_max: int, steps: int):
+def _map_on_lattice(phase_map, n_max: int, steps: int) -> np.ndarray:
     """The first `steps` rows of the map's code plane on sites -n_max..n_max
-    (cropped, or padded with unmarked cells), and its phase factors. None
-    stands for the map with no phases."""
+    (cropped, or padded with unmarked cells). None stands for the map with
+    no phases."""
     if phase_map is None:
-        return np.zeros((steps, 2 * n_max + 1), dtype=np.int8), phase_factors(())
+        return np.zeros((steps, 2 * n_max + 1), dtype=np.int8)
     if phase_map.steps < steps:
         raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
     padded = np.pad(phase_map.codes[:steps], ((0, 0), (n_max, n_max)))
     first = phase_map.steps  # the padded column of site -n_max
-    return padded[:, first : first + 2 * n_max + 1], phase_factors(phase_map.alphabet)
+    return padded[:, first : first + 2 * n_max + 1]
 
 
 def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
@@ -119,13 +138,13 @@ def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
     rows 1..steps feed the per-step phase stage. steps beyond n_max raise
     CapacityError before any work is done.
     """
-    coin = _check_coin(coin)
+    coin, table = _walk_operands(coin, () if phase_map is None else phase_map.alphabet)
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if steps > n_max:
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
-    codes, table = _map_on_lattice(phase_map, n_max, steps)
-    psi0 = np.zeros(2 * n_max + 1, dtype=complex)
+    codes = _map_on_lattice(phase_map, n_max, steps)
+    psi0 = np.zeros(2 * n_max + 1, dtype=coin.dtype)
     psi0[n_max] = 1.0
     return [
         WalkState(n_max=n_max, amplitudes=np.stack(psi, axis=1), step=n)
@@ -162,17 +181,17 @@ def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarr
     columns whose light cone stays inside the lattice agree with `evolve`.
     Sites beyond the map's rows get phase 0. steps=0 returns the identity.
     """
-    coin = _check_coin(coin)
+    coin, table = _walk_operands(coin, () if phase_map is None else phase_map.alphabet)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if steps < 0:
         raise DomainError("steps must be >= 0")
-    codes, table = _map_on_lattice(phase_map, n_max, steps)
+    codes = _map_on_lattice(phase_map, n_max, steps)
     n_sites = 2 * n_max + 1
     dim = 2 * n_sites
     # psi_c[j, s]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
-    basis = np.eye(dim, dtype=complex).reshape(dim, n_sites, 2)
+    basis = np.eye(dim, dtype=coin.dtype).reshape(dim, n_sites, 2)
     psi = basis[..., 0], basis[..., 1]
     for psi in _walk(*psi, coin, codes, table):
         pass  # only the last step's amplitudes are wanted
-    return np.stack(psi, axis=-1).reshape(dim, dim).T
+    return np.stack(psi, axis=-1).reshape(dim, dim).T.astype(complex, copy=False)

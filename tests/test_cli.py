@@ -237,6 +237,37 @@ class TestTwoPhotonCommands:
         assert float(center[2]) == pytest.approx(0.07, abs=1e-12)
 
 
+class TestManifestTelemetry:
+    CFG = ("steps: 4\nn_maps: 60\nmaster_seed: 11\np_values: [0.0, 0.5, 1.0]\n"
+           "p_grid: [0.0, 0.25, 0.5, 0.75, 1.0]\ncrossing_steps: [3, 4]\n")
+
+    @pytest.mark.parametrize("command", ["ensemble", "beta", "crossing", "two-photon"])
+    def test_scans_record_their_largest_norm_drift(self, tmp_path, command):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
+        drift = manifest["max_norm_drift"]
+        assert isinstance(drift, float) and np.isfinite(drift)
+        assert 0.0 <= drift < 1e-12
+
+    def test_drift_is_the_largest_of_the_scan(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        drifts = [run_ensemble(DisorderSpec(p=p, steps=4, master_seed=11), COIN, 60).max_norm_drift
+                  for p in grid]
+        manifest = json.loads((out / "manifest_ensemble.json").read_text())
+        assert manifest["max_norm_drift"] == max(drifts)
+
+    def test_single_walks_record_none(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert "max_norm_drift" not in json.loads((out / "manifest_evolve.json").read_text())
+
+
 class TestGenMaps:
     def test_files_round_trip_to_the_generator(self, tmp_path):
         cfg = write_config(tmp_path, "steps: 3\nn_maps: 3\nmaster_seed: 6\np_values: [0.5]\n")

@@ -1,5 +1,7 @@
 """The batched moments, the one-block light cone and the CSV writer,
-bit for bit against the step-by-step and broadcasting code they replaced.
+bit for bit against the step-by-step and broadcasting code they replaced,
+and the float64 walk against the complex128 walk it replaces wherever the
+coin and phase factors are real.
 
 numpy does not promise one reduction order across releases, so every test
 here runs its reference code on the numpy under test instead of comparing
@@ -11,11 +13,26 @@ import math
 import numpy as np
 import pytest
 
-from pdqw import DisorderSpec, evolve, hadamard_coin, position_distribution, run_ensemble, run_ensembles
+import pdqw.ensemble
+import pdqw.two_photon
+import pdqw.walk_core
+from pdqw import (
+    DisorderSpec,
+    coin_from_reflectivity,
+    evolve,
+    generate_phase_map,
+    hadamard_coin,
+    position_distribution,
+    run_ensemble,
+    run_ensembles,
+    run_pair_ensemble,
+    single_particle_unitary,
+)
 from pdqw.analysis import Distribution
 from pdqw.cli import _cone_block, _write_csv
-from pdqw.disorder import phase_factors, sample_block
+from pdqw.disorder import DEFAULT_ALPHABET, phase_factors, sample_block
 from pdqw.ensemble import chunk_maps, mean_and_std
+from pdqw.walk_core import _walk_operands
 
 COIN = hadamard_coin()
 ALPHABET = (0.0, 0.5 * math.pi, math.pi)
@@ -109,6 +126,62 @@ class TestBatchedMoments:
             assert np.array_equal(res.mean_variance, one.mean_variance)
             assert np.array_equal(res.std_variance, one.std_variance)
             assert np.array_equal(res.mean_probabilities, one.mean_probabilities)
+
+
+def complex_operands(coin, alphabet):
+    """_walk_operands, but always in complex128."""
+    coin, table = _walk_operands(coin, alphabet)
+    return coin.astype(complex), table.astype(complex)
+
+
+@pytest.mark.parametrize("reflectivity", [0.5, 0.45])
+class TestRealWalk:
+    """On the default {0, pi} alphabet every coin_from_reflectivity walk runs
+    in float64, and gives what the complex128 walk gives, bit for bit."""
+
+    @pytest.mark.parametrize("steps, n_maps", [(7, 64), (20, 64), (20, 300)])
+    def test_ensemble_matches_the_complex_per_step_loop(self, reflectivity, steps, n_maps):
+        coin = coin_from_reflectivity(reflectivity)
+        assert _walk_operands(coin, DEFAULT_ALPHABET)[0].dtype == np.float64
+        table = phase_factors(DEFAULT_ALPHABET)
+        assert table.dtype == np.complex128
+        specs = [DisorderSpec(p=p, steps=steps, master_seed=9) for p in (0.5, 0.0, 1.0)]
+        for spec, res in zip(specs, run_ensembles(specs, coin, n_maps)):
+            ref_var, ref_dists = reference_chunk(spec, coin, table, 0, n_maps)
+            mean, std = mean_and_std(ref_var)
+            assert np.array_equal(res.mean_variance, mean)
+            assert np.array_equal(res.std_variance, std)
+            assert np.array_equal(res.mean_probabilities, ref_dists.mean(axis=0))
+
+    def test_every_path_matches_its_complex_walk(self, reflectivity, monkeypatch):
+        coin = coin_from_reflectivity(reflectivity)
+        spec = DisorderSpec(p=0.6, steps=9, master_seed=4)
+        pm = generate_phase_map(spec, 0)
+
+        def run():
+            return (
+                run_ensembles([spec], coin, 40)[0],
+                run_pair_ensemble(spec, coin, 40, eta=0.8),
+                single_particle_unitary(11, coin, pm, 9),
+                [s.amplitudes for s in evolve(11, coin, pm, 9)],
+            )
+
+        real = run()
+        for module in (pdqw.walk_core, pdqw.ensemble, pdqw.two_photon):
+            monkeypatch.setattr(module, "_walk_operands", complex_operands)
+        ens, pair, u, amplitudes = run()
+        assert np.array_equal(real[0].mean_variance, ens.mean_variance)
+        assert np.array_equal(real[0].std_variance, ens.std_variance)
+        assert np.array_equal(real[0].mean_probabilities, ens.mean_probabilities)
+        assert real[0].max_norm_drift == ens.max_norm_drift
+        for a, b in zip(real[1].mean_matrices, pair.mean_matrices, strict=True):
+            assert np.array_equal(a.probabilities, b.probabilities)
+        assert np.array_equal(real[1].mean_variance2, pair.mean_variance2)
+        assert np.array_equal(real[1].std_variance2, pair.std_variance2)
+        assert real[1].max_norm_drift == pair.max_norm_drift
+        assert real[2].dtype == u.dtype == np.complex128
+        assert np.array_equal(real[2], u)
+        assert np.array_equal(real[3], amplitudes)
 
 
 def csv_text(tmp_path, writer, header, blocks):

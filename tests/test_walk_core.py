@@ -24,6 +24,8 @@ from pdqw import (
     single_particle_unitary,
     variance,
 )
+from pdqw.disorder import phase_factors
+from pdqw.walk_core import _walk_operands
 
 COIN = hadamard_coin()
 
@@ -232,6 +234,36 @@ class TestModeUnitary:
             mode_index(0, 2, 3)
         with pytest.raises(DomainError):
             mode_index(4, 0, 3)
+
+
+class TestWalkOperands:
+    PHASE_COIN = np.diag([1, 1j]) @ hadamard_coin()
+
+    @pytest.mark.parametrize("alphabet", [(0.0, math.pi), (math.pi,), ()])
+    @pytest.mark.parametrize("coin", [coin_from_reflectivity(0.5), coin_from_reflectivity(0.45),
+                                      hadamard_coin()])
+    def test_real_coin_and_factors_walk_in_float64(self, coin, alphabet):
+        c, table = _walk_operands(coin, alphabet)
+        assert c.dtype == table.dtype == np.float64
+        assert np.array_equal(c, coin.real)
+        assert np.array_equal(table, phase_factors(alphabet).real)
+
+    @pytest.mark.parametrize("coin, alphabet", [
+        (COIN, (0.0, 0.5 * math.pi, math.pi)),
+        (COIN, (0.0, 0.25 * math.pi)),
+        (PHASE_COIN, (0.0, math.pi)),
+        (PHASE_COIN, ()),
+    ])
+    def test_any_imaginary_part_keeps_complex128(self, coin, alphabet):
+        c, table = _walk_operands(coin, alphabet)
+        assert c.dtype == table.dtype == np.complex128
+        assert np.array_equal(c, coin)
+        assert np.array_equal(table, phase_factors(alphabet))
+
+    def test_public_results_stay_complex(self):
+        pm = random_map(0.7, 4, seed=3)
+        assert evolve(5, COIN, pm, 4)[-1].amplitudes.dtype == np.complex128
+        assert single_particle_unitary(5, COIN, pm, 4).dtype == np.complex128
 
 
 class TestValidation:
