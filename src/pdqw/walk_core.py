@@ -37,18 +37,10 @@ def coin_from_reflectivity(reflectivity: float) -> np.ndarray:
     return np.array([[r, t], [t, -r]], dtype=complex)
 
 
-def _check_coin(coin: np.ndarray) -> np.ndarray:
-    coin = np.asarray(coin, dtype=complex)
-    if coin.shape != (2, 2):
-        raise DomainError(f"coin must be 2x2, got shape {coin.shape}")
-    if not np.allclose(coin.conj().T @ coin, np.eye(2), rtol=0.0, atol=1e-12):
-        raise DomainError("coin must be unitary within 1e-12")
-    return coin
-
-
 def _walk_operands(coin, alphabet) -> tuple[np.ndarray, np.ndarray]:
-    """The checked coin and the phase-factor table of `alphabet` (indexed by
-    cell code, see phase_factors), in the dtype every walk runs in.
+    """The coin, checked to be a 2x2 unitary within 1e-12, and the
+    phase-factor table of `alphabet` (indexed by cell code, see
+    phase_factors), in the dtype every walk runs in.
 
     This is the one place that dtype is chosen: float64 when neither the
     coin nor the table has an imaginary part, as for any
@@ -57,7 +49,11 @@ def _walk_operands(coin, alphabet) -> tuple[np.ndarray, np.ndarray]:
     sums give the real parts that float64 gives, and |x| = hypot(x, 0), so
     both dtypes walk to the same probabilities bit for bit.
     """
-    coin = _check_coin(coin)
+    coin = np.asarray(coin, dtype=complex)
+    if coin.shape != (2, 2):
+        raise DomainError(f"coin must be 2x2, got shape {coin.shape}")
+    if not np.allclose(coin.conj().T @ coin, np.eye(2), rtol=0.0, atol=1e-12):
+        raise DomainError("coin must be unitary within 1e-12")
     table = phase_factors(alphabet)
     if coin.imag.any() or table.imag.any():
         return coin, table
