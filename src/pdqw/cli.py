@@ -33,7 +33,7 @@ from .config import SimulationConfig, config_echo, load_config
 from .disorder import DisorderSpec, generate_phase_map, load_map, save_map
 from .ensemble import run_ensembles, similarity_scan
 from .errors import ConfigError, MapParseError, PdqwError
-from .two_photon import PAIR_CONVENTION, hom_scan, run_pair_ensemble
+from .two_photon import PAIR_CONVENTION, hom_scan, run_pair_ensembles
 from .walk_core import coin_from_reflectivity, evolve, position_distribution
 
 LOW_RESOLUTION_SPACING = 0.1
@@ -174,16 +174,14 @@ def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path]
 
 
 def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
-    coin = _coin(cfg)
     display = cfg.two_photon.display_normalization
     header = ["site_i", "site_j", "probability"] + (["probability_display"] if display else [])
     step = np.arange(1, cfg.steps + 1)
+    specs = [_spec(cfg, p) for p in cfg.p_values]
+    results = run_pair_ensembles(specs, _coin(cfg), cfg.n_maps, cfg.two_photon.eta)
     outputs = []
     var_blocks = []
-    drift = 0.0
-    for p in cfg.p_values:
-        ens = run_pair_ensemble(_spec(cfg, p), coin, cfg.n_maps, cfg.two_photon.eta)
-        drift = max(drift, ens.max_norm_drift)
+    for p, ens in zip(cfg.p_values, results):
         var_blocks.append([p, step, ens.mean_variance2, ens.std_variance2, cfg.n_maps, cfg.master_seed])
         for n, cm in enumerate(ens.mean_matrices, start=1):
             keep = _cone(cm.sites, n)
@@ -200,7 +198,7 @@ def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Pat
     var_path = out_dir / "two_photon_var2.csv"
     _write_csv(var_path, ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], var_blocks)
     outputs.append(var_path)
-    return outputs, {"max_norm_drift": drift}
+    return outputs, {"max_norm_drift": max(ens.max_norm_drift for ens in results)}
 
 
 def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:

@@ -13,7 +13,6 @@ so regenerating from the stored header is bit-identical.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -175,58 +174,38 @@ def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds)
     return _codes(steps, *_draw(steps, n_letters, seeds, count))
 
 
-class _DrawCache:
-    """Bernoulli draws of map blocks, least recently used first out, held
-    within a byte budget.
-
-    A block's uniforms and letters depend on (steps, number of letters,
-    master seed, start, stop) and not on p, so a scan over p draws each
-    block once. The arrays are read-only because every caller shares them.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self.misses = 0
-        self._blocks: OrderedDict = OrderedDict()
-
-    def get(self, steps: int, n_letters: int, master_seed: int, start: int, stop: int):
-        key = (steps, n_letters, master_seed, start, stop)
-        hit = self._blocks.get(key)
-        if hit is not None:
-            self._blocks.move_to_end(key)
-            return hit
-        self.misses += 1
-        draws = _draw(steps, n_letters, map_seeds(master_seed, start, stop))
-        size = sum(a.nbytes for a in draws)
-        for a in draws:
-            a.setflags(write=False)
-        if size <= self.budget:
-            self._blocks[key] = draws
-            self.nbytes += size
-            while self.nbytes > self.budget:
-                self.nbytes -= sum(a.nbytes for a in self._blocks.popitem(last=False)[1])
-        return draws
-
-
-# 32 MiB holds every block of a 1000-map scan up to steps 60; at steps 20
-# the blocks of 1000 maps hold 4.0 MB.
-_draws = _DrawCache(budget=32 << 20)
-
-
 def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
-    """Cell codes of maps start..stop-1 of the ensemble described by `spec`,
-    as a (maps, steps, 2*steps+1) int8 tensor of PhaseMap code planes.
-
-    Bernoulli draws come from the shared cache, so every p of a scan sees
-    the same uniforms; exact_fraction draws afresh, as its choice of cells
-    depends on p.
-    """
-    if spec.sampling_mode == "bernoulli":
-        uniforms, letters = _draws.get(spec.steps, len(spec.alphabet), int(spec.master_seed), start, stop)
-        return _codes(spec.steps, uniforms < spec.p, letters)
+    """Cell codes of maps start..stop-1 of `spec`'s ensemble, drawn afresh, as
+    a (maps, steps, 2*steps+1) int8 tensor of PhaseMap code planes."""
     seeds = map_seeds(spec.master_seed, start, stop)
     return _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)
+
+
+class ScanSampler:
+    """sample(i, start, stop) gives sample_block(specs[i], start, stop) for
+    the specs of one scan, which differ only in p and read each chunk once.
+
+    A bernoulli chunk's uniforms and letters do not depend on p: they are
+    drawn when a spec first asks for the chunk and dropped once every spec
+    has read it. exact_fraction draws afresh, as its cells depend on p.
+    """
+
+    def __init__(self, specs):
+        self.specs = list(specs)
+        self._held: dict = {}  # (start, stop) -> [uniforms, letters, reads left]
+
+    def sample(self, i: int, start: int, stop: int) -> np.ndarray:
+        spec = self.specs[i]
+        if spec.sampling_mode != "bernoulli":
+            return sample_block(spec, start, stop)
+        held = self._held.get((start, stop))
+        if held is None:
+            seeds = map_seeds(spec.master_seed, start, stop)
+            held = self._held[start, stop] = [*_draw(spec.steps, len(spec.alphabet), seeds), len(self.specs)]
+        held[2] -= 1
+        if not held[2]:
+            del self._held[start, stop]
+        return _codes(spec.steps, held[0] < spec.p, held[1])
 
 
 def phase_factors(alphabet) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
-from .disorder import DEFAULT_ALPHABET, DisorderSpec, sample_block
+from .disorder import DEFAULT_ALPHABET, DisorderSpec, ScanSampler
 from .errors import DomainError
 from .walk_core import _walk, _walk_operands, evolve, position_distribution
 
@@ -64,14 +64,8 @@ def chunk_maps(steps: int) -> int:
     return max(1, BATCH_CELLS // (2 * steps + 1))
 
 
-def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
-    """run_ensemble for every spec, in order; the specs may differ only in p.
-
-    One coin check and one phase table serve the whole scan. Whole p (or,
-    past chunk_maps(steps) maps, single chunks of one p) are stacked along
-    the batch axis of one walk, and each result equals the one-spec call
-    bit for bit.
-    """
+def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
+    """The specs of one scan as a list, checked: at least one, n_maps >= 1, differing only in p."""
     specs = list(specs)
     if not specs:
         raise DomainError("specs must not be empty")
@@ -81,8 +75,21 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     shared = ("steps", "alphabet", "sampling_mode", "master_seed")
     if any(getattr(s, f) != getattr(first, f) for s in specs for f in shared):
         raise DomainError(f"specs of one scan may differ only in p, not in {shared}")
-    coin, table = _walk_operands(coin, first.alphabet)
-    steps = first.steps
+    return specs
+
+
+def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
+    """run_ensemble for every spec, in order; the specs may differ only in p.
+
+    One coin check, one phase table and one ScanSampler serve the whole
+    scan. Whole p (or, past chunk_maps(steps) maps, single chunks of one p)
+    are stacked along the batch axis of one walk, and each result equals
+    the one-spec call bit for bit.
+    """
+    specs = check_scan(specs, n_maps)
+    coin, table = _walk_operands(coin, specs[0].alphabet)
+    sampler = ScanSampler(specs)
+    steps = specs[0].steps
     n_sites = 2 * steps + 1
     sites = np.arange(-steps, steps + 1, dtype=float)
     sites_sq = sites * sites
@@ -99,7 +106,7 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
         batch = chunks[b : b + per_batch]
         (i, start, stop), k = batch[0], len(batch)
         rows = k * (stop - start)
-        codes = np.concatenate([sample_block(specs[j], a, z) for j, a, z in batch])
+        codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch])
         # psi[c]: coin-c amplitudes, one row per map.
         psi = np.zeros((2, rows, n_sites), dtype=coin.dtype)
         psi[0, :, steps] = 1.0

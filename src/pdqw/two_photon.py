@@ -18,16 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution
-from .disorder import DisorderSpec, sample_block
-from .ensemble import mean_and_std
+from .disorder import DisorderSpec, ScanSampler
+from .ensemble import check_scan, chunk_maps, mean_and_std
 from .errors import DomainError
 from .walk_core import _walk, _walk_operands, mode_index, single_particle_unitary
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
 PAIR_CONVENTION = "unordered-pairs, diagonal counted once"
-# Maps sampled and evolved together.
-CHUNK_SIZE = 128
 
 
 @dataclass
@@ -189,27 +187,25 @@ class PairEnsemble:
     max_norm_drift: float
 
 
-def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
-                      pair_modes=((0, 0), (0, 1))) -> PairEnsemble:
-    """Send the photon pair through n_maps disorder realizations.
-
-    Both photons traverse the same phase map. Returns the ensemble-mean
-    site-coincidence matrix after each step and the mean/std of the pair
-    centroid variance across maps (mean_and_std: n-1 normalization, exactly 0
-    where all maps agree).
+def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
+                       pair_modes=((0, 0), (0, 1))) -> list[PairEnsemble]:
+    """run_pair_ensemble for every spec, in order; the specs may differ only
+    in p.
 
     Only the two input columns A, B of each map's mode unitary are evolved,
-    blocks of maps at a time, on the periodic lattice of
-    single_particle_unitary(spec.steps, ...). With per-site sums
+    chunk_maps(steps) maps and one p per walk, on the periodic lattice of
+    single_particle_unitary(steps, ...). With per-site sums
     pA = sum_c |A_sc|^2, pB likewise and G = sum_c A_sc conj(B_sc), the
     ordered site-pair density is 1/2 (pA x pB + pB x pA) + eta Re(G x G*),
-    which is pA x pA when both photons enter the same mode.
+    which is pA x pA when both photons enter the same mode. Each p's mean
+    matrices add its maps in index order, whatever the chunk split.
     """
-    if n_maps < 1:
-        raise DomainError("n_maps must be >= 1")
+    specs = check_scan(specs, n_maps)
     pair = PairInput(pair_modes[0], pair_modes[1], eta=eta)
-    coin, table = _walk_operands(coin, spec.alphabet)
-    steps = spec.steps
+    coin, table = _walk_operands(coin, specs[0].alphabet)
+    real = coin.dtype.kind == "f"  # nothing to conjugate, and Im G is 0
+    sampler = ScanSampler(specs)
+    steps = specs[0].steps
     n_sites = 2 * steps + 1
     ia = mode_index(*pair.mode_a, steps)
     ib = mode_index(*pair.mode_b, steps)
@@ -217,61 +213,77 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
     sites = np.arange(-steps, steps + 1, dtype=float)
     centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
     centroid_sq = centroid * centroid
+    diagonal = np.arange(n_sites)
+    size = chunk_maps(steps)
 
-    density_sums = np.zeros((steps, n_sites, n_sites))
-    var2 = np.empty((n_maps, steps))
-    worst = 0.0
-    for start in range(0, n_maps, CHUNK_SIZE):
-        stop = min(start + CHUNK_SIZE, n_maps)
-        block = stop - start
-        codes = sample_block(spec, start, stop)[:, None]
-        # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
-        psi = np.zeros((2, block, 2, n_sites), dtype=coin.dtype)
-        psi[ia % 2, :, 0, ia // 2] = 1.0
-        psi[ib % 2, :, 1, ib // 2] = 1.0
-        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table), start=1):
-            weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-            pa, pb = weights[:, 0], weights[:, 1]
-            g = psi0[:, 0] * psi0[:, 1].conj() + psi1[:, 0] * psi1[:, 1].conj()
-            drift = max(
-                np.abs(pa.sum(axis=1) - 1.0).max(),
-                np.abs(pb.sum(axis=1) - 1.0).max(),
-                np.abs(g.sum(axis=1) - (1.0 if same_input else 0.0)).max(),
-            )
-            if drift > UNITARY_TOL:
-                raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
-            worst = max(worst, float(drift))
+    results = []
+    for i, spec in enumerate(specs):
+        sums = np.empty((steps, n_sites, n_sites))
+        var2 = np.empty((n_maps, steps))
+        worst = 0.0
+        for start in range(0, n_maps, size):
+            stop = min(start + size, n_maps)
+            block = stop - start
+            codes = sampler.sample(i, start, stop)[:, None]
+            # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
+            psi = np.zeros((2, block, 2, n_sites), dtype=coin.dtype)
+            psi[ia % 2, :, 0, ia // 2] = 1.0
+            psi[ib % 2, :, 1, ib // 2] = 1.0
+            for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table)):
+                weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
+                pa, pb = weights[:, 0], weights[:, 1]
+                b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
+                g = psi0[:, 0] * b0 + psi1[:, 0] * b1
+                drift = max(np.abs(pa.sum(axis=1) - 1.0).max(), np.abs(pb.sum(axis=1) - 1.0).max(),
+                            np.abs(g.sum(axis=1) - (1.0 if same_input else 0.0)).max())
+                if drift > UNITARY_TOL:
+                    raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
+                worst = max(worst, float(drift))
 
-            if same_input:
-                density = pa[:, :, None] * pa[:, None, :]
-            else:
-                density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
-                density += pair.eta * (
-                    g.real[:, :, None] * g.real[:, None, :] + g.imag[:, :, None] * g.imag[:, None, :]
-                )
-            flat = density.reshape(block, -1)
-            _require_pair_normalized(flat.sum(axis=1))
-            m1 = (flat * centroid).sum(axis=1)
-            var2[start:stop, n - 1] = (flat * centroid_sq).sum(axis=1) - m1 * m1
-            density_sums[n - 1] += density.sum(axis=0)
+                if same_input:
+                    density = pa[:, :, None] * pa[:, None, :]
+                else:
+                    density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
+                    if real:  # Im G x Im G, all +-0.0, changes no bit of a density >= +0.0
+                        interfering = g[:, :, None] * g[:, None, :]
+                    else:
+                        interfering = (g.real[:, :, None] * g.real[:, None, :]
+                                       + g.imag[:, :, None] * g.imag[:, None, :])
+                    density += pair.eta * interfering
+                flat = density.reshape(block, -1)
+                _require_pair_normalized(flat.sum(axis=1))
+                m1 = (flat * centroid).sum(axis=1)
+                var2[start:stop, n] = (flat * centroid_sq).sum(axis=1) - m1 * m1
+                if start > 0:
+                    # Carry the earlier chunks' sum into the first map, as
+                    # run_ensembles does, so the maps add in index order.
+                    density[0] += sums[n]
+                density.sum(axis=0, out=sums[n])
 
-    mean_matrices = []
-    for s in density_sums:
-        unordered = 2.0 * s
-        np.fill_diagonal(unordered, np.diagonal(s))
-        mean_matrices.append(CoincidenceMatrix(offset=-steps, probabilities=unordered / n_maps))
-    mean_var2, std_var2 = mean_and_std(var2)
-    return PairEnsemble(
-        p=spec.p,
-        steps=steps,
-        n_maps=n_maps,
-        eta=eta,
-        master_seed=spec.master_seed,
-        mean_matrices=mean_matrices,
-        mean_variance2=mean_var2,
-        std_variance2=std_var2,
-        max_norm_drift=worst,
-    )
+        # The sums become the unordered mean matrices in place.
+        on_diagonal = sums[:, diagonal, diagonal]
+        sums *= 2.0
+        sums[:, diagonal, diagonal] = on_diagonal
+        sums /= n_maps
+        mean_var2, std_var2 = mean_and_std(var2)
+        results.append(PairEnsemble(
+            p=spec.p, steps=steps, n_maps=n_maps, eta=eta, master_seed=spec.master_seed,
+            mean_matrices=[CoincidenceMatrix(offset=-steps, probabilities=m) for m in sums],
+            mean_variance2=mean_var2, std_variance2=std_var2, max_norm_drift=worst,
+        ))
+    return results
+
+
+def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,
+                      pair_modes=((0, 0), (0, 1))) -> PairEnsemble:
+    """Send the photon pair through n_maps disorder realizations.
+
+    Both photons traverse the same phase map. Returns the ensemble-mean
+    site-coincidence matrix after each step and the mean/std of the pair
+    centroid variance across maps (mean_and_std: n-1 normalization, exactly 0
+    where all maps agree). See run_pair_ensembles.
+    """
+    return run_pair_ensembles([spec], coin, n_maps, eta, pair_modes)[0]
 
 
 @dataclass

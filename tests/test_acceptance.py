@@ -23,6 +23,7 @@ from pdqw import (
     mode_index,
     position_distribution,
     run_ensemble,
+    run_ensembles,
     similarity,
     similarity_scan,
     single_particle_unitary,
@@ -47,8 +48,9 @@ def _ensemble(p, steps):
 def dilution_scan():
     """Mean and per-map std of the variance at steps 7 and 20, across GRID."""
     means7, stds7, means20, stds20 = [], [], [], []
-    for p in GRID:
-        res = _ensemble(p, 20)
+    # One scan call, as the CLI makes: it draws each chunk once for every p.
+    specs = [DisorderSpec(p=p, steps=20, master_seed=SEED) for p in GRID]
+    for res in run_ensembles(specs, COIN, N_MAPS):
         means7.append(res.mean_variance[6])
         stds7.append(res.std_variance[6])
         means20.append(res.mean_variance[19])

@@ -1,6 +1,10 @@
 """Phase-map generation, sampling statistics, and the text file format."""
 
+import __future__
+import gc
 import math
+import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -25,19 +29,21 @@ from pdqw.disorder import (
     MAX_ALPHABET,
     SAMPLING_MODES,
     check_alphabet,
+    ScanSampler,
     _draw_codes,
-    _DrawCache,
     map_seed,
     map_seeds,
     parse_alphabet_token,
     phase_factors,
     sample_block,
 )
-from pdqw.ensemble import chunk_maps, similarity_scan
+import pdqw.ensemble
+from pdqw.ensemble import chunk_maps, run_ensembles, similarity_scan
+from pdqw.two_photon import run_pair_ensembles
 from pdqw.walk_core import hadamard_coin
 
 # A block boundary past the first map, where a runner's chunks could split.
-CHUNK_SIZE = 128
+SPLIT = 128
 
 # Frozen outputs of the seed derivation and the draw order. These pin the
 # on-disk compatibility contract: a change here silently invalidates every
@@ -152,11 +158,11 @@ class TestBlockSampler:
     def test_block_matches_per_map_generation(self, mode, alphabet):
         steps = 4
         spec = DisorderSpec(p=0.3, steps=steps, alphabet=alphabet, sampling_mode=mode, master_seed=12)
-        codes = sample_block(spec, 0, CHUNK_SIZE + 3)
+        codes = sample_block(spec, 0, SPLIT + 3)
         assert codes.dtype == np.int8
-        assert codes.shape == (CHUNK_SIZE + 3, steps, 2 * steps + 1)
-        np.testing.assert_array_equal(sample_block(spec, CHUNK_SIZE, CHUNK_SIZE + 3), codes[CHUNK_SIZE:])
-        for k in range(CHUNK_SIZE + 3):
+        assert codes.shape == (SPLIT + 3, steps, 2 * steps + 1)
+        np.testing.assert_array_equal(sample_block(spec, SPLIT, SPLIT + 3), codes[SPLIT:])
+        for k in range(SPLIT + 3):
             pm = generate_phase_map(spec, k)
             seed, ref_rows, ref_mask = reference_phase_map(12, k, steps, 0.3, alphabet, mode)
             assert pm.seed == seed
@@ -169,11 +175,25 @@ class TestBlockSampler:
 
 
 @pytest.fixture
-def draw_cache(monkeypatch):
-    """A fresh, empty cache in place of the process-wide one."""
-    cache = _DrawCache(budget=1 << 24)
-    monkeypatch.setattr(pdqw.disorder, "_draws", cache)
-    return cache
+def draws(monkeypatch):
+    """Record every call of pdqw.disorder._draw as (seed of its first map,
+    number of maps), and a weak reference to each array it returns."""
+    calls, arrays = [], []
+    real = pdqw.disorder._draw
+
+    def counting(steps, n_letters, seeds, count=None):
+        out = real(steps, n_letters, seeds, count)
+        calls.append((int(seeds[0]), len(seeds)))
+        arrays.extend(weakref.ref(a) for a in out)
+        return out
+
+    monkeypatch.setattr(pdqw.disorder, "_draw", counting)
+    return calls, arrays
+
+
+def chunk_draws(master, n_maps, size):
+    """The draws of chunks of `size` maps, each once, as `draws` records them."""
+    return [(map_seed(master, a), min(size, n_maps - a)) for a in range(0, n_maps, size)]
 
 
 def assert_codes_match_reference(codes, master, start, steps, p, alphabet):
@@ -188,95 +208,82 @@ def assert_codes_match_reference(codes, master, start, steps, p, alphabet):
             assert not plane[n - 1, steps + n + 1 :].any()
 
 
-class TestDrawCache:
+class TestScanSampler:
     P_GRID = [0.0, 0.3, 0.5, 1.0]
 
     @pytest.mark.parametrize(
         "alphabet", [(math.pi,), DEFAULT_ALPHABET, (0.0, 0.5 * math.pi, math.pi)]
     )
-    def test_warm_blocks_match_the_reference_at_every_p(self, draw_cache, alphabet):
+    def test_codes_match_the_reference_at_every_p(self, draws, alphabet):
         steps = 4
-        chunks = [(0, CHUNK_SIZE), (CHUNK_SIZE, CHUNK_SIZE + 3)]
-        for p in [0.7, *self.P_GRID]:
-            spec = DisorderSpec(p=p, steps=steps, alphabet=alphabet, master_seed=12)
+        chunks = [(0, SPLIT), (SPLIT, SPLIT + 3)]
+        sampler = ScanSampler([DisorderSpec(p, steps, alphabet, master_seed=12) for p in self.P_GRID])
+        for i, p in enumerate(self.P_GRID):
             for start, stop in chunks:
-                codes = sample_block(spec, start, stop)
-                if p != 0.7:  # the first p only warms the cache
-                    assert_codes_match_reference(codes, 12, start, steps, p, alphabet)
-        assert draw_cache.misses == len(chunks)
+                assert_codes_match_reference(sampler.sample(i, start, stop), 12, start, steps, p, alphabet)
+        assert sorted(draws[0]) == sorted(chunk_draws(12, SPLIT + 3, SPLIT))
 
-    def test_master_seeds_at_the_word_edges(self, draw_cache):
-        # one cache for both seeds, so each must key its own blocks
-        for master in (2**32 - 1, 2**64 - 1):
-            for p in self.P_GRID:
-                spec = DisorderSpec(p=p, steps=3, master_seed=master)
-                assert_codes_match_reference(sample_block(spec, 5, 9), master, 5, 3, p, DEFAULT_ALPHABET)
-        assert draw_cache.misses == 2
+    @pytest.mark.parametrize("master", [2**32 - 1, 2**64 - 1])
+    def test_master_seeds_at_the_word_edges(self, master):
+        sampler = ScanSampler([DisorderSpec(p, 3, master_seed=master) for p in self.P_GRID])
+        for i, p in enumerate(self.P_GRID):
+            assert_codes_match_reference(sampler.sample(i, 5, 9), master, 5, 3, p, DEFAULT_ALPHABET)
 
-    def test_alphabets_of_one_size_share_draws(self, draw_cache):
-        a = DisorderSpec(p=0.4, steps=5, alphabet=(0.0, math.pi), master_seed=3)
-        b = DisorderSpec(p=0.6, steps=5, alphabet=(0.25 * math.pi, 1.5 * math.pi), master_seed=3)
-        c = DisorderSpec(p=0.6, steps=5, alphabet=(0.0, 1.0, 2.0), master_seed=3)
-        codes_a = sample_block(a, 0, 10)
-        codes_b = sample_block(b, 0, 10)
-        assert draw_cache.misses == 1
-        # b marks a superset of a's cells, with the same letters
-        np.testing.assert_array_equal(codes_b[codes_a > 0], codes_a[codes_a > 0])
-        assert_codes_match_reference(codes_b, 3, 0, 5, 0.6, b.alphabet)
-        sample_block(c, 0, 10)
-        assert draw_cache.misses == 2
+    @pytest.mark.parametrize("runner", ["run_ensembles", "similarity_scan", "run_pair_ensembles"])
+    def test_each_chunk_is_drawn_once_per_call(self, draws, monkeypatch, runner):
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 7 * 10)  # 10 maps a chunk at steps 3
+        p_grid, n_maps = [0.0, 0.1, 0.4, 0.1, 0.8], 25
+        specs = [DisorderSpec(p, 3, master_seed=8) for p in p_grid]
+        calls = {
+            "run_ensembles": lambda: run_ensembles(specs, hadamard_coin(), n_maps),
+            "similarity_scan": lambda: similarity_scan(p_grid, 3, n_maps, hadamard_coin(), master_seed=8),
+            "run_pair_ensembles": lambda: run_pair_ensembles(specs, hadamard_coin(), n_maps, eta=1.0),
+        }
+        for repeat in (1, 2):  # a second call keeps nothing from the first
+            calls[runner]()
+            assert sorted(draws[0]) == sorted(chunk_draws(8, n_maps, 10) * repeat)
 
-    def test_cached_arrays_are_read_only(self, draw_cache):
-        uniforms, letters = draw_cache.get(3, 2, 1, 0, 4)
-        with pytest.raises(ValueError):
-            uniforms[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            letters[0, 0] = 1
-        assert draw_cache.get(3, 2, 1, 0, 4)[0] is uniforms
+    def test_exact_fraction_draws_afresh_for_every_p(self, draws):
+        specs = [DisorderSpec(p, 4, sampling_mode="exact_fraction", master_seed=2) for p in self.P_GRID]
+        sampler = ScanSampler(specs)
+        for i, spec in enumerate(specs):
+            for start, stop in [(0, SPLIT), (SPLIT, SPLIT + 3)]:
+                np.testing.assert_array_equal(sampler.sample(i, start, stop), sample_block(spec, start, stop))
+        # once by the sampler and once by the reference, per p and chunk
+        assert sorted(draws[0]) == sorted(chunk_draws(2, SPLIT + 3, SPLIT) * 2 * len(specs))
 
-    def test_exact_fraction_never_enters_the_cache(self, draw_cache):
-        for p in self.P_GRID:
-            spec = DisorderSpec(p=p, steps=4, sampling_mode="exact_fraction", master_seed=2)
-            sample_block(spec, 0, CHUNK_SIZE + 3)
-        assert draw_cache.misses == 0
-        assert draw_cache.nbytes == 0
-
-    def test_a_scan_draws_each_chunk_once(self, draw_cache):
-        p_grid = [0.0, 0.1, 0.2, 0.4, 0.8]
-        similarity_scan(p_grid, 3, chunk_maps(3) + 3, hadamard_coin(), master_seed=8)
-        # len(p_grid) + 1 ensembles (the p = 1 reference), two chunks each
-        assert draw_cache.misses == 2
-
-    def test_budget_bounds_the_held_bytes(self):
-        block = 10 * 3 * 5 * 9  # 10 maps of 15 cells, float64 uniforms and int8 letters
-        cache = _DrawCache(budget=2 * block + block // 2)
-        for start in (0, 10, 20, 0):
-            cache.get(3, 2, 1, start, start + 10)
-            assert cache.nbytes <= cache.budget
-        assert cache.misses == 4  # block 0 was evicted by block 20
-        cache.get(3, 2, 1, 20, 30)
-        assert cache.misses == 4
-        big = _DrawCache(budget=block - 1)
-        big.get(3, 2, 1, 0, 10)
-        assert big.nbytes == 0
+    def test_nothing_is_held_after_a_call(self, draws):
+        similarity_scan([0.0, 0.5, 0.9], 5, chunk_maps(5) + 3, hadamard_coin(), master_seed=4)
+        gc.collect()
+        calls, arrays = draws
+        assert len(calls) == 2 and arrays
+        assert all(ref() is None for ref in arrays)
+        # and the module keeps no state that could hold them
+        immutable = (types.ModuleType, type, types.FunctionType, __future__._Feature,
+                     tuple, str, int, float, frozenset)
+        state = [name for name, value in vars(pdqw.disorder).items()
+                 if not name.startswith("__") and not isinstance(value, immutable)]
+        assert state == []
 
     @settings(max_examples=40, deadline=None)
     @given(
         master=st.integers(0, 2**64 - 1),
         steps=st.integers(1, 8),
         n_letters=st.integers(1, 4),
-        p=st.floats(0.0, 1.0),
+        p_list=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
         maps=st.integers(1, 300),
+        size=st.integers(1, 300),
+        chunk_major=st.booleans(),
     )
-    def test_cached_codes_equal_a_fresh_draw(self, master, steps, n_letters, p, maps):
-        spec = DisorderSpec(p=p, steps=steps, alphabet=range(n_letters), master_seed=master)
-        fresh = _draw_codes(steps, p, n_letters, "bernoulli", map_seeds(master, 0, maps))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pdqw.disorder, "_draws", _DrawCache(budget=1 << 24))
-            cold = sample_block(spec, 0, maps)
-            warm = sample_block(spec, 0, maps)
-        np.testing.assert_array_equal(cold, fresh)
-        np.testing.assert_array_equal(warm, fresh)
+    def test_codes_equal_a_fresh_sample_block(self, master, steps, n_letters, p_list, maps, size,
+                                              chunk_major):
+        specs = [DisorderSpec(p, steps, range(n_letters), master_seed=master) for p in p_list]
+        sampler = ScanSampler(specs)
+        reads = [(i, a, min(a + size, maps)) for i in range(len(specs)) for a in range(0, maps, size)]
+        if chunk_major:
+            reads.sort(key=lambda r: r[1])
+        for i, start, stop in reads:
+            np.testing.assert_array_equal(sampler.sample(i, start, stop), sample_block(specs[i], start, stop))
 
 
 class TestPhaseFactors:

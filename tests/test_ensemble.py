@@ -132,7 +132,6 @@ class TestRunner:
         # Keeping every map's (steps, sites) distributions until the end
         # peaked at 13.0 MB here (a 6.6 MB tensor, concatenated once more).
         spec = DisorderSpec(p=0.5, steps=20, master_seed=2)
-        run_ensemble(spec, COIN, 1000)  # the draws of this scan are cached from here on
         tracemalloc.start()
         try:
             run_ensemble(spec, COIN, 1000)
@@ -160,13 +159,13 @@ class TestSimilarityScan:
 
     def test_each_distinct_p_is_walked_once(self, monkeypatch):
         walked = []
-        real = pdqw.ensemble.sample_block
 
-        def counting(spec, start, stop):
-            walked.append(spec.p)
-            return real(spec, start, stop)
+        class CountingSampler(pdqw.ensemble.ScanSampler):
+            def sample(self, i, start, stop):
+                walked.append(self.specs[i].p)
+                return super().sample(i, start, stop)
 
-        monkeypatch.setattr(pdqw.ensemble, "sample_block", counting)
+        monkeypatch.setattr(pdqw.ensemble, "ScanSampler", CountingSampler)
         # 10 maps are one chunk per p; 1.0 is the grid's and the reference's
         similarity_scan([0.0, 0.5, 1.0, 0.5], steps=4, n_maps=10, coin=COIN, master_seed=3)
         assert sorted(walked) == [0.0, 0.5, 1.0]

@@ -1,8 +1,11 @@
 """Two-photon statistics against a permanent-based Fock oracle and hand values."""
 
+import math
+
 import numpy as np
 import pytest
 
+import pdqw.ensemble
 from oracles import two_boson_pair_probabilities, two_boson_unitary
 from pdqw import (
     CoincidenceMatrix,
@@ -18,12 +21,14 @@ from pdqw import (
     pair_marginal,
     position_distribution,
     run_pair_ensemble,
+    run_pair_ensembles,
     single_particle_unitary,
     site_coincidences,
     two_photon_mode_distribution,
     variance2,
 )
-from pdqw.two_photon import CHUNK_SIZE
+from pdqw.disorder import DEFAULT_ALPHABET
+from pdqw.ensemble import chunk_maps
 
 COIN = hadamard_coin()
 
@@ -213,6 +218,24 @@ def centroid_variance(unordered):
 
 
 PAIR_MODES = [((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 0))]
+QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
+
+
+def assert_matches_fock_oracle(spec, eta, pair_modes):
+    """One map's last-step pair statistics against the Fock oracle."""
+    res = run_pair_ensemble(spec, COIN, 1, eta=eta, pair_modes=pair_modes)
+    u = single_particle_unitary(spec.steps, COIN, generate_phase_map(spec, 0), spec.steps)
+    expect = fock_site_pairs(u, pair_modes, eta)
+    np.testing.assert_allclose(res.mean_matrices[-1].probabilities, expect, atol=1e-10)
+    assert res.mean_variance2[-1] == pytest.approx(centroid_variance(expect), abs=1e-10)
+
+
+def assert_same_pair_ensemble(a, b):
+    for x, y in zip(a.mean_matrices, b.mean_matrices, strict=True):
+        assert np.array_equal(x.probabilities, y.probabilities)
+    assert np.array_equal(a.mean_variance2, b.mean_variance2)
+    assert np.array_equal(a.std_variance2, b.std_variance2)
+    assert (a.p, a.n_maps, a.max_norm_drift) == (b.p, b.n_maps, b.max_norm_drift)
 
 
 class TestPairEnsemble:
@@ -225,11 +248,13 @@ class TestPairEnsemble:
         np.testing.assert_allclose(res.mean_variance2, var2.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance2, var2.std(axis=0, ddof=1), atol=1e-12)
 
-    def test_chunk_boundary_matches_manual_loop(self):
+    def test_chunk_boundary_matches_manual_loop(self, monkeypatch):
         # Up to step 3 every {0, pi} map gives the same pair statistics. With
         # this alphabet and seed, maps 128-130 differ from maps 0-2, so a
-        # chunk that reads the wrong maps shows.
-        n_maps = CHUNK_SIZE + 3
+        # chunk that reads the wrong maps shows. The manual loop is slow, so
+        # the batch budget shrinks to 128 maps a chunk.
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 7 * 128)
+        n_maps = chunk_maps(3) + 3
         spec = DisorderSpec(p=0.5, steps=3, master_seed=21, alphabet=(0.0, 1.0, 2.0))
         res = run_pair_ensemble(spec, COIN, n_maps, eta=0.4)
         manual, var2 = manual_pair_ensemble(spec, n_maps, eta=0.4)
@@ -248,12 +273,14 @@ class TestPairEnsemble:
         + [(0.0, 0.4, PAIR_MODES[0]), (1.0, 0.4, PAIR_MODES[0]), (1.0, 0.4, ((1, 0), (-1, 1)))],
     )
     def test_matches_fock_oracle(self, p, eta, pair_modes):
-        spec = DisorderSpec(p=p, steps=4, master_seed=12)
-        res = run_pair_ensemble(spec, COIN, 1, eta=eta, pair_modes=pair_modes)
-        u = single_particle_unitary(4, COIN, generate_phase_map(spec, 0), 4)
-        expect = fock_site_pairs(u, pair_modes, eta)
-        np.testing.assert_allclose(res.mean_matrices[-1].probabilities, expect, atol=1e-10)
-        assert res.mean_variance2[-1] == pytest.approx(centroid_variance(expect), abs=1e-10)
+        assert_matches_fock_oracle(DisorderSpec(p=p, steps=4, master_seed=12), eta, pair_modes)
+
+    # The default alphabet walks in float64, where G has no imaginary part;
+    # this one keeps the walk in complex128.
+    @pytest.mark.parametrize("pair_modes", PAIR_MODES)
+    def test_complex_walk_matches_fock_oracle(self, pair_modes):
+        spec = DisorderSpec(p=0.5, steps=4, master_seed=12, alphabet=QUARTER_TURNS)
+        assert_matches_fock_oracle(spec, 0.4, pair_modes)
 
     def test_mean_matrices_stay_normalized(self):
         res = run_pair_ensemble(DisorderSpec(p=0.5, steps=4, master_seed=3), COIN, 5, eta=0.7)
@@ -266,7 +293,7 @@ class TestPairEnsemble:
         b = run_pair_ensemble(spec, COIN, 4, eta=0.5)
         np.testing.assert_array_equal(a.mean_variance2, b.mean_variance2)
 
-    @pytest.mark.parametrize("n_maps", [12, CHUNK_SIZE + 2])
+    @pytest.mark.parametrize("n_maps", [12, chunk_maps(20) + 2])
     def test_identical_maps_have_exactly_zero_std(self, n_maps):
         # Every p = 0 map is the same walk; a plain n-1 std of their equal
         # values reads up to ~2.2e-14 here, from the rounding of their mean.
@@ -278,6 +305,47 @@ class TestPairEnsemble:
     def test_n_maps_validated(self):
         with pytest.raises(DomainError):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 0, eta=1.0)
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, QUARTER_TURNS], ids=["float64", "complex128"])
+class TestPairScan:
+    GRID = [0.0, 0.3, 1.0, 0.3, 0.8]
+
+    def specs(self, alphabet, steps=5):
+        return [DisorderSpec(p=p, steps=steps, alphabet=alphabet, master_seed=4) for p in self.GRID]
+
+    def test_scan_matches_per_spec_calls(self, alphabet):
+        specs = self.specs(alphabet)
+        for spec, res in zip(specs, run_pair_ensembles(specs, COIN, 30, eta=0.6), strict=True):
+            assert_same_pair_ensemble(res, run_pair_ensemble(spec, COIN, 30, eta=0.6))
+
+    @pytest.mark.parametrize("pair_modes", [PAIR_MODES[0], PAIR_MODES[2]], ids=["distinct", "same"])
+    def test_chunk_split_changes_no_bit(self, alphabet, pair_modes, monkeypatch):
+        # More maps than the old fixed chunk of 128, in one chunk and then in
+        # three (100, 100 and 31 maps).
+        specs = self.specs(alphabet)
+        whole = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 11 * 100)
+        assert chunk_maps(5) == 100
+        split = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
+        for a, b in zip(whole, split, strict=True):
+            assert_same_pair_ensemble(a, b)
+
+    @pytest.mark.parametrize("steps, n_maps", [(5, 131), (20, 300)])
+    def test_mean_matrices_add_maps_in_index_order(self, alphabet, steps, n_maps):
+        # At p = 0 every map is the same walk, with map 0's density d; the
+        # index-order sum adds n_maps copies of d one by one. Summing chunk
+        # by chunk moves up to a few thousand cells in the last bit.
+        spec = DisorderSpec(p=0.0, steps=steps, alphabet=alphabet, master_seed=1)
+        one = run_pair_ensemble(spec, COIN, 1, eta=0.6)
+        res = run_pair_ensemble(spec, COIN, n_maps, eta=0.6)
+        for m1, m in zip(one.mean_matrices, res.mean_matrices, strict=True):
+            d = m1.probabilities / 2.0
+            np.fill_diagonal(d, np.diagonal(m1.probabilities))
+            total = np.stack([d] * n_maps).sum(axis=0)
+            expect = 2.0 * total
+            np.fill_diagonal(expect, np.diagonal(total))
+            assert np.array_equal(m.probabilities, expect / n_maps)
 
 
 class TestHomScan:

@@ -15,13 +15,17 @@ that REV_A's `gen-maps` wrote.
 Every CSV and map file is compared byte for byte; manifests are skipped,
 since they hold timestamps and absolute paths. The script prints each file
 that differs or exists on one side only, and each command whose exit code
-differs, then a summary line. It exits 1 if anything differs, else 0.
+differs, then a summary line. A differing CSV with the same header and row
+count on both sides also gets the largest absolute and relative change of
+any numeric cell, and the summary line gives the largest over all of them.
+It exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -59,9 +63,40 @@ def _outputs(out: Path) -> set[Path]:
             if p.is_file() and not p.name.startswith("manifest_")}
 
 
-def _report(prefix: str, outs: list[Path], revs: tuple[str, str]) -> tuple[int, int]:
+def _cell_change(a: Path, b: Path):
+    """(largest absolute, largest relative) change between the cells of two
+    CSVs, or None unless they share a header and row count and every
+    differing cell is a number on both sides. The relative change is taken
+    against the larger magnitude of the two values; a NaN or an infinity
+    against a finite value counts as an infinite change."""
+    rows = [path.read_text(encoding="ascii").splitlines() for path in (a, b)]
+    if a.suffix != ".csv" or rows[0][:1] != rows[1][:1] or len(rows[0]) != len(rows[1]):
+        return None
+    largest = (0.0, 0.0)
+    for row_a, row_b in zip(rows[0][1:], rows[1][1:]):
+        cells = row_a.split(","), row_b.split(",")
+        if len(cells[0]) != len(cells[1]):
+            return None
+        for x, y in zip(*cells):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                return None
+            change = abs(x - y)
+            if not math.isfinite(change):  # a NaN or an infinity on one side
+                return math.inf, math.inf
+            relative = change / max(abs(x), abs(y)) if change else 0.0
+            largest = (max(largest[0], change), max(largest[1], relative))
+    return largest
+
+
+def _report(prefix: str, outs: list[Path], revs: tuple[str, str], largest: list) -> tuple[int, int]:
     """Print each output file that differs between the two output
-    directories; returns (files compared, files that differ)."""
+    directories, sized where _cell_change can size it, and raise `largest`
+    (absolute, relative) to each size; returns (files compared, files that
+    differ)."""
     files = [_outputs(out) if out.exists() else set() for out in outs]
     differing = 0
     for rel in sorted(files[0] | files[1]):
@@ -69,6 +104,10 @@ def _report(prefix: str, outs: list[Path], revs: tuple[str, str]) -> tuple[int, 
             status = f"only in {revs[0] if rel in files[0] else revs[1]}"
         elif not filecmp.cmp(outs[0] / rel, outs[1] / rel, shallow=False):
             status = "differs"
+            change = _cell_change(outs[0] / rel, outs[1] / rel)
+            if change is not None:
+                status += f" (largest cell change: {change[0]:.3g} absolute, {change[1]:.3g} relative)"
+                largest[:] = [max(a, b) for a, b in zip(largest, change)]
         else:
             continue
         differing += 1
@@ -79,6 +118,7 @@ def _report(prefix: str, outs: list[Path], revs: tuple[str, str]) -> tuple[int, 
 def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
     shas = [_git("rev-parse", "--verify", f"{rev}^{{commit}}") for rev in (rev_a, rev_b)]
     compared = differences = 0
+    largest = [0.0, 0.0]  # over every sized file: absolute, relative
     with tempfile.TemporaryDirectory(prefix="pdqw-compare-") as tmp:
         tmp = Path(tmp)
         trees = [tmp / "a", tmp / "b"]
@@ -98,14 +138,15 @@ def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
                         if codes[0] != codes[1]:
                             differences += 1
                             print(f"{label}: {command}: exit code {codes[0]} -> {codes[1]}")
-                        n, d = _report(f"{label}: {command}", outs, (rev_a, rev_b))
+                        n, d = _report(f"{label}: {command}", outs, (rev_a, rev_b), largest)
                         compared += n
                         differences += d
         finally:
             for tree in trees:
                 if tree.exists():
                     _git("worktree", "remove", "--force", str(tree))
-    print(f"{compared} output files compared, {differences} differences "
+    print(f"{compared} output files compared, {differences} differences, largest cell change "
+          f"{largest[0]:.3g} absolute, {largest[1]:.3g} relative "
           f"({rev_a} {shas[0][:12]} -> {rev_b} {shas[1][:12]})")
     return 1 if differences else 0
 
