@@ -244,7 +244,7 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
                     density = pa[:, :, None] * pa[:, None, :]
                 else:
                     density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
-                    if real:  # Im G x Im G, all +-0.0, changes no bit of a density >= +0.0
+                    if real:  # the complex walk adds Im G x Im G = +-0.0 to a density >= +0.0
                         interfering = g[:, :, None] * g[:, None, :]
                     else:
                         interfering = (g.real[:, :, None] * g.real[:, None, :]
