@@ -1,12 +1,14 @@
 """Ensemble averaging over disorder realizations.
 
 The runner samples and evolves whole blocks of maps at once (amplitude
-arrays shaped (rows, sites)), which is what makes thousand-map scans over a
-dense p grid cheap. The maps of one p are split into chunks of at most
-BATCH_CELLS // sites maps; chunks of several p are stacked into one batch
-and walked together. Every moment is taken row by row after each step, and
-each p's mean distribution is a running sum over its maps in index order,
-so no result depends on where chunks or batches split.
+arrays shaped (rows, window sites)), which is what makes thousand-map scans
+over a dense p grid cheap. Every walk starts at the origin, so after step n
+it holds only the n + 1 sites of its light cone. The maps of one p are split
+into chunks of at most chunk_maps(steps) = BATCH_CELLS // (steps + 1) maps;
+chunks of several p are stacked into one batch and walked together. Every
+moment is taken row by row over the window after each step, and each p's
+mean distribution is a running sum over its maps in index order, so no
+result depends on where chunks or batches split.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import numpy as np
 from .analysis import Distribution
 from .disorder import DEFAULT_ALPHABET, DisorderSpec, ScanSampler
 from .errors import DomainError
-from .walk_core import _walk, _walk_operands, evolve, position_distribution
+from .walk_core import _walk, _walk_operands, evolve, light_cone, position_distribution
 
-# Cells (rows x sites) stepped together: it bounds the amplitude arrays of a
-# batch and sets the maps per chunk. Larger batches save per-call overhead
-# but raise peak memory.
+# Cells (rows x window sites) stepped together: it bounds the amplitude
+# arrays of a batch and sets the maps per chunk. Larger batches save
+# per-call overhead but raise peak memory.
 BATCH_CELLS = 8192
 
 
@@ -60,8 +62,10 @@ def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chunk_maps(steps: int) -> int:
-    """Maps per chunk at `steps` steps: as many rows as BATCH_CELLS holds."""
-    return max(1, BATCH_CELLS // (2 * steps + 1))
+    """Maps per chunk at `steps` steps: as many rows as BATCH_CELLS holds,
+    counting in a row the steps + 1 sites that a walk from the origin holds
+    after its last step."""
+    return max(1, BATCH_CELLS // (steps + 1))
 
 
 def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
@@ -91,14 +95,16 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     sampler = ScanSampler(specs)
     steps = specs[0].steps
     n_sites = 2 * steps + 1
-    sites = np.arange(-steps, steps + 1, dtype=float)
-    sites_sq = sites * sites
+    cone = light_cone([steps], n_sites, steps)
+    # The window of step n as sites and squared sites.
+    sites = [(w.sites - steps).astype(float) for w in cone[1:]]
+    sites_sq = [x * x for x in sites]
 
     size = chunk_maps(steps)
     chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
     # Several whole p per batch, or one chunk; either way equal-sized chunks.
     per_batch = max(1, size // n_maps)
-    sums = np.empty((len(specs), steps, n_sites))
+    sums = np.zeros((len(specs), steps, n_sites))
     drifts = np.zeros(len(specs))
     moments = []
     variances = []  # per-map variances of the chunks of the current p so far
@@ -107,29 +113,28 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
         (i, start, stop), k = batch[0], len(batch)
         rows = k * (stop - start)
         codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch])
-        # psi[c]: coin-c amplitudes, one row per map.
-        psi = np.zeros((2, rows, n_sites), dtype=coin.dtype)
-        psi[0, :, steps] = 1.0
-        walk = _walk(*psi, coin, codes, table)
-        del psi  # the start state is freed once the walk takes its first step
+        # psi[c]: coin-c amplitudes on the origin, one row per map.
+        psi = np.zeros((2, rows, 1), dtype=coin.dtype)
+        psi[0] = 1.0
         var = np.empty((rows, steps))
         totals = np.empty((steps, rows))
         acc = sums[i : i + k]
-        for n, (psi0, psi1) in enumerate(walk):
+        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, cone)):
             w = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
             # Sums over C-contiguous rows round the same for a map whatever
             # its batch; a matrix-vector product does not.
             totals[n] = w.sum(axis=1)
             w /= totals[n, :, None]
-            m1 = (w * sites).sum(axis=1)
-            m2 = (w * sites_sq).sum(axis=1)
+            m1 = (w * sites[n]).sum(axis=1)
+            m2 = (w * sites_sq[n]).sum(axis=1)
             var[:, n] = m2 - m1 * m1
-            w = w.reshape(k, -1, n_sites)
+            w = w.reshape(k, -1, w.shape[-1])
+            at = cone[n + 1].at
             if start > 0:
                 # Carry the earlier chunks' sum into the first map, so the
                 # reduction adds the maps in index order, as one mean would.
-                w[:, 0] += acc[:, n]
-            acc[:, n] = w.sum(axis=1)
+                w[:, 0] += acc[:, n, at]
+            acc[:, n, at] = w.sum(axis=1)
         drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
         np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
         for var_chunk, (_, _, z) in zip(np.split(var, k), batch):

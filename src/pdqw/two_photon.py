@@ -21,7 +21,7 @@ from .analysis import Distribution
 from .disorder import DisorderSpec, ScanSampler
 from .ensemble import check_scan, chunk_maps, mean_and_std
 from .errors import DomainError
-from .walk_core import _walk, _walk_operands, mode_index, single_particle_unitary
+from .walk_core import _walk, _walk_operands, light_cone, mode_index, single_particle_unitary
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -193,12 +193,14 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     in p.
 
     Only the two input columns A, B of each map's mode unitary are evolved,
-    chunk_maps(steps) maps and one p per walk, on the periodic lattice of
-    single_particle_unitary(steps, ...). With per-site sums
-    pA = sum_c |A_sc|^2, pB likewise and G = sum_c A_sc conj(B_sc), the
-    ordered site-pair density is 1/2 (pA x pB + pB x pA) + eta Re(G x G*),
-    which is pA x pA when both photons enter the same mode. Each p's mean
-    matrices add its maps in index order, whatever the chunk split.
+    chunk_maps(steps) maps and one p per walk, on the light cone of the two
+    input sites in the periodic lattice of single_particle_unitary(steps,
+    ...). With per-site sums pA = sum_c |A_sc|^2, pB likewise and
+    G = sum_c A_sc conj(B_sc), the ordered site-pair density is
+    1/2 (pA x pB + pB x pA) + eta Re(G x G*), which is pA x pA when both
+    photons enter the same mode. It is built on the window's site pairs
+    only, and every other pair has probability 0. Each p's mean matrices add
+    its maps in index order, whatever the chunk split.
     """
     specs = check_scan(specs, n_maps)
     pair = PairInput(pair_modes[0], pair_modes[1], eta=eta)
@@ -210,26 +212,32 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     ia = mode_index(*pair.mode_a, steps)
     ib = mode_index(*pair.mode_b, steps)
     same_input = ia == ib
-    sites = np.arange(-steps, steps + 1, dtype=float)
-    centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
-    centroid_sq = centroid * centroid
+    cone = light_cone([ia // 2, ib // 2], n_sites, steps)
+    start_a, start_b = np.searchsorted(cone[0].sites, [ia // 2, ib // 2])
+    cells, centroids = [], []  # per step: the window's site pairs and their centroids
+    for window in cone[1:]:
+        sites = (window.sites - steps).astype(float)
+        centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
+        cells.append(np.ix_(window.sites, window.sites))
+        centroids.append((centroid, centroid * centroid))
     diagonal = np.arange(n_sites)
     size = chunk_maps(steps)
 
     results = []
     for i, spec in enumerate(specs):
-        sums = np.empty((steps, n_sites, n_sites))
+        sums = np.zeros((steps, n_sites, n_sites))
         var2 = np.empty((n_maps, steps))
         worst = 0.0
         for start in range(0, n_maps, size):
             stop = min(start + size, n_maps)
             block = stop - start
             codes = sampler.sample(i, start, stop)[:, None]
-            # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A, 1: B).
-            psi = np.zeros((2, block, 2, n_sites), dtype=coin.dtype)
-            psi[ia % 2, :, 0, ia // 2] = 1.0
-            psi[ib % 2, :, 1, ib // 2] = 1.0
-            for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table)):
+            # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A,
+            # 1: B) on the start window.
+            psi = np.zeros((2, block, 2, len(cone[0].sites)), dtype=coin.dtype)
+            psi[ia % 2, :, 0, start_a] = 1.0
+            psi[ib % 2, :, 1, start_b] = 1.0
+            for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, cone)):
                 weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
                 pa, pb = weights[:, 0], weights[:, 1]
                 b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
@@ -252,13 +260,14 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
                     density += pair.eta * interfering
                 flat = density.reshape(block, -1)
                 _require_pair_normalized(flat.sum(axis=1))
+                centroid, centroid_sq = centroids[n]
                 m1 = (flat * centroid).sum(axis=1)
                 var2[start:stop, n] = (flat * centroid_sq).sum(axis=1) - m1 * m1
                 if start > 0:
                     # Carry the earlier chunks' sum into the first map, as
                     # run_ensembles does, so the maps add in index order.
-                    density[0] += sums[n]
-                density.sum(axis=0, out=sums[n])
+                    density[0] += sums[n][cells[n]]
+                sums[n][cells[n]] = density.sum(axis=0)
 
         # The sums become the unordered mean matrices in place.
         on_diagonal = sums[:, diagonal, diagonal]

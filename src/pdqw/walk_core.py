@@ -4,8 +4,9 @@ State model: a walker on sites -n_max..+n_max with a two-level coin. One
 step applies, in order, the per-site phase stage (coin-1 amplitudes pick up
 exp(i*phi)), the coin mix, and the coin-conditioned shift (coin 0 moves one
 site left, coin 1 one site right). The shift is periodic, so every step is
-exactly unitary on the finite lattice; a walk from the origin with
-steps <= n_max never reaches the edge, so the wrap moves only zeros.
+exactly unitary on the finite lattice. Every walk steps only its light cone:
+the ring sites its start state can have reached, which for a walk from the
+origin are the n + 1 sites of parity n after n steps.
 """
 
 from __future__ import annotations
@@ -85,31 +86,87 @@ class WalkState:
         return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum()))
 
 
-def _walk(psi0, psi1, coin, codes, table):
-    """Step coin-component arrays whose last axis is the site axis; yield
-    (psi0, psi1) after each step.
+@dataclass(frozen=True)
+class Window:
+    """The ring sites a walk can occupy after some step, and how the shift
+    reaches them from the step before.
+
+    `sites` are the sorted ring indices; `at` indexes them on a full lattice
+    axis (a slice where they are evenly spaced). `shift[c]` moves the coin-c
+    amplitudes one site (left for coin 0, right for coin 1) from the
+    previous window into this one: (dst, src) slice pairs to copy, and the
+    positions that receive nothing and hold 0.
+    """
+
+    sites: np.ndarray
+    at: slice | np.ndarray
+    shift: tuple = ()
+
+
+def _index(ix: np.ndarray) -> slice | np.ndarray:
+    """Sorted distinct indices as a slice where they are evenly spaced."""
+    if len(ix) < 2:
+        return slice(int(ix[0]), int(ix[0]) + 1) if len(ix) else slice(0, 0)
+    d = int(ix[1] - ix[0])
+    return slice(int(ix[0]), int(ix[-1]) + 1, d) if (np.diff(ix) == d).all() else ix
+
+
+def _moves(dst: np.ndarray, width: int) -> tuple[list, slice | np.ndarray]:
+    """Copy runs sending position j of a window to dst[j] of one `width`
+    wide, and the positions of it left empty."""
+    cuts = [0, *(np.flatnonzero(np.diff(dst) != 1) + 1), len(dst)]
+    runs = [(slice(int(dst[a]), int(dst[b - 1]) + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    empty = np.ones(width, dtype=bool)
+    empty[dst] = False
+    return runs, _index(np.flatnonzero(empty))
+
+
+def light_cone(start, n_sites: int, steps: int) -> list[Window]:
+    """Windows of a walk on a ring of n_sites whose start state is nonzero
+    only at ring indices `start`: cone[0] holds the start sites and cone[n]
+    those after step n, each the previous one moved one site left and one
+    site right, modulo the ring. Once a window covers the ring it stays so."""
+    on = np.zeros(n_sites, dtype=bool)
+    on[np.asarray(start)] = True
+    prev = np.flatnonzero(on)
+    cone = [Window(prev, _index(prev))]
+    for _ in range(steps):
+        on = np.roll(on, -1) | np.roll(on, 1)
+        sites = np.flatnonzero(on)
+        pos = np.cumsum(on) - 1  # the window position of each ring site
+        shift = tuple(_moves(pos[(prev + d) % n_sites], len(sites)) for d in (-1, 1))
+        cone.append(Window(sites, _index(sites), shift))
+        prev = sites
+    return cone
+
+
+def _walk(psi0, psi1, coin, codes, table, cone):
+    """Step coin-component arrays whose last axis runs over the sites of
+    cone[0]; yield (psi0, psi1) on the sites of cone[n] after each step n.
 
     The one walk driver: the single walker, the batched ensemble, the
     two-photon input columns and the mode unitary all step through it, so
     all perform identical elementwise float operations, in the dtype of the
-    operands that _walk_operands gives them. Step n gathers the
-    phase factors of row n-1 with table.take(codes[..., n-1, :]) (the values
+    operands that _walk_operands gives them. Step n gathers the phase
+    factors of row n-1 at the previous window with table.take (the values
     fancy indexing gives, gathered faster), multiplies the coin-1 amplitudes
-    by them, mixes with the coin and shifts coin 0 one site left, coin 1
-    one site right. The shift is periodic; a walk from the origin that
-    stays within its lattice has zero amplitude at the edges, so the wrap
-    moves nothing.
+    by them, mixes with the coin and shifts coin 0 one site left, coin 1 one
+    site right, periodically. Sites outside the window hold exact zeros on
+    the full lattice, so on the window every amplitude is the one the full
+    lattice walk gives, up to the sign of a zero.
     """
-    for n in range(codes.shape[-2]):
-        b1 = table.take(codes[..., n, :]) * psi1
+    for n, (prev, window) in enumerate(zip(cone, cone[1:])):
+        b1 = table.take(codes[..., n, prev.at]) * psi1
         a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
         a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
-        psi0 = np.empty_like(a0)
-        psi1 = np.empty_like(a1)
-        psi0[..., :-1] = a0[..., 1:]
-        psi1[..., 1:] = a1[..., :-1]
-        psi0[..., -1] = a0[..., 0]
-        psi1[..., 0] = a1[..., -1]
+        shifted = []
+        for a, (runs, empty) in zip((a0, a1), window.shift):
+            psi = np.empty(a.shape[:-1] + (len(window.sites),), dtype=a.dtype)
+            for dst, src in runs:
+                psi[..., dst] = a[..., src]
+            psi[..., empty] = 0.0
+            shifted.append(psi)
+        psi0, psi1 = shifted
         yield psi0, psi1
 
 
@@ -140,12 +197,14 @@ def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
     if steps > n_max:
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
     codes = _map_on_lattice(phase_map, n_max, steps)
-    psi0 = np.zeros(2 * n_max + 1, dtype=coin.dtype)
-    psi0[n_max] = 1.0
-    return [
-        WalkState(n_max=n_max, amplitudes=np.stack(psi, axis=1), step=n)
-        for n, psi in enumerate(_walk(psi0, np.zeros_like(psi0), coin, codes, table), start=1)
-    ]
+    cone = light_cone([n_max], 2 * n_max + 1, steps)
+    walk = _walk(np.ones(1, dtype=coin.dtype), np.zeros(1, dtype=coin.dtype), coin, codes, table, cone)
+    states = []
+    for n, (window, psi) in enumerate(zip(cone[1:], walk), start=1):
+        amplitudes = np.zeros((2 * n_max + 1, 2), dtype=complex)
+        amplitudes[window.at] = np.stack(psi, axis=1)
+        states.append(WalkState(n_max=n_max, amplitudes=amplitudes, step=n))
+    return states
 
 
 def position_distribution(state: WalkState) -> Distribution:
@@ -172,9 +231,10 @@ def mode_index(site: int, coin: int, n_max: int) -> int:
 def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarray:
     """Full mode unitary of `steps` steps over the 2*(2*n_max+1) lattice modes.
 
-    Every basis column steps through `_walk` in one batch; its periodic
-    shift makes the operator exactly unitary on the finite lattice, and
-    columns whose light cone stays inside the lattice agree with `evolve`.
+    Every basis column steps through `_walk` in one batch, whose window is
+    the whole ring from the start; its periodic shift makes the operator
+    exactly unitary on the finite lattice, and columns whose light cone
+    stays inside the lattice agree with `evolve`.
     Sites beyond the map's rows get phase 0. steps=0 returns the identity.
     """
     coin, table = _walk_operands(coin, () if phase_map is None else phase_map.alphabet)
@@ -188,6 +248,6 @@ def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarr
     # psi_c[j, s]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
     basis = np.eye(dim, dtype=coin.dtype).reshape(dim, n_sites, 2)
     psi = basis[..., 0], basis[..., 1]
-    for psi in _walk(*psi, coin, codes, table):
+    for psi in _walk(*psi, coin, codes, table, light_cone(np.arange(n_sites), n_sites, steps)):
         pass  # only the last step's amplitudes are wanted
     return np.stack(psi, axis=-1).reshape(dim, dim).T.astype(complex, copy=False)

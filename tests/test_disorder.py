@@ -231,7 +231,7 @@ class TestScanSampler:
 
     @pytest.mark.parametrize("runner", ["run_ensembles", "similarity_scan", "run_pair_ensembles"])
     def test_each_chunk_is_drawn_once_per_call(self, draws, monkeypatch, runner):
-        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 7 * 10)  # 10 maps a chunk at steps 3
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 4 * 10)  # 10 maps a chunk at steps 3
         p_grid, n_maps = [0.0, 0.1, 0.4, 0.1, 0.8], 25
         specs = [DisorderSpec(p, 3, master_seed=8) for p in p_grid]
         calls = {

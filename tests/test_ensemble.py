@@ -128,6 +128,36 @@ class TestRunner:
         with pytest.raises(DomainError):
             run_ensembles([], COIN, 4)
 
+    def test_batch_and_chunk_splits_change_no_bit(self, monkeypatch):
+        # By default all five p share one walk. Then 2 * 23 maps a chunk
+        # stacks two whole p per walk, and 8 maps a chunk splits every p
+        # into four chunks, one per walk. Every split must give the bits of
+        # the default scan and of one run_ensemble call per p. At steps 20
+        # a moment taken as a matrix-vector product fails this.
+        specs = [DisorderSpec(p=p, steps=20, master_seed=19) for p in (0.2, 0.5, 0.7, 1.0, 0.35)]
+        n_maps = 23
+
+        def scan():
+            results = run_ensembles(specs, COIN, n_maps)
+            for spec, res in zip(specs, results, strict=True):
+                one = run_ensemble(spec, COIN, n_maps)
+                assert np.array_equal(res.mean_variance, one.mean_variance)
+                assert np.array_equal(res.std_variance, one.std_variance)
+                assert np.array_equal(res.mean_probabilities, one.mean_probabilities)
+                assert res.max_norm_drift == one.max_norm_drift
+            return results
+
+        assert chunk_maps(20) >= len(specs) * n_maps
+        default = scan()
+        for maps in (2 * n_maps, 8):
+            monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", maps * (20 + 1))
+            assert chunk_maps(20) == maps
+            for res, ref in zip(scan(), default, strict=True):
+                assert np.array_equal(res.mean_variance, ref.mean_variance)
+                assert np.array_equal(res.std_variance, ref.std_variance)
+                assert np.array_equal(res.mean_probabilities, ref.mean_probabilities)
+                assert res.max_norm_drift == ref.max_norm_drift
+
     def test_memory_stays_within_a_few_batches(self):
         # Keeping every map's (steps, sites) distributions until the end
         # peaked at 13.0 MB here (a 6.6 MB tensor, concatenated once more).

@@ -39,8 +39,9 @@ ALPHABET = (0.0, 0.5 * math.pi, math.pi)
 
 
 def reference_chunk(spec, coin, table, start, stop):
-    """Maps start..stop-1 stepped one step at a time, with fancy-indexed
-    phase factors and the moments taken after every step."""
+    """Maps start..stop-1 stepped one step at a time over the whole lattice,
+    with fancy-indexed phase factors and the moments taken after every step
+    over the sites of the light cone, the only ones with weight."""
     steps = spec.steps
     n_sites = 2 * steps + 1
     block = stop - start
@@ -48,10 +49,8 @@ def reference_chunk(spec, coin, table, start, stop):
     psi0 = np.zeros((block, n_sites), dtype=complex)
     psi1 = np.zeros_like(psi0)
     psi0[:, steps] = 1.0
-    sites = np.arange(-steps, steps + 1, dtype=float)
-    sites_sq = sites * sites
     variances = np.empty((block, steps))
-    dists = np.empty((block, steps, n_sites))
+    dists = np.zeros((block, steps, n_sites))
     for n in range(1, steps + 1):
         b1 = table[codes[..., n - 1, :]] * psi1
         a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
@@ -63,9 +62,15 @@ def reference_chunk(spec, coin, table, start, stop):
         psi0[..., -1] = a0[..., 0]
         psi1[..., 0] = a1[..., -1]
         weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-        totals = weights.sum(axis=1, keepdims=True)
-        prob = weights / totals
-        dists[:, n - 1, :] = prob
+        cone = slice(steps - n, steps + n + 1, 2)  # sites -n, -n + 2, ..., n
+        sites = np.arange(-n, n + 1, 2, dtype=float)
+        sites_sq = sites * sites
+        on_cone = weights[:, cone].copy()
+        weights[:, cone] = 0.0
+        assert not weights.any()
+        totals = on_cone.sum(axis=1, keepdims=True)
+        prob = on_cone / totals
+        dists[:, n - 1, cone] = prob
         m1 = (prob * sites).sum(axis=1)
         m2 = (prob * sites_sq).sum(axis=1)
         variances[:, n - 1] = m2 - m1 * m1
@@ -92,10 +97,10 @@ def reference_cone_blocks(dists, *lead):
 class TestBatchedMoments:
     @pytest.mark.parametrize("mode", ["bernoulli", "exact_fraction"])
     @pytest.mark.parametrize("steps", [1, 7, 20])
-    # The three p share one batch, except at 300 maps of steps 7 (one p per
-    # batch) and at 130 and 300 maps of steps 20 (one chunk per batch, and
-    # 300 maps split every p in two).
-    @pytest.mark.parametrize("n_maps", [1, 64, 130, 300])
+    # The three p share one batch, except at 600 maps of steps 7 (one p per
+    # batch) and at 260 and 600 maps of steps 20 (one chunk per batch, and
+    # 600 maps split every p in two).
+    @pytest.mark.parametrize("n_maps", [1, 64, 260, 600])
     def test_matches_the_per_step_loop(self, n_maps, steps, mode):
         specs = [DisorderSpec(p=p, steps=steps, alphabet=ALPHABET, sampling_mode=mode, master_seed=5)
                  for p in (0.5, 0.0, 0.9)]

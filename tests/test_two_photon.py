@@ -253,7 +253,7 @@ class TestPairEnsemble:
         # this alphabet and seed, maps 128-130 differ from maps 0-2, so a
         # chunk that reads the wrong maps shows. The manual loop is slow, so
         # the batch budget shrinks to 128 maps a chunk.
-        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 7 * 128)
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 4 * 128)
         n_maps = chunk_maps(3) + 3
         spec = DisorderSpec(p=0.5, steps=3, master_seed=21, alphabet=(0.0, 1.0, 2.0))
         res = run_pair_ensemble(spec, COIN, n_maps, eta=0.4)
@@ -325,7 +325,7 @@ class TestPairScan:
         # three (100, 100 and 31 maps).
         specs = self.specs(alphabet)
         whole = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
-        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 11 * 100)
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 6 * 100)
         assert chunk_maps(5) == 100
         split = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
         for a, b in zip(whole, split, strict=True):

@@ -24,10 +24,11 @@ from pdqw import (
     single_particle_unitary,
     variance,
 )
-from pdqw.disorder import phase_factors
-from pdqw.walk_core import _walk_operands
+from pdqw.disorder import DEFAULT_ALPHABET, phase_factors
+from pdqw.walk_core import _map_on_lattice, _walk, _walk_operands, light_cone
 
 COIN = hadamard_coin()
+QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
 
 # Hand-derived: variance after steps 1..8 of the ordered balanced walk
 # started at the origin with coin state (1, 0). Steps 1..4 are exact by a
@@ -234,6 +235,57 @@ class TestModeUnitary:
             mode_index(0, 2, 3)
         with pytest.raises(DomainError):
             mode_index(4, 0, 3)
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, QUARTER_TURNS], ids=["float64", "complex128"])
+class TestWindowedDriver:
+    """_walk steps only the light cone of its start state: after each step
+    its amplitudes on the window are the periodic dense product's, and the
+    dense product has nothing outside the window."""
+
+    COIN = coin_from_reflectivity(0.45)
+
+    @pytest.mark.parametrize("n_max, steps, modes", [
+        (5, 5, [(0, 0)]),  # the walk from the origin
+        (3, 3, [(-1, 0), (1, 1)]),  # inputs at +-1 wrap at steps = n_max
+        (3, 7, [(s, c) for s in range(-3, 4) for c in (0, 1)]),  # every basis column
+    ], ids=["origin", "wrapping-inputs", "every-column"])
+    def test_matches_the_periodic_dense_product(self, alphabet, n_max, steps, modes):
+        spec = DisorderSpec(p=0.8, steps=steps, alphabet=alphabet, master_seed=29)
+        pm = generate_phase_map(spec, 0)
+        coin, table = _walk_operands(self.COIN, alphabet)
+        assert coin.dtype == (np.float64 if alphabet == DEFAULT_ALPHABET else np.complex128)
+        n_sites = 2 * n_max + 1
+        cone = light_cone(sorted({s + n_max for s, _ in modes}), n_sites, steps)
+        start = np.searchsorted(cone[0].sites, [s + n_max for s, _ in modes])
+        psi = np.zeros((2, len(modes), len(cone[0].sites)), dtype=coin.dtype)
+        psi[[c for _, c in modes], np.arange(len(modes)), start] = 1.0
+        dense = np.eye(2 * n_sites, dtype=complex)[:, [mode_index(s, c, n_max) for s, c in modes]]
+        walk = _walk(*psi, coin, _map_on_lattice(pm, n_max, steps), table, cone)
+        for n, (psi0, psi1) in enumerate(walk, start=1):
+            dense = dense_step_matrix(n_max, self.COIN, rows(pm)[n - 1], n, periodic=True) @ dense
+            by_site = dense.T.reshape(len(modes), n_sites, 2).copy()
+            window = cone[n].sites
+            assert psi0.dtype == coin.dtype
+            np.testing.assert_allclose(psi0, by_site[:, window, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi1, by_site[:, window, 1], rtol=0, atol=1e-12)
+            by_site[:, window] = 0.0
+            assert not by_site.any()
+        assert n == steps
+
+    def test_evolve_is_the_driver_scattered_on_zeros(self, alphabet):
+        n_max, steps = 7, 6
+        pm = generate_phase_map(DisorderSpec(p=0.9, steps=steps, alphabet=alphabet, master_seed=3), 0)
+        coin, table = _walk_operands(self.COIN, alphabet)
+        cone = light_cone([n_max], 2 * n_max + 1, steps)
+        walk = _walk(np.ones(1, coin.dtype), np.zeros(1, coin.dtype), coin,
+                     _map_on_lattice(pm, n_max, steps), table, cone)
+        for n, (state, psi) in enumerate(zip(evolve(n_max, self.COIN, pm, steps), walk), start=1):
+            assert list(cone[n].sites - n_max) == list(range(-n, n + 1, 2))
+            amplitudes = state.amplitudes.copy()
+            assert np.array_equal(amplitudes[cone[n].sites], np.stack(psi, axis=1))
+            amplitudes[cone[n].sites] = 0.0
+            assert not amplitudes.any()
 
 
 class TestWalkOperands:
