@@ -149,6 +149,11 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
     short transients: early steps carry small absolute residuals, so this
     fit is dominated by the later, larger variances.
 
+    beta is resolved to about 1e-9 relative only: the golden-section search
+    compares values of an SSE that is flat near its minimum, so a one-ulp
+    change in any variance can move beta, its standard error and the
+    prefactor in the ninth digit.
+
     Parameters
     ----------
     variances : sequence of float

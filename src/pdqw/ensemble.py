@@ -8,7 +8,8 @@ into chunks of at most chunk_maps(steps) = BATCH_CELLS // (steps + 1) maps;
 chunks of several p are stacked into one batch and walked together. Every
 moment is taken row by row over the window after each step, and each p's
 mean distribution is a running sum over its maps in index order, so no
-result depends on where chunks or batches split.
+result depends on where chunks or batches split. The pair scan of
+pdqw.two_photon walks the same batches (_batches).
 """
 
 from __future__ import annotations
@@ -82,17 +83,47 @@ def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
     return specs
 
 
+def _batches(specs, n_maps: int, moments: list):
+    """The batch plan of one scan, shared by run_ensembles and
+    run_pair_ensembles.
+
+    Yields (i, start, k, codes, var), one tuple per walk. The walk holds maps
+    start.. of specs i .. i + k - 1, stacked in spec order: either k whole p
+    (start 0), or, past chunk_maps(steps) maps, one chunk of one p, the chunks
+    in map order. codes holds one code plane per row, read from the scan's
+    ScanSampler, and the caller fills var (rows, steps) with each row's
+    variance. Once a p's last chunk has been walked, the mean_and_std of its
+    variances is appended to `moments`, so after the loop moments[i] belongs
+    to specs[i].
+    """
+    sampler = ScanSampler(specs)
+    steps = specs[0].steps
+    size = chunk_maps(steps)
+    chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
+    # Several whole p per batch, or one chunk; either way equal-sized chunks.
+    per_batch = max(1, size // n_maps)
+    variances = []  # per-map variances of the chunks of the current p so far
+    for b in range(0, len(chunks), per_batch):
+        batch = chunks[b : b + per_batch]
+        codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch])
+        var = np.empty((len(codes), steps))
+        yield batch[0][0], batch[0][1], len(batch), codes, var
+        variances.append(var)
+        if batch[-1][2] == n_maps:
+            moments.extend(mean_and_std(v) for v in np.split(np.concatenate(variances), len(batch)))
+            variances = []
+
+
 def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     """run_ensemble for every spec, in order; the specs may differ only in p.
 
     One coin check, one phase table and one ScanSampler serve the whole
     scan. Whole p (or, past chunk_maps(steps) maps, single chunks of one p)
-    are stacked along the batch axis of one walk, and each result equals
-    the one-spec call bit for bit.
+    are stacked along the batch axis of one walk (see _batches), and each
+    result equals the one-spec call bit for bit.
     """
     specs = check_scan(specs, n_maps)
     coin, table = _walk_operands(coin, specs[0].alphabet)
-    sampler = ScanSampler(specs)
     steps = specs[0].steps
     n_sites = 2 * steps + 1
     cone = light_cone([steps], n_sites, steps)
@@ -100,24 +131,14 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     sites = [(w.sites - steps).astype(float) for w in cone[1:]]
     sites_sq = [x * x for x in sites]
 
-    size = chunk_maps(steps)
-    chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
-    # Several whole p per batch, or one chunk; either way equal-sized chunks.
-    per_batch = max(1, size // n_maps)
     sums = np.zeros((len(specs), steps, n_sites))
     drifts = np.zeros(len(specs))
     moments = []
-    variances = []  # per-map variances of the chunks of the current p so far
-    for b in range(0, len(chunks), per_batch):
-        batch = chunks[b : b + per_batch]
-        (i, start, stop), k = batch[0], len(batch)
-        rows = k * (stop - start)
-        codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch])
+    for i, start, k, codes, var in _batches(specs, n_maps, moments):
         # psi[c]: coin-c amplitudes on the origin, one row per map.
-        psi = np.zeros((2, rows, 1), dtype=coin.dtype)
+        psi = np.zeros((2, len(codes), 1), dtype=coin.dtype)
         psi[0] = 1.0
-        var = np.empty((rows, steps))
-        totals = np.empty((steps, rows))
+        totals = np.empty((steps, len(codes)))
         acc = sums[i : i + k]
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, cone)):
             w = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
@@ -137,11 +158,6 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
             acc[:, n, at] = w.sum(axis=1)
         drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
         np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
-        for var_chunk, (_, _, z) in zip(np.split(var, k), batch):
-            variances.append(var_chunk)
-            if z == n_maps:
-                moments.append(mean_and_std(np.concatenate(variances)))
-                variances = []
     return [
         EnsembleResult(p=s.p, steps=steps, n_maps=n_maps, master_seed=s.master_seed,
                        mean_variance=mean, std_variance=std, mean_probabilities=total / n_maps,

@@ -8,7 +8,10 @@ eta of pairs interferes, the rest behaves as independent photons.
 
 The single-unitary functions take a dense mode unitary; the disorder
 ensemble reads only the two input columns of it, and evolves just those
-through the shared walk driver.
+through the shared walk driver, in the batches that run_ensembles walks.
+Each map's pair-centroid variance comes from one-body sums of the two
+columns; the site-pair density is built only for the mean matrices and the
+pair-mass check.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Distribution
-from .disorder import DisorderSpec, ScanSampler
-from .ensemble import check_scan, chunk_maps, mean_and_std
+from .disorder import DisorderSpec
+from .ensemble import _batches, check_scan
 from .errors import DomainError
 from .walk_core import _walk, _walk_operands, light_cone, mode_index, single_particle_unitary
 
@@ -55,7 +57,6 @@ class CoincidenceMatrix:
 
     offset: int
     probabilities: np.ndarray
-    convention: str = PAIR_CONVENTION
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -112,59 +113,15 @@ def two_photon_mode_distribution(u: np.ndarray, pair: PairInput) -> np.ndarray:
     return pair.eta * interfering + (1.0 - pair.eta) * product
 
 
-def _ordered_density(unordered: np.ndarray) -> np.ndarray:
-    """Convert unordered-pair probabilities to an ordered joint density
-    (off-diagonal halved) so plain reductions apply."""
-    ordered = unordered / 2.0
-    d = np.diag_indices(unordered.shape[0])
-    ordered[d] = unordered[d]
-    return ordered
-
-
-def site_coincidences(mode_matrix: np.ndarray) -> CoincidenceMatrix:
-    """Trace out the coin: aggregate mode pairs onto site pairs."""
-    mode_matrix = np.asarray(mode_matrix, dtype=float)
-    dim = mode_matrix.shape[0]
-    if mode_matrix.shape != (dim, dim) or dim % 2 != 0 or (dim // 2) % 2 == 0:
-        raise DomainError("mode matrix must be square over 2*(2*n_max+1) modes")
-    n_sites = dim // 2
-    n_max = (n_sites - 1) // 2
-    ordered = _ordered_density(mode_matrix)
-    by_site = ordered.reshape(n_sites, 2, n_sites, 2).sum(axis=(1, 3))
-    unordered = by_site + by_site.T
-    d = np.diag_indices(n_sites)
-    unordered[d] = by_site[d]
-    return CoincidenceMatrix(offset=-n_max, probabilities=unordered)
-
-
 def _require_pair_normalized(mass) -> None:
-    """Raise unless every pair mass (one triangle total, or one per map) is 1
-    within PAIR_NORMALIZATION_TOL."""
+    """Raise unless every pair mass (one per map) is 1 within
+    PAIR_NORMALIZATION_TOL."""
     mass = np.asarray(mass, dtype=float)
     worst = float(mass.flat[np.abs(mass - 1.0).argmax()])
     if abs(worst - 1.0) > PAIR_NORMALIZATION_TOL:
         raise DomainError(
             f"coincidence matrix mass {worst!r} is not 1 within {PAIR_NORMALIZATION_TOL}"
         )
-
-
-def variance2(cm: CoincidenceMatrix) -> float:
-    """Variance of the pair centroid (i+j)/2 over the coincidence matrix."""
-    _require_pair_normalized(cm.triangle_total())
-    ordered = _ordered_density(cm.probabilities)
-    sites = cm.sites.astype(float)
-    centroid = (sites[:, None] + sites[None, :]) / 2.0
-    m1 = float((centroid * ordered).sum())
-    m2 = float((centroid * centroid * ordered).sum())
-    return m2 - m1 * m1
-
-
-def pair_marginal(cm: CoincidenceMatrix) -> Distribution:
-    """Distribution of one detector's site, with pair multiplicity handled:
-    off-diagonal outcomes contribute half their mass to each member site."""
-    _require_pair_normalized(cm.triangle_total())
-    ordered = _ordered_density(cm.probabilities)
-    return Distribution(offset=cm.offset, probabilities=ordered.sum(axis=1))
 
 
 @dataclass
@@ -193,20 +150,27 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     in p.
 
     Only the two input columns A, B of each map's mode unitary are evolved,
-    chunk_maps(steps) maps and one p per walk, on the light cone of the two
-    input sites in the periodic lattice of single_particle_unitary(steps,
-    ...). With per-site sums pA = sum_c |A_sc|^2, pB likewise and
+    on the light cone of the two input sites in the periodic lattice of
+    single_particle_unitary(steps, ...), in the batches that run_ensembles
+    walks (ensemble._batches): several whole p per walk, or chunks of one p.
+    With per-site sums pA = sum_c |A_sc|^2, pB likewise and
     G = sum_c A_sc conj(B_sc), the ordered site-pair density is
     1/2 (pA x pB + pB x pA) + eta Re(G x G*), which is pA x pA when both
     photons enter the same mode. It is built on the window's site pairs
-    only, and every other pair has probability 0. Each p's mean matrices add
-    its maps in index order, whatever the chunk split.
+    only, and every other pair has probability 0; it feeds the mean
+    matrices, which add each p's maps in index order whatever the batch
+    split, and the per-map pair-mass check.
+
+    The centroid variance of a map comes from one-body sums over the
+    window's coordinates x: with the variances sA^2, sB^2 of pA and pB and
+    S = sum_x x G_x, it is (sA^2 + sB^2)/4 + eta (Re S)^2/2 + eta (Im S)^2/2,
+    since sum_x G_x = 0 for orthogonal inputs; for a single input mode it
+    is sA^2/2.
     """
     specs = check_scan(specs, n_maps)
     pair = PairInput(pair_modes[0], pair_modes[1], eta=eta)
     coin, table = _walk_operands(coin, specs[0].alphabet)
     real = coin.dtype.kind == "f"  # nothing to conjugate, and Im G is 0
-    sampler = ScanSampler(specs)
     steps = specs[0].steps
     n_sites = 2 * steps + 1
     ia = mode_index(*pair.mode_a, steps)
@@ -214,73 +178,72 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     same_input = ia == ib
     cone = light_cone([ia // 2, ib // 2], n_sites, steps)
     start_a, start_b = np.searchsorted(cone[0].sites, [ia // 2, ib // 2])
-    cells, centroids = [], []  # per step: the window's site pairs and their centroids
-    for window in cone[1:]:
-        sites = (window.sites - steps).astype(float)
-        centroid = ((sites[:, None] + sites[None, :]) / 2.0).ravel()
-        cells.append(np.ix_(window.sites, window.sites))
-        centroids.append((centroid, centroid * centroid))
+    # Per step: the window's site pairs, and its sites as coordinates.
+    cells = [np.ix_(w.sites, w.sites) for w in cone[1:]]
+    sites = [(w.sites - steps).astype(float) for w in cone[1:]]
     diagonal = np.arange(n_sites)
-    size = chunk_maps(steps)
 
-    results = []
-    for i, spec in enumerate(specs):
-        sums = np.zeros((steps, n_sites, n_sites))
-        var2 = np.empty((n_maps, steps))
-        worst = 0.0
-        for start in range(0, n_maps, size):
-            stop = min(start + size, n_maps)
-            block = stop - start
-            codes = sampler.sample(i, start, stop)[:, None]
-            # psi[c][map, j, site]: coin-c amplitudes of input column j (0: A,
-            # 1: B) on the start window.
-            psi = np.zeros((2, block, 2, len(cone[0].sites)), dtype=coin.dtype)
-            psi[ia % 2, :, 0, start_a] = 1.0
-            psi[ib % 2, :, 1, start_b] = 1.0
-            for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, cone)):
-                weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-                pa, pb = weights[:, 0], weights[:, 1]
-                b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
-                g = psi0[:, 0] * b0 + psi1[:, 0] * b1
-                drift = max(np.abs(pa.sum(axis=1) - 1.0).max(), np.abs(pb.sum(axis=1) - 1.0).max(),
-                            np.abs(g.sum(axis=1) - (1.0 if same_input else 0.0)).max())
-                if drift > UNITARY_TOL:
-                    raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
-                worst = max(worst, float(drift))
+    sums = np.zeros((len(specs), steps, n_sites, n_sites))
+    drifts = np.zeros(len(specs))
+    moments = []
+    for i, start, k, codes, var2 in _batches(specs, n_maps, moments):
+        rows = len(codes)
+        # psi[c][row, j, site]: coin-c amplitudes of input column j (0: A,
+        # 1: B) on the start window.
+        psi = np.zeros((2, rows, 2, len(cone[0].sites)), dtype=coin.dtype)
+        psi[ia % 2, :, 0, start_a] = 1.0
+        psi[ib % 2, :, 1, start_b] = 1.0
+        acc = sums[i : i + k]
+        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes[:, None], table, cone)):
+            weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
+            pa, pb = weights[:, 0], weights[:, 1]
+            b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
+            g = psi0[:, 0] * b0 + psi1[:, 0] * b1
+            drift = np.maximum(np.abs(weights.sum(axis=2) - 1.0).max(axis=1),
+                               np.abs(g.sum(axis=1) - (1.0 if same_input else 0.0)))
+            if drift.max() > UNITARY_TOL:
+                raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
+            np.maximum(drifts[i : i + k], drift.reshape(k, -1).max(axis=1), out=drifts[i : i + k])
 
-                if same_input:
-                    density = pa[:, :, None] * pa[:, None, :]
+            x = sites[n]
+            m1 = (weights * x).sum(axis=2)
+            sigma_sq = (weights * (x * x)).sum(axis=2) - m1 * m1  # (rows, input column)
+            if same_input:
+                var2[:, n] = sigma_sq[:, 0] / 2.0
+                density = pa[:, :, None] * pa[:, None, :]
+            else:
+                # Separate float sums: a complex row sum groups its terms
+                # differently, so the two walks would not agree bit for bit.
+                s_re, s_im = (g.real * x).sum(axis=1), (g.imag * x).sum(axis=1)
+                var2[:, n] = ((sigma_sq[:, 0] + sigma_sq[:, 1]) / 4.0
+                              + pair.eta * s_re * s_re / 2.0 + pair.eta * s_im * s_im / 2.0)
+                density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
+                if real:  # the complex walk adds Im G x Im G = +-0.0 to a density >= +0.0
+                    interfering = g[:, :, None] * g[:, None, :]
                 else:
-                    density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
-                    if real:  # the complex walk adds Im G x Im G = +-0.0 to a density >= +0.0
-                        interfering = g[:, :, None] * g[:, None, :]
-                    else:
-                        interfering = (g.real[:, :, None] * g.real[:, None, :]
-                                       + g.imag[:, :, None] * g.imag[:, None, :])
-                    density += pair.eta * interfering
-                flat = density.reshape(block, -1)
-                _require_pair_normalized(flat.sum(axis=1))
-                centroid, centroid_sq = centroids[n]
-                m1 = (flat * centroid).sum(axis=1)
-                var2[start:stop, n] = (flat * centroid_sq).sum(axis=1) - m1 * m1
-                if start > 0:
-                    # Carry the earlier chunks' sum into the first map, as
-                    # run_ensembles does, so the maps add in index order.
-                    density[0] += sums[n][cells[n]]
-                sums[n][cells[n]] = density.sum(axis=0)
+                    interfering = (g.real[:, :, None] * g.real[:, None, :]
+                                   + g.imag[:, :, None] * g.imag[:, None, :])
+                density += pair.eta * interfering
+            _require_pair_normalized(density.reshape(rows, -1).sum(axis=1))
+            density = density.reshape(k, -1, *density.shape[1:])
+            at = (slice(None), n, *cells[n])
+            if start > 0:
+                # Carry the earlier chunks' sum into the first map, as
+                # run_ensembles does, so the maps add in index order.
+                density[:, 0] += acc[at]
+            acc[at] = density.sum(axis=1)
 
-        # The sums become the unordered mean matrices in place.
-        on_diagonal = sums[:, diagonal, diagonal]
-        sums *= 2.0
-        sums[:, diagonal, diagonal] = on_diagonal
-        sums /= n_maps
-        mean_var2, std_var2 = mean_and_std(var2)
-        results.append(PairEnsemble(
-            p=spec.p, steps=steps, n_maps=n_maps, eta=eta, master_seed=spec.master_seed,
-            mean_matrices=[CoincidenceMatrix(offset=-steps, probabilities=m) for m in sums],
-            mean_variance2=mean_var2, std_variance2=std_var2, max_norm_drift=worst,
-        ))
-    return results
+    # The sums become the unordered mean matrices in place.
+    on_diagonal = sums[:, :, diagonal, diagonal]
+    sums *= 2.0
+    sums[:, :, diagonal, diagonal] = on_diagonal
+    sums /= n_maps
+    return [
+        PairEnsemble(p=s.p, steps=steps, n_maps=n_maps, eta=eta, master_seed=s.master_seed,
+                     mean_matrices=[CoincidenceMatrix(offset=-steps, probabilities=m) for m in total],
+                     mean_variance2=mean, std_variance2=std, max_norm_drift=float(drift))
+        for s, (mean, std), total, drift in zip(specs, moments, sums, drifts)
+    ]
 
 
 def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float,

@@ -142,6 +142,47 @@ def two_boson_pair_probabilities(u: np.ndarray, mode_a: int, mode_b: int, eta: f
     return probs
 
 
+def site_pairs(modes: np.ndarray) -> np.ndarray:
+    """Unordered site-pair probabilities from unordered mode-pair ones
+    (basis index 2 * site + coin), the coin traced out: each unordered mode
+    pair adds its probability to its unordered site pair once."""
+    n_sites = modes.shape[0] // 2
+    sites = np.zeros((n_sites, n_sites))
+    for k in range(modes.shape[0]):
+        for l in range(k, modes.shape[0]):
+            i, j = k // 2, l // 2
+            sites[i, j] += modes[k, l]
+            if i != j:
+                sites[j, i] += modes[k, l]
+    return sites
+
+
+def pair_centroid_variance(sites: np.ndarray) -> float:
+    """Variance of the pair centroid (i + j) / 2 over the upper triangle of
+    an unordered site-pair matrix on sites -n..n."""
+    half = (sites.shape[0] - 1) // 2
+    m1 = m2 = 0.0
+    for i in range(sites.shape[0]):
+        for j in range(i, sites.shape[0]):
+            c = (i + j) / 2.0 - half
+            m1 += c * sites[i, j]
+            m2 += c * c * sites[i, j]
+    return m2 - m1 * m1
+
+
+def pair_marginal(sites: np.ndarray) -> np.ndarray:
+    """One detector's site distribution from an unordered site-pair matrix:
+    a pair on two sites gives half its mass to each, a pair on one site all
+    of it."""
+    out = np.zeros(sites.shape[0])
+    for i in range(sites.shape[0]):
+        out[i] += sites[i, i]
+        for j in range(i + 1, sites.shape[0]):
+            out[i] += sites[i, j] / 2.0
+            out[j] += sites[i, j] / 2.0
+    return out
+
+
 def brute_force_positions(steps: int, coin: np.ndarray, phase_rows=None):
     """Path-sum evaluation of the walk, independent of any matrix algebra.
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import pdqw.ensemble
-from oracles import two_boson_pair_probabilities, two_boson_unitary
+import pdqw.two_photon
+from oracles import (
+    pair_centroid_variance,
+    pair_marginal,
+    site_pairs,
+    two_boson_pair_probabilities,
+    two_boson_unitary,
+)
 from pdqw import (
     CoincidenceMatrix,
     DisorderSpec,
@@ -18,14 +25,11 @@ from pdqw import (
     hadamard_coin,
     hom_scan,
     mode_index,
-    pair_marginal,
     position_distribution,
     run_pair_ensemble,
     run_pair_ensembles,
     single_particle_unitary,
-    site_coincidences,
     two_photon_mode_distribution,
-    variance2,
 )
 from pdqw.disorder import DEFAULT_ALPHABET
 from pdqw.ensemble import chunk_maps
@@ -121,45 +125,34 @@ class TestSingleStepHandValues:
         return single_particle_unitary(1, COIN, None, 1)
 
     def test_full_bunching_at_eta_one(self):
-        cm = site_coincidences(
-            two_photon_mode_distribution(self.u(), PairInput((0, 0), (0, 1), eta=1.0))
-        )
+        sites = site_pairs(two_photon_mode_distribution(self.u(), PairInput((0, 0), (0, 1), eta=1.0)))
         # All mass on the diagonal: (-1,-1) and (+1,+1) at 1/2 each.
-        np.testing.assert_allclose(np.diag(cm.probabilities), [0.5, 0.0, 0.5], atol=1e-14)
-        assert cm.probabilities[0, 2] == pytest.approx(0.0, abs=1e-14)
-        assert variance2(cm) == pytest.approx(1.0, abs=1e-13)
+        np.testing.assert_allclose(np.diag(sites), [0.5, 0.0, 0.5], atol=1e-14)
+        assert sites[0, 2] == pytest.approx(0.0, abs=1e-14)
+        assert pair_centroid_variance(sites) == pytest.approx(1.0, abs=1e-13)
 
     def test_distinguishable_pair_splits_half_the_time(self):
-        cm = site_coincidences(
-            two_photon_mode_distribution(self.u(), PairInput((0, 0), (0, 1), eta=0.0))
-        )
-        np.testing.assert_allclose(np.diag(cm.probabilities), [0.25, 0.0, 0.25], atol=1e-14)
-        assert cm.probabilities[0, 2] == pytest.approx(0.5, abs=1e-14)
-        assert variance2(cm) == pytest.approx(0.5, abs=1e-13)
+        sites = site_pairs(two_photon_mode_distribution(self.u(), PairInput((0, 0), (0, 1), eta=0.0)))
+        np.testing.assert_allclose(np.diag(sites), [0.25, 0.0, 0.25], atol=1e-14)
+        assert sites[0, 2] == pytest.approx(0.5, abs=1e-14)
+        assert pair_centroid_variance(sites) == pytest.approx(0.5, abs=1e-13)
 
 
 class TestSiteAggregation:
     def test_triangle_total_preserved(self):
         u = walk_unitary(1.0, 4, 21)
-        cm = site_coincidences(two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), 0.8)))
+        sites = site_pairs(two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), 0.8)))
+        cm = CoincidenceMatrix(offset=-4, probabilities=sites)
         assert cm.triangle_total() == pytest.approx(1.0, abs=1e-12)
-        assert cm.offset == -4
+        np.testing.assert_array_equal(cm.sites, np.arange(-4, 5))
 
     def test_marginal_of_identical_input_pair_is_the_single_photon_walk(self):
         steps = 3
         pm = generate_phase_map(DisorderSpec(p=1.0, steps=steps, master_seed=6), 0)
         u = single_particle_unitary(steps, COIN, pm, steps)
-        cm = site_coincidences(
-            two_photon_mode_distribution(u, PairInput((0, 0), (0, 0), eta=0.0))
-        )
+        sites = site_pairs(two_photon_mode_distribution(u, PairInput((0, 0), (0, 0), eta=0.0)))
         single = position_distribution(evolve(steps, COIN, pm, steps)[-1])
-        np.testing.assert_allclose(
-            pair_marginal(cm).probabilities, single.probabilities, atol=1e-12
-        )
-
-    def test_bad_mode_matrix_shape(self):
-        with pytest.raises(DomainError):
-            site_coincidences(np.zeros((8, 8)))  # 8 modes -> 4 sites, even width
+        np.testing.assert_allclose(pair_marginal(sites), single.probabilities, atol=1e-12)
 
     def test_asymmetric_matrix_rejected(self):
         m = np.zeros((3, 3))
@@ -167,10 +160,11 @@ class TestSiteAggregation:
         with pytest.raises(DomainError):
             CoincidenceMatrix(offset=-1, probabilities=m)
 
-    def test_unnormalized_variance2_rejected(self):
-        cm = CoincidenceMatrix(offset=-1, probabilities=np.eye(3) * 0.1)
+    def test_unnormalized_pair_mass_rejected(self):
+        # The pair scan checks every map's pair mass at every step.
+        pdqw.two_photon._require_pair_normalized(np.array([1.0, 1.0 + 1e-10]))
         with pytest.raises(DomainError):
-            variance2(cm)
+            pdqw.two_photon._require_pair_normalized(np.array([1.0, 0.3]))
 
 
 def manual_pair_ensemble(spec, n_maps, eta, pair_modes=((0, 0), (0, 1))):
@@ -182,39 +176,18 @@ def manual_pair_ensemble(spec, n_maps, eta, pair_modes=((0, 0), (0, 1))):
         pm = generate_phase_map(spec, k)
         for n in range(1, steps + 1):
             u = single_particle_unitary(steps, COIN, pm, n)
-            cm = site_coincidences(
-                two_photon_mode_distribution(u, PairInput(*pair_modes, eta=eta))
-            )
-            mean[n - 1] += cm.probabilities / n_maps
-            var2[k, n - 1] = variance2(cm)
+            sites = site_pairs(two_photon_mode_distribution(u, PairInput(*pair_modes, eta=eta)))
+            mean[n - 1] += sites / n_maps
+            var2[k, n - 1] = pair_centroid_variance(sites)
     return mean, var2
 
 
 def fock_site_pairs(u, pair_modes, eta):
-    """Unordered site-pair probabilities from the Fock oracle, coin traced
-    out: a same-site outcome sums the unordered mode pairs within the site."""
+    """Unordered site-pair probabilities from the Fock oracle, coin traced out."""
     n_max = (u.shape[0] // 2 - 1) // 2
-    modes = two_boson_pair_probabilities(
+    return site_pairs(two_boson_pair_probabilities(
         u, mode_index(*pair_modes[0], n_max), mode_index(*pair_modes[1], n_max), eta
-    )
-    blocks = modes.reshape(2 * n_max + 1, 2, 2 * n_max + 1, 2)
-    sites = blocks.sum(axis=(1, 3))
-    for s in range(2 * n_max + 1):
-        within = blocks[s, :, s, :]
-        sites[s, s] = (within.sum() + np.trace(within)) / 2.0
-    return sites
-
-
-def centroid_variance(unordered):
-    """Pair-centroid variance over the upper triangle of a site-pair matrix."""
-    half = (unordered.shape[0] - 1) // 2
-    m1 = m2 = 0.0
-    for i in range(unordered.shape[0]):
-        for j in range(i, unordered.shape[0]):
-            c = (i + j) / 2.0 - half
-            m1 += c * unordered[i, j]
-            m2 += c * c * unordered[i, j]
-    return m2 - m1 * m1
+    ))
 
 
 PAIR_MODES = [((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 0))]
@@ -227,7 +200,7 @@ def assert_matches_fock_oracle(spec, eta, pair_modes):
     u = single_particle_unitary(spec.steps, COIN, generate_phase_map(spec, 0), spec.steps)
     expect = fock_site_pairs(u, pair_modes, eta)
     np.testing.assert_allclose(res.mean_matrices[-1].probabilities, expect, atol=1e-10)
-    assert res.mean_variance2[-1] == pytest.approx(centroid_variance(expect), abs=1e-10)
+    assert res.mean_variance2[-1] == pytest.approx(pair_centroid_variance(expect), abs=1e-10)
 
 
 def assert_same_pair_ensemble(a, b):
@@ -321,15 +294,29 @@ class TestPairScan:
 
     @pytest.mark.parametrize("pair_modes", [PAIR_MODES[0], PAIR_MODES[2]], ids=["distinct", "same"])
     def test_chunk_split_changes_no_bit(self, alphabet, pair_modes, monkeypatch):
-        # More maps than the old fixed chunk of 128, in one chunk and then in
-        # three (100, 100 and 31 maps).
+        # More maps than the old fixed chunk of 128: by default all five p
+        # share one walk; then each p walks in three chunks (100, 100 and 31
+        # maps); then two whole p share a walk (walks of 2, 2 and 1 p).
         specs = self.specs(alphabet)
         whole = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
-        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 6 * 100)
-        assert chunk_maps(5) == 100
-        split = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
-        for a, b in zip(whole, split, strict=True):
-            assert_same_pair_ensemble(a, b)
+        for maps in (100, 2 * 231):
+            monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 6 * maps)
+            assert chunk_maps(5) == maps
+            split = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
+            for a, b in zip(whole, split, strict=True):
+                assert_same_pair_ensemble(a, b)
+
+    def test_a_small_scan_is_one_walk(self, alphabet, monkeypatch):
+        # The two-photon-20 benchmark shape: 5 p x 12 maps fit one batch.
+        walk, walks = pdqw.two_photon._walk, []
+
+        def counting_walk(*args):
+            walks.append(len(args[3]))  # the code planes: one row per map
+            return walk(*args)
+
+        monkeypatch.setattr(pdqw.two_photon, "_walk", counting_walk)
+        run_pair_ensembles(self.specs(alphabet, steps=20), COIN, 12, eta=0.6)
+        assert walks == [5 * 12]
 
     @pytest.mark.parametrize("steps, n_maps", [(5, 131), (20, 300)])
     def test_mean_matrices_add_maps_in_index_order(self, alphabet, steps, n_maps):

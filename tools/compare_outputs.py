@@ -17,8 +17,10 @@ since they hold timestamps and absolute paths. The script prints each file
 that differs or exists on one side only, and each command whose exit code
 differs, then a summary line. A differing CSV with the same header and row
 count on both sides also gets the largest absolute and relative change of
-any numeric cell, and the summary line gives the largest over all of them.
-It exits 1 if anything differs, else 0.
+any numeric cell, and the number of numeric cells that are exactly 0.0 on
+one side only (an exact zero that became round-off, or the reverse); the
+summary line gives the largest changes over all of them and the total count
+of such cells. It exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -64,15 +66,17 @@ def _outputs(out: Path) -> set[Path]:
 
 
 def _cell_change(a: Path, b: Path):
-    """(largest absolute, largest relative) change between the cells of two
-    CSVs, or None unless they share a header and row count and every
-    differing cell is a number on both sides. The relative change is taken
-    against the larger magnitude of the two values; a NaN or an infinity
-    against a finite value counts as an infinite change."""
+    """(largest absolute change, largest relative change, cells exactly 0.0
+    on one side only) between the cells of two CSVs, or None unless they
+    share a header and row count and every differing cell is a number on
+    both sides. The relative change is taken against the larger magnitude of
+    the two values; a NaN or an infinity against a finite value counts as an
+    infinite change."""
     rows = [path.read_text(encoding="ascii").splitlines() for path in (a, b)]
     if a.suffix != ".csv" or rows[0][:1] != rows[1][:1] or len(rows[0]) != len(rows[1]):
         return None
     largest = (0.0, 0.0)
+    zeros = 0
     for row_a, row_b in zip(rows[0][1:], rows[1][1:]):
         cells = row_a.split(","), row_b.split(",")
         if len(cells[0]) != len(cells[1]):
@@ -84,19 +88,20 @@ def _cell_change(a: Path, b: Path):
                 x, y = float(x), float(y)
             except ValueError:
                 return None
+            zeros += (x == 0.0) != (y == 0.0)
             change = abs(x - y)
-            if not math.isfinite(change):  # a NaN or an infinity on one side
-                return math.inf, math.inf
             relative = change / max(abs(x), abs(y)) if change else 0.0
+            if not math.isfinite(change):  # a NaN or an infinity on one side
+                change = relative = math.inf
             largest = (max(largest[0], change), max(largest[1], relative))
-    return largest
+    return (*largest, zeros)
 
 
 def _report(prefix: str, outs: list[Path], revs: tuple[str, str], largest: list) -> tuple[int, int]:
     """Print each output file that differs between the two output
-    directories, sized where _cell_change can size it, and raise `largest`
-    (absolute, relative) to each size; returns (files compared, files that
-    differ)."""
+    directories, sized where _cell_change can size it, raise `largest`
+    (absolute, relative) to each size and add its one-sided exact zeros to
+    largest[2]; returns (files compared, files that differ)."""
     files = [_outputs(out) if out.exists() else set() for out in outs]
     differing = 0
     for rel in sorted(files[0] | files[1]):
@@ -106,8 +111,9 @@ def _report(prefix: str, outs: list[Path], revs: tuple[str, str], largest: list)
             status = "differs"
             change = _cell_change(outs[0] / rel, outs[1] / rel)
             if change is not None:
-                status += f" (largest cell change: {change[0]:.3g} absolute, {change[1]:.3g} relative)"
-                largest[:] = [max(a, b) for a, b in zip(largest, change)]
+                status += (f" (largest cell change: {change[0]:.3g} absolute, {change[1]:.3g} relative;"
+                           f" {change[2]} cells exactly 0.0 on one side only)")
+                largest[:] = [max(largest[0], change[0]), max(largest[1], change[1]), largest[2] + change[2]]
         else:
             continue
         differing += 1
@@ -118,7 +124,7 @@ def _report(prefix: str, outs: list[Path], revs: tuple[str, str], largest: list)
 def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
     shas = [_git("rev-parse", "--verify", f"{rev}^{{commit}}") for rev in (rev_a, rev_b)]
     compared = differences = 0
-    largest = [0.0, 0.0]  # over every sized file: absolute, relative
+    largest = [0.0, 0.0, 0]  # over every sized file: absolute, relative, one-sided zeros
     with tempfile.TemporaryDirectory(prefix="pdqw-compare-") as tmp:
         tmp = Path(tmp)
         trees = [tmp / "a", tmp / "b"]
@@ -146,7 +152,8 @@ def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
                 if tree.exists():
                     _git("worktree", "remove", "--force", str(tree))
     print(f"{compared} output files compared, {differences} differences, largest cell change "
-          f"{largest[0]:.3g} absolute, {largest[1]:.3g} relative "
+          f"{largest[0]:.3g} absolute, {largest[1]:.3g} relative, {largest[2]} cells exactly 0.0 "
+          f"on one side only "
           f"({rev_a} {shas[0][:12]} -> {rev_b} {shas[1][:12]})")
     return 1 if differences else 0
 
