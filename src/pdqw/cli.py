@@ -5,7 +5,11 @@ manifest (config echo, tool, Python and numpy versions, sha256 per output,
 timings, and for the ensemble commands the largest norm drift) into the
 output directory, and exits 0 only if all outputs were
 produced. One writer formats each CSV column in a single pass, float cells
-with repr, so identical runs produce byte-identical files.
+with repr, so identical runs produce byte-identical files. Key columns that
+repeat across a command's blocks (step, the light cone's "step,site" cells,
+a pair matrix's "site_i,site_j" cells, the p grid of a similarity scan) are
+formatted once per command call and handed to the writer as text, so each
+block formats only its data.
 Each CSV, map file and manifest is written under a temporary name and
 renamed into place, and a command deletes its old manifest before it runs,
 so a failed command leaves no truncated output and no manifest of its own.
@@ -56,22 +60,28 @@ def _replacing(path: Path):
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """Write a CSV one block of rows at a time.
 
-    A block is a list of columns: equal-length 1-D arrays, or scalars that
-    repeat down the block. A float column is written as repr of each value,
-    any other column with str. A scalar is formatted once and repeated, and
-    each block goes to the file in one write.
+    A block is a list of columns: equal-length 1-D arrays, scalars that
+    repeat down the block, or lists of str. A list holds cells already
+    formatted (a cell may hold several comma-joined fields) and goes out as
+    it is, so a command formats its repeated key columns once. A float
+    column is written as repr of each value, any other column with str. A
+    scalar is formatted once and repeated, and each block goes to the file
+    in one write.
     """
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            columns = [np.asarray(c) for c in block]
-            # One row for an all-scalar block; ValueError if array lengths differ.
-            (n_rows,) = {len(c) for c in columns if c.ndim} or {1}
             cells = []
-            for c in columns:
-                fmt = repr if c.dtype.kind == "f" else str
-                cells.append(map(fmt, c.tolist()) if c.ndim else [fmt(c.tolist())] * n_rows)
-            text = "\n".join(map(",".join, zip(*cells)))
+            for c in block:
+                if not isinstance(c, list):
+                    c = np.asarray(c)
+                    fmt = repr if c.dtype.kind == "f" else str
+                    c = list(map(fmt, c.tolist())) if c.ndim else fmt(c.tolist())
+                cells.append(c)
+            # One row for an all-scalar block; ValueError if column lengths differ.
+            (n_rows,) = {len(c) for c in cells if isinstance(c, list)} or {1}
+            rows = zip(*(c if isinstance(c, list) else [c] * n_rows for c in cells))
+            text = "\n".join(map(",".join, rows))
             if text:
                 fh.write(text + "\n")
 
@@ -95,16 +105,22 @@ def _cone(sites: np.ndarray, step) -> np.ndarray:
     return np.abs(sites) <= step
 
 
-def _cone_block(probs: np.ndarray, *lead):
-    """One (*lead, step, site, probability) block from probs[n-1], the
-    distribution after step n on a lattice centered on the origin, each row
-    restricted to its light cone."""
-    half = probs.shape[1] // 2
-    sites = np.arange(-half, half + 1)
-    step = np.arange(1, len(probs) + 1)[:, None]
-    keep = _cone(sites, step)
-    return [*lead, np.broadcast_to(step, keep.shape)[keep],
-            np.broadcast_to(sites, keep.shape)[keep], probs[keep]]
+def _cone_keys(steps: int) -> tuple[list[str], np.ndarray]:
+    """The "step,site" cells of a (steps, 2 * steps + 1) array of
+    distributions after steps 1..steps on sites -steps..steps, each row
+    restricted to its light cone, and the mask that picks those cells."""
+    keep = _cone(np.arange(-steps, steps + 1), np.arange(1, steps + 1)[:, None])
+    rows, cols = np.nonzero(keep)
+    return [f"{n + 1},{x - steps}" for n, x in zip(rows.tolist(), cols.tolist())], keep
+
+
+def _pair_keys(sites: np.ndarray, step: int) -> tuple[list[str], np.ndarray]:
+    """The "site_i,site_j" cells (site_i <= site_j) of the light cone at
+    `step`, and their flat indices into a (sites, sites) matrix."""
+    at = np.flatnonzero(_cone(sites, step))
+    i, j = np.triu_indices(len(at))
+    x = sites[at].tolist()
+    return [f"{x[a]},{x[b]}" for a, b in zip(i.tolist(), j.tolist())], at[i] * len(sites) + at[j]
 
 
 def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
@@ -116,10 +132,11 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], 
         runs = [("evolve_map.csv", pm)]
     else:
         runs = [(f"evolve_p{_p_tag(p)}.csv", generate_phase_map(_spec(cfg, p), 0)) for p in cfg.p_values]
+    keys, keep = _cone_keys(cfg.steps)
     for name, pm in runs:
         states = evolve(cfg.steps, coin, pm, cfg.steps)
-        _write_csv(out_dir / name, ["step", "site", "probability"],
-                   [_cone_block(np.stack([position_distribution(s).probabilities for s in states]))])
+        probs = np.stack([position_distribution(s).probabilities for s in states])
+        _write_csv(out_dir / name, ["step", "site", "probability"], [[keys, probs[keep]]])
     return [out_dir / name for name, _ in runs], {}
 
 
@@ -127,15 +144,16 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path]
     coin = _coin(cfg)
     results = run_ensembles([_spec(cfg, p) for p in cfg.p_grid], coin, cfg.n_maps)
     peak = np.max([r.mean_variance for r in results], axis=0)
-    step = np.arange(1, cfg.steps + 1)
+    step = [str(n) for n in range(1, cfg.steps + 1)]
     path = out_dir / "ensemble.csv"
     _write_csv(path, ["p", "step", "mean_var", "std_var", "mean_var_normalized", "n_maps", "seed"], (
         [r.p, step, r.mean_variance, r.std_variance, r.mean_variance / peak, r.n_maps, r.master_seed]
         for r in results
     ))
     dist_path = out_dir / "ensemble_distributions.csv"
+    keys, keep = _cone_keys(cfg.steps)
     _write_csv(dist_path, ["p", "step", "site", "probability"],
-               (_cone_block(r.mean_probabilities, r.p) for r in results))
+               ([r.p, keys, r.mean_probabilities[keep]] for r in results))
     return [path, dist_path], {"max_norm_drift": max(r.max_norm_drift for r in results)}
 
 
@@ -163,8 +181,9 @@ def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path]
         sampling_mode=cfg.sampling_mode, alphabet=cfg.alphabet,
     )
     scan_path = out_dir / "similarity_scan.csv"
+    p_text = list(map(repr, grid.tolist()))
     _write_csv(scan_path, ["p", "step", "s_ordered", "s_disordered"],
-               ([grid, n + 1, scan.s_ordered[n], scan.s_disordered[n]] for n in range(cfg.steps)))
+               ([p_text, n + 1, scan.s_ordered[n], scan.s_disordered[n]] for n in range(cfg.steps)))
 
     points = [crossing_point(grid, scan.s_ordered[n - 1], scan.s_disordered[n - 1], n)
               for n in cfg.crossing_steps]
@@ -176,19 +195,16 @@ def cmd_crossing(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path]
 def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     display = cfg.two_photon.display_normalization
     header = ["site_i", "site_j", "probability"] + (["probability_display"] if display else [])
-    step = np.arange(1, cfg.steps + 1)
+    step = [str(n) for n in range(1, cfg.steps + 1)]
     specs = [_spec(cfg, p) for p in cfg.p_values]
     results = run_pair_ensembles(specs, _coin(cfg), cfg.n_maps, cfg.two_photon.eta)
     outputs = []
-    var_blocks = []
-    for p, ens in zip(cfg.p_values, results):
-        var_blocks.append([p, step, ens.mean_variance2, ens.std_variance2, cfg.n_maps, cfg.master_seed])
-        for n, cm in enumerate(ens.mean_matrices, start=1):
-            keep = _cone(cm.sites, n)
-            i, j = np.triu_indices(int(keep.sum()))
-            sites = cm.sites[keep]
-            prob = cm.probabilities[np.ix_(keep, keep)][i, j]
-            block = [sites[i], sites[j], prob]
+    for n in range(1, cfg.steps + 1):
+        keys, flat = _pair_keys(results[0].mean_matrices[n - 1].sites, n)
+        for p, ens in zip(cfg.p_values, results):
+            cm = ens.mean_matrices[n - 1]
+            prob = cm.probabilities.take(flat)
+            block = [keys, prob]
             if display:
                 peak = cm.probabilities.max()
                 block.append(prob / peak if peak > 0 else 0.0)
@@ -196,7 +212,10 @@ def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Pat
             _write_csv(path, header, [block])
             outputs.append(path)
     var_path = out_dir / "two_photon_var2.csv"
-    _write_csv(var_path, ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], var_blocks)
+    _write_csv(var_path, ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], (
+        [p, step, ens.mean_variance2, ens.std_variance2, cfg.n_maps, cfg.master_seed]
+        for p, ens in zip(cfg.p_values, results)
+    ))
     outputs.append(var_path)
     return outputs, {"max_norm_drift": max(ens.max_norm_drift for ens in results)}
 

@@ -55,11 +55,12 @@ class EnsembleResult:
 
 
 def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over maps (axis 0) and the n-1 standard deviation, which is
-    exactly 0 wherever every map holds the same value (one map included)."""
-    std = values.std(axis=0, ddof=1) if len(values) > 1 else np.zeros(values.shape[1:])
-    std[(values == values[0]).all(axis=0)] = 0.0
-    return values.mean(axis=0), std
+    """Mean over maps (axis -2, so values may stack several p ahead of it)
+    and the n-1 standard deviation, which is exactly 0 wherever every map
+    holds the same value (one map included)."""
+    std = values.std(axis=-2, ddof=1) if values.shape[-2] > 1 else np.zeros_like(values[..., 0, :])
+    std[(values == values[..., :1, :]).all(axis=-2)] = 0.0
+    return values.mean(axis=-2), std
 
 
 def chunk_maps(steps: int) -> int:
@@ -93,8 +94,8 @@ def _batches(specs, n_maps: int, moments: list):
     in map order. codes holds one code plane per row, read from the scan's
     ScanSampler, and the caller fills var (rows, steps) with each row's
     variance. Once a p's last chunk has been walked, the mean_and_std of its
-    variances is appended to `moments`, so after the loop moments[i] belongs
-    to specs[i].
+    variances is appended to `moments` (one call over all k p of a walk), so
+    after the loop moments[i] belongs to specs[i].
     """
     sampler = ScanSampler(specs)
     steps = specs[0].steps
@@ -110,7 +111,8 @@ def _batches(specs, n_maps: int, moments: list):
         yield batch[0][0], batch[0][1], len(batch), codes, var
         variances.append(var)
         if batch[-1][2] == n_maps:
-            moments.extend(mean_and_std(v) for v in np.split(np.concatenate(variances), len(batch)))
+            mean, std = mean_and_std(np.concatenate(variances).reshape(len(batch), n_maps, steps))
+            moments.extend(zip(mean, std))
             variances = []
 
 

@@ -19,6 +19,8 @@ from pdqw import (
     load_map,
     position_distribution,
     run_ensemble,
+    run_ensembles,
+    run_pair_ensembles,
     save_map,
     evolve,
 )
@@ -235,6 +237,83 @@ class TestTwoPhotonCommands:
         center = [r for r in rows if r[0] == "0.0"][0]
         assert float(center[1]) == 0.93
         assert float(center[2]) == pytest.approx(0.07, abs=1e-12)
+
+
+class TestTextOracle:
+    """The CLI's bytes against rows formatted one at a time. Both step
+    counts run in one process, so text built for one call and reused by
+    the next would show; 1e-05 is a p whose repr has an exponent."""
+
+    P = [0.0, 1e-05, 0.5]
+    STEPS = (3, 5)
+
+    def config(self, tmp_path, steps):
+        return write_config(
+            tmp_path,
+            f"steps: {steps}\nn_maps: 3\nmaster_seed: 11\np_grid: [0.0, 1.0e-5, 0.5]\n"
+            "p_values: [0.0, 1.0e-5, 0.5]\ntwo_photon: {eta: 0.8, display_normalization: true}\n",
+            name=f"steps{steps}.yaml",
+        )
+
+    @staticmethod
+    def cone_rows(steps, probs):
+        for n in range(1, steps + 1):
+            for s in range(-n, n + 1):
+                yield n, s, float(probs[n - 1, s + steps])
+
+    @staticmethod
+    def text(header, rows):
+        return "".join(line + "\n" for line in [header, *rows])
+
+    def test_ensemble_and_evolve_files(self, tmp_path):
+        for n_steps in self.STEPS:
+            out = tmp_path / f"out{n_steps}"
+            cfg = self.config(tmp_path, n_steps)
+            assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+            specs = [DisorderSpec(p=p, steps=n_steps, master_seed=11) for p in self.P]
+            results = run_ensembles(specs, COIN, 3)
+            want = self.text("p,step,site,probability", (
+                f"{r.p!r},{n},{s},{v!r}"
+                for r in results for n, s, v in self.cone_rows(n_steps, r.mean_probabilities)
+            ))
+            assert (out / "ensemble_distributions.csv").read_text() == want
+            peak = np.max([r.mean_variance for r in results], axis=0)
+            want = self.text("p,step,mean_var,std_var,mean_var_normalized,n_maps,seed", (
+                f"{r.p!r},{n + 1},{r.mean_variance[n].item()!r},{r.std_variance[n].item()!r},"
+                f"{(r.mean_variance[n] / peak[n]).item()!r},3,11"
+                for r in results for n in range(n_steps)
+            ))
+            assert (out / "ensemble.csv").read_text() == want
+            for spec in specs:
+                probs = np.stack([position_distribution(st).probabilities
+                                  for st in evolve(n_steps, COIN, generate_phase_map(spec, 0), n_steps)])
+                want = self.text("step,site,probability",
+                                 (f"{n},{s},{v!r}" for n, s, v in self.cone_rows(n_steps, probs)))
+                assert (out / f"evolve_p{spec.p:g}.csv").read_text() == want
+
+    def test_two_photon_files(self, tmp_path):
+        for n_steps in self.STEPS:
+            out = tmp_path / f"out{n_steps}"
+            assert main(["two-photon", "--config", self.config(tmp_path, n_steps), "--out", str(out)]) == 0
+            specs = [DisorderSpec(p=p, steps=n_steps, master_seed=11) for p in self.P]
+            results = run_pair_ensembles(specs, COIN, 3, 0.8)
+            for p, ens in zip(self.P, results):
+                for n, cm in enumerate(ens.mean_matrices, start=1):
+                    m = cm.probabilities
+                    peak = float(m.max())
+                    rows = []
+                    for i in range(-n, n + 1):
+                        for j in range(i, n + 1):
+                            v = float(m[i + n_steps, j + n_steps])
+                            rows.append(f"{i},{j},{v!r},{v / peak if peak > 0 else 0.0!r}")
+                    want = self.text("site_i,site_j,probability,probability_display", rows)
+                    assert (out / f"two_photon_matrix_p{p:g}_step{n}.csv").read_text() == want
+            want = self.text("p,step,mean_var2,std_var2,n_maps,seed", (
+                f"{p!r},{n + 1},{ens.mean_variance2[n].item()!r},{ens.std_variance2[n].item()!r},3,11"
+                for p, ens in zip(self.P, results) for n in range(n_steps)
+            ))
+            assert (out / "two_photon_var2.csv").read_text() == want
 
 
 class TestManifestTelemetry:

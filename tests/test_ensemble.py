@@ -70,6 +70,17 @@ class TestRunner:
         mean, std = mean_and_std(values[:1])
         np.testing.assert_array_equal(std, np.zeros(3))
 
+    def test_mean_and_std_of_stacked_p_match_one_call_per_p(self):
+        values = np.random.default_rng(3).random((4, 5, 6))
+        values[1] = values[1, :1]  # every map of the second p agrees
+        for maps in (values, values[:, :1]):
+            mean, std = mean_and_std(maps)
+            for k in range(4):
+                one_mean, one_std = mean_and_std(maps[k])
+                assert np.array_equal(mean[k], one_mean)
+                assert np.array_equal(std[k], one_std)
+            assert not std[1].any()
+
     def test_mean_distributions_are_normalized_means(self):
         spec = DisorderSpec(p=0.9, steps=4, master_seed=13)
         res = run_ensemble(spec, COIN, 8)

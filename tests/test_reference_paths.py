@@ -29,7 +29,7 @@ from pdqw import (
     single_particle_unitary,
 )
 from pdqw.analysis import Distribution
-from pdqw.cli import _cone_block, _write_csv
+from pdqw.cli import _cone_keys, _write_csv
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors, sample_block
 from pdqw.ensemble import chunk_maps, mean_and_std
 from pdqw.walk_core import _walk_operands
@@ -214,6 +214,9 @@ class TestWriter:
         pytest.param(["p", "step", "s"],
                      [[np.array([0.0, 0.5, 1.0]), n, np.array([0.1, 0.7, 1.0]) / n] for n in (1, 2)],
                      id="array and scalar columns"),
+        pytest.param(["p", "step", "site", "probability"],
+                     [[p, ["1,-1", "1,1", "2,0"], np.array([0.5, 0.5, 1 / 3]) * p] for p in (1e-05, 0.75)],
+                     id="pre-formatted text column"),
     ])
     def test_matches_the_broadcasting_writer(self, tmp_path, header, blocks):
         assert (csv_text(tmp_path, _write_csv, header, blocks)
@@ -223,6 +226,16 @@ class TestWriter:
         with pytest.raises(ValueError):
             _write_csv(tmp_path / "bad.csv", ["a", "b"], [[np.arange(2), np.arange(3.0)]])
 
+    def test_text_column_length_counts(self, tmp_path):
+        # A pre-formatted column sets the row count like an array does.
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "bad.csv", ["p", "step", "site", "probability"],
+                       [[0.5, ["1,-1", "1,1"], np.arange(3.0)]])
+        assert not (tmp_path / "bad.csv").exists()
+        path = tmp_path / "scalars.csv"
+        _write_csv(path, ["step", "p_star", "seed"], [[5, 0.25, np.uint64(2**64 - 1)]])
+        assert path.read_text() == "step,p_star,seed\n5,0.25,18446744073709551615\n"
+
 
 class TestConeBlock:
     def test_one_block_per_p_matches_blocks_per_step(self, tmp_path):
@@ -230,17 +243,19 @@ class TestConeBlock:
         runs = {p: [Distribution(offset=-6, probabilities=rng.random(13)) for _ in range(6)]
                 for p in (0.0, 0.37, 1.0)}
         header = ["p", "step", "site", "probability"]
+        keys, keep = _cone_keys(6)
         got = csv_text(tmp_path, _write_csv, header,
-                       (_cone_block(np.stack([d.probabilities for d in dists]), p)
+                       ([p, keys, np.stack([d.probabilities for d in dists])[keep]]
                         for p, dists in runs.items()))
         want = csv_text(tmp_path, reference_write_csv, header,
                         (b for p, dists in runs.items() for b in reference_cone_blocks(dists, p)))
         assert got == want
 
-    @pytest.mark.parametrize("n_max", [5, 8])
-    def test_evolve_block_matches_blocks_per_step(self, tmp_path, n_max):
-        dists = [position_distribution(s) for s in evolve(n_max, COIN, None, 5)]
+    @pytest.mark.parametrize("steps", [5, 8])
+    def test_evolve_block_matches_blocks_per_step(self, tmp_path, steps):
+        dists = [position_distribution(s) for s in evolve(steps, COIN, None, steps)]
         header = ["step", "site", "probability"]
+        keys, keep = _cone_keys(steps)
         probs = np.stack([d.probabilities for d in dists])
-        assert (csv_text(tmp_path, _write_csv, header, [_cone_block(probs)])
+        assert (csv_text(tmp_path, _write_csv, header, [[keys, probs[keep]]])
                 == csv_text(tmp_path, reference_write_csv, header, reference_cone_blocks(dists)))
