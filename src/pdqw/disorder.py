@@ -163,15 +163,19 @@ def _codes(steps: int, marked: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _mark_count(steps: int, p: float) -> int:
+    """How many cells an exact_fraction map marks: the floor of p * cells on
+    the exact rational value of the float p, so the count never suffers a
+    binary off-by-one."""
+    return int(Fraction(p) * steps * (steps + 2))
+
+
 def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds) -> np.ndarray:
     """Cell codes of one map per seed (see _codes), drawn afresh."""
     if sampling_mode == "bernoulli":
         uniforms, letters = _draw(steps, n_letters, seeds)
         return _codes(steps, uniforms < p, letters)
-    # Floor of p*total on the exact rational value of the float p, so the
-    # count never suffers a binary off-by-one.
-    count = int(Fraction(p) * steps * (steps + 2))
-    return _codes(steps, *_draw(steps, n_letters, seeds, count))
+    return _codes(steps, *_draw(steps, n_letters, seeds, _mark_count(steps, p)))
 
 
 def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
@@ -182,30 +186,51 @@ def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
 
 
 class ScanSampler:
-    """sample(i, start, stop) gives sample_block(specs[i], start, stop) for
-    the specs of one scan, which differ only in p and read each chunk once.
+    """sample(i, start, stop) gives sample_block(specs[i], start, stop) at
+    the code-plane cells (rows, cols), one row per cell and one column per
+    map, for the specs of one scan, which differ only in p and read each
+    chunk once.
 
+    Only those cells are built: a walk reads the cells of its light cone
+    (walk_core.walked_cells), about a quarter of its code plane at 20 steps.
     A bernoulli chunk's uniforms and letters do not depend on p: they are
-    drawn when a spec first asks for the chunk and dropped once every spec
-    has read it. exact_fraction draws afresh, as its cells depend on p.
+    drawn when a spec first asks for the chunk, gathered at the cells and
+    dropped once every spec has read them. exact_fraction draws afresh, as
+    its cells depend on p.
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, rows, cols):
         self.specs = list(specs)
-        self._held: dict = {}  # (start, stop) -> [uniforms, letters, reads left]
+        n = np.asarray(rows) + 1
+        s = np.asarray(cols) - self.specs[0].steps
+        # The draw index of site s in row n; a cell outside row n's sites
+        # -n..n is never marked and reads -1.
+        self._draw_index = np.where(abs(s) <= n, n * n - 1 + n + s, -1)
+        self._held: dict = {}  # (start, stop) -> [uniforms, letters (at the cells), reads left]
+
+    def _gather(self, marks, letters):
+        """A chunk's draws (one row per map) at the cells, one row per cell."""
+        at = self._draw_index
+        letters = letters.T[at]
+        letters[at < 0] = 0
+        return marks.T[at], letters
 
     def sample(self, i: int, start: int, stop: int) -> np.ndarray:
         spec = self.specs[i]
         if spec.sampling_mode != "bernoulli":
-            return sample_block(spec, start, stop)
+            seeds = map_seeds(spec.master_seed, start, stop)
+            count = _mark_count(spec.steps, spec.p)
+            marks, letters = self._gather(*_draw(spec.steps, len(spec.alphabet), seeds, count))
+            return letters * marks
         held = self._held.get((start, stop))
         if held is None:
             seeds = map_seeds(spec.master_seed, start, stop)
-            held = self._held[start, stop] = [*_draw(spec.steps, len(spec.alphabet), seeds), len(self.specs)]
+            draws = _draw(spec.steps, len(spec.alphabet), seeds)
+            held = self._held[start, stop] = [*self._gather(*draws), len(self.specs)]
         held[2] -= 1
         if not held[2]:
             del self._held[start, stop]
-        return _codes(spec.steps, held[0] < spec.p, held[1])
+        return held[1] * (held[0] < spec.p)
 
 
 def phase_factors(alphabet) -> np.ndarray:

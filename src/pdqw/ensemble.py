@@ -1,15 +1,17 @@
 """Ensemble averaging over disorder realizations.
 
 The runner samples and evolves whole blocks of maps at once (amplitude
-arrays shaped (rows, window sites)), which is what makes thousand-map scans
-over a dense p grid cheap. Every walk starts at the origin, so after step n
-it holds only the n + 1 sites of its light cone. The maps of one p are split
-into chunks of at most chunk_maps(steps) = BATCH_CELLS // (steps + 1) maps;
-chunks of several p are stacked into one batch and walked together. Every
-moment is taken row by row over the window after each step, and each p's
-mean distribution is a running sum over its maps in index order, so no
-result depends on where chunks or batches split. The pair scan of
-pdqw.two_photon walks the same batches (_batches).
+arrays shaped (window sites, rows), the maps on the contiguous axis), which
+is what makes thousand-map scans over a dense p grid cheap. Every walk
+starts at the origin, so after step n it holds only the n + 1 sites of its
+light cone, and only the cells it reads are sampled. The maps of one p are
+split into chunks of at most chunk_maps(steps) = BATCH_CELLS // (steps + 1)
+maps; chunks of several p are stacked into one batch and walked together.
+After each step every map's moments are sums over the window, added left to
+right in site order (walk_core._site_sums), and each p's mean distribution
+is a running sum over its maps in index order, so no result depends on
+where chunks or batches split. The pair scan of pdqw.two_photon walks the
+same batches (_batches).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .analysis import Distribution
 from .disorder import DEFAULT_ALPHABET, DisorderSpec, ScanSampler
 from .errors import DomainError
-from .walk_core import _walk, _walk_operands, evolve, light_cone, position_distribution
+from .walk_core import (_abs2, _site_sums, _walk, _walk_operands, evolve, light_cone,
+                        position_distribution, walked_cells)
 
 # Cells (rows x window sites) stepped together: it bounds the amplitude
 # arrays of a batch and sets the maps per chunk. Larger batches save
@@ -84,20 +87,21 @@ def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
     return specs
 
 
-def _batches(specs, n_maps: int, moments: list):
+def _batches(specs, n_maps: int, moments: list, cone):
     """The batch plan of one scan, shared by run_ensembles and
-    run_pair_ensembles.
+    run_pair_ensembles, whose walks step over `cone`.
 
     Yields (i, start, k, codes, var), one tuple per walk. The walk holds maps
     start.. of specs i .. i + k - 1, stacked in spec order: either k whole p
     (start 0), or, past chunk_maps(steps) maps, one chunk of one p, the chunks
-    in map order. codes holds one code plane per row, read from the scan's
-    ScanSampler, and the caller fills var (rows, steps) with each row's
-    variance. Once a p's last chunk has been walked, the mean_and_std of its
-    variances is appended to `moments` (one call over all k p of a walk), so
-    after the loop moments[i] belongs to specs[i].
+    in map order. codes (cells, rows) holds each row's codes at
+    walked_cells(cone), read from the scan's ScanSampler, and the caller
+    fills var (rows, steps) with each row's variance. Once a p's last chunk
+    has been walked, the mean_and_std of its variances is appended to
+    `moments` (one call over all k p of a walk), so after the loop
+    moments[i] belongs to specs[i].
     """
-    sampler = ScanSampler(specs)
+    sampler = ScanSampler(specs, *walked_cells(cone))
     steps = specs[0].steps
     size = chunk_maps(steps)
     chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
@@ -106,8 +110,8 @@ def _batches(specs, n_maps: int, moments: list):
     variances = []  # per-map variances of the chunks of the current p so far
     for b in range(0, len(chunks), per_batch):
         batch = chunks[b : b + per_batch]
-        codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch])
-        var = np.empty((len(codes), steps))
+        codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch], axis=1)
+        var = np.empty((codes.shape[1], steps))
         yield batch[0][0], batch[0][1], len(batch), codes, var
         variances.append(var)
         if batch[-1][2] == n_maps:
@@ -129,35 +133,35 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
     steps = specs[0].steps
     n_sites = 2 * steps + 1
     cone = light_cone([steps], n_sites, steps)
-    # The window of step n as sites and squared sites.
-    sites = [(w.sites - steps).astype(float) for w in cone[1:]]
+    # The window of step n as site coordinates and their squares, one row
+    # per site.
+    sites = [(w.sites - steps).astype(float)[:, None] for w in cone[1:]]
     sites_sq = [x * x for x in sites]
 
     sums = np.zeros((len(specs), steps, n_sites))
     drifts = np.zeros(len(specs))
     moments = []
-    for i, start, k, codes, var in _batches(specs, n_maps, moments):
-        # psi[c]: coin-c amplitudes on the origin, one row per map.
-        psi = np.zeros((2, len(codes), 1), dtype=coin.dtype)
+    for i, start, k, codes, var in _batches(specs, n_maps, moments, cone):
+        rows = codes.shape[1]
+        # psi[c]: coin-c amplitudes on the origin, one column per map.
+        psi = np.zeros((2, 1, rows), dtype=coin.dtype)
         psi[0] = 1.0
-        totals = np.empty((steps, len(codes)))
+        totals = np.empty((steps, rows))
         acc = sums[i : i + k]
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, cone)):
-            w = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-            # Sums over C-contiguous rows round the same for a map whatever
-            # its batch; a matrix-vector product does not.
-            totals[n] = w.sum(axis=1)
-            w /= totals[n, :, None]
-            m1 = (w * sites[n]).sum(axis=1)
-            m2 = (w * sites_sq[n]).sum(axis=1)
-            var[:, n] = m2 - m1 * m1
-            w = w.reshape(k, -1, w.shape[-1])
+            w = _abs2(psi0) + _abs2(psi1)
+            totals[n] = _site_sums(w)
+            w /= totals[n]
+            m1 = _site_sums(w * sites[n])
+            var[:, n] = _site_sums(w * sites_sq[n]) - m1 * m1
+            # Each map's distributions as one contiguous (k, sites) block:
+            # summed over maps, they add in index order, as one mean would.
+            w = np.ascontiguousarray(w.reshape(len(w), k, -1).transpose(2, 1, 0))
             at = cone[n + 1].at
             if start > 0:
-                # Carry the earlier chunks' sum into the first map, so the
-                # reduction adds the maps in index order, as one mean would.
-                w[:, 0] += acc[:, n, at]
-            acc[:, n, at] = w.sum(axis=1)
+                # Carry the earlier chunks' sum into the first map.
+                w[0] += acc[:, n, at]
+            acc[:, n, at] = w.sum(axis=0)
         drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
         np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
     return [

@@ -8,10 +8,11 @@ eta of pairs interferes, the rest behaves as independent photons.
 
 The single-unitary functions take a dense mode unitary; the disorder
 ensemble reads only the two input columns of it, and evolves just those
-through the shared walk driver, in the batches that run_ensembles walks.
-Each map's pair-centroid variance comes from one-body sums of the two
-columns; the site-pair density is built only for the mean matrices and the
-pair-mass check.
+through the shared walk driver, in the batches that run_ensembles walks,
+with amplitude arrays shaped (window sites, input column, map). Each map's
+pair-centroid variance comes from one-body sums of the two columns, added
+left to right over the window's sites; the site-pair density is built only
+for the mean matrices and the pair-mass check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from .disorder import DisorderSpec
 from .ensemble import _batches, check_scan
 from .errors import DomainError
-from .walk_core import _walk, _walk_operands, light_cone, mode_index, single_particle_unitary
+from .walk_core import (_abs2, _site_sums, _walk, _walk_operands, light_cone, mode_index,
+                        single_particle_unitary)
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -178,52 +180,57 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     same_input = ia == ib
     cone = light_cone([ia // 2, ib // 2], n_sites, steps)
     start_a, start_b = np.searchsorted(cone[0].sites, [ia // 2, ib // 2])
-    # Per step: the window's site pairs, and its sites as coordinates.
+    # Per step: the window's site pairs, and its sites as coordinates, one
+    # row per site.
     cells = [np.ix_(w.sites, w.sites) for w in cone[1:]]
-    sites = [(w.sites - steps).astype(float) for w in cone[1:]]
+    sites = [(w.sites - steps).astype(float)[:, None] for w in cone[1:]]
     diagonal = np.arange(n_sites)
 
     sums = np.zeros((len(specs), steps, n_sites, n_sites))
     drifts = np.zeros(len(specs))
     moments = []
-    for i, start, k, codes, var2 in _batches(specs, n_maps, moments):
-        rows = len(codes)
-        # psi[c][row, j, site]: coin-c amplitudes of input column j (0: A,
-        # 1: B) on the start window.
-        psi = np.zeros((2, rows, 2, len(cone[0].sites)), dtype=coin.dtype)
-        psi[ia % 2, :, 0, start_a] = 1.0
-        psi[ib % 2, :, 1, start_b] = 1.0
+    for i, start, k, codes, var2 in _batches(specs, n_maps, moments, cone):
+        rows = codes.shape[1]
+        # psi[c][site, j, row]: coin-c amplitudes of input column j (0: A,
+        # 1: B) on the start window, one column per map.
+        psi = np.zeros((2, len(cone[0].sites), 2, rows), dtype=coin.dtype)
+        psi[ia % 2, start_a, 0] = 1.0
+        psi[ib % 2, start_b, 1] = 1.0
         acc = sums[i : i + k]
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes[:, None], table, cone)):
-            weights = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-            pa, pb = weights[:, 0], weights[:, 1]
+            weights = _abs2(psi0) + _abs2(psi1)
             b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
             g = psi0[:, 0] * b0 + psi1[:, 0] * b1
-            drift = np.maximum(np.abs(weights.sum(axis=2) - 1.0).max(axis=1),
-                               np.abs(g.sum(axis=1) - (1.0 if same_input else 0.0)))
+            drift = np.maximum(np.abs(_site_sums(weights) - 1.0).max(axis=0),
+                               np.abs(_site_sums(g) - (1.0 if same_input else 0.0)))
             if drift.max() > UNITARY_TOL:
                 raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
             np.maximum(drifts[i : i + k], drift.reshape(k, -1).max(axis=1), out=drifts[i : i + k])
 
             x = sites[n]
-            m1 = (weights * x).sum(axis=2)
-            sigma_sq = (weights * (x * x)).sum(axis=2) - m1 * m1  # (rows, input column)
+            m1 = _site_sums(weights * x[:, None])
+            sigma_sq = _site_sums(weights * (x * x)[:, None]) - m1 * m1  # (input column, rows)
+            # The maps' site densities as contiguous rows (rows, sites).
+            pa, pb = np.ascontiguousarray(weights.transpose(1, 2, 0))
             if same_input:
-                var2[:, n] = sigma_sq[:, 0] / 2.0
+                var2[:, n] = sigma_sq[0] / 2.0
                 density = pa[:, :, None] * pa[:, None, :]
             else:
-                # Separate float sums: a complex row sum groups its terms
-                # differently, so the two walks would not agree bit for bit.
-                s_re, s_im = (g.real * x).sum(axis=1), (g.imag * x).sum(axis=1)
-                var2[:, n] = ((sigma_sq[:, 0] + sigma_sq[:, 1]) / 4.0
+                # Separate float sums of Re G x and Im G x, so the float walk,
+                # which has no Im G, gives the complex walk's bits.
+                s_re, s_im = _site_sums(g.real * x), _site_sums(g.imag * x)
+                var2[:, n] = ((sigma_sq[0] + sigma_sq[1]) / 4.0
                               + pair.eta * s_re * s_re / 2.0 + pair.eta * s_im * s_im / 2.0)
-                density = 0.5 * (pa[:, :, None] * pb[:, None, :] + pb[:, :, None] * pa[:, None, :])
-                if real:  # the complex walk adds Im G x Im G = +-0.0 to a density >= +0.0
-                    interfering = g[:, :, None] * g[:, None, :]
-                else:
-                    interfering = (g.real[:, :, None] * g.real[:, None, :]
-                                   + g.imag[:, :, None] * g.imag[:, None, :])
-                density += pair.eta * interfering
+                # In place, so fewer (rows, sites, sites) temporaries are alive.
+                density = pa[:, :, None] * pb[:, None, :]
+                density += pb[:, :, None] * pa[:, None, :]
+                density *= 0.5
+                g = np.ascontiguousarray(g.T)
+                interfering = g.real[:, :, None] * g.real[:, None, :]
+                if not real:  # the complex walk's Im G x Im G is +-0.0 where the float walk has none
+                    interfering += g.imag[:, :, None] * g.imag[:, None, :]
+                interfering *= pair.eta
+                density += interfering
             _require_pair_normalized(density.reshape(rows, -1).sum(axis=1))
             density = density.reshape(k, -1, *density.shape[1:])
             at = (slice(None), n, *cells[n])

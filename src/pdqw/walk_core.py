@@ -6,7 +6,10 @@ exp(i*phi)), the coin mix, and the coin-conditioned shift (coin 0 moves one
 site left, coin 1 one site right). The shift is periodic, so every step is
 exactly unitary on the finite lattice. Every walk steps only its light cone:
 the ring sites its start state can have reached, which for a walk from the
-origin are the n + 1 sites of parity n after n steps.
+origin are the n + 1 sites of parity n after n steps. Amplitude arrays are
+site-major, shaped (window sites, *batch), so per-site work is a handful of
+row operations over contiguous batches, and a walk reads its cell codes
+already gathered at the cells it walks (walked_cells).
 """
 
 from __future__ import annotations
@@ -140,31 +143,60 @@ def light_cone(start, n_sites: int, steps: int) -> list[Window]:
     return cone
 
 
+def walked_cells(cone) -> tuple[np.ndarray, np.ndarray]:
+    """The code-plane cells a walk over `cone` reads, in reading order:
+    step n reads row n-1 at the sites of cone[n-1]. Returns their (row,
+    column) indices, so plane[walked_cells(cone)] gathers them; a plane's
+    columns are the ring indices."""
+    rows = np.repeat(np.arange(len(cone) - 1), [len(w.sites) for w in cone[:-1]])
+    return rows, np.concatenate([w.sites for w in cone])[: len(rows)]
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2: x * x in float64, which is the bits np.abs(x) ** 2 gives there."""
+    return x * x if x.dtype.kind == "f" else np.abs(x) ** 2
+
+
+def _site_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a site-major array, added left to right in site
+    order whatever the batch. numpy reduces the outer axis of a C-contiguous
+    array one site at a time, elementwise over the batch, but drops a batch
+    of one element and then sums pairwise, which rounds differently once 8
+    sites or more are added; a lone column is therefore accumulated."""
+    if a[0].size == 1:
+        return np.add.accumulate(a, axis=0)[-1]
+    return a.sum(axis=0)
+
+
 def _walk(psi0, psi1, coin, codes, table, cone):
-    """Step coin-component arrays whose last axis runs over the sites of
-    cone[0]; yield (psi0, psi1) on the sites of cone[n] after each step n.
+    """Step coin-component arrays shaped (sites of cone[0], *batch); yield
+    (psi0, psi1) on the sites of cone[n] after each step n.
 
     The one walk driver: the single walker, the batched ensemble, the
     two-photon input columns and the mode unitary all step through it, so
     all perform identical elementwise float operations, in the dtype of the
-    operands that _walk_operands gives them. Step n gathers the phase
-    factors of row n-1 at the previous window with table.take (the values
-    fancy indexing gives, gathered faster), multiplies the coin-1 amplitudes
-    by them, mixes with the coin and shifts coin 0 one site left, coin 1 one
+    operands that _walk_operands gives them. `codes` holds the cell codes
+    of walked_cells(cone) along axis 0, with trailing axes that broadcast
+    against the batch. Step n takes the phase factors of its cells (the
+    sites of the previous window) with table.take (the values fancy
+    indexing gives, gathered faster), multiplies the coin-1 amplitudes by
+    them, mixes with the coin and shifts coin 0 one site left, coin 1 one
     site right, periodically. Sites outside the window hold exact zeros on
     the full lattice, so on the window every amplitude is the one the full
     lattice walk gives, up to the sign of a zero.
     """
-    for n, (prev, window) in enumerate(zip(cone, cone[1:])):
-        b1 = table.take(codes[..., n, prev.at]) * psi1
+    read = 0
+    for prev, window in zip(cone, cone[1:]):
+        b1 = table.take(codes[read : read + len(prev.sites)]) * psi1
+        read += len(prev.sites)
         a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
         a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
         shifted = []
         for a, (runs, empty) in zip((a0, a1), window.shift):
-            psi = np.empty(a.shape[:-1] + (len(window.sites),), dtype=a.dtype)
+            psi = np.empty((len(window.sites),) + a.shape[1:], dtype=a.dtype)
             for dst, src in runs:
-                psi[..., dst] = a[..., src]
-            psi[..., empty] = 0.0
+                psi[dst] = a[src]
+            psi[empty] = 0.0
             shifted.append(psi)
         psi0, psi1 = shifted
         yield psi0, psi1
@@ -196,8 +228,8 @@ def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
         raise DomainError("steps must be >= 1")
     if steps > n_max:
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
-    codes = _map_on_lattice(phase_map, n_max, steps)
     cone = light_cone([n_max], 2 * n_max + 1, steps)
+    codes = _map_on_lattice(phase_map, n_max, steps)[walked_cells(cone)]
     walk = _walk(np.ones(1, dtype=coin.dtype), np.zeros(1, dtype=coin.dtype), coin, codes, table, cone)
     states = []
     for n, (window, psi) in enumerate(zip(cone[1:], walk), start=1):
@@ -242,12 +274,13 @@ def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarr
         raise DomainError("n_max must be >= 1")
     if steps < 0:
         raise DomainError("steps must be >= 0")
-    codes = _map_on_lattice(phase_map, n_max, steps)
     n_sites = 2 * n_max + 1
     dim = 2 * n_sites
-    # psi_c[j, s]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
-    basis = np.eye(dim, dtype=coin.dtype).reshape(dim, n_sites, 2)
-    psi = basis[..., 0], basis[..., 1]
-    for psi in _walk(*psi, coin, codes, table, light_cone(np.arange(n_sites), n_sites, steps)):
+    cone = light_cone(np.arange(n_sites), n_sites, steps)
+    codes = _map_on_lattice(phase_map, n_max, steps)[walked_cells(cone)][:, None]
+    # psi_c[s, j]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
+    basis = np.eye(dim, dtype=coin.dtype).reshape(n_sites, 2, dim)
+    psi = basis[:, 0], basis[:, 1]
+    for psi in _walk(*psi, coin, codes, table, cone):
         pass  # only the last step's amplitudes are wanted
-    return np.stack(psi, axis=-1).reshape(dim, dim).T.astype(complex, copy=False)
+    return np.stack(psi, axis=1).reshape(dim, dim).astype(complex, copy=False)

@@ -1,8 +1,10 @@
 """Configuration parsing: defaults, overrides, and loud failures."""
 
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 
 from pdqw import ConfigError
 from pdqw.config import SimulationConfig, config_echo, config_from_dict, load_config
@@ -82,6 +84,15 @@ class TestParsing:
     def test_alphabet_tokens_are_pi_multiples(self):
         cfg = config_from_dict({"alphabet": [0, "pi", 0.5]})
         assert cfg.alphabet == (0.0, math.pi, 0.5 * math.pi)
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.yaml")),
+                             ids=lambda path: path.name)
+    def test_both_yaml_loaders_give_the_same_config(self, path, monkeypatch):
+        fast = load_config(path)
+        assert fast == config_from_dict(yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader))
+        # Where PyYAML lacks libyaml, the pure-Python loader parses it.
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(path) == fast
 
     def test_invalid_yaml_is_a_config_error(self, tmp_path):
         path = tmp_path / "cfg.yaml"

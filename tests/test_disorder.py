@@ -40,7 +40,7 @@ from pdqw.disorder import (
 import pdqw.ensemble
 from pdqw.ensemble import chunk_maps, run_ensembles, similarity_scan
 from pdqw.two_photon import run_pair_ensembles
-from pdqw.walk_core import hadamard_coin
+from pdqw.walk_core import hadamard_coin, light_cone, walked_cells
 
 # A block boundary past the first map, where a runner's chunks could split.
 SPLIT = 128
@@ -177,9 +177,10 @@ class TestBlockSampler:
 @pytest.fixture
 def draws(monkeypatch):
     """Record every call of pdqw.disorder._draw as (seed of its first map,
-    number of maps), and a weak reference to each array it returns."""
-    calls, arrays = [], []
-    real = pdqw.disorder._draw
+    number of maps), and a weak reference to each array it returns and to
+    each array ScanSampler gathers from those draws."""
+    calls, arrays, gathered = [], [], []
+    real, real_gather = pdqw.disorder._draw, ScanSampler._gather
 
     def counting(steps, n_letters, seeds, count=None):
         out = real(steps, n_letters, seeds, count)
@@ -187,8 +188,14 @@ def draws(monkeypatch):
         arrays.extend(weakref.ref(a) for a in out)
         return out
 
+    def gathering(self, marks, letters):
+        out = real_gather(self, marks, letters)
+        gathered.extend(weakref.ref(a) for a in out)
+        return out
+
     monkeypatch.setattr(pdqw.disorder, "_draw", counting)
-    return calls, arrays
+    monkeypatch.setattr(ScanSampler, "_gather", gathering)
+    return calls, arrays, gathered
 
 
 def chunk_draws(master, n_maps, size):
@@ -208,6 +215,22 @@ def assert_codes_match_reference(codes, master, start, steps, p, alphabet):
             assert not plane[n - 1, steps + n + 1 :].any()
 
 
+def plane_cells(steps):
+    """Every cell of a code plane, row by row."""
+    return np.indices((steps, 2 * steps + 1)).reshape(2, -1)
+
+
+def cone_cells(steps, start=(0,)):
+    """The cells a walk from the sites `start` reads, on the ring of the
+    code plane's columns."""
+    return walked_cells(light_cone([s + steps for s in start], 2 * steps + 1, steps))
+
+
+def as_planes(codes, steps):
+    """Codes gathered at plane_cells(steps) back as code planes."""
+    return codes.T.reshape(-1, steps, 2 * steps + 1)
+
+
 class TestScanSampler:
     P_GRID = [0.0, 0.3, 0.5, 1.0]
 
@@ -217,17 +240,20 @@ class TestScanSampler:
     def test_codes_match_the_reference_at_every_p(self, draws, alphabet):
         steps = 4
         chunks = [(0, SPLIT), (SPLIT, SPLIT + 3)]
-        sampler = ScanSampler([DisorderSpec(p, steps, alphabet, master_seed=12) for p in self.P_GRID])
+        sampler = ScanSampler([DisorderSpec(p, steps, alphabet, master_seed=12) for p in self.P_GRID],
+                              *plane_cells(steps))
         for i, p in enumerate(self.P_GRID):
             for start, stop in chunks:
-                assert_codes_match_reference(sampler.sample(i, start, stop), 12, start, steps, p, alphabet)
+                planes = as_planes(sampler.sample(i, start, stop), steps)
+                assert_codes_match_reference(planes, 12, start, steps, p, alphabet)
         assert sorted(draws[0]) == sorted(chunk_draws(12, SPLIT + 3, SPLIT))
 
     @pytest.mark.parametrize("master", [2**32 - 1, 2**64 - 1])
     def test_master_seeds_at_the_word_edges(self, master):
-        sampler = ScanSampler([DisorderSpec(p, 3, master_seed=master) for p in self.P_GRID])
+        sampler = ScanSampler([DisorderSpec(p, 3, master_seed=master) for p in self.P_GRID], *plane_cells(3))
         for i, p in enumerate(self.P_GRID):
-            assert_codes_match_reference(sampler.sample(i, 5, 9), master, 5, 3, p, DEFAULT_ALPHABET)
+            planes = as_planes(sampler.sample(i, 5, 9), 3)
+            assert_codes_match_reference(planes, master, 5, 3, p, DEFAULT_ALPHABET)
 
     @pytest.mark.parametrize("runner", ["run_ensembles", "similarity_scan", "run_pair_ensembles"])
     def test_each_chunk_is_drawn_once_per_call(self, draws, monkeypatch, runner):
@@ -244,11 +270,11 @@ class TestScanSampler:
             assert sorted(draws[0]) == sorted(chunk_draws(8, n_maps, 10) * repeat)
 
     def test_a_chunk_is_dropped_after_its_last_read(self, draws):
-        sampler = ScanSampler([DisorderSpec(p, 3, master_seed=6) for p in (0.2, 0.5, 0.2)])
+        sampler = ScanSampler([DisorderSpec(p, 3, master_seed=6) for p in (0.2, 0.5, 0.2)], *cone_cells(3))
         sampler.sample(0, 0, 10)
         sampler.sample(1, 0, 10)
         gc.collect()
-        arrays = draws[1]
+        arrays = draws[2]
         assert len(arrays) == 2 and all(ref() is not None for ref in arrays)
         sampler.sample(2, 0, 10)
         gc.collect()
@@ -257,19 +283,21 @@ class TestScanSampler:
 
     def test_exact_fraction_draws_afresh_for_every_p(self, draws):
         specs = [DisorderSpec(p, 4, sampling_mode="exact_fraction", master_seed=2) for p in self.P_GRID]
-        sampler = ScanSampler(specs)
+        rows, cols = cone_cells(4)
+        sampler = ScanSampler(specs, rows, cols)
         for i, spec in enumerate(specs):
             for start, stop in [(0, SPLIT), (SPLIT, SPLIT + 3)]:
-                np.testing.assert_array_equal(sampler.sample(i, start, stop), sample_block(spec, start, stop))
+                np.testing.assert_array_equal(sampler.sample(i, start, stop),
+                                              sample_block(spec, start, stop)[:, rows, cols].T)
         # once by the sampler and once by the reference, per p and chunk
         assert sorted(draws[0]) == sorted(chunk_draws(2, SPLIT + 3, SPLIT) * 2 * len(specs))
 
     def test_nothing_is_held_after_a_call(self, draws):
         similarity_scan([0.0, 0.5, 0.9], 5, chunk_maps(5) + 3, hadamard_coin(), master_seed=4)
         gc.collect()
-        calls, arrays = draws
-        assert len(calls) == 2 and arrays
-        assert all(ref() is None for ref in arrays)
+        calls, arrays, gathered = draws
+        assert len(calls) == 2 and arrays and gathered
+        assert all(ref() is None for ref in arrays + gathered)
         # and the module keeps no state that could hold them
         immutable = (types.ModuleType, type, types.FunctionType, __future__._Feature,
                      tuple, str, int, float, frozenset)
@@ -286,16 +314,22 @@ class TestScanSampler:
         maps=st.integers(1, 300),
         size=st.integers(1, 300),
         chunk_major=st.booleans(),
+        mode=st.sampled_from(SAMPLING_MODES),
+        inputs=st.lists(st.integers(-8, 8), min_size=1, max_size=2),
     )
     def test_codes_equal_a_fresh_sample_block(self, master, steps, n_letters, p_list, maps, size,
-                                              chunk_major):
-        specs = [DisorderSpec(p, steps, range(n_letters), master_seed=master) for p in p_list]
-        sampler = ScanSampler(specs)
+                                              chunk_major, mode, inputs):
+        # Walks from off-origin sites (the pair scan's inputs) also read
+        # cells outside a row's sites, and across the ring's seam.
+        specs = [DisorderSpec(p, steps, range(n_letters), mode, master) for p in p_list]
+        rows, cols = cone_cells(steps, [s % (2 * steps + 1) - steps for s in inputs])
+        sampler = ScanSampler(specs, rows, cols)
         reads = [(i, a, min(a + size, maps)) for i in range(len(specs)) for a in range(0, maps, size)]
         if chunk_major:
             reads.sort(key=lambda r: r[1])
         for i, start, stop in reads:
-            np.testing.assert_array_equal(sampler.sample(i, start, stop), sample_block(specs[i], start, stop))
+            np.testing.assert_array_equal(sampler.sample(i, start, stop),
+                                          sample_block(specs[i], start, stop)[:, rows, cols].T)
 
 
 class TestPhaseFactors:

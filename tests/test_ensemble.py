@@ -27,12 +27,19 @@ COIN = hadamard_coin()
 
 
 def per_map_variances(spec, n_maps):
-    out = []
+    return per_map_walks(spec, n_maps)[0]
+
+
+def per_map_walks(spec, n_maps):
+    """Each map's variance and distribution after every step, walked map
+    by map with evolve on the lattice of half-width steps."""
+    variances, dists = [], []
     for k in range(n_maps):
         pm = generate_phase_map(spec, k)
-        states = evolve(spec.steps, COIN, pm, spec.steps)
-        out.append([variance(position_distribution(s)) for s in states])
-    return np.asarray(out)
+        states = [position_distribution(s) for s in evolve(spec.steps, COIN, pm, spec.steps)]
+        variances.append([variance(d) for d in states])
+        dists.append([d.probabilities for d in states])
+    return np.asarray(variances), np.asarray(dists)
 
 
 class TestRunner:
@@ -51,6 +58,27 @@ class TestRunner:
         manual = per_map_variances(spec, n_maps)
         np.testing.assert_allclose(res.mean_variance, manual.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance, manual.std(axis=0, ddof=1), atol=1e-12)
+
+    def test_steps_20_match_a_python_loop(self):
+        # Windows of 8 sites or more, where the per-map sums' left-to-right
+        # order differs from numpy's pairwise one, over two chunks.
+        spec = DisorderSpec(p=0.3, steps=20, master_seed=7)
+        n_maps = chunk_maps(20) + 3
+        res = run_ensemble(spec, COIN, n_maps)
+        variances, dists = per_map_walks(spec, n_maps)
+        np.testing.assert_allclose(res.mean_variance, variances.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.std_variance, variances.std(axis=0, ddof=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.mean_probabilities, dists.mean(axis=0), rtol=0, atol=1e-12)
+
+    def test_a_one_map_walk_rounds_as_a_wide_one(self):
+        # One map alone is a walk of one row, whose site sums numpy would
+        # take pairwise; next to another p it is a row of a wider walk.
+        spec = DisorderSpec(p=0.4, steps=20, master_seed=3)
+        alone = run_ensemble(spec, COIN, 1)
+        paired = run_ensembles([spec, DisorderSpec(p=0.9, steps=20, master_seed=3)], COIN, 1)[0]
+        assert np.array_equal(alone.mean_variance, paired.mean_variance)
+        assert np.array_equal(alone.mean_probabilities, paired.mean_probabilities)
+        assert alone.max_norm_drift == paired.max_norm_drift
 
     @pytest.mark.parametrize("steps,n_maps", [(5, 20), (20, chunk_maps(20) + 2)])
     def test_identical_maps_have_exactly_zero_std(self, steps, n_maps):

@@ -38,10 +38,20 @@ COIN = hadamard_coin()
 ALPHABET = (0.0, 0.5 * math.pi, math.pi)
 
 
+def left_to_right(terms):
+    """Row sums of (maps, sites) terms, adding one site at a time from the
+    left: the order every per-map moment of the runners is declared in."""
+    total = terms[:, 0].copy()
+    for column in terms[:, 1:].T:
+        total += column
+    return total
+
+
 def reference_chunk(spec, coin, table, start, stop):
     """Maps start..stop-1 stepped one step at a time over the whole lattice,
     with fancy-indexed phase factors and the moments taken after every step
-    over the sites of the light cone, the only ones with weight."""
+    over the sites of the light cone, the only ones with weight, added left
+    to right."""
     steps = spec.steps
     n_sites = 2 * steps + 1
     block = stop - start
@@ -68,11 +78,10 @@ def reference_chunk(spec, coin, table, start, stop):
         on_cone = weights[:, cone].copy()
         weights[:, cone] = 0.0
         assert not weights.any()
-        totals = on_cone.sum(axis=1, keepdims=True)
-        prob = on_cone / totals
+        prob = on_cone / left_to_right(on_cone)[:, None]
         dists[:, n - 1, cone] = prob
-        m1 = (prob * sites).sum(axis=1)
-        m2 = (prob * sites_sq).sum(axis=1)
+        m1 = left_to_right(prob * sites)
+        m2 = left_to_right(prob * sites_sq)
         variances[:, n - 1] = m2 - m1 * m1
     return variances, dists
 

@@ -306,12 +306,19 @@ class TestPairScan:
             for a, b in zip(whole, split, strict=True):
                 assert_same_pair_ensemble(a, b)
 
+    def test_a_one_map_walk_rounds_as_a_wide_one(self, alphabet):
+        # One map alone is a walk of one row, whose site sums numpy would
+        # take pairwise; next to another p it is a row of a wider walk.
+        spec, other = self.specs(alphabet, steps=20)[1:3]
+        alone = run_pair_ensemble(spec, COIN, 1, eta=0.6)
+        assert_same_pair_ensemble(alone, run_pair_ensembles([spec, other], COIN, 1, eta=0.6)[0])
+
     def test_a_small_scan_is_one_walk(self, alphabet, monkeypatch):
         # The two-photon-20 benchmark shape: 5 p x 12 maps fit one batch.
         walk, walks = pdqw.two_photon._walk, []
 
         def counting_walk(*args):
-            walks.append(len(args[3]))  # the code planes: one row per map
+            walks.append(args[3].shape[-1])  # the codes: one column per map
             return walk(*args)
 
         monkeypatch.setattr(pdqw.two_photon, "_walk", counting_walk)

@@ -25,7 +25,7 @@ from pdqw import (
     variance,
 )
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors
-from pdqw.walk_core import _map_on_lattice, _walk, _walk_operands, light_cone
+from pdqw.walk_core import _map_on_lattice, _site_sums, _walk, _walk_operands, light_cone, walked_cells
 
 COIN = hadamard_coin()
 QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
@@ -258,18 +258,19 @@ class TestWindowedDriver:
         n_sites = 2 * n_max + 1
         cone = light_cone(sorted({s + n_max for s, _ in modes}), n_sites, steps)
         start = np.searchsorted(cone[0].sites, [s + n_max for s, _ in modes])
-        psi = np.zeros((2, len(modes), len(cone[0].sites)), dtype=coin.dtype)
-        psi[[c for _, c in modes], np.arange(len(modes)), start] = 1.0
+        psi = np.zeros((2, len(cone[0].sites), len(modes)), dtype=coin.dtype)
+        psi[[c for _, c in modes], start, np.arange(len(modes))] = 1.0
         dense = np.eye(2 * n_sites, dtype=complex)[:, [mode_index(s, c, n_max) for s, c in modes]]
-        walk = _walk(*psi, coin, _map_on_lattice(pm, n_max, steps), table, cone)
+        codes = _map_on_lattice(pm, n_max, steps)[walked_cells(cone)][:, None]
+        walk = _walk(*psi, coin, codes, table, cone)
         for n, (psi0, psi1) in enumerate(walk, start=1):
             dense = dense_step_matrix(n_max, self.COIN, rows(pm)[n - 1], n, periodic=True) @ dense
-            by_site = dense.T.reshape(len(modes), n_sites, 2).copy()
+            by_site = dense.reshape(n_sites, 2, len(modes)).copy()
             window = cone[n].sites
             assert psi0.dtype == coin.dtype
-            np.testing.assert_allclose(psi0, by_site[:, window, 0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(psi1, by_site[:, window, 1], rtol=0, atol=1e-12)
-            by_site[:, window] = 0.0
+            np.testing.assert_allclose(psi0, by_site[window, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi1, by_site[window, 1], rtol=0, atol=1e-12)
+            by_site[window] = 0.0
             assert not by_site.any()
         assert n == steps
 
@@ -279,13 +280,35 @@ class TestWindowedDriver:
         coin, table = _walk_operands(self.COIN, alphabet)
         cone = light_cone([n_max], 2 * n_max + 1, steps)
         walk = _walk(np.ones(1, coin.dtype), np.zeros(1, coin.dtype), coin,
-                     _map_on_lattice(pm, n_max, steps), table, cone)
+                     _map_on_lattice(pm, n_max, steps)[walked_cells(cone)], table, cone)
         for n, (state, psi) in enumerate(zip(evolve(n_max, self.COIN, pm, steps), walk), start=1):
             assert list(cone[n].sites - n_max) == list(range(-n, n + 1, 2))
             amplitudes = state.amplitudes.copy()
             assert np.array_equal(amplitudes[cone[n].sites], np.stack(psi, axis=1))
             amplitudes[cone[n].sites] = 0.0
             assert not amplitudes.any()
+
+
+class TestSiteSums:
+    @pytest.mark.parametrize("batch", [(1,), (2,), (3,), (8,), (384,), (2, 1), (2, 5), (1, 1)])
+    def test_sites_add_left_to_right_for_any_batch(self, batch):
+        # numpy drops a batch of one element and sums the rest pairwise.
+        for seed in range(20):
+            a = np.random.default_rng(seed).random((21, *batch))
+            total = a[0].copy()
+            for row in a[1:]:
+                total += row
+            got = _site_sums(a)
+            assert got.shape == total.shape
+            assert np.array_equal(got, total)
+
+    def test_walked_cells_of_the_walk_from_the_origin(self):
+        steps = 6
+        rows, cols = walked_cells(light_cone([steps], 2 * steps + 1, steps))
+        assert len(rows) == len(cols) == steps * (steps + 1) // 2
+        for n in range(1, steps + 1):
+            # step n reads row n - 1 at the sites of the window after n - 1 steps
+            assert list(cols[rows == n - 1] - steps) == list(range(-(n - 1), n, 2))
 
 
 class TestWalkOperands:
