@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import crossing_point, fit_beta
-from .config import SimulationConfig, config_echo, load_config
+from .config import SimulationConfig, config_echo, load_config, p_tag
 from .disorder import DisorderSpec, generate_phase_map, load_map, save_map
 from .ensemble import run_ensembles, similarity_scan
 from .errors import ConfigError, MapParseError, PdqwError
@@ -86,10 +86,6 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
                 fh.write(text + "\n")
 
 
-def _p_tag(p: float) -> str:
-    return f"{p:g}"
-
-
 def _spec(cfg: SimulationConfig, p: float) -> DisorderSpec:
     return DisorderSpec(p=p, steps=cfg.steps, alphabet=cfg.alphabet,
                         sampling_mode=cfg.sampling_mode, master_seed=cfg.master_seed)
@@ -131,7 +127,7 @@ def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], 
             raise ConfigError("steps", f"phase map has {pm.steps} rows but {cfg.steps} steps were requested")
         runs = [("evolve_map.csv", pm)]
     else:
-        runs = [(f"evolve_p{_p_tag(p)}.csv", generate_phase_map(_spec(cfg, p), 0)) for p in cfg.p_values]
+        runs = [(f"evolve_p{p_tag(p)}.csv", generate_phase_map(_spec(cfg, p), 0)) for p in cfg.p_values]
     keys, keep = _cone_keys(cfg.steps)
     for name, pm in runs:
         states = evolve(cfg.steps, coin, pm, cfg.steps)
@@ -208,7 +204,7 @@ def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Pat
             if display:
                 peak = cm.probabilities.max()
                 block.append(prob / peak if peak > 0 else 0.0)
-            path = out_dir / f"two_photon_matrix_p{_p_tag(p)}_step{n}.csv"
+            path = out_dir / f"two_photon_matrix_p{p_tag(p)}_step{n}.csv"
             _write_csv(path, header, [block])
             outputs.append(path)
     var_path = out_dir / "two_photon_var2.csv"
@@ -232,7 +228,7 @@ def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dic
 def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
     outputs = []
     for p in cfg.p_values:
-        sub = out_dir / "maps" / f"p{_p_tag(p)}"
+        sub = out_dir / "maps" / f"p{p_tag(p)}"
         sub.mkdir(parents=True, exist_ok=True)
         spec = _spec(cfg, p)
         for k in range(cfg.n_maps):

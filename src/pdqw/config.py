@@ -76,6 +76,11 @@ _TWO_PHOTON_KEYS = {
 }
 
 
+def p_tag(p: float) -> str:
+    """A dilution's tag in output file names; p_values must not share one."""
+    return f"{p:g}"
+
+
 def _as_int(value, field_name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(field_name, f"expected an integer, got {value!r}")
@@ -166,6 +171,10 @@ def config_from_dict(data: dict) -> SimulationConfig:
         cfg.p_values = [_as_number(v, "p_values") for v in data["p_values"]]
         if any(not 0.0 <= p <= 1.0 for p in cfg.p_values):
             raise ConfigError("p_values", "entries must lie in [0, 1]")
+        tags = [p_tag(p) for p in cfg.p_values]
+        if len(set(tags)) < len(tags):
+            shared = sorted({t for t in tags if tags.count(t) > 1})
+            raise ConfigError("p_values", f"entries must differ in their file tag f'{{p:g}}'; shared: {shared}")
     if "n_maps" in data:
         cfg.n_maps = _as_int(data["n_maps"], "n_maps")
         if cfg.n_maps < 1:

@@ -87,7 +87,7 @@ def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
     return specs
 
 
-def _batches(specs, n_maps: int, moments: list, cone):
+def _batches(specs, n_maps: int, moments: list | None, cone):
     """The batch plan of one scan, shared by run_ensembles and
     run_pair_ensembles, whose walks step over `cone`.
 
@@ -99,7 +99,8 @@ def _batches(specs, n_maps: int, moments: list, cone):
     fills var (rows, steps) with each row's variance. Once a p's last chunk
     has been walked, the mean_and_std of its variances is appended to
     `moments` (one call over all k p of a walk), so after the loop
-    moments[i] belongs to specs[i].
+    moments[i] belongs to specs[i]. With moments None no variance is read:
+    var is None and no mean_and_std is taken.
     """
     sampler = ScanSampler(specs, *walked_cells(cone))
     steps = specs[0].steps
@@ -111,8 +112,10 @@ def _batches(specs, n_maps: int, moments: list, cone):
     for b in range(0, len(chunks), per_batch):
         batch = chunks[b : b + per_batch]
         codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch], axis=1)
-        var = np.empty((codes.shape[1], steps))
+        var = None if moments is None else np.empty((codes.shape[1], steps))
         yield batch[0][0], batch[0][1], len(batch), codes, var
+        if var is None:
+            continue
         variances.append(var)
         if batch[-1][2] == n_maps:
             mean, std = mean_and_std(np.concatenate(variances).reshape(len(batch), n_maps, steps))
@@ -120,14 +123,10 @@ def _batches(specs, n_maps: int, moments: list, cone):
             variances = []
 
 
-def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
-    """run_ensemble for every spec, in order; the specs may differ only in p.
-
-    One coin check, one phase table and one ScanSampler serve the whole
-    scan. Whole p (or, past chunk_maps(steps) maps, single chunks of one p)
-    are stacked along the batch axis of one walk (see _batches), and each
-    result equals the one-spec call bit for bit.
-    """
+def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each spec's mean distributions (steps, sites) and max_norm_drift, in
+    spec order, walked as run_ensembles walks them; `moments` is passed to
+    _batches, so None skips the per-map variances."""
     specs = check_scan(specs, n_maps)
     coin, table = _walk_operands(coin, specs[0].alphabet)
     steps = specs[0].steps
@@ -140,7 +139,6 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
 
     sums = np.zeros((len(specs), steps, n_sites))
     drifts = np.zeros(len(specs))
-    moments = []
     for i, start, k, codes, var in _batches(specs, n_maps, moments, cone):
         rows = codes.shape[1]
         # psi[c]: coin-c amplitudes on the origin, one column per map.
@@ -152,8 +150,9 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
             w = _abs2(psi0) + _abs2(psi1)
             totals[n] = _site_sums(w)
             w /= totals[n]
-            m1 = _site_sums(w * sites[n])
-            var[:, n] = _site_sums(w * sites_sq[n]) - m1 * m1
+            if var is not None:
+                m1 = _site_sums(w * sites[n])
+                var[:, n] = _site_sums(w * sites_sq[n]) - m1 * m1
             # Each map's distributions as one contiguous (k, sites) block:
             # summed over maps, they add in index order, as one mean would.
             w = np.ascontiguousarray(w.reshape(len(w), k, -1).transpose(2, 1, 0))
@@ -164,11 +163,25 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
             acc[:, n, at] = w.sum(axis=0)
         drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
         np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
+    return [total / n_maps for total in sums], drifts
+
+
+def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
+    """run_ensemble for every spec, in order; the specs may differ only in p.
+
+    One coin check, one phase table and one ScanSampler serve the whole
+    scan. Whole p (or, past chunk_maps(steps) maps, single chunks of one p)
+    are stacked along the batch axis of one walk (see _batches), and each
+    result equals the one-spec call bit for bit.
+    """
+    specs = list(specs)
+    moments = []
+    means, drifts = _scan_means(specs, coin, n_maps, moments)
     return [
-        EnsembleResult(p=s.p, steps=steps, n_maps=n_maps, master_seed=s.master_seed,
-                       mean_variance=mean, std_variance=std, mean_probabilities=total / n_maps,
+        EnsembleResult(p=s.p, steps=s.steps, n_maps=n_maps, master_seed=s.master_seed,
+                       mean_variance=mean, std_variance=std, mean_probabilities=m,
                        max_norm_drift=float(drift))
-        for s, (mean, std), total, drift in zip(specs, moments, sums, drifts)
+        for s, (mean, std), m, drift in zip(specs, moments, means, drifts)
     ]
 
 
@@ -216,7 +229,10 @@ def _similarities(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
                     sampling_mode: str = "bernoulli", alphabet=DEFAULT_ALPHABET) -> SimilarityScan:
     """Scan the dilution axis and score each ensemble mean against both
-    reference walks, for every step count up to `steps`."""
+    reference walks, for every step count up to `steps`.
+
+    Only the mean distributions and the norm drift are computed: the walks
+    are run_ensembles' walks, bit for bit, without the per-map variances."""
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.size < 2:
         raise DomainError("p_grid needs at least 2 points")
@@ -225,8 +241,8 @@ def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
     # Each distinct p, the p=1 reference included, is walked once.
     distinct = list(dict.fromkeys([1.0, *p_grid.tolist()]))
     specs = [DisorderSpec(p, steps, alphabet, sampling_mode, master_seed) for p in distinct]
-    results = run_ensembles(specs, coin, n_maps)
-    means = {p: r.mean_probabilities for p, r in zip(distinct, results)}
+    walked, drifts = _scan_means(specs, coin, n_maps, None)
+    means = dict(zip(distinct, walked))
     scan = np.stack([means[p] for p in p_grid.tolist()], axis=1)  # (step, p, site)
     s_ordered = _similarities(scan, ordered[:, None])
     s_disordered = _similarities(scan, means[1.0][:, None])
@@ -237,5 +253,5 @@ def similarity_scan(p_grid, steps: int, n_maps: int, coin, master_seed: int,
         master_seed=master_seed,
         s_ordered=s_ordered,
         s_disordered=s_disordered,
-        max_norm_drift=max(r.max_norm_drift for r in results),
+        max_norm_drift=float(drifts.max()),
     )

@@ -136,6 +136,19 @@ class TestBeta:
         assert float(rows[0][1]) == pytest.approx(1.693514775330979, abs=1e-8)
         assert (rows[0][4], rows[0][5]) == ("1", "7")
 
+    def test_stderr_measures_the_power_law_misfit_not_sampling(self, tmp_path):
+        # At p = 0 every map is the ordered walk, so the ensemble has no
+        # spread at all; beta_stderr still reads the fit's own residuals.
+        cfg = write_config(tmp_path, "steps: 7\nn_maps: 3\nmaster_seed: 1\np_values: [0.0]\n"
+                                     "p_grid: [0.0, 1.0]\n")
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "ensemble.csv")
+        assert [float(r[3]) for r in rows if r[0] == "0.0"] == [0.0] * 7
+        assert main(["beta", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "beta.csv")
+        assert float(rows[0][2]) > 0.1
+
     def test_seed_override_recorded_and_effective(self, tmp_path):
         cfg = write_config(tmp_path, "steps: 4\nn_maps: 6\nmaster_seed: 1\np_values: [1.0]\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -474,6 +487,15 @@ class TestFailureModes:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["evolve", "two-photon", "gen-maps"])
+    @pytest.mark.parametrize("p_values", ["[0.1, 0.10000001]", "[0.3, 0.3]"], ids=["same-tag", "duplicate"])
+    def test_p_values_sharing_a_file_tag_are_usage_errors(self, tmp_path, capsys, command, p_values):
+        cfg = write_config(tmp_path, f"steps: 3\nn_maps: 2\np_values: {p_values}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config field 'p_values'" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_bad_thread_count(self, tmp_path):

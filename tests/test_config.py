@@ -120,6 +120,9 @@ class TestRejection:
             ({"n_max": 9, "steps": 5}, "n_max"),
             ({"p_values": []}, "p_values"),
             ({"p_values": [1.5]}, "p_values"),
+            # Output files are named by f"{p:g}": two p with one tag would share a file.
+            ({"p_values": [0.1, 0.10000001]}, "p_values"),
+            ({"p_values": [0.5, 0.0, 0.5]}, "p_values"),
             ({"n_maps": 0}, "n_maps"),
             ({"master_seed": -1}, "master_seed"),
             ({"master_seed": 2**64}, "master_seed"),

@@ -250,6 +250,40 @@ class TestSimilarityScan:
                 assert scan.s_ordered[n, j] == similarity(means[n], ordered[n])
                 assert scan.s_disordered[n, j] == similarity(means[n], ref[n])
 
+    @pytest.mark.parametrize("mode", ["bernoulli", "exact_fraction"])
+    @pytest.mark.parametrize("alphabet", [(0.0, np.pi), (0.0, 0.5 * np.pi, np.pi)], ids=["0-pi", "0-half-pi"])
+    @pytest.mark.parametrize("n_maps", [7, chunk_maps(3) + 3], ids=["whole-p", "chunks"])
+    def test_scores_the_means_of_run_ensembles(self, mode, alphabet, n_maps):
+        # The scan walks without the per-map variances; its means and drift
+        # must still be run_ensembles' to the bit.
+        grid = [0.0, 0.3, 0.6]
+        scan = similarity_scan(grid, 3, n_maps, COIN, master_seed=5, sampling_mode=mode, alphabet=alphabet)
+        specs = [DisorderSpec(p, 3, alphabet, mode, master_seed=5) for p in [1.0, *grid]]
+        results = run_ensembles(specs, COIN, n_maps)
+        means = np.stack([r.mean_probabilities for r in results[1:]], axis=1)
+        ordered = np.stack([position_distribution(s).probabilities for s in evolve(3, COIN, None, 3)])
+        assert scan.s_ordered.tolist() == _similarities(means, ordered[:, None]).tolist()
+        assert scan.s_disordered.tolist() == _similarities(means, results[0].mean_probabilities[:, None]).tolist()
+        assert scan.max_norm_drift == max(r.max_norm_drift for r in results)
+
+    @pytest.mark.parametrize("n_maps, batches", [(4, 3), (25, 5)], ids=["whole-p", "chunks"])
+    def test_only_run_ensembles_takes_variance_moments(self, monkeypatch, n_maps, batches):
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 4 * 10)  # 10 maps a chunk at steps 3
+        calls = []
+
+        def counting(values):
+            calls.append(values.shape)
+            return mean_and_std(values)
+
+        monkeypatch.setattr(pdqw.ensemble, "mean_and_std", counting)
+        grid = [0.0, 0.1, 0.4, 0.8]
+        similarity_scan(grid, 3, n_maps, COIN, master_seed=8)
+        assert calls == []
+        # One call per batch that finishes its p: 5 p two to a walk, or 3
+        # chunks of one p to a walk.
+        run_ensembles([DisorderSpec(p, 3, master_seed=8) for p in [1.0, *grid]], COIN, n_maps)
+        assert len(calls) == batches
+
     def test_rows_score_as_the_scalar_similarity(self):
         # The scalar path squares with pow, which rounds differently from
         # x*x in about 1 value in 1000, so this needs many rows.
