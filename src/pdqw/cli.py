@@ -34,8 +34,8 @@ import numpy as np
 from . import __version__
 from .analysis import crossing_point, fit_beta
 from .config import SimulationConfig, config_echo, load_config, p_tag
-from .disorder import DisorderSpec, generate_phase_map, load_map, save_map
-from .ensemble import run_ensembles, similarity_scan
+from .disorder import DisorderSpec, PhaseMap, generate_phase_map, load_map, map_seeds, sample_block, save_map
+from .ensemble import chunk_maps, run_ensembles, similarity_scan
 from .errors import ConfigError, MapParseError, PdqwError
 from .two_photon import PAIR_CONVENTION, hom_scan, run_pair_ensembles
 from .walk_core import coin_from_reflectivity, evolve, position_distribution
@@ -154,6 +154,7 @@ def cmd_ensemble(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path]
 
 
 def cmd_beta(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
+    cfg.check_fit_range()
     coin = _coin(cfg)
     fit_range = cfg.effective_fit_range()
     results = run_ensembles([_spec(cfg, p) for p in cfg.p_values], coin, cfg.n_maps)
@@ -226,16 +227,22 @@ def cmd_hom(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dic
 
 
 def cmd_gen_maps(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
+    # Maps are drawn a block at a time, as the ensembles draw them: one
+    # seeding pass per block, and memory bounded by the block's cells.
     outputs = []
+    size = chunk_maps(cfg.steps)
     for p in cfg.p_values:
         sub = out_dir / "maps" / f"p{p_tag(p)}"
         sub.mkdir(parents=True, exist_ok=True)
         spec = _spec(cfg, p)
-        for k in range(cfg.n_maps):
-            path = sub / f"map_{k:05d}.txt"
-            with _replacing(path) as fh:
-                save_map(generate_phase_map(spec, k), fh)
-            outputs.append(path)
+        for start in range(0, cfg.n_maps, size):
+            stop = min(start + size, cfg.n_maps)
+            seeds = map_seeds(cfg.master_seed, start, stop).tolist()
+            for k, seed, codes in zip(range(start, stop), seeds, sample_block(spec, start, stop)):
+                path = sub / f"map_{k:05d}.txt"
+                with _replacing(path) as fh:
+                    save_map(PhaseMap(spec.steps, codes, spec.alphabet, spec.p, seed, spec.sampling_mode), fh)
+                outputs.append(path)
     return outputs, {}
 
 

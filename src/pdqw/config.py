@@ -58,6 +58,15 @@ class SimulationConfig:
             return self.fit_range
         return (1, min(7, self.steps))
 
+    def check_fit_range(self) -> None:
+        """Raise unless the fit window holds at least two steps; the default
+        window (1, min(7, steps)) holds one at steps 1. A given fit_range is
+        checked when the config is read."""
+        lo, hi = self.effective_fit_range()
+        if hi <= lo:
+            raise ConfigError("fit_range", f"the default window ({lo}, {hi}) holds one step; "
+                                           "a beta fit needs steps >= 2")
+
     def check_crossing_steps(self) -> None:
         """Raise unless every crossing step lies in 1..steps; the default
         list can exceed a small `steps`."""

@@ -103,24 +103,99 @@ class PhaseMap:
         return same and np.array_equal(self.codes, other.codes)
 
 
+def _hash_constants(init: int, mult: int, n: int) -> tuple[int, ...]:
+    """init * mult**j mod 2**32 for j = 0..n."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return tuple(consts)
+
+
+# numpy's SeedSequence hash, O'Neill's seed_seq_fe with a 4-word pool: the
+# hash constants of mix_entropy (at most 6 entropy words: 24 hashes) and of
+# generate_state (at most 8 words).
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 24)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_state(entropy, n_words: int) -> list[np.ndarray]:
+    """SeedSequence's generate_state(n_words // 2, uint64) for many
+    sequences at once, as n_words // 2 uint64 arrays. entropy[i] is the
+    uint32 array of entropy word i (one entry per sequence, or one shared
+    by all); the caller pads it with zero words to at least the pool's 4,
+    as SeedSequence does. Each hash takes the next constants in turn."""
+    consts = zip(_HASH_A, _HASH_A[1:])
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words = []
+    for i, xor, mult in zip(range(n_words), _HASH_B, _HASH_B[1:]):
+        value = (pool[i % 4] ^ xor) * mult
+        words.append((value ^ value >> 16).astype(np.uint64))
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _words(values: np.ndarray) -> list[np.ndarray]:
+    """The low and high uint32 words of a uint64 array."""
+    return [(values & 0xFFFFFFFF).astype(np.uint32), (values >> 32).astype(np.uint32)]
+
+
 def map_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """64-bit seeds of maps start..stop-1 as a uint64 array: seed k is
-    SeedSequence(master_seed, spawn_key=(k,)).generate_state(1, uint64)[0]."""
+    SeedSequence(master_seed, spawn_key=(k,)).generate_state(1, uint64)[0],
+    computed for all k at once."""
     if not 0 <= int(master_seed) < 2**64:
         raise DomainError("master_seed must fit in 64 bits")
     if not 0 <= start < stop <= 2**64:
         raise DomainError(f"need 0 <= start < stop <= 2**64, got {start}..{stop}")
-    master = int(master_seed)
-    return np.array(
-        [np.random.SeedSequence(master, spawn_key=(k,)).generate_state(1, np.uint64)[0]
-         for k in range(start, stop)],
-        dtype=np.uint64,
-    )
+    # The entropy is the master's two words padded to the pool size, then
+    # the spawn key's words: one below 2**32, two from there on.
+    zero = np.zeros(1, np.uint32)
+    master = [*_words(np.array([master_seed], dtype=np.uint64)), zero, zero]
+    seeds = []
+    for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
+        if a < b:
+            k = np.arange(b - a, dtype=np.uint64) + np.uint64(a)
+            key = _words(k)[:1] if b <= 2**32 else _words(k)
+            seeds.append(_seed_state(master + key, 2)[0])
+    return np.concatenate(seeds)
 
 
 def map_seed(master_seed: int, map_index: int) -> int:
     """64-bit seed for map `map_index`, derived deterministically."""
     return int(map_seeds(master_seed, map_index, map_index + 1)[0])
+
+
+def _pcg64_states(seeds):
+    """Yield (state, inc) of PCG64(seed) for each seed of a uint64 array, as
+    Python ints. PCG64 hashes the seed with SeedSequence(seed) into four
+    64-bit words s0..s3, here for all seeds at once. pcg64_set_seed then
+    steps its 128-bit LCG from 0 with increment inc = (s2 << 64 | s3) << 1 | 1,
+    adds s0 << 64 | s1 and steps once more."""
+    zero = np.zeros(1, np.uint32)
+    words = _seed_state([*_words(np.asarray(seeds, dtype=np.uint64)), zero, zero], 8)
+    for s0, s1, s2, s3 in zip(*(w.tolist() for w in words)):
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
@@ -133,6 +208,9 @@ def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
     do not depend on p: a cell is marked where its uniform is below p.
     Otherwise (exact_fraction) they are booleans with `count` cells chosen.
     Letters come back as int8 codes, 1 + letter index.
+
+    One Generator draws every map: it is set to each map's PCG64 start
+    state in turn, with no buffered 32-bit half left from the map before.
     """
     total = steps * (steps + 2)
     if count is None:
@@ -140,8 +218,11 @@ def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
     else:
         marks = np.zeros((len(seeds), total), dtype=bool)
     letters = np.empty((len(seeds), total), dtype=np.int8)
-    for i, seed in enumerate(seeds.tolist()):
-        rng = np.random.default_rng(seed)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
         if count is None:
             rng.random(out=marks[i])
         elif count > 0:

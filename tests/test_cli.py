@@ -149,6 +149,20 @@ class TestBeta:
         _, rows = read_csv(out / "beta.csv")
         assert float(rows[0][2]) > 0.1
 
+    def test_default_fit_window_of_one_step_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # At steps 1 the default window (1, 1) holds one step: beta names
+        # the field and exits 2 before it walks a map.
+        walked = []
+        monkeypatch.setattr("pdqw.cli.run_ensembles", lambda *args: walked.append(args))
+        cfg = write_config(tmp_path, "steps: 1\nn_maps: 3\n")
+        out = tmp_path / "out"
+        assert main(["beta", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "fit_range" in err and "Traceback" not in err
+        assert walked == []
+        assert not (out / "beta.csv").exists()
+        assert not (out / "manifest_beta.json").exists()
+
     def test_seed_override_recorded_and_effective(self, tmp_path):
         cfg = write_config(tmp_path, "steps: 4\nn_maps: 6\nmaster_seed: 1\np_values: [1.0]\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -371,6 +385,20 @@ class TestGenMaps:
             assert load_map(path) == generate_phase_map(spec, k)
         manifest = json.loads((out / "manifest_gen_maps.json").read_text())
         assert len(manifest["outputs"]) == 3
+
+    @pytest.mark.parametrize("mode", ["bernoulli", "exact_fraction"])
+    def test_blocks_write_the_files_of_single_maps(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr("pdqw.cli.chunk_maps", lambda steps: 2)  # blocks of 2, 2 and 1 maps
+        cfg = write_config(tmp_path, f"steps: 3\nn_maps: 5\nmaster_seed: {2**32}\n"
+                                     f"p_values: [0.3, 1.0]\nsampling_mode: {mode}\n")
+        out = tmp_path / "out"
+        assert main(["gen-maps", "--config", cfg, "--out", str(out)]) == 0
+        for p in (0.3, 1.0):
+            spec = DisorderSpec(p=p, steps=3, sampling_mode=mode, master_seed=2**32)
+            for k in range(5):
+                save_map(generate_phase_map(spec, k), tmp_path / "single.txt")
+                written = out / "maps" / f"p{p:g}" / f"map_{k:05d}.txt"
+                assert written.read_bytes() == (tmp_path / "single.txt").read_bytes()
 
     def test_fractional_pi_alphabet_maps_evolve(self, tmp_path):
         cfg = write_config(

@@ -30,7 +30,9 @@ from pdqw.disorder import (
     SAMPLING_MODES,
     check_alphabet,
     ScanSampler,
+    _draw,
     _draw_codes,
+    _pcg64_states,
     map_seed,
     map_seeds,
     parse_alphabet_token,
@@ -172,6 +174,67 @@ class TestBlockSampler:
                 np.testing.assert_array_equal(marks(pm)[n - 1], ref_mask[n - 1])
                 assert not codes[k, n - 1, : steps - n].any()
                 assert not codes[k, n - 1, steps + n + 1 :].any()
+
+
+class TestBulkSeeding:
+    """The seeds and PCG64 start states computed in bulk against numpy's own
+    SeedSequence, PCG64 and default_rng, map by map, on the installed numpy."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        master=st.integers(0, 2**64 - 1),
+        start=st.one_of(st.integers(0, 2**20), st.integers(2**32 - 300, 2**32 + 300),
+                        st.integers(2**64 - 300, 2**64 - 1)),
+        n=st.integers(1, 300),
+    )
+    def test_map_seeds_equal_seed_sequence(self, master, start, n):
+        stop = min(start + n, 2**64)
+        expect = [int(np.random.SeedSequence(master, spawn_key=(k,)).generate_state(1, np.uint64)[0])
+                  for k in range(start, stop)]
+        assert map_seeds(master, start, stop).tolist() == expect
+
+    def test_pcg64_states_equal_numpy(self):
+        rng = np.random.default_rng(2024)
+        seeds = self.EDGE_SEEDS + rng.integers(0, 2**64, size=50, dtype=np.uint64).tolist()
+        got = _pcg64_states(np.array(seeds, dtype=np.uint64))
+        for seed, (state, inc) in zip(seeds, got, strict=True):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    @pytest.mark.parametrize("steps, n_letters", [(1, 1), (3, 2), (4, 3), (7, 127)])
+    def test_draws_equal_default_rng_map_by_map(self, mode, steps, n_letters):
+        total = steps * (steps + 2)
+        count = None if mode == "bernoulli" else total // 3
+        seeds = self.EDGE_SEEDS + map_seeds(5, 0, 20).tolist()
+        marks, letters = _draw(steps, n_letters, np.array(seeds, dtype=np.uint64), count)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            if count is None:
+                assert marks[i].tobytes() == rng.random(total).tobytes()
+            else:
+                expect = np.zeros(total, dtype=bool)
+                expect[rng.choice(total, size=count, replace=False)] = True
+                np.testing.assert_array_equal(marks[i], expect)
+            np.testing.assert_array_equal(letters[i], rng.integers(0, n_letters, size=total) + 1)
+
+    @pytest.mark.parametrize("count", [None, 0])
+    def test_a_map_does_not_inherit_the_buffered_half_before_it(self, count):
+        # Steps 3 gives 15 cells, so a map's 15 two-letter draws, each one
+        # 32-bit half of a 64-bit output, leave the second half buffered
+        # (uniforms are 64-bit draws, and an exact_fraction map that marks
+        # no cell makes no choice call).
+        a, b = map_seeds(3, 0, 2).tolist()
+        rng = np.random.default_rng(a)
+        if count is None:
+            rng.random(15)
+        rng.integers(0, 2, size=15)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        pair = _draw(3, 2, np.array([a, b], dtype=np.uint64), count)
+        alone = _draw(3, 2, np.array([b], dtype=np.uint64), count)
+        for got, expect in zip(pair, alone):
+            assert got[1].tobytes() == expect[0].tobytes()
 
 
 @pytest.fixture
