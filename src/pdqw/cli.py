@@ -302,6 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Phase-disordered discrete-time quantum walk simulator",
     )
     parser.add_argument("--version", action="version", version=f"pdqw {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to the YAML run configuration")
+    common.add_argument("--seed", type=int, default=None, help="override master_seed")
+    common.add_argument("--threads", type=int, default=1,
+                        help="must be >= 1; recorded in the manifest, but maps always run serially")
+    common.add_argument("--out", default=None, help="override output_dir")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("evolve", "single-realization walk distributions per step"),
@@ -312,12 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("hom", "two-detector coincidence versus arrival delay"),
         ("gen-maps", "write phase-map files for the configured ensembles"),
     ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the YAML run configuration")
-        cmd.add_argument("--seed", type=int, default=None, help="override master_seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="must be >= 1; recorded in the manifest, but maps always run serially")
-        cmd.add_argument("--out", default=None, help="override output_dir")
+        cmd = sub.add_parser(name, help=help_text, parents=[common])
         if name == "evolve":
             cmd.add_argument("--map", default=None, help="evolve this phase-map file instead of sampling")
     return parser

@@ -120,43 +120,46 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MASK32 = 0xFFFFFFFF
+# PCG64 words a bernoulli draw computes at once: a chunk's maps are drawn
+# in blocks of about this many words (64 KiB per array).
+_BLOCK_WORDS = 1 << 13
 
 
-def _seed_state(entropy, n_words: int) -> list[np.ndarray]:
+def _seed_state(entropy, n_words: int) -> np.ndarray:
     """SeedSequence's generate_state(n_words // 2, uint64) for many
-    sequences at once, as n_words // 2 uint64 arrays. entropy[i] is the
-    uint32 array of entropy word i (one entry per sequence, or one shared
-    by all); the caller pads it with zero words to at least the pool's 4,
-    as SeedSequence does. Each hash takes the next constants in turn."""
-    consts = zip(_HASH_A, _HASH_A[1:])
+    sequences at once, as an (n_words // 2, sequences) uint64 array.
+    entropy[i] is the uint32 array of entropy word i (one entry per
+    sequence, or one shared by all); the caller pads it with zero words to
+    at least the pool's 4, as SeedSequence does. Each hash takes the next
+    constants in turn, so the pool is one (4, sequences) array and a word's
+    hashes into the other three pool words are one (3, sequences) array."""
+    consts = np.array(_HASH_A, dtype=np.uint32)[:, None]
 
-    def hashmix(value):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
+    def hashmix(value, first: int, count: int):
+        """Hash `value` with the constants of hashes first..first+count-1, one per row."""
+        value = (value ^ consts[first : first + count]) * consts[first + 1 : first + count + 1]
         return value ^ value >> 16
 
     def mix(x, y):
         value = x * _MIX_L - y * _MIX_R
         return value ^ value >> 16
 
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = hashmix(np.array(np.broadcast_arrays(*entropy[:4])), 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    words = []
-    for i, xor, mult in zip(range(n_words), _HASH_B, _HASH_B[1:]):
-        value = (pool[i % 4] ^ xor) * mult
-        words.append((value ^ value >> 16).astype(np.uint64))
-    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for i, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(word, 16 + 4 * i, 4))
+    out = np.array(_HASH_B, dtype=np.uint32)[:, None]
+    value = (pool[np.arange(n_words) % 4] ^ out[:n_words]) * out[1 : n_words + 1]
+    words = (value ^ value >> 16).astype(np.uint64)
+    return words[::2] | words[1::2] << 32
 
 
 def _words(values: np.ndarray) -> list[np.ndarray]:
     """The low and high uint32 words of a uint64 array."""
-    return [(values & 0xFFFFFFFF).astype(np.uint32), (values >> 32).astype(np.uint32)]
+    return [(values & _MASK32).astype(np.uint32), (values >> 32).astype(np.uint32)]
 
 
 def map_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -185,63 +188,182 @@ def map_seed(master_seed: int, map_index: int) -> int:
     return int(map_seeds(master_seed, map_index, map_index + 1)[0])
 
 
-def _pcg64_states(seeds):
-    """Yield (state, inc) of PCG64(seed) for each seed of a uint64 array, as
-    Python ints. PCG64 hashes the seed with SeedSequence(seed) into four
-    64-bit words s0..s3, here for all seeds at once. pcg64_set_seed then
-    steps its 128-bit LCG from 0 with increment inc = (s2 << 64 | s3) << 1 | 1,
-    adds s0 << 64 | s1 and steps once more."""
+def _pcg64_keys(seeds) -> np.ndarray:
+    """What PCG64(seed) is seeded with, for each seed of a uint64 array: a
+    (4, seeds) uint64 array of the 128-bit initial state s and increment
+    inc, as rows s_hi, s_lo, inc_hi, inc_lo. PCG64 hashes the seed with
+    SeedSequence(seed) into four 64-bit words s0..s3, here for all seeds at
+    once: s = s0 << 64 | s1 and inc = (s2 << 64 | s3) << 1 | 1."""
     zero = np.zeros(1, np.uint32)
-    words = _seed_state([*_words(np.asarray(seeds, dtype=np.uint64)), zero, zero], 8)
-    for s0, s1, s2, s3 in zip(*(w.tolist() for w in words)):
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+    s0, s1, s2, s3 = _seed_state([*_words(np.asarray(seeds, dtype=np.uint64)), zero, zero], 8)
+    return np.array([s0, s1, s2 << 1 | s3 >> 63, s3 << 1 | 1])
 
 
-def _draw(steps: int, n_letters: int, seeds, count: int | None = None):
-    """What default_rng(seed) draws for one map per seed, in the order that
-    is part of the format: the marks of all cells, then a letter for every
-    cell. Returns (marks, letters) over the cells in row order: row n covers
-    sites -n..n of step n.
+def _pcg64_states(seeds):
+    """Yield the PCG64(seed) state of each seed of a uint64 array, as the
+    dict that PCG64.state takes, with no buffered 32-bit half.
+    pcg64_set_seed steps its 128-bit LCG from 0 with increment inc, adds s
+    and steps once more (see _pcg64_keys)."""
+    for s_hi, s_lo, inc_hi, inc_lo in zip(*_pcg64_keys(seeds).tolist()):
+        inc = inc_hi << 64 | inc_lo
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
-    With count None (bernoulli) the marks are the cells' uniforms, which
-    do not depend on p: a cell is marked where its uniform is below p.
-    Otherwise (exact_fraction) they are booleans with `count` cells chosen.
-    Letters come back as int8 codes, 1 + letter index.
 
-    One Generator draws every map: it is set to each map's PCG64 start
-    state in turn, with no buffered 32-bit half left from the map before.
+def _lcg_jumps(ks) -> np.ndarray:
+    """The 128-bit constants that take PCG64's seeding to the state of its
+    output k, for each k of the int array `ks`, as a (4, len(ks)) uint64
+    array of rows a_hi, a_lo, c_hi, c_lo. The LCG steps x -> M x + inc,
+    seeding leaves it at (s + inc) M + inc, and each output steps it first,
+    so output k (from 0) comes from state a s + c inc with a = M**(k+2) and
+    c = M**0 + ... + M**(k+2), mod 2**128."""
+    terms = []
+    a, c = _PCG_MULT * _PCG_MULT & _MASK128, 1 + _PCG_MULT
+    for _ in range(int(ks.max()) + 1):
+        c = c + a & _MASK128
+        terms.append(a.to_bytes(16, "little") + c.to_bytes(16, "little"))
+        a = a * _PCG_MULT & _MASK128
+    lo_hi = np.frombuffer(b"".join(terms), dtype="<u8").astype(np.uint64).reshape(-1, 4)[ks]
+    return lo_hi[:, [1, 0, 3, 2]].T.copy()
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo):
+    """(hi, lo) of x * y mod 2**128 for 128-bit numbers given as uint64
+    arrays that broadcast: lo is x_lo * y_lo mod 2**64, and hi adds its
+    carry, the high word of x_lo * y_lo built from 32-bit halves, to
+    x_lo * y_hi + x_hi * y_lo mod 2**64. Works in place on three arrays of
+    the broadcast shape."""
+    a0, a1 = x_lo & _MASK32, x_lo >> 32
+    b0, b1 = y_lo & _MASK32, y_lo >> 32
+    t = a0 * b0
+    t >>= 32
+    u = a1 * b0
+    u += t
+    v = a0 * b1
+    np.bitwise_and(u, _MASK32, out=t)
+    v += t
+    u >>= 32
+    v >>= 32
+    np.multiply(a1, b1, out=t)
+    t += u
+    t += v
+    np.multiply(x_lo, y_hi, out=u)
+    t += u
+    np.multiply(x_hi, y_lo, out=u)
+    t += u
+    np.multiply(x_lo, y_lo, out=u)
+    return t, u
+
+
+def _pcg64_words(keys: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """Outputs k of PCG64 for the keys of each map (_pcg64_keys, one column
+    per map) and the jumps of each k (_lcg_jumps), as a (maps, len(ks))
+    uint64 array: what PCG64(seed).random_raw() gives as its k-th word.
+    PCG64 is O'Neill's XSL RR 128/64 generator: from the 128-bit state x it
+    outputs (x_hi ^ x_lo) rotated right by x >> 122."""
+    hi, lo = _mul128(jumps[0], jumps[1], keys[0, :, None], keys[1, :, None])
+    inc_hi, inc_lo = _mul128(jumps[2], jumps[3], keys[2, :, None], keys[3, :, None])
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    lo ^= hi
+    hi >>= 58
+    out = lo >> hi
+    np.subtract(64, hi, out=hi)
+    hi &= 63
+    lo <<= hi
+    out |= lo
+    return out
+
+
+def _draw_index(steps: int, rows, cols) -> np.ndarray:
+    """The draw index of each code-plane cell (rows[j], cols[j]): row n
+    holds sites -n..n of step n, drawn after the n*n - 1 cells of rows
+    1..n-1. A cell outside its row's sites is never marked and reads -1."""
+    n = np.asarray(rows) + 1
+    s = np.asarray(cols) - steps
+    return np.where(abs(s) <= n, n * n - 1 + n + s, -1)
+
+
+def _map_letters(halves: np.ndarray, n_letters: int) -> np.ndarray:
+    """The letters a map's 32-bit words `halves` (uint64 values below 2**32)
+    give in turn by Lemire's rule: with m = word * n_letters the letter is
+    m >> 32, unless m mod 2**32 < (2**32 - n_letters) % n_letters, when the
+    word is rejected and gives none. That happens to at most n_letters /
+    2**32 of words, and never when n_letters is a power of two."""
+    m = halves * np.uint64(n_letters)
+    return (m >> 32)[(m & _MASK32) >= (2**32 - n_letters) % n_letters]
+
+
+def _letter_stream(keys: np.ndarray, total: int, n_letters: int) -> np.ndarray:
+    """All `total` letters of the map with PCG64 keys `keys` (one column),
+    read by _map_letters from its 32-bit stream after the `total` uniforms,
+    as far as its rejections take it."""
+    n_words = total
+    while True:
+        words = _pcg64_words(keys, _lcg_jumps(np.arange(total, total + n_words)))[0]
+        letters = _map_letters(np.stack([words & _MASK32, words >> 32], axis=1).ravel(), n_letters)
+        if len(letters) >= total:
+            return letters[:total]
+        n_words *= 2
+
+
+def _draw(steps: int, n_letters: int, seeds, at, p: float | None = None):
+    """The bernoulli draws of one map per seed at the draw indices `at` (see
+    _draw_index), as (marks, letters), one row per cell and one column per
+    map. Letters are int8 codes, 1 + letter index, and 0 at index -1. The
+    marks are the cells' uniforms, which do not depend on p (a cell is
+    marked where its uniform is below p), or with p given those booleans.
+
+    This rule defines a map's rows. Let w be the 64-bit words that
+    PCG64(seed).random_raw() gives and total = steps * (steps + 2). Cell
+    i's uniform is (w[i] >> 11) * 2**-53, numpy's next_double. The letters
+    come in cell order from the 32-bit halves of w[total:], low half first,
+    by Lemire's rule (_map_letters), which skips a rejected half. So the
+    draws equal default_rng(seed)'s random(total), then integers(0,
+    n_letters, size=total). Without a rejection cell i's letter is half i;
+    a map whose halves hit one is read again by _letter_stream.
+
+    Only the words the cells read are computed (_pcg64_words), for blocks
+    of maps of about _BLOCK_WORDS words each, plus every letter word when
+    n_letters can reject, to find the maps that do.
     """
     total = steps * (steps + 2)
-    if count is None:
-        marks = np.empty((len(seeds), total))
-    else:
-        marks = np.zeros((len(seeds), total), dtype=bool)
-    letters = np.empty((len(seeds), total), dtype=np.int8)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        if count is None:
-            rng.random(out=marks[i])
-        elif count > 0:
-            marks[i, rng.choice(total, size=count, replace=False)] = True
-        letters[i] = rng.integers(0, n_letters, size=total)
+    n_words = total + (total + 1) // 2
+    at = np.asarray(at)
+    cell = np.maximum(at, 0)
+    threshold = (2**32 - n_letters) % n_letters
+    # Each cell's uniform word and letter word, then every letter word where
+    # a rejection can happen. np.unique would do, but its sort code adds
+    # about 0.5 MB to a fresh process's resident size.
+    reads = np.concatenate([cell, total + cell // 2, np.arange(total if threshold else n_words, n_words)])
+    read = np.zeros(n_words, dtype=bool)
+    read[reads] = True
+    ks = np.flatnonzero(read)
+    column = (np.cumsum(read) - 1)[reads]  # where each read word is among ks
+    jumps = _lcg_jumps(ks)
+    keys = _pcg64_keys(seeds)
+    shift = (cell % 2 * 32).astype(np.uint64)
+    marks = np.empty((len(at), len(seeds)), dtype=float if p is None else bool)
+    letters = np.empty((len(at), len(seeds)), dtype=np.int8)
+    block = max(1, _BLOCK_WORDS // len(ks))
+    for a in range(0, len(seeds), block):
+        b = min(a + block, len(seeds))
+        words = _pcg64_words(keys[:, a:b], jumps)
+        uniforms = (words[:, column[: len(at)]] >> 11) * 2.0**-53
+        marks[:, a:b] = (uniforms if p is None else uniforms < p).T
+        halves = words[:, column[len(at) : 2 * len(at)]] >> shift & _MASK32
+        letters[:, a:b] = (halves * np.uint64(n_letters) >> 32).T
+        if threshold:
+            stream = words[:, column[2 * len(at) :]]
+            m = np.concatenate([stream & _MASK32, (stream >> 32)[:, : total // 2]], axis=1)
+            rejected = (m * np.uint64(n_letters) & _MASK32) < threshold
+            for j in np.flatnonzero(rejected.any(axis=1)):
+                letters[:, a + j] = _letter_stream(keys[:, a + j : a + j + 1], total, n_letters)[cell]
     letters += 1
+    letters[at < 0] = 0
     return marks, letters
-
-
-def _codes(steps: int, marked: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Lay the cell codes of each map, row by row, into a (maps, steps,
-    2*steps+1) int8 tensor over sites -steps..steps: 0 is an unmarked cell,
-    1 + i a cell marked with alphabet letter i."""
-    codes = np.zeros((len(marked), steps, 2 * steps + 1), dtype=np.int8)
-    cells = letters * marked
-    for n in range(1, steps + 1):
-        # Rows 1..n-1 hold n*n - 1 cells.
-        codes[:, n - 1, steps - n : steps + n + 1] = cells[:, n * n - 1 : n * n + 2 * n]
-    return codes
 
 
 def _mark_count(steps: int, p: float) -> int:
@@ -251,19 +373,52 @@ def _mark_count(steps: int, p: float) -> int:
     return int(Fraction(p) * steps * (steps + 2))
 
 
-def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds) -> np.ndarray:
-    """Cell codes of one map per seed (see _codes), drawn afresh."""
+def _draw_exact(steps: int, n_letters: int, seeds, at, count: int):
+    """The exact_fraction draws of one map per seed at the draw indices
+    `at`, as _draw gives them, with boolean marks: default_rng(seed)'s
+    choice(total, size=count, replace=False) marks `count` cells (no call
+    when count is 0), then integers(0, n_letters, size=total) gives the
+    letters. One Generator draws every map, set to each map's start state
+    in turn."""
+    total = steps * (steps + 2)
+    marks = np.zeros((len(seeds), total), dtype=bool)
+    letters = np.empty((len(seeds), total), dtype=np.int8)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for i, state in enumerate(_pcg64_states(seeds)):
+        bit_generator.state = state
+        if count > 0:
+            marks[i, rng.choice(total, size=count, replace=False)] = True
+        letters[i] = rng.integers(0, n_letters, size=total)
+    at = np.asarray(at)
+    letters = letters.T[at] + 1
+    letters[at < 0] = 0
+    return marks.T[at], letters
+
+
+def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds, at) -> np.ndarray:
+    """Cell codes of one map per seed at the draw indices `at`, one row per
+    cell and one column per map, drawn afresh."""
     if sampling_mode == "bernoulli":
-        uniforms, letters = _draw(steps, n_letters, seeds)
-        return _codes(steps, uniforms < p, letters)
-    return _codes(steps, *_draw(steps, n_letters, seeds, _mark_count(steps, p)))
+        marked, letters = _draw(steps, n_letters, seeds, at, p)
+    else:
+        marked, letters = _draw_exact(steps, n_letters, seeds, at, _mark_count(steps, p))
+    return letters * marked
+
+
+def _draw_planes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds) -> np.ndarray:
+    """Cell codes of one map per seed as a (maps, steps, 2*steps+1) int8
+    tensor of PhaseMap code planes, drawn afresh."""
+    rows, cols = np.indices((steps, 2 * steps + 1)).reshape(2, -1)
+    codes = _draw_codes(steps, p, n_letters, sampling_mode, seeds, _draw_index(steps, rows, cols))
+    return codes.T.reshape(len(seeds), steps, 2 * steps + 1)
 
 
 def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
     """Cell codes of maps start..stop-1 of `spec`'s ensemble, drawn afresh, as
     a (maps, steps, 2*steps+1) int8 tensor of PhaseMap code planes."""
     seeds = map_seeds(spec.master_seed, start, stop)
-    return _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)
+    return _draw_planes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)
 
 
 class ScanSampler:
@@ -275,39 +430,26 @@ class ScanSampler:
     Only those cells are built: a walk reads the cells of its light cone
     (walk_core.walked_cells), about a quarter of its code plane at 20 steps.
     A bernoulli chunk's uniforms and letters do not depend on p: they are
-    drawn when a spec first asks for the chunk, gathered at the cells and
-    dropped once every spec has read them. exact_fraction draws afresh, as
-    its cells depend on p.
+    drawn at the cells when a spec first asks for the chunk and dropped
+    once every spec has read them. exact_fraction draws afresh, as its
+    cells depend on p.
     """
 
     def __init__(self, specs, rows, cols):
         self.specs = list(specs)
-        n = np.asarray(rows) + 1
-        s = np.asarray(cols) - self.specs[0].steps
-        # The draw index of site s in row n; a cell outside row n's sites
-        # -n..n is never marked and reads -1.
-        self._draw_index = np.where(abs(s) <= n, n * n - 1 + n + s, -1)
+        self._at = _draw_index(self.specs[0].steps, rows, cols)
         self._held: dict = {}  # (start, stop) -> [uniforms, letters (at the cells), reads left]
-
-    def _gather(self, marks, letters):
-        """A chunk's draws (one row per map) at the cells, one row per cell."""
-        at = self._draw_index
-        letters = letters.T[at]
-        letters[at < 0] = 0
-        return marks.T[at], letters
 
     def sample(self, i: int, start: int, stop: int) -> np.ndarray:
         spec = self.specs[i]
         if spec.sampling_mode != "bernoulli":
             seeds = map_seeds(spec.master_seed, start, stop)
-            count = _mark_count(spec.steps, spec.p)
-            marks, letters = self._gather(*_draw(spec.steps, len(spec.alphabet), seeds, count))
-            return letters * marks
+            return _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds, self._at)
         held = self._held.get((start, stop))
         if held is None:
             seeds = map_seeds(spec.master_seed, start, stop)
-            draws = _draw(spec.steps, len(spec.alphabet), seeds)
-            held = self._held[start, stop] = [*self._gather(*draws), len(self.specs)]
+            held = self._held[start, stop] = [*_draw(spec.steps, len(spec.alphabet), seeds, self._at),
+                                              len(self.specs)]
         held[2] -= 1
         if not held[2]:
             del self._held[start, stop]
@@ -336,7 +478,7 @@ def generate_phase_map(spec: DisorderSpec, map_index: int) -> PhaseMap:
     if map_index < 0:
         raise DomainError("map_index must be >= 0")
     seeds = map_seeds(spec.master_seed, map_index, map_index + 1)
-    codes = _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)[0]
+    codes = _draw_planes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)[0]
     return PhaseMap(spec.steps, codes, spec.alphabet, spec.p, int(seeds[0]), spec.sampling_mode)
 
 
@@ -496,7 +638,7 @@ def load_map(path) -> PhaseMap:
     if trailing:
         raise MapParseError(f"unexpected trailing content: {trailing[0]!r}", 5 + steps + 1)
 
-    regenerated = _draw_codes(steps, p_nominal, len(alphabet), mode, np.array([seed], dtype=np.uint64))[0]
+    regenerated = _draw_planes(steps, p_nominal, len(alphabet), mode, np.array([seed], dtype=np.uint64))[0]
     phases = np.array([0.0, *alphabet])
     marks_known = np.array_equal(phases[regenerated], phases[codes])
     return PhaseMap(steps, regenerated if marks_known else codes, alphabet, p_nominal, seed, mode,

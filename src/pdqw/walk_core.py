@@ -106,39 +106,37 @@ class Window:
     shift: tuple = ()
 
 
-def _index(ix: np.ndarray) -> slice | np.ndarray:
+def _index(ix: list[int]) -> slice | np.ndarray:
     """Sorted distinct indices as a slice where they are evenly spaced."""
     if len(ix) < 2:
-        return slice(int(ix[0]), int(ix[0]) + 1) if len(ix) else slice(0, 0)
-    d = int(ix[1] - ix[0])
-    return slice(int(ix[0]), int(ix[-1]) + 1, d) if (np.diff(ix) == d).all() else ix
+        return slice(ix[0], ix[0] + 1) if ix else slice(0, 0)
+    d = ix[1] - ix[0]
+    evenly = all(b - a == d for a, b in zip(ix, ix[1:]))
+    return slice(ix[0], ix[-1] + 1, d) if evenly else np.array(ix, dtype=np.intp)
 
 
-def _moves(dst: np.ndarray, width: int) -> tuple[list, slice | np.ndarray]:
+def _moves(dst: list[int], width: int) -> tuple[list, slice | np.ndarray]:
     """Copy runs sending position j of a window to dst[j] of one `width`
     wide, and the positions of it left empty."""
-    cuts = [0, *(np.flatnonzero(np.diff(dst) != 1) + 1), len(dst)]
-    runs = [(slice(int(dst[a]), int(dst[b - 1]) + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-    empty = np.ones(width, dtype=bool)
-    empty[dst] = False
-    return runs, _index(np.flatnonzero(empty))
+    cuts = [0, *(j for j in range(1, len(dst)) if dst[j] - dst[j - 1] != 1), len(dst)]
+    runs = [(slice(dst[a], dst[b - 1] + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    filled = set(dst)
+    return runs, _index([j for j in range(width) if j not in filled])
 
 
 def light_cone(start, n_sites: int, steps: int) -> list[Window]:
     """Windows of a walk on a ring of n_sites whose start state is nonzero
     only at ring indices `start`: cone[0] holds the start sites and cone[n]
     those after step n, each the previous one moved one site left and one
-    site right, modulo the ring. Once a window covers the ring it stays so."""
-    on = np.zeros(n_sites, dtype=bool)
-    on[np.asarray(start)] = True
-    prev = np.flatnonzero(on)
-    cone = [Window(prev, _index(prev))]
+    site right, modulo the ring. Once a window covers the ring it stays so.
+    Windows hold few sites, so they are built with Python ints and sets."""
+    prev = sorted({int(s) % n_sites for s in start})
+    cone = [Window(np.array(prev, dtype=np.intp), _index(prev))]
     for _ in range(steps):
-        on = np.roll(on, -1) | np.roll(on, 1)
-        sites = np.flatnonzero(on)
-        pos = np.cumsum(on) - 1  # the window position of each ring site
-        shift = tuple(_moves(pos[(prev + d) % n_sites], len(sites)) for d in (-1, 1))
-        cone.append(Window(sites, _index(sites), shift))
+        sites = sorted({(s + d) % n_sites for s in prev for d in (-1, 1)})
+        pos = {s: j for j, s in enumerate(sites)}  # the window position of each site
+        shift = tuple(_moves([pos[(s + d) % n_sites] for s in prev], len(sites)) for d in (-1, 1))
+        cone.append(Window(np.array(sites, dtype=np.intp), _index(sites), shift))
         prev = sites
     return cone
 

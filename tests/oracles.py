@@ -231,3 +231,66 @@ def reference_phase_map(master_seed: int, map_index: int, steps: int, p: float,
     phases = np.where(mask, np.asarray(alphabet, dtype=float)[letters], 0.0)
     cuts = np.cumsum(sizes)[:-1]
     return seed, np.split(phases, cuts), np.split(mask, cuts)
+
+
+def lemire_letters(words, n_letters: int) -> list[int]:
+    """The letters Generator.integers(0, n_letters) draws from a stream of
+    32-bit words, one word at a time as numpy's C routine
+    buffered_bounded_lemire_uint32 does (Lemire, "Fast Random Integer
+    Generation in an Interval", 2019): m = word * n_letters gives letter
+    m >> 32, unless its low 32 bits fall below (2**32 - n_letters) %
+    n_letters, when the next word is drawn instead. Stops where the words
+    run out."""
+    rng = n_letters - 1
+    letters = []
+    stream = iter(words)
+    for word in stream:
+        m = word * (rng + 1)
+        leftover = m & 0xFFFFFFFF
+        if leftover < rng + 1:
+            threshold = (0xFFFFFFFF - rng) % (rng + 1)
+            while leftover < threshold:
+                word = next(stream, None)
+                if word is None:
+                    return letters
+                m = word * (rng + 1)
+                leftover = m & 0xFFFFFFFF
+        letters.append(m >> 32)
+    return letters
+
+
+def _index(ix: np.ndarray):
+    """Sorted distinct indices as a slice where they are evenly spaced."""
+    if len(ix) < 2:
+        return slice(int(ix[0]), int(ix[0]) + 1) if len(ix) else slice(0, 0)
+    d = int(ix[1] - ix[0])
+    return slice(int(ix[0]), int(ix[-1]) + 1, d) if (np.diff(ix) == d).all() else ix
+
+
+def _moves(dst: np.ndarray, width: int):
+    """Copy runs sending position j of a window to dst[j] of one `width`
+    wide, and the positions of it left empty."""
+    cuts = [0, *(np.flatnonzero(np.diff(dst) != 1) + 1), len(dst)]
+    runs = [(slice(int(dst[a]), int(dst[b - 1]) + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    empty = np.ones(width, dtype=bool)
+    empty[dst] = False
+    return runs, _index(np.flatnonzero(empty))
+
+
+def light_cone_windows(start, n_sites: int, steps: int) -> list[tuple]:
+    """(sites, at, shift) of each window of walk_core.light_cone, built on
+    boolean ring masks: each window is the previous one rolled one site
+    left and one right, and a site's window position is the running count
+    of occupied sites."""
+    on = np.zeros(n_sites, dtype=bool)
+    on[np.asarray(start)] = True
+    prev = np.flatnonzero(on)
+    cone = [(prev, _index(prev), ())]
+    for _ in range(steps):
+        on = np.roll(on, -1) | np.roll(on, 1)
+        sites = np.flatnonzero(on)
+        pos = np.cumsum(on) - 1
+        shift = tuple(_moves(pos[(prev + d) % n_sites], len(sites)) for d in (-1, 1))
+        cone.append((sites, _index(sites), shift))
+        prev = sites
+    return cone

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: outputs, manifests, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -24,7 +25,7 @@ from pdqw import (
     save_map,
     evolve,
 )
-from pdqw.cli import main
+from pdqw.cli import _build_parser, main
 
 # The CLI always builds its coin from the reflectivity parameter; use the
 # same constructor here (hadamard_coin() differs in the last ulp).
@@ -552,6 +553,39 @@ class TestFailureModes:
         assert "Traceback" not in err
         # The partial temporary file is gone, and no manifest was written.
         assert [p.name for p in out.iterdir()] == ["ensemble.csv"]
+
+
+class TestParser:
+    COMMON = [("-h", "--help"), ("--config",), ("--seed",), ("--threads",), ("--out",)]
+    COMMANDS = ["evolve", "ensemble", "beta", "crossing", "two-photon", "hom", "gen-maps"]
+
+    @staticmethod
+    def subcommands():
+        parser = _build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_each_subcommand_takes_the_shared_options_in_order(self):
+        commands = self.subcommands()
+        assert list(commands) == self.COMMANDS
+        for name, cmd in commands.items():
+            extra = [("--map",)] if name == "evolve" else []
+            assert [tuple(a.option_strings) for a in cmd._actions] == self.COMMON + extra
+
+    def test_shared_options_parse_per_subcommand(self):
+        for name in self.COMMANDS:
+            args = _build_parser().parse_args([name, "--config", "c.yaml", "--seed", "5", "--threads", "2",
+                                               "--out", "o"])
+            got = (args.command, args.config, args.seed, args.threads, args.out)
+            assert got == (name, "c.yaml", 5, 2, "o")
+            defaults = _build_parser().parse_args([name, "--config", "c.yaml"])
+            assert (defaults.seed, defaults.threads, defaults.out) == (None, 1, None)
+        assert _build_parser().parse_args(["evolve", "--config", "c", "--map", "m"]).map == "m"
+
+    def test_config_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["crossing"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -3,6 +3,9 @@
 import __future__
 import gc
 import math
+import os
+import subprocess
+import sys
 import types
 import weakref
 from fractions import Fraction
@@ -22,7 +25,7 @@ from pdqw import (
     realized_fraction,
     save_map,
 )
-from oracles import cone_rows, phase_rows, reference_phase_map
+from oracles import cone_rows, lemire_letters, phase_rows, reference_phase_map
 import pdqw.disorder
 from pdqw.disorder import (
     DEFAULT_ALPHABET,
@@ -31,8 +34,13 @@ from pdqw.disorder import (
     check_alphabet,
     ScanSampler,
     _draw,
-    _draw_codes,
+    _draw_exact,
+    _lcg_jumps,
+    _map_letters,
+    _mul128,
+    _pcg64_keys,
     _pcg64_states,
+    _pcg64_words,
     map_seed,
     map_seeds,
     parse_alphabet_token,
@@ -199,25 +207,22 @@ class TestBulkSeeding:
         rng = np.random.default_rng(2024)
         seeds = self.EDGE_SEEDS + rng.integers(0, 2**64, size=50, dtype=np.uint64).tolist()
         got = _pcg64_states(np.array(seeds, dtype=np.uint64))
-        for seed, (state, inc) in zip(seeds, got, strict=True):
-            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+        for seed, state in zip(seeds, got, strict=True):
+            assert np.random.PCG64(seed).state == state
 
-    @pytest.mark.parametrize("mode", SAMPLING_MODES)
     @pytest.mark.parametrize("steps, n_letters", [(1, 1), (3, 2), (4, 3), (7, 127)])
-    def test_draws_equal_default_rng_map_by_map(self, mode, steps, n_letters):
+    def test_exact_fraction_draws_equal_default_rng_map_by_map(self, steps, n_letters):
         total = steps * (steps + 2)
-        count = None if mode == "bernoulli" else total // 3
+        count = total // 3
         seeds = self.EDGE_SEEDS + map_seeds(5, 0, 20).tolist()
-        marks, letters = _draw(steps, n_letters, np.array(seeds, dtype=np.uint64), count)
-        for i, seed in enumerate(seeds):
+        seeds = np.array(seeds, dtype=np.uint64)
+        marks, letters = _draw_exact(steps, n_letters, seeds, np.arange(total), count)
+        for i, seed in enumerate(seeds.tolist()):
             rng = np.random.default_rng(seed)
-            if count is None:
-                assert marks[i].tobytes() == rng.random(total).tobytes()
-            else:
-                expect = np.zeros(total, dtype=bool)
-                expect[rng.choice(total, size=count, replace=False)] = True
-                np.testing.assert_array_equal(marks[i], expect)
-            np.testing.assert_array_equal(letters[i], rng.integers(0, n_letters, size=total) + 1)
+            expect = np.zeros(total, dtype=bool)
+            expect[rng.choice(total, size=count, replace=False)] = True
+            np.testing.assert_array_equal(marks[:, i], expect)
+            np.testing.assert_array_equal(letters[:, i], rng.integers(0, n_letters, size=total) + 1)
 
     @pytest.mark.parametrize("count", [None, 0])
     def test_a_map_does_not_inherit_the_buffered_half_before_it(self, count):
@@ -231,34 +236,167 @@ class TestBulkSeeding:
             rng.random(15)
         rng.integers(0, 2, size=15)
         assert rng.bit_generator.state["has_uint32"] == 1
-        pair = _draw(3, 2, np.array([a, b], dtype=np.uint64), count)
-        alone = _draw(3, 2, np.array([b], dtype=np.uint64), count)
-        for got, expect in zip(pair, alone):
-            assert got[1].tobytes() == expect[0].tobytes()
+
+        def draw(seeds):
+            seeds = np.array(seeds, dtype=np.uint64)
+            if count is None:
+                return _draw(3, 2, seeds, np.arange(15))
+            return _draw_exact(3, 2, seeds, np.arange(15), count)
+
+        for got, expect in zip(draw([a, b]), draw([b])):
+            assert got[:, 1].tobytes() == expect[:, 0].tobytes()
+
+
+class TestPcg64Words:
+    """PCG64's output words, computed by jumping its LCG for many maps and
+    words at once, against numpy's PCG64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.integers(0, 2**128 - 1), y=st.integers(0, 2**128 - 1))
+    def test_mul128_is_the_product_mod_2_128(self, x, y):
+        def split(v):
+            return np.array([v >> 64], dtype=np.uint64), np.array([v & (2**64 - 1)], dtype=np.uint64)
+
+        hi, lo = _mul128(*split(x), *split(y))
+        assert int(hi[0]) << 64 | int(lo[0]) == x * y % 2**128
+
+    def test_words_equal_random_raw(self):
+        seeds = np.array(TestBulkSeeding.EDGE_SEEDS + map_seeds(4, 0, 30).tolist(), dtype=np.uint64)
+        ks = np.array([0, 1, 2, 7, 64, 65, 700, 3])  # any order, far ahead included
+        words = _pcg64_words(_pcg64_keys(seeds), _lcg_jumps(ks))
+        assert words.shape == (len(seeds), len(ks)) and words.dtype == np.uint64
+        for row, seed in zip(words, seeds.tolist()):
+            np.testing.assert_array_equal(row, np.random.PCG64(seed).random_raw(701)[ks])
+
+    def test_bernoulli_sampling_leaves_numpy_random_unimported(self):
+        # numpy 2 imports numpy.random on first use, which costs several ms
+        # in a fresh interpreter; only exact_fraction needs its Generator.
+        # (numpy 1 imports it with numpy itself.)
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "from pdqw.disorder import DisorderSpec, sample_block, generate_phase_map; "
+                "sample_block(DisorderSpec(0.3, 5, (0.0, 1.0, 2.0)), 0, 50); "
+                "generate_phase_map(DisorderSpec(0.3, 5), 1); "
+                "print(before, 'numpy.random' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(pdqw.disorder.__file__))
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
+
+
+class TestRawDraw:
+    """The bernoulli draw, read off PCG64's output words, against
+    default_rng map by map: random(cells), then integers(0, n_letters,
+    size=cells)."""
+
+    @staticmethod
+    def expected(seed, cells, n_letters):
+        rng = np.random.default_rng(seed)
+        return rng.random(cells), rng.integers(0, n_letters, size=cells) + 1
+
+    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("n_letters", [1, 2, 3, 5, 127])
+    @pytest.mark.parametrize("steps", [1, 7, 20])
+    def test_draws_equal_default_rng_map_by_map(self, steps, n_letters, master):
+        cells = steps * (steps + 2)
+        seeds = map_seeds(master, 0, 60)
+        uniforms, letters = _draw(steps, n_letters, seeds, np.arange(cells))
+        assert uniforms.shape == letters.shape == (cells, 60)
+        assert uniforms.dtype == np.float64 and letters.dtype == np.int8
+        for i, seed in enumerate(seeds.tolist()):
+            expect_uniforms, expect_letters = self.expected(seed, cells, n_letters)
+            assert uniforms[:, i].tobytes() == expect_uniforms.tobytes()
+            np.testing.assert_array_equal(letters[:, i], expect_letters)
+
+    @pytest.mark.parametrize("n_letters", [2, 3])
+    def test_draws_at_some_cells_in_any_order(self, n_letters):
+        steps, cells = 5, 35
+        at = np.array([34, 0, -1, 7, 7, 1, 20, -1, 33])
+        seeds = map_seeds(9, 0, 30)
+        uniforms, letters = _draw(steps, n_letters, seeds, np.arange(cells))
+        got_uniforms, got_letters = _draw(steps, n_letters, seeds, at)
+        inside = at >= 0
+        assert got_uniforms[inside].tobytes() == uniforms[at[inside]].tobytes()
+        np.testing.assert_array_equal(got_letters[inside], letters[at[inside]])
+        assert not got_letters[~inside].any()
+        # with p, the marks are whether the uniforms are below it
+        marked, same = _draw(steps, n_letters, seeds, at, 0.4)
+        np.testing.assert_array_equal(marked, got_uniforms < 0.4)
+        np.testing.assert_array_equal(same, got_letters)
+
+    @pytest.mark.parametrize("steps, n_letters", [(1, 3), (7, 2), (20, 5)])
+    def test_blocks_do_not_change_the_draws(self, monkeypatch, steps, n_letters):
+        cells = steps * (steps + 2)
+        seeds = map_seeds(11, 0, 23)
+        whole = _draw(steps, n_letters, seeds, np.arange(cells))
+        for words in (1, 2 * cells, 7 * cells):  # blocks of one map up to four
+            monkeypatch.setattr(pdqw.disorder, "_BLOCK_WORDS", words)
+            for got, expect in zip(_draw(steps, n_letters, seeds, np.arange(cells)), whole):
+                assert got.tobytes() == expect.tobytes()
+
+    # Maps whose letter words hit a Lemire rejection: found by search over
+    # master seed 0 at steps 20, where a draw is rejected with probability
+    # 118 / 2**32 for 122 letters and 16 / 2**32 for 127.
+    @pytest.mark.parametrize("n_letters, index", [(122, 99935), (127, 178120)])
+    def test_a_rejected_draw_matches_default_rng(self, monkeypatch, n_letters, index):
+        streams = []
+        real = pdqw.disorder._letter_stream
+        monkeypatch.setattr(pdqw.disorder, "_letter_stream", lambda *a: streams.append(a) or real(*a))
+        seeds = map_seeds(0, index - 1, index + 2)
+        uniforms, letters = _draw(20, n_letters, seeds, np.arange(440))
+        assert len(streams) == 1  # only map `index` is read again
+        for i, seed in enumerate(seeds.tolist()):
+            expect_uniforms, expect_letters = self.expected(seed, 440, n_letters)
+            assert uniforms[:, i].tobytes() == expect_uniforms.tobytes()
+            np.testing.assert_array_equal(letters[:, i], expect_letters)
+
+    @pytest.mark.parametrize("n_letters", [3, 5, 6, 100, 122, 127])
+    def test_letter_rule_rejects_as_lemire(self, n_letters):
+        threshold = (2**32 - n_letters) % n_letters
+        # The smallest word above each of the first multiples of 2**32 / n
+        # leaves m mod 2**32 below n_letters; those below the threshold are
+        # rejected.
+        edge = [-(-j * 2**32 // n_letters) for j in range(1, 300)]
+        rejected = [u for u in [0, *edge] if u * n_letters % 2**32 < threshold]
+        assert rejected
+        rng = np.random.default_rng(n_letters)
+        for _ in range(20):
+            words = rng.integers(0, 2**32, size=200).tolist()
+            for k in rng.choice(len(words), size=30, replace=False).tolist():
+                words[k] = rejected[int(rng.integers(len(rejected)))]
+            expect = lemire_letters(words, n_letters)
+            got = _map_letters(np.array(words, dtype=np.uint64), n_letters)
+            assert got.tolist() == expect
+            assert len(expect) < len(words)
+
+    def test_letter_rule_without_rejection(self):
+        # A power of two rejects nothing: the letter is the word's top bits.
+        words = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
+        assert _map_letters(words, 1).tolist() == [0, 0, 0, 0]
+        assert _map_letters(words, 2).tolist() == [0, 0, 1, 1]
+        assert _map_letters(words, 64).tolist() == [0, 0, 32, 63]
 
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Record every call of pdqw.disorder._draw as (seed of its first map,
-    number of maps), and a weak reference to each array it returns and to
-    each array ScanSampler gathers from those draws."""
-    calls, arrays, gathered = [], [], []
-    real, real_gather = pdqw.disorder._draw, ScanSampler._gather
+    """Record every call of pdqw.disorder._draw and _draw_exact as (seed of
+    its first map, number of maps), and a weak reference to each array it
+    returns: ScanSampler holds a bernoulli chunk's draws as returned."""
+    calls, arrays = [], []
 
-    def counting(steps, n_letters, seeds, count=None):
-        out = real(steps, n_letters, seeds, count)
-        calls.append((int(seeds[0]), len(seeds)))
-        arrays.extend(weakref.ref(a) for a in out)
-        return out
+    def recording(real):
+        def draw(steps, n_letters, seeds, *args):
+            out = real(steps, n_letters, seeds, *args)
+            calls.append((int(seeds[0]), len(seeds)))
+            arrays.extend(weakref.ref(a) for a in out)
+            return out
+        return draw
 
-    def gathering(self, marks, letters):
-        out = real_gather(self, marks, letters)
-        gathered.extend(weakref.ref(a) for a in out)
-        return out
-
-    monkeypatch.setattr(pdqw.disorder, "_draw", counting)
-    monkeypatch.setattr(ScanSampler, "_gather", gathering)
-    return calls, arrays, gathered
+    for name in ("_draw", "_draw_exact"):
+        monkeypatch.setattr(pdqw.disorder, name, recording(getattr(pdqw.disorder, name)))
+    return calls, arrays
 
 
 def chunk_draws(master, n_maps, size):
@@ -337,7 +475,7 @@ class TestScanSampler:
         sampler.sample(0, 0, 10)
         sampler.sample(1, 0, 10)
         gc.collect()
-        arrays = draws[2]
+        arrays = draws[1]
         assert len(arrays) == 2 and all(ref() is not None for ref in arrays)
         sampler.sample(2, 0, 10)
         gc.collect()
@@ -358,9 +496,9 @@ class TestScanSampler:
     def test_nothing_is_held_after_a_call(self, draws):
         similarity_scan([0.0, 0.5, 0.9], 5, chunk_maps(5) + 3, hadamard_coin(), master_seed=4)
         gc.collect()
-        calls, arrays, gathered = draws
-        assert len(calls) == 2 and arrays and gathered
-        assert all(ref() is None for ref in arrays + gathered)
+        calls, arrays = draws
+        assert len(calls) == 2 and arrays
+        assert all(ref() is None for ref in arrays)
         # and the module keeps no state that could hold them
         immutable = (types.ModuleType, type, types.FunctionType, __future__._Feature,
                      tuple, str, int, float, frozenset)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_positions, dense_step_matrix, dense_walk, phase_rows
+from oracles import brute_force_positions, dense_step_matrix, dense_walk, light_cone_windows, phase_rows
 from pdqw import (
     CapacityError,
     DisorderSpec,
@@ -287,6 +287,43 @@ class TestWindowedDriver:
             assert np.array_equal(amplitudes[cone[n].sites], np.stack(psi, axis=1))
             amplitudes[cone[n].sites] = 0.0
             assert not amplitudes.any()
+
+
+class TestLightCone:
+    @staticmethod
+    def same_index(got, expect):
+        if isinstance(expect, slice):
+            return isinstance(got, slice) and got == expect
+        return isinstance(got, np.ndarray) and got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("start, n_sites, steps", [
+        ([7], 15, 7),           # the origin walk of a scan
+        ([20], 41, 20),
+        ([3, 6], 15, 7),        # two inputs, the pair scan's walk
+        ([0, 1], 9, 6),         # two adjacent inputs across the seam
+        ([0], 7, 9),            # wraps around and covers the ring
+        ([13, 2], 15, 12),      # unsorted inputs that wrap
+        (np.arange(9), 9, 4),   # the whole ring, the mode unitary's walk
+        ([4], 9, 0),
+    ])
+    def test_windows_equal_the_numpy_construction(self, start, n_sites, steps):
+        cone = light_cone(start, n_sites, steps)
+        expect = light_cone_windows(start, n_sites, steps)
+        assert len(cone) == len(expect) == steps + 1
+        for window, (sites, at, shift) in zip(cone, expect):
+            assert window.sites.dtype == sites.dtype
+            np.testing.assert_array_equal(window.sites, sites)
+            assert self.same_index(window.at, at)
+            assert len(window.shift) == len(shift)
+            for (runs, empty), (expect_runs, expect_empty) in zip(window.shift, shift):
+                assert runs == expect_runs
+                assert self.same_index(empty, expect_empty)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_sites=st.integers(1, 25), steps=st.integers(0, 14), data=st.data())
+    def test_windows_equal_the_numpy_construction_anywhere(self, n_sites, steps, data):
+        start = sorted(data.draw(st.sets(st.integers(0, n_sites - 1), min_size=1, max_size=3)))
+        self.test_windows_equal_the_numpy_construction(start, n_sites, steps)
 
 
 class TestSiteSums:
