@@ -125,11 +125,9 @@ class PowerLawFit:
     fit_range: tuple[int, int]
 
 
-# Exponent search bracket and golden-section iteration budget for fit_beta.
-# 120 iterations shrink the grid-cell bracket far below float resolution.
+# Exponent search bracket and grid for fit_beta.
 _BETA_BRACKET = (-2.0, 6.0)
 _BETA_GRID_POINTS = 321
-_BETA_GOLDEN_ITERS = 120
 
 
 def _profile_sse(logn: np.ndarray, y: np.ndarray, beta: float):
@@ -138,6 +136,15 @@ def _profile_sse(logn: np.ndarray, y: np.ndarray, beta: float):
     c = float(basis @ y) / float(basis @ basis)
     resid = y - c * basis
     return float(resid @ resid), c
+
+
+def _profile_slope(logn: np.ndarray, y: np.ndarray, beta: float) -> float:
+    """(b'.y)(b.b) - (b.y)(b.b') with b = n**beta and b' = b ln n: the
+    derivative of the profiled SSE times -(b.b)/(2 (b.y)), so positive
+    where the SSE falls and negative where it rises."""
+    basis = np.exp(beta * logn)
+    slope = basis * logn
+    return float(slope @ y) * float(basis @ basis) - float(basis @ y) * float(basis @ slope)
 
 
 def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit:
@@ -149,10 +156,13 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
     short transients: early steps carry small absolute residuals, so this
     fit is dominated by the later, larger variances.
 
-    beta is resolved to about 1e-9 relative only: the golden-section search
-    compares values of an SSE that is flat near its minimum, so a one-ulp
-    change in any variance can move beta, its standard error and the
-    prefactor in the ninth digit.
+    For fixed beta the best c is linear least squares, so beta minimizes the
+    profiled SSE (variable projection: Golub & Pereyra, SIAM J. Numer. Anal.
+    10, 413 (1973)). A grid over the bracket finds its minimum, and beta is
+    the root of the SSE's derivative next to it, bisected down to adjacent
+    floats. The derivative's sign stays stable where the flat SSE's values
+    do not, so a one-ulp change in a variance moves beta by round-off only.
+    A minimum on the bracket's edge gives that edge.
 
     Parameters
     ----------
@@ -173,28 +183,21 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
     n = np.arange(lo, hi + 1, dtype=float)
     logn = np.log(n)
 
-    # Coarse scan brackets the minimum, golden-section refines it. The
-    # profiled objective is smooth in beta and this stays deterministic.
     grid = np.linspace(_BETA_BRACKET[0], _BETA_BRACKET[1], _BETA_GRID_POINTS)
-    sses = [_profile_sse(logn, y, b)[0] for b in grid]
-    k = int(np.argmin(sses))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _profile_sse(logn, y, x1)[0]
-    f2 = _profile_sse(logn, y, x2)[0]
-    for _ in range(_BETA_GOLDEN_ITERS):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _profile_sse(logn, y, x1)[0]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _profile_sse(logn, y, x2)[0]
-    beta = (a + b) / 2.0
+    k = int(np.argmin([_profile_sse(logn, y, b)[0] for b in grid]))
+    beta = float(grid[k])
+    h = _profile_slope(logn, y, beta)
+    # The sign change sits on the side of the grid minimum that the SSE
+    # falls towards; bisect it while a float lies between its ends.
+    side = k + 1 if h > 0 else k - 1
+    if h != 0 and 0 <= side < grid.size:
+        a, b = sorted((beta, float(grid[side])))
+        while a < (mid := (a + b) / 2.0) < b:
+            if _profile_slope(logn, y, mid) > 0:
+                a = mid
+            else:
+                b = mid
+        beta = a if abs(_profile_slope(logn, y, a)) <= abs(_profile_slope(logn, y, b)) else b
     sse, c = _profile_sse(logn, y, beta)
 
     # Standard error from the Gauss-Newton covariance at the optimum.

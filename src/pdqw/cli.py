@@ -2,7 +2,8 @@
 
 Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool, Python and numpy versions, sha256 per output,
-timings, and for the ensemble commands the largest norm drift) into the
+timings, peak resident memory, and for the ensemble commands the largest
+norm drift) into the
 output directory, and exits 0 only if all outputs were
 produced. One writer formats each CSV column in a single pass, float cells
 with repr, so identical runs produce byte-identical files. Key columns that
@@ -110,13 +111,25 @@ def _cone_keys(steps: int) -> tuple[list[str], np.ndarray]:
     return [f"{n + 1},{x - steps}" for n, x in zip(rows.tolist(), cols.tolist())], keep
 
 
-def _pair_keys(sites: np.ndarray, step: int) -> tuple[list[str], np.ndarray]:
-    """The "site_i,site_j" cells (site_i <= site_j) of the light cone at
-    `step`, and their flat indices into a (sites, sites) matrix."""
-    at = np.flatnonzero(_cone(sites, step))
-    i, j = np.triu_indices(len(at))
-    x = sites[at].tolist()
-    return [f"{x[a]},{x[b]}" for a, b in zip(i.tolist(), j.tolist())], at[i] * len(sites) + at[j]
+def _pair_cells(steps: int, windows) -> list[tuple[list[str], np.ndarray]]:
+    """Per step n = 1..steps: the "site_i,site_j" cells (site_i <= site_j)
+    of the light cone |site| <= n on sites -steps..steps, and the flat index
+    of each cell in that step's window matrix over the sites windows[n - 1],
+    followed by one 0.0 slot that every cell off the window reads. The text
+    of each lattice pair is formatted once, and each step takes its cells."""
+    text = [str(x) for x in range(-steps, steps + 1)]
+    table = [a + "," + b for a in text for b in text]
+    size = len(text)
+    i, j = np.triu_indices(size)
+    cells = []
+    for n, window in enumerate(windows, start=1):
+        keep = (i >= steps - n) & (j <= steps + n)
+        flat = i[keep] * size + j[keep]
+        w = window + steps
+        slot = np.full((size, size), w.size * w.size)
+        slot[np.ix_(w, w)] = np.arange(w.size * w.size).reshape(w.size, w.size)
+        cells.append((list(map(table.__getitem__, flat.tolist())), slot.take(flat)))
+    return cells
 
 
 def cmd_evolve(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Path], dict]:
@@ -196,14 +209,17 @@ def cmd_two_photon(cfg: SimulationConfig, args, out_dir: Path) -> tuple[list[Pat
     specs = [_spec(cfg, p) for p in cfg.p_values]
     results = run_pair_ensembles(specs, _coin(cfg), cfg.n_maps, cfg.two_photon.eta)
     outputs = []
-    for n in range(1, cfg.steps + 1):
-        keys, flat = _pair_keys(results[0].mean_matrices[n - 1].sites, n)
-        for p, ens in zip(cfg.p_values, results):
-            cm = ens.mean_matrices[n - 1]
-            prob = cm.probabilities.take(flat)
+    cells = _pair_cells(cfg.steps, results[0].window_sites)
+    for n, (keys, at) in enumerate(cells, start=1):
+        # Every p's window matrix at this step, flat, each with its 0.0 slot.
+        flat = np.zeros((len(results), results[0].window_matrices[n - 1].size + 1))
+        for row, ens in zip(flat, results):
+            row[:-1] = ens.window_matrices[n - 1].ravel()
+        for p, row in zip(cfg.p_values, flat):
+            prob = row.take(at)
             block = [keys, prob]
             if display:
-                peak = cm.probabilities.max()
+                peak = row.max()
                 block.append(prob / peak if peak > 0 else 0.0)
             path = out_dir / f"two_photon_matrix_p{p_tag(p)}_step{n}.csv"
             _write_csv(path, header, [block])
@@ -265,6 +281,20 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
+    """This process's peak resident set size (VmHWM) in MB, or None where
+    the status file is absent. ru_maxrss is not used: Linux carries the
+    spawning process's peak into it across exec."""
+    try:
+        with open(status, encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
                     outputs: list[Path], fields: dict, elapsed: float) -> None:
     """Write the run manifest; `fields` are the command's own entries."""
@@ -289,6 +319,7 @@ def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
             for p in outputs
         },
         "timings_seconds": {"total": elapsed},
+        "peak_rss_mb": _peak_rss_mb(),
         **fields,
     }
     with _replacing(path) as fh:

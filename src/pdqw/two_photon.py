@@ -130,6 +130,10 @@ def _require_pair_normalized(mass) -> None:
 class PairEnsemble:
     """Disorder-averaged pair statistics, step by step.
 
+    window_sites[n] holds the sites of the inputs' light cone after step
+    n + 1 and window_matrices[n] the unordered mean matrix on their pairs;
+    every other site pair has probability 0, so only these are kept.
+
     max_norm_drift is the largest deviation of the evolved input columns
     from orthonormality (|pA| - 1, |pB| - 1, and their overlap) over every
     map and step: the walk is unitary, so it measures round-off.
@@ -140,10 +144,23 @@ class PairEnsemble:
     n_maps: int
     eta: float
     master_seed: int
-    mean_matrices: list[CoincidenceMatrix]
+    window_sites: list[np.ndarray]
+    window_matrices: list[np.ndarray]
     mean_variance2: np.ndarray
     std_variance2: np.ndarray
     max_norm_drift: float
+
+    @property
+    def mean_matrices(self) -> list[CoincidenceMatrix]:
+        """The window matrices on the full lattice, as CoincidenceMatrix
+        objects, built on each read."""
+        n_sites = 2 * self.steps + 1
+        out = []
+        for sites, block in zip(self.window_sites, self.window_matrices):
+            m = np.zeros((n_sites, n_sites))
+            m[np.ix_(sites + self.steps, sites + self.steps)] = block
+            out.append(CoincidenceMatrix(offset=-self.steps, probabilities=m))
+        return out
 
 
 def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
@@ -161,7 +178,9 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     photons enter the same mode. It is built on the window's site pairs
     only, and every other pair has probability 0; it feeds the mean
     matrices, which add each p's maps in index order whatever the batch
-    split, and the per-map pair-mass check.
+    split, and the per-map pair-mass check. The sums of a step are one
+    (specs, window sites, window sites) array, and each PairEnsemble keeps
+    its p's views of them.
 
     The centroid variance of a map comes from one-body sums over the
     window's coordinates x: with the variances sA^2, sB^2 of pA and pB and
@@ -180,13 +199,10 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     same_input = ia == ib
     cone = light_cone([ia // 2, ib // 2], n_sites, steps)
     start_a, start_b = np.searchsorted(cone[0].sites, [ia // 2, ib // 2])
-    # Per step: the window's site pairs, and its sites as coordinates, one
-    # row per site.
-    cells = [np.ix_(w.sites, w.sites) for w in cone[1:]]
+    # Per step: the window's sites as coordinates, one row per site, and
+    # the sums over the window's site pairs.
     sites = [(w.sites - steps).astype(float)[:, None] for w in cone[1:]]
-    diagonal = np.arange(n_sites)
-
-    sums = np.zeros((len(specs), steps, n_sites, n_sites))
+    sums = [np.zeros((len(specs), len(w.sites), len(w.sites))) for w in cone[1:]]
     drifts = np.zeros(len(specs))
     moments = []
     for i, start, k, codes, var2 in _batches(specs, n_maps, moments, cone):
@@ -196,7 +212,6 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
         psi = np.zeros((2, len(cone[0].sites), 2, rows), dtype=coin.dtype)
         psi[ia % 2, start_a, 0] = 1.0
         psi[ib % 2, start_b, 1] = 1.0
-        acc = sums[i : i + k]
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes[:, None], table, cone)):
             weights = _abs2(psi0) + _abs2(psi1)
             b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
@@ -233,23 +248,28 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
                 density += interfering
             _require_pair_normalized(density.reshape(rows, -1).sum(axis=1))
             density = density.reshape(k, -1, *density.shape[1:])
-            at = (slice(None), n, *cells[n])
+            acc = sums[n][i : i + k]
             if start > 0:
                 # Carry the earlier chunks' sum into the first map, as
                 # run_ensembles does, so the maps add in index order.
-                density[:, 0] += acc[at]
-            acc[at] = density.sum(axis=1)
+                density[:, 0] += acc
+            acc[...] = density.sum(axis=1)
 
     # The sums become the unordered mean matrices in place.
-    on_diagonal = sums[:, :, diagonal, diagonal]
-    sums *= 2.0
-    sums[:, :, diagonal, diagonal] = on_diagonal
-    sums /= n_maps
+    for total in sums:
+        diagonal = np.arange(total.shape[-1])
+        on_diagonal = total[:, diagonal, diagonal]
+        total *= 2.0
+        total[:, diagonal, diagonal] = on_diagonal
+        total /= n_maps
+        if not np.array_equal(total, total.transpose(0, 2, 1)):
+            raise DomainError("coincidence matrix must be exactly symmetric")
+    window_sites = [w.sites - steps for w in cone[1:]]
     return [
         PairEnsemble(p=s.p, steps=steps, n_maps=n_maps, eta=eta, master_seed=s.master_seed,
-                     mean_matrices=[CoincidenceMatrix(offset=-steps, probabilities=m) for m in total],
+                     window_sites=window_sites, window_matrices=[total[j] for total in sums],
                      mean_variance2=mean, std_variance2=std, max_norm_drift=float(drift))
-        for s, (mean, std), total, drift in zip(specs, moments, sums, drifts)
+        for j, (s, (mean, std), drift) in enumerate(zip(specs, moments, drifts))
     ]
 
 

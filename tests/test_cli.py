@@ -25,7 +25,7 @@ from pdqw import (
     save_map,
     evolve,
 )
-from pdqw.cli import _build_parser, main
+from pdqw.cli import _build_parser, _peak_rss_mb, main
 
 # The CLI always builds its coin from the reflectivity parameter; use the
 # same constructor here (hadamard_coin() differs in the last ulp).
@@ -70,6 +70,17 @@ class TestEvolve:
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == meta["sha256"]
             assert meta["bytes"] == (out / name).stat().st_size
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is a Linux status field")
+    def test_manifest_records_peak_rss(self, tmp_path):
+        cfg = write_config(tmp_path, "steps: 3\np_values: [0.5]\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        peak = json.loads((out / "manifest_evolve.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+
+    def test_peak_rss_is_null_without_a_status_file(self, tmp_path):
+        assert _peak_rss_mb(str(tmp_path / "missing")) is None
 
     def test_explicit_map_file(self, tmp_path):
         pm = generate_phase_map(DisorderSpec(p=1.0, steps=3, master_seed=8), 0)

@@ -1,6 +1,7 @@
 """Two-photon statistics against a permanent-based Fock oracle and hand values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,27 @@ class TestPairEnsemble:
     def test_n_maps_validated(self):
         with pytest.raises(DomainError):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 0, eta=1.0)
+
+    def test_a_long_scan_holds_only_its_light_cone(self):
+        # A walk from the origin fills the (n + 1)^2 site pairs of parity n
+        # at step n: 3310 of the 20 x 41 x 41 cells of full matrices, which
+        # held 26.5 MiB after this call and peaked at 31.0 MiB.
+        specs = [DisorderSpec(p=p, steps=20, master_seed=5) for p in np.linspace(0.0, 1.0, 101)]
+        tracemalloc.start()
+        try:
+            res = run_pair_ensembles(specs, COIN, 12, eta=0.6)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20
+        assert peak < 10 * 2**20
+        for ens in res[::25]:
+            assert [m.shape for m in ens.window_matrices] == [(n + 1, n + 1) for n in range(1, 21)]
+            for n, (sites, cm) in enumerate(zip(ens.window_sites, ens.mean_matrices), start=1):
+                np.testing.assert_array_equal(sites, np.arange(-n, n + 1, 2))
+                off = np.ones(41, dtype=bool)
+                off[sites + 20] = False
+                assert not cm.probabilities[off].any() and not cm.probabilities[:, off].any()
 
 
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, QUARTER_TURNS], ids=["float64", "complex128"])
