@@ -139,12 +139,12 @@ def _profile_sse(logn: np.ndarray, y: np.ndarray, beta: float):
 
 
 def _profile_slope(logn: np.ndarray, y: np.ndarray, beta: float) -> float:
-    """(b'.y)(b.b) - (b.y)(b.b') with b = n**beta and b' = b ln n: the
-    derivative of the profiled SSE times -(b.b)/(2 (b.y)), so positive
-    where the SSE falls and negative where it rises."""
+    """b'.r with b = n**beta, b' = b ln n and r the residual of the best
+    prefactor: the derivative of the profiled SSE times -1/(2c), so
+    positive where the SSE falls and negative where it rises."""
     basis = np.exp(beta * logn)
-    slope = basis * logn
-    return float(slope @ y) * float(basis @ basis) - float(basis @ y) * float(basis @ slope)
+    c = float(basis @ y) / float(basis @ basis)
+    return float((basis * logn) @ (y - c * basis))
 
 
 def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit:
@@ -197,7 +197,7 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
                 a = mid
             else:
                 b = mid
-        beta = a if abs(_profile_slope(logn, y, a)) <= abs(_profile_slope(logn, y, b)) else b
+        beta = a
     sse, c = _profile_sse(logn, y, beta)
 
     # Standard error from the Gauss-Newton covariance at the optimum.

@@ -199,9 +199,10 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     same_input = ia == ib
     cone = light_cone([ia // 2, ib // 2], n_sites, steps)
     start_a, start_b = np.searchsorted(cone[0].sites, [ia // 2, ib // 2])
-    # Per step: the window's sites as coordinates, one row per site, and
-    # the sums over the window's site pairs.
-    sites = [(w.sites - steps).astype(float)[:, None] for w in cone[1:]]
+    # Per step: the window's sites, as coordinates with one row per site,
+    # and the sums over the window's site pairs.
+    window_sites = [w.sites - steps for w in cone[1:]]
+    sites = [x.astype(float)[:, None] for x in window_sites]
     sums = [np.zeros((len(specs), len(w.sites), len(w.sites))) for w in cone[1:]]
     drifts = np.zeros(len(specs))
     moments = []
@@ -264,7 +265,6 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
         total /= n_maps
         if not np.array_equal(total, total.transpose(0, 2, 1)):
             raise DomainError("coincidence matrix must be exactly symmetric")
-    window_sites = [w.sites - steps for w in cone[1:]]
     return [
         PairEnsemble(p=s.p, steps=steps, n_maps=n_maps, eta=eta, master_seed=s.master_seed,
                      window_sites=window_sites, window_matrices=[total[j] for total in sums],
