@@ -7,7 +7,6 @@ from .analysis import (
     crossing_point,
     crw_reference,
     fit_beta,
-    mean_position,
     similarity,
     variance,
 )
@@ -30,14 +29,11 @@ from .errors import (
     PdqwError,
 )
 from .two_photon import (
-    CoincidenceMatrix,
     HomScan,
     PairEnsemble,
-    PairInput,
     hom_scan,
     run_pair_ensemble,
     run_pair_ensembles,
-    two_photon_mode_distribution,
 )
 from .walk_core import (
     WalkState,
@@ -46,7 +42,6 @@ from .walk_core import (
     hadamard_coin,
     mode_index,
     position_distribution,
-    single_particle_unitary,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguityError",
     "CapacityError",
-    "CoincidenceMatrix",
     "ConfigError",
     "CrossingPoint",
     "DEFAULT_ALPHABET",
@@ -65,7 +59,6 @@ __all__ = [
     "HomScan",
     "MapParseError",
     "PairEnsemble",
-    "PairInput",
     "PdqwError",
     "PhaseMap",
     "PowerLawFit",
@@ -80,7 +73,6 @@ __all__ = [
     "hadamard_coin",
     "hom_scan",
     "load_map",
-    "mean_position",
     "mode_index",
     "position_distribution",
     "realized_fraction",
@@ -91,7 +83,5 @@ __all__ = [
     "save_map",
     "similarity",
     "similarity_scan",
-    "single_particle_unitary",
-    "two_photon_mode_distribution",
     "variance",
 ]

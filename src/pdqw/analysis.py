@@ -50,13 +50,6 @@ def _require_normalized(dist: Distribution) -> None:
         raise DomainError(f"distribution mass {total!r} is not 1 within {NORMALIZATION_TOL}")
 
 
-def mean_position(dist: Distribution) -> float:
-    """First moment of the site index."""
-    _require_normalized(dist)
-    sites = dist.sites.astype(float)
-    return float(sites @ dist.probabilities)
-
-
 def variance(dist: Distribution) -> float:
     """Second central moment of the site index.
 

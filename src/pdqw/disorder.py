@@ -183,11 +183,6 @@ def map_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate(seeds)
 
 
-def map_seed(master_seed: int, map_index: int) -> int:
-    """64-bit seed for map `map_index`, derived deterministically."""
-    return int(map_seeds(master_seed, map_index, map_index + 1)[0])
-
-
 def _pcg64_keys(seeds) -> np.ndarray:
     """What PCG64(seed) is seeded with, for each seed of a uint64 array: a
     (4, seeds) uint64 array of the 128-bit initial state s and increment

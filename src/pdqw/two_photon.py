@@ -1,18 +1,19 @@
-"""Two-photon statistics on top of the single-particle mode unitary.
+"""Two-photon statistics: the disorder ensemble of pair coincidences and the
+Hong-Ou-Mandel delay scan.
 
 Probabilities are stored in the unordered-pair convention: a matrix entry
-gives the probability of the unordered outcome {mode k, mode l} and is
+gives the probability of the unordered outcome {site i, site j} and is
 mirrored across the diagonal, so the upper triangle including the diagonal
 sums to 1. Partial distinguishability is a classical mixture: a fraction
 eta of pairs interferes, the rest behaves as independent photons.
 
-The single-unitary functions take a dense mode unitary; the disorder
-ensemble reads only the two input columns of it, and evolves just those
+The disorder ensemble evolves only the amplitudes of the two input modes
 through the shared walk driver, in the batches that run_ensembles walks,
 with amplitude arrays shaped (window sites, input column, map). Each map's
 pair-centroid variance comes from one-body sums of the two columns, added
 left to right over the window's sites; the site-pair density is built only
-for the mean matrices and the pair-mass check.
+for the mean matrices and the pair-mass check. The delay scan is one
+splitter stage, whose coincidence follows from the coin's 2x2 permanent.
 """
 
 from __future__ import annotations
@@ -24,95 +25,11 @@ import numpy as np
 from .disorder import DisorderSpec
 from .ensemble import _batches, check_scan
 from .errors import DomainError
-from .walk_core import (_abs2, _site_sums, _walk, _walk_operands, light_cone, mode_index,
-                        single_particle_unitary)
+from .walk_core import _abs2, _site_sums, _walk, _walk_operands, light_cone, mode_index
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
 PAIR_CONVENTION = "unordered-pairs, diagonal counted once"
-
-
-@dataclass
-class PairInput:
-    """Two photons entering lattice modes (site, coin) with overlap eta.
-
-    eta=1 is fully indistinguishable, eta=0 fully distinguishable.
-    """
-
-    mode_a: tuple[int, int]
-    mode_b: tuple[int, int]
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise DomainError(f"eta must lie in [0, 1], got {self.eta!r}")
-
-
-@dataclass
-class CoincidenceMatrix:
-    """Symmetric site-pair probabilities, unordered convention.
-
-    probabilities[i, j] is the probability of finding the pair at sites
-    (offset + i, offset + j); the diagonal is counted once, so the upper
-    triangle sums to 1.
-    """
-
-    offset: int
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=float)
-        m = self.probabilities
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("coincidence matrix must be square")
-        if not np.array_equal(m, m.T):
-            raise DomainError("coincidence matrix must be exactly symmetric")
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + self.probabilities.shape[0])
-
-    def triangle_total(self) -> float:
-        m = self.probabilities
-        return float((m.sum() + np.trace(m)) / 2.0)
-
-
-def _check_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError("mode unitary must be square")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > UNITARY_TOL:
-        raise DomainError(f"matrix is not unitary within {UNITARY_TOL}")
-    return u
-
-
-def two_photon_mode_distribution(u: np.ndarray, pair: PairInput) -> np.ndarray:
-    """Unordered mode-pair probabilities for a photon pair sent through u.
-
-    For distinct input modes the interfering part is
-    |u_ka u_lb + u_la u_kb|^2 off the diagonal and 2|u_ka u_kb|^2 on it; the
-    distinguishable part is the symmetrized product of single-photon
-    probabilities. Coincident input modes (a == b) get the bunched-input
-    normalization (diagonal |u_ka|^4).
-    """
-    u = _check_unitary(u)
-    n_max = (u.shape[0] // 2 - 1) // 2
-    ia, ib = mode_index(*pair.mode_a, n_max), mode_index(*pair.mode_b, n_max)
-    ca, cb = u[:, ia], u[:, ib]
-    diag = np.diag_indices(u.shape[0])
-
-    amp = np.outer(ca, cb) + np.outer(cb, ca)
-    interfering = np.abs(amp) ** 2
-    interfering[diag] *= 0.5
-    if ia == ib:
-        interfering *= 0.5
-
-    pa = np.abs(ca) ** 2
-    pb = np.abs(cb) ** 2
-    product = np.outer(pa, pb) + np.outer(pb, pa)
-    product[diag] *= 0.5
-
-    return pair.eta * interfering + (1.0 - pair.eta) * product
 
 
 def _require_pair_normalized(mass) -> None:
@@ -150,27 +67,15 @@ class PairEnsemble:
     std_variance2: np.ndarray
     max_norm_drift: float
 
-    @property
-    def mean_matrices(self) -> list[CoincidenceMatrix]:
-        """The window matrices on the full lattice, as CoincidenceMatrix
-        objects, built on each read."""
-        n_sites = 2 * self.steps + 1
-        out = []
-        for sites, block in zip(self.window_sites, self.window_matrices):
-            m = np.zeros((n_sites, n_sites))
-            m[np.ix_(sites + self.steps, sites + self.steps)] = block
-            out.append(CoincidenceMatrix(offset=-self.steps, probabilities=m))
-        return out
-
 
 def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
                        pair_modes=((0, 0), (0, 1))) -> list[PairEnsemble]:
     """run_pair_ensemble for every spec, in order; the specs may differ only
     in p.
 
-    Only the two input columns A, B of each map's mode unitary are evolved,
-    on the light cone of the two input sites in the periodic lattice of
-    single_particle_unitary(steps, ...), in the batches that run_ensembles
+    Only the walks A, B from the two input modes are evolved, on the light
+    cone of the two input sites in the periodic ring of sites
+    -steps..steps, in the batches that run_ensembles
     walks (ensemble._batches): several whole p per walk, or chunks of one p.
     With per-site sums pA = sum_c |A_sc|^2, pB likewise and
     G = sum_c A_sc conj(B_sc), the ordered site-pair density is
@@ -189,13 +94,14 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
     is sA^2/2.
     """
     specs = check_scan(specs, n_maps)
-    pair = PairInput(pair_modes[0], pair_modes[1], eta=eta)
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
     coin, table = _walk_operands(coin, specs[0].alphabet)
     real = coin.dtype.kind == "f"  # nothing to conjugate, and Im G is 0
     steps = specs[0].steps
     n_sites = 2 * steps + 1
-    ia = mode_index(*pair.mode_a, steps)
-    ib = mode_index(*pair.mode_b, steps)
+    ia = mode_index(*pair_modes[0], steps)
+    ib = mode_index(*pair_modes[1], steps)
     same_input = ia == ib
     cone = light_cone([ia // 2, ib // 2], n_sites, steps)
     start_a, start_b = np.searchsorted(cone[0].sites, [ia // 2, ib // 2])
@@ -236,7 +142,7 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
                 # which has no Im G, gives the complex walk's bits.
                 s_re, s_im = _site_sums(g.real * x), _site_sums(g.imag * x)
                 var2[:, n] = ((sigma_sq[0] + sigma_sq[1]) / 4.0
-                              + pair.eta * s_re * s_re / 2.0 + pair.eta * s_im * s_im / 2.0)
+                              + eta * s_re * s_re / 2.0 + eta * s_im * s_im / 2.0)
                 # In place, so fewer (rows, sites, sites) temporaries are alive.
                 density = pa[:, :, None] * pb[:, None, :]
                 density += pb[:, :, None] * pa[:, None, :]
@@ -245,7 +151,7 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float,
                 interfering = g.real[:, :, None] * g.real[:, None, :]
                 if not real:  # the complex walk's Im G x Im G is +-0.0 where the float walk has none
                     interfering += g.imag[:, :, None] * g.imag[:, None, :]
-                interfering *= pair.eta
+                interfering *= eta
                 density += interfering
             _require_pair_normalized(density.reshape(rows, -1).sum(axis=1))
             density = density.reshape(k, -1, *density.shape[1:])
@@ -296,43 +202,37 @@ class HomScan:
     coincidences: np.ndarray
 
 
-def _distinct_mode_mass(mode_matrix: np.ndarray) -> float:
-    m = np.asarray(mode_matrix)
-    return float((m.sum() - np.trace(m)) / 2.0)
-
-
 def hom_scan(delays, coherence_time: float, visibility: float, coin) -> HomScan:
     """Interference dip of a photon pair on a single splitter stage.
 
     The overlap follows a Gaussian, eta(tau) = V * exp(-(tau/tau_c)^2); the
     coincidence is the probability that the photons exit in different modes,
-    normalized so the far-delay (distinguishable) baseline equals 1. At zero
-    delay with a balanced splitter the value is exactly 1 - V.
+    normalized so the far-delay (distinguishable) baseline equals 1. Photons
+    entering coin 0 and coin 1 of one site leave in different modes with
+    probability P = |c00 c11 + c01 c10|^2 (the coin's permanent squared)
+    when they interfere and D = |c00 c11|^2 + |c01 c10|^2 when they do not,
+    so the coincidence is 1 - eta (1 - P/D); D >= 1/2 for a unitary coin.
+    At zero delay with a balanced splitter P = 0 and the value is exactly
+    1 - V.
     """
     delays = np.asarray(delays, dtype=float)
-    if delays.size == 0:
-        raise DomainError("delays must be non-empty")
-    if coherence_time <= 0:
-        raise DomainError("coherence_time must be positive")
+    if delays.ndim != 1 or delays.size == 0:
+        raise DomainError("delays must be a non-empty 1-D sequence")
+    if not np.isfinite(delays).all():
+        raise DomainError("delays must be finite")
+    if not (np.isfinite(coherence_time) and coherence_time > 0):
+        raise DomainError(f"coherence_time must be positive and finite, got {coherence_time!r}")
     if not 0.0 <= visibility <= 1.0:
         raise DomainError(f"visibility must lie in [0, 1], got {visibility!r}")
 
-    u = single_particle_unitary(1, coin, None, 1)
-    baseline = _distinct_mode_mass(
-        two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=0.0))
-    )
-    etas = np.empty(delays.size)
-    coincidences = np.empty(delays.size)
-    for i, tau in enumerate(delays):
-        etas[i] = visibility * float(np.exp(-((tau / coherence_time) ** 2)))
-        raw = _distinct_mode_mass(
-            two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=etas[i]))
-        )
-        coincidences[i] = raw / baseline
+    c, _ = _walk_operands(coin, ())
+    interfering = abs(c[0, 0] * c[1, 1] + c[0, 1] * c[1, 0]) ** 2
+    distinguishable = abs(c[0, 0] * c[1, 1]) ** 2 + abs(c[0, 1] * c[1, 0]) ** 2
+    etas = visibility * np.exp(-((delays / coherence_time) ** 2))
     return HomScan(
         delays=delays,
         coherence_time=coherence_time,
         visibility=visibility,
         etas=etas,
-        coincidences=coincidences,
+        coincidences=1.0 - etas * (1.0 - interfering / distinguishable),
     )

@@ -170,9 +170,9 @@ def _walk(psi0, psi1, coin, codes, table, cone):
     """Step coin-component arrays shaped (sites of cone[0], *batch); yield
     (psi0, psi1) on the sites of cone[n] after each step n.
 
-    The one walk driver: the single walker, the batched ensemble, the
-    two-photon input columns and the mode unitary all step through it, so
-    all perform identical elementwise float operations, in the dtype of the
+    The one walk driver: the single walker, the batched ensemble and the
+    two-photon input columns all step through it, so all perform identical
+    elementwise float operations, in the dtype of the
     operands that _walk_operands gives them. `codes` holds the cell codes
     of walked_cells(cone) along axis 0, with trailing axes that broadcast
     against the batch. Step n takes the phase factors of its cells (the
@@ -250,35 +250,9 @@ def position_distribution(state: WalkState) -> Distribution:
 
 
 def mode_index(site: int, coin: int, n_max: int) -> int:
-    """Flat index of lattice mode (site, coin) in a mode unitary."""
+    """Flat index 2 * (site + n_max) + coin of lattice mode (site, coin)."""
     if coin not in (0, 1):
         raise DomainError("coin must be 0 or 1")
     if abs(site) > n_max:
         raise DomainError(f"site {site} outside lattice of half-width {n_max}")
     return 2 * (site + n_max) + coin
-
-
-def single_particle_unitary(n_max: int, coin, phase_map, steps: int) -> np.ndarray:
-    """Full mode unitary of `steps` steps over the 2*(2*n_max+1) lattice modes.
-
-    Every basis column steps through `_walk` in one batch, whose window is
-    the whole ring from the start; its periodic shift makes the operator
-    exactly unitary on the finite lattice, and columns whose light cone
-    stays inside the lattice agree with `evolve`.
-    Sites beyond the map's rows get phase 0. steps=0 returns the identity.
-    """
-    coin, table = _walk_operands(coin, () if phase_map is None else phase_map.alphabet)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    n_sites = 2 * n_max + 1
-    dim = 2 * n_sites
-    cone = light_cone(np.arange(n_sites), n_sites, steps)
-    codes = _map_on_lattice(phase_map, n_max, steps)[walked_cells(cone)][:, None]
-    # psi_c[s, j]: amplitude at site index s, coin c, of basis column j = 2*s' + c'.
-    basis = np.eye(dim, dtype=coin.dtype).reshape(n_sites, 2, dim)
-    psi = basis[:, 0], basis[:, 1]
-    for psi in _walk(*psi, coin, codes, table, cone):
-        pass  # only the last step's amplitudes are wanted
-    return np.stack(psi, axis=1).reshape(dim, dim).astype(complex, copy=False)

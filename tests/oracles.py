@@ -88,8 +88,28 @@ def phase_rows(codes, alphabet) -> list[np.ndarray]:
     return cone_rows(np.concatenate([[0.0], np.asarray(alphabet, dtype=float)])[np.asarray(codes)])
 
 
+def dense_unitary(n_max: int, coin: np.ndarray, phase_rows, steps: int) -> np.ndarray:
+    """The walk's mode unitary over steps 1..steps on the ring of sites
+    -n_max..n_max: the product of the periodic dense step matrices.
+    phase_rows is as in dense_walk; steps=0 gives the identity."""
+    u = np.eye(2 * (2 * n_max + 1), dtype=complex)
+    for n in range(1, steps + 1):
+        row = np.zeros(2 * n + 1) if phase_rows is None else np.asarray(phase_rows[n - 1], dtype=float)
+        u = dense_step_matrix(n_max, coin, row, n, periodic=True) @ u
+    return u
+
+
 def permanent_2x2(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]
+
+
+def _fock_amplitude(u: np.ndarray, out_pair, in_pair) -> complex:
+    """Amplitude from the two-boson state on modes in_pair to the one on
+    out_pair: the permanent of the 2x2 submatrix of u, with a 1/sqrt(2)
+    for each doubly occupied pair."""
+    (k, l), (a, b) = out_pair, in_pair
+    norm = (np.sqrt(2.0) if k == l else 1.0) * (np.sqrt(2.0) if a == b else 1.0)
+    return permanent_2x2(u[np.ix_([k, l], [a, b])]) / norm
 
 
 def two_boson_unitary(u: np.ndarray) -> np.ndarray:
@@ -102,43 +122,33 @@ def two_boson_unitary(u: np.ndarray) -> np.ndarray:
     """
     m = u.shape[0]
     pairs = [(k, l) for k in range(m) for l in range(k, m)]
-    dim = len(pairs)
-    u2 = np.zeros((dim, dim), dtype=complex)
-    for col, (a, b) in enumerate(pairs):
-        norm_in = np.sqrt(2.0) if a == b else 1.0
-        for row, (k, l) in enumerate(pairs):
-            norm_out = np.sqrt(2.0) if k == l else 1.0
-            sub = u[np.ix_([k, l], [a, b])]
-            u2[row, col] = permanent_2x2(sub) / (norm_in * norm_out)
-    return u2
+    return np.array([[_fock_amplitude(u, row, col) for col in pairs] for row in pairs])
 
 
 def two_boson_pair_probabilities(u: np.ndarray, mode_a: int, mode_b: int, eta: float) -> np.ndarray:
     """Unordered-pair coincidence probabilities for a two-photon input.
 
-    eta interpolates between indistinguishable bosons (Fock lift, eta=1)
-    and fully distinguishable particles (independent single-particle
-    propagation, eta=0). Returns a full symmetric (M, M) matrix whose
-    upper triangle plus diagonal sums to 1.
+    eta interpolates between indistinguishable bosons (eta=1: the input
+    pair's column of the Fock lift, two_boson_unitary, computed entry by
+    entry) and fully distinguishable particles (independent single-particle
+    propagation, eta=0). Returns a full symmetric (M, M) matrix whose upper
+    triangle plus diagonal sums to 1.
     """
     m = u.shape[0]
-    pairs = [(k, l) for k in range(m) for l in range(k, m)]
-    u2 = two_boson_unitary(u)
-    a, b = sorted((mode_a, mode_b))
-    col = pairs.index((a, b))
-    p_boson = np.abs(u2[:, col]) ** 2
-
+    col = tuple(sorted((mode_a, mode_b)))
     probs = np.zeros((m, m))
-    for row, (k, l) in enumerate(pairs):
-        if k == l:
-            p_dist = (np.abs(u[k, mode_a]) ** 2) * (np.abs(u[k, mode_b]) ** 2)
-        else:
-            p_dist = (np.abs(u[k, mode_a]) ** 2) * (np.abs(u[l, mode_b]) ** 2) + (
-                np.abs(u[l, mode_a]) ** 2
-            ) * (np.abs(u[k, mode_b]) ** 2)
-        val = eta * p_boson[row] + (1.0 - eta) * p_dist
-        probs[k, l] = val
-        probs[l, k] = val
+    for k in range(m):
+        for l in range(k, m):
+            p_boson = abs(_fock_amplitude(u, (k, l), col)) ** 2
+            if k == l:
+                p_dist = (np.abs(u[k, mode_a]) ** 2) * (np.abs(u[k, mode_b]) ** 2)
+            else:
+                p_dist = (np.abs(u[k, mode_a]) ** 2) * (np.abs(u[l, mode_b]) ** 2) + (
+                    np.abs(u[l, mode_a]) ** 2
+                ) * (np.abs(u[k, mode_b]) ** 2)
+            val = eta * p_boson + (1.0 - eta) * p_dist
+            probs[k, l] = val
+            probs[l, k] = val
     return probs
 
 

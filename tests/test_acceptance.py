@@ -8,10 +8,9 @@ conftest.py prints one verdict line per criterion after the run.
 import numpy as np
 import pytest
 
-from oracles import two_boson_pair_probabilities
+from oracles import dense_unitary, phase_rows, site_pairs, two_boson_pair_probabilities
 from pdqw import (
     DisorderSpec,
-    PairInput,
     coin_from_reflectivity,
     crossing_point,
     crw_reference,
@@ -24,10 +23,9 @@ from pdqw import (
     position_distribution,
     run_ensemble,
     run_ensembles,
+    run_pair_ensemble,
     similarity,
     similarity_scan,
-    single_particle_unitary,
-    two_photon_mode_distribution,
     variance,
 )
 from pdqw.cli import main as cli_main
@@ -159,10 +157,18 @@ def test_criterion_06_unitarity_suite():
     for k in range(100):
         for state in evolve(20, COIN, generate_phase_map(spec, k), 20):
             assert abs(state.norm() - 1.0) <= 1e-12
+    # The two-photon scan checks its evolved input columns' orthonormality
+    # at every step of every map.
     uspec = DisorderSpec(p=0.5, steps=8, master_seed=12)
-    for k in range(3):
-        u = single_particle_unitary(8, COIN, generate_phase_map(uspec, k), 8)
-        assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-10
+    assert run_pair_ensemble(uspec, COIN, 3, eta=1.0).max_norm_drift <= 1e-10
+
+
+def _site_matrix(ens):
+    """The last step's window matrix on all site pairs of -steps..steps."""
+    m = np.zeros((2 * ens.steps + 1,) * 2)
+    at = ens.window_sites[-1] + ens.steps
+    m[np.ix_(at, at)] = ens.window_matrices[-1]
+    return m
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -170,20 +176,20 @@ def test_criterion_07_two_photon_oracle(steps):
     """Pair statistics match the two-boson Fock oracle and product limits."""
     cases = [(0.5, 21, COIN), (1.0, 22, COIN), (0.5, 23, coin_from_reflectivity(0.45))]
     for p, seed, coin in cases:
-        pm = generate_phase_map(DisorderSpec(p=p, steps=steps, master_seed=seed), 0)
-        u = single_particle_unitary(steps, coin, pm, steps)
-        for pair in (PairInput((0, 0), (0, 1), eta=1.0), PairInput((0, 0), (0, 0), eta=1.0)):
-            got = two_photon_mode_distribution(u, pair)
-            ia = mode_index(*pair.mode_a, steps)
-            ib = mode_index(*pair.mode_b, steps)
-            want = two_boson_pair_probabilities(u, ia, ib, 1.0)
-            assert np.abs(got - want).max() <= 1e-10
-        got0 = two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=0.0))
+        spec = DisorderSpec(p=p, steps=steps, master_seed=seed)
+        pm = generate_phase_map(spec, 0)
+        u = dense_unitary(steps, coin, phase_rows(pm.codes, pm.alphabet), steps)
+        for modes in (((0, 0), (0, 1)), ((0, 0), (0, 0))):
+            got = run_pair_ensemble(spec, coin, 1, eta=1.0, pair_modes=modes)
+            ia, ib = (mode_index(*m, steps) for m in modes)
+            want = site_pairs(two_boson_pair_probabilities(u, ia, ib, 1.0))
+            assert np.abs(_site_matrix(got) - want).max() <= 1e-10
+        got0 = run_pair_ensemble(spec, coin, 1, eta=0.0)
         pa = np.abs(u[:, mode_index(0, 0, steps)]) ** 2
         pb = np.abs(u[:, mode_index(0, 1, steps)]) ** 2
         product = np.outer(pa, pb) + np.outer(pb, pa)
         product[np.diag_indices_from(product)] *= 0.5
-        assert np.abs(got0 - product).max() <= 1e-12
+        assert np.abs(_site_matrix(got0) - site_pairs(product)).max() <= 1e-12
 
 
 def test_criterion_08_hom_identities():
@@ -198,11 +204,10 @@ def test_criterion_08_hom_identities():
     partial = hom_scan(delays, 1.0, 0.93, balanced)
     assert partial.coincidences[30] == pytest.approx(0.07, abs=1e-12)
 
-    # raw (unnormalized) distinct-port coincidence at R=0.45: (T - R)^2
-    u = single_particle_unitary(1, coin_from_reflectivity(0.45), None, 1)
-    m = two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=1.0))
-    raw = (m.sum() - np.trace(m)) / 2.0
-    assert raw == pytest.approx(0.01, abs=1e-12)
+    # R=0.45: interfering distinct-port coincidence (T - R)^2 = 0.01 over
+    # the distinguishable baseline R^2 + T^2 = 0.505
+    hardware = hom_scan([0.0], 1.0, 1.0, coin_from_reflectivity(0.45))
+    assert hardware.coincidences[0] == pytest.approx(0.01 / 0.505, abs=1e-12)
 
 
 def test_criterion_09_hardware_coin_lowers_ballistic_exponent():

@@ -16,7 +16,6 @@ from pdqw import (
     crossing_point,
     crw_reference,
     fit_beta,
-    mean_position,
     similarity,
     variance,
 )
@@ -36,7 +35,6 @@ class TestDistribution:
 
     def test_moments_hand_values(self):
         d = Distribution(offset=0, probabilities=[0.5, 0.0, 0.5])
-        assert mean_position(d) == pytest.approx(1.0, abs=1e-15)
         assert variance(d) == pytest.approx(1.0, abs=1e-15)
 
     def test_unnormalized_moments_rejected(self):

@@ -338,13 +338,13 @@ class TestTextOracle:
             specs = [DisorderSpec(p=p, steps=n_steps, master_seed=11) for p in self.P]
             results = run_pair_ensembles(specs, COIN, 3, 0.8)
             for p, ens in zip(self.P, results):
-                for n, cm in enumerate(ens.mean_matrices, start=1):
-                    m = cm.probabilities
+                for n, (sites, m) in enumerate(zip(ens.window_sites, ens.window_matrices), start=1):
+                    at = {s: k for k, s in enumerate(sites.tolist())}
                     peak = float(m.max())
                     rows = []
                     for i in range(-n, n + 1):
                         for j in range(i, n + 1):
-                            v = float(m[i + n_steps, j + n_steps])
+                            v = float(m[at[i], at[j]]) if i in at and j in at else 0.0
                             rows.append(f"{i},{j},{v!r},{v / peak if peak > 0 else 0.0!r}")
                     want = self.text("site_i,site_j,probability,probability_display", rows)
                     assert (out / f"two_photon_matrix_p{p:g}_step{n}.csv").read_text() == want

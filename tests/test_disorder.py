@@ -41,7 +41,6 @@ from pdqw.disorder import (
     _pcg64_keys,
     _pcg64_states,
     _pcg64_words,
-    map_seed,
     map_seeds,
     parse_alphabet_token,
     phase_factors,
@@ -74,7 +73,7 @@ def marks(pm: PhaseMap):
 class TestGeneration:
     def test_seed_derivation_is_frozen(self):
         for (master, idx), expect in FROZEN_SEEDS.items():
-            assert map_seed(master, idx) == expect
+            assert int(map_seeds(master, idx, idx + 1)[0]) == expect
 
     def test_draw_order_is_frozen(self):
         pm = generate_phase_map(DisorderSpec(p=0.5, steps=3, master_seed=42), 0)
@@ -155,7 +154,7 @@ class TestBlockSampler:
     @pytest.mark.parametrize("master", MASTERS)
     def test_seeds_match_numpy_seed_sequence(self, master):
         for k in self.INDICES:
-            assert map_seed(master, k) == self.numpy_seed(master, k)
+            assert int(map_seeds(master, k, k + 1)[0]) == self.numpy_seed(master, k)
         # one block holding both key widths
         block = map_seeds(master, 2**32 - 2, 2**32 + 2)
         assert block.dtype == np.uint64
@@ -401,7 +400,7 @@ def draws(monkeypatch):
 
 def chunk_draws(master, n_maps, size):
     """The draws of chunks of `size` maps, each once, as `draws` records them."""
-    return [(map_seed(master, a), min(size, n_maps - a)) for a in range(0, n_maps, size)]
+    return [(int(map_seeds(master, a, a + 1)[0]), min(size, n_maps - a)) for a in range(0, n_maps, size)]
 
 
 def assert_codes_match_reference(codes, master, start, steps, p, alphabet):

@@ -26,7 +26,6 @@ from pdqw import (
     run_ensemble,
     run_ensembles,
     run_pair_ensemble,
-    single_particle_unitary,
 )
 from pdqw.analysis import Distribution
 from pdqw.cli import _cone_keys, _write_csv
@@ -176,26 +175,23 @@ class TestRealWalk:
             return (
                 run_ensembles([spec], coin, 40)[0],
                 run_pair_ensemble(spec, coin, 40, eta=0.8),
-                single_particle_unitary(11, coin, pm, 9),
                 [s.amplitudes for s in evolve(11, coin, pm, 9)],
             )
 
         real = run()
         for module in (pdqw.walk_core, pdqw.ensemble, pdqw.two_photon):
             monkeypatch.setattr(module, "_walk_operands", complex_operands)
-        ens, pair, u, amplitudes = run()
+        ens, pair, amplitudes = run()
         assert np.array_equal(real[0].mean_variance, ens.mean_variance)
         assert np.array_equal(real[0].std_variance, ens.std_variance)
         assert np.array_equal(real[0].mean_probabilities, ens.mean_probabilities)
         assert real[0].max_norm_drift == ens.max_norm_drift
-        for a, b in zip(real[1].mean_matrices, pair.mean_matrices, strict=True):
-            assert np.array_equal(a.probabilities, b.probabilities)
+        for a, b in zip(real[1].window_matrices, pair.window_matrices, strict=True):
+            assert np.array_equal(a, b)
         assert np.array_equal(real[1].mean_variance2, pair.mean_variance2)
         assert np.array_equal(real[1].std_variance2, pair.std_variance2)
         assert real[1].max_norm_drift == pair.max_norm_drift
-        assert real[2].dtype == u.dtype == np.complex128
-        assert np.array_equal(real[2], u)
-        assert np.array_equal(real[3], amplitudes)
+        assert np.array_equal(real[2], amplitudes)
 
 
 def csv_text(tmp_path, writer, header, blocks):

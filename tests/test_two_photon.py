@@ -9,33 +9,31 @@ import pytest
 import pdqw.ensemble
 import pdqw.two_photon
 from oracles import (
+    dense_unitary,
+    dense_walk,
     pair_centroid_variance,
     pair_marginal,
+    phase_rows,
     site_pairs,
     two_boson_pair_probabilities,
     two_boson_unitary,
 )
 from pdqw import (
-    CoincidenceMatrix,
     DisorderSpec,
     DomainError,
-    PairInput,
     coin_from_reflectivity,
-    evolve,
     generate_phase_map,
     hadamard_coin,
     hom_scan,
     mode_index,
-    position_distribution,
     run_pair_ensemble,
     run_pair_ensembles,
-    single_particle_unitary,
-    two_photon_mode_distribution,
 )
 from pdqw.disorder import DEFAULT_ALPHABET
 from pdqw.ensemble import chunk_maps
 
 COIN = hadamard_coin()
+PHASE_COIN = np.diag([1, 1j]) @ coin_from_reflectivity(0.3)
 
 
 def haar_unitary(dim, seed):
@@ -45,10 +43,21 @@ def haar_unitary(dim, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def walk_unitary(p, steps, seed, n_max=None):
-    n_max = n_max or steps
-    pm = generate_phase_map(DisorderSpec(p=p, steps=steps, master_seed=seed), 0)
-    return single_particle_unitary(n_max, COIN, pm, steps)
+def map_unitary(spec, k, coin=COIN, steps=None):
+    """The dense mode unitary of map k of spec after `steps` steps (all of
+    them by default), on the lattice of half-width spec.steps."""
+    pm = generate_phase_map(spec, k)
+    steps = spec.steps if steps is None else steps
+    return dense_unitary(spec.steps, coin, phase_rows(pm.codes, pm.alphabet), steps)
+
+
+def on_lattice(ens, n):
+    """Step n's window matrix of a PairEnsemble placed on all the site pairs
+    of the lattice -steps..steps, zero off the window."""
+    m = np.zeros((2 * ens.steps + 1,) * 2)
+    at = ens.window_sites[n - 1] + ens.steps
+    m[np.ix_(at, at)] = ens.window_matrices[n - 1]
+    return m
 
 
 class TestOracleSelfChecks:
@@ -63,103 +72,47 @@ class TestOracleSelfChecks:
         triangle = (probs.sum() + np.trace(probs)) / 2.0
         assert triangle == pytest.approx(1.0, abs=1e-12)
 
-
-class TestModeDistribution:
-    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
-    @pytest.mark.parametrize("same_input", [False, True])
-    def test_matches_fock_oracle_on_haar_unitaries(self, eta, same_input):
-        u = haar_unitary(10, seed=7)  # lattice layout with n_max=2
-        b = (0, 0) if same_input else (0, 1)
-        got = two_photon_mode_distribution(u, PairInput((0, 0), b, eta=eta))
-        expect = two_boson_pair_probabilities(
-            u, mode_index(0, 0, 2), mode_index(*b, 2), eta=eta
-        )
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    @pytest.mark.parametrize("steps,p,seed", [(2, 1.0, 5), (3, 0.5, 8), (3, 1.0, 9)])
-    def test_matches_fock_oracle_on_walk_unitaries(self, steps, p, seed):
-        u = walk_unitary(p, steps, seed)
-        n_max = steps
-        got = two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=1.0))
-        expect = two_boson_pair_probabilities(
-            u, mode_index(0, 0, n_max), mode_index(0, 1, n_max), eta=1.0
-        )
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    def test_output_is_exactly_symmetric_and_normalized(self):
-        u = walk_unitary(1.0, 4, 11)
-        m = two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=0.6))
-        assert np.array_equal(m, m.T)
-        assert (m.sum() + np.trace(m)) / 2.0 == pytest.approx(1.0, abs=1e-12)
-
-    def test_identical_inputs_make_eta_irrelevant(self):
-        # A double photon from one mode has no partner to be distinguishable
-        # from: interference and product terms coincide.
-        u = walk_unitary(0.7, 3, 2)
-        a = two_photon_mode_distribution(u, PairInput((0, 0), (0, 0), eta=1.0))
-        b = two_photon_mode_distribution(u, PairInput((0, 0), (0, 0), eta=0.0))
-        np.testing.assert_allclose(a, b, atol=1e-14)
-
-    def test_distinguishable_part_is_symmetrized_product(self):
-        u = walk_unitary(1.0, 3, 4)
-        ia, ib = mode_index(0, 0, 3), mode_index(0, 1, 3)
-        pa = np.abs(u[:, ia]) ** 2
-        pb = np.abs(u[:, ib]) ** 2
-        expect = np.outer(pa, pb) + np.outer(pb, pa)
-        expect[np.diag_indices(u.shape[0])] *= 0.5
-        got = two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), eta=0.0))
-        np.testing.assert_allclose(got, expect, atol=1e-14)
-
-    def test_nonunitary_input_rejected(self):
-        with pytest.raises(DomainError):
-            two_photon_mode_distribution(np.eye(6) * 1.5, PairInput((0, 0), (0, 1)))
-
-    def test_eta_validated(self):
-        with pytest.raises(DomainError):
-            PairInput((0, 0), (0, 1), eta=1.2)
+    @pytest.mark.parametrize("a, b", [(2, 4), (3, 3)])
+    def test_pair_probabilities_are_a_column_of_the_lift(self, a, b):
+        u = haar_unitary(6, 5)
+        pairs = [(k, l) for k in range(6) for l in range(k, 6)]
+        column = np.abs(two_boson_unitary(u)[:, pairs.index((a, b))]) ** 2
+        probs = two_boson_pair_probabilities(u, b, a, eta=1.0)
+        np.testing.assert_allclose([probs[k, l] for k, l in pairs], column, rtol=0, atol=1e-15)
 
 
 class TestSingleStepHandValues:
-    """One balanced splitter: the textbook bunching configuration."""
+    """One balanced splitter: the textbook bunching configuration. A photon
+    pair from the origin's two coins reaches sites -1 and +1 only."""
 
-    def u(self):
-        return single_particle_unitary(1, COIN, None, 1)
+    @staticmethod
+    def step_one(eta):
+        res = run_pair_ensemble(DisorderSpec(p=0.0, steps=1), COIN, 1, eta=eta)
+        np.testing.assert_array_equal(res.window_sites[0], [-1, 1])
+        return res.window_matrices[0], res.mean_variance2[0]
 
     def test_full_bunching_at_eta_one(self):
-        sites = site_pairs(two_photon_mode_distribution(self.u(), PairInput((0, 0), (0, 1), eta=1.0)))
+        sites, var2 = self.step_one(1.0)
         # All mass on the diagonal: (-1,-1) and (+1,+1) at 1/2 each.
-        np.testing.assert_allclose(np.diag(sites), [0.5, 0.0, 0.5], atol=1e-14)
-        assert sites[0, 2] == pytest.approx(0.0, abs=1e-14)
-        assert pair_centroid_variance(sites) == pytest.approx(1.0, abs=1e-13)
+        np.testing.assert_allclose(np.diag(sites), [0.5, 0.5], atol=1e-14)
+        assert sites[0, 1] == pytest.approx(0.0, abs=1e-14)
+        assert var2 == pytest.approx(1.0, abs=1e-13)
 
     def test_distinguishable_pair_splits_half_the_time(self):
-        sites = site_pairs(two_photon_mode_distribution(self.u(), PairInput((0, 0), (0, 1), eta=0.0)))
-        np.testing.assert_allclose(np.diag(sites), [0.25, 0.0, 0.25], atol=1e-14)
-        assert sites[0, 2] == pytest.approx(0.5, abs=1e-14)
-        assert pair_centroid_variance(sites) == pytest.approx(0.5, abs=1e-13)
+        sites, var2 = self.step_one(0.0)
+        np.testing.assert_allclose(np.diag(sites), [0.25, 0.25], atol=1e-14)
+        assert sites[0, 1] == pytest.approx(0.5, abs=1e-14)
+        assert var2 == pytest.approx(0.5, abs=1e-13)
 
 
 class TestSiteAggregation:
-    def test_triangle_total_preserved(self):
-        u = walk_unitary(1.0, 4, 21)
-        sites = site_pairs(two_photon_mode_distribution(u, PairInput((0, 0), (0, 1), 0.8)))
-        cm = CoincidenceMatrix(offset=-4, probabilities=sites)
-        assert cm.triangle_total() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(cm.sites, np.arange(-4, 5))
-
     def test_marginal_of_identical_input_pair_is_the_single_photon_walk(self):
         steps = 3
-        pm = generate_phase_map(DisorderSpec(p=1.0, steps=steps, master_seed=6), 0)
-        u = single_particle_unitary(steps, COIN, pm, steps)
-        sites = site_pairs(two_photon_mode_distribution(u, PairInput((0, 0), (0, 0), eta=0.0)))
-        single = position_distribution(evolve(steps, COIN, pm, steps)[-1])
-        np.testing.assert_allclose(pair_marginal(sites), single.probabilities, atol=1e-12)
-
-    def test_asymmetric_matrix_rejected(self):
-        m = np.zeros((3, 3))
-        m[0, 1] = 0.5
-        with pytest.raises(DomainError):
-            CoincidenceMatrix(offset=-1, probabilities=m)
+        spec = DisorderSpec(p=1.0, steps=steps, master_seed=6)
+        res = run_pair_ensemble(spec, COIN, 1, eta=0.0, pair_modes=((0, 0), (0, 0)))
+        pm = generate_phase_map(spec, 0)
+        single = dense_walk(steps, COIN, phase_rows(pm.codes, pm.alphabet), steps)[-1]
+        np.testing.assert_allclose(pair_marginal(on_lattice(res, steps)), single, atol=1e-12)
 
     def test_unnormalized_pair_mass_rejected(self):
         # The pair scan checks every map's pair mass at every step.
@@ -169,15 +122,14 @@ class TestSiteAggregation:
 
 
 def manual_pair_ensemble(spec, n_maps, eta, pair_modes=((0, 0), (0, 1))):
-    """Per-map loop over dense step unitaries: (mean matrices, per-map var2)."""
+    """Per-map loop over dense mode unitaries and the Fock oracle: (mean
+    matrices, per-map var2)."""
     steps = spec.steps
     mean = np.zeros((steps, 2 * steps + 1, 2 * steps + 1))
     var2 = np.zeros((n_maps, steps))
     for k in range(n_maps):
-        pm = generate_phase_map(spec, k)
         for n in range(1, steps + 1):
-            u = single_particle_unitary(steps, COIN, pm, n)
-            sites = site_pairs(two_photon_mode_distribution(u, PairInput(*pair_modes, eta=eta)))
+            sites = fock_site_pairs(map_unitary(spec, k, steps=n), pair_modes, eta)
             mean[n - 1] += sites / n_maps
             var2[k, n - 1] = pair_centroid_variance(sites)
     return mean, var2
@@ -198,15 +150,14 @@ QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
 def assert_matches_fock_oracle(spec, eta, pair_modes):
     """One map's last-step pair statistics against the Fock oracle."""
     res = run_pair_ensemble(spec, COIN, 1, eta=eta, pair_modes=pair_modes)
-    u = single_particle_unitary(spec.steps, COIN, generate_phase_map(spec, 0), spec.steps)
-    expect = fock_site_pairs(u, pair_modes, eta)
-    np.testing.assert_allclose(res.mean_matrices[-1].probabilities, expect, atol=1e-10)
+    expect = fock_site_pairs(map_unitary(spec, 0), pair_modes, eta)
+    np.testing.assert_allclose(on_lattice(res, spec.steps), expect, atol=1e-10)
     assert res.mean_variance2[-1] == pytest.approx(pair_centroid_variance(expect), abs=1e-10)
 
 
 def assert_same_pair_ensemble(a, b):
-    for x, y in zip(a.mean_matrices, b.mean_matrices, strict=True):
-        assert np.array_equal(x.probabilities, y.probabilities)
+    for x, y in zip(a.window_matrices, b.window_matrices, strict=True):
+        assert np.array_equal(x, y)
     assert np.array_equal(a.mean_variance2, b.mean_variance2)
     assert np.array_equal(a.std_variance2, b.std_variance2)
     assert (a.p, a.n_maps, a.max_norm_drift) == (b.p, b.n_maps, b.max_norm_drift)
@@ -218,7 +169,7 @@ class TestPairEnsemble:
         res = run_pair_ensemble(spec, COIN, 3, eta=1.0)
         manual, var2 = manual_pair_ensemble(spec, 3, eta=1.0)
         for n in range(3):
-            np.testing.assert_allclose(res.mean_matrices[n].probabilities, manual[n], atol=1e-12)
+            np.testing.assert_allclose(on_lattice(res, n + 1), manual[n], atol=1e-12)
         np.testing.assert_allclose(res.mean_variance2, var2.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance2, var2.std(axis=0, ddof=1), atol=1e-12)
 
@@ -233,14 +184,13 @@ class TestPairEnsemble:
         res = run_pair_ensemble(spec, COIN, n_maps, eta=0.4)
         manual, var2 = manual_pair_ensemble(spec, n_maps, eta=0.4)
         for n in range(3):
-            np.testing.assert_allclose(res.mean_matrices[n].probabilities, manual[n], atol=1e-12)
+            np.testing.assert_allclose(on_lattice(res, n + 1), manual[n], atol=1e-12)
         np.testing.assert_allclose(res.mean_variance2, var2.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance2, var2.std(axis=0, ddof=1), atol=1e-12)
 
-    # The Fock lift of an 18-mode unitary takes about 0.4 s, so each case is
-    # checked on the final step of one map. Inputs at sites +-1 reach the
-    # lattice edge by step 4 and wrap around; test_walk_core pins the
-    # unitary's periodic edge to the loop-built dense oracle.
+    # Each case is checked on the final step of one map. Inputs at sites +-1
+    # reach the lattice edge by step 4 and wrap around, as the periodic
+    # dense product does.
     @pytest.mark.parametrize(
         "p, eta, pair_modes",
         [(0.5, eta, modes) for eta in (0.0, 0.4, 1.0) for modes in PAIR_MODES]
@@ -258,8 +208,19 @@ class TestPairEnsemble:
 
     def test_mean_matrices_stay_normalized(self):
         res = run_pair_ensemble(DisorderSpec(p=0.5, steps=4, master_seed=3), COIN, 5, eta=0.7)
-        for cm in res.mean_matrices:
-            assert cm.triangle_total() == pytest.approx(1.0, abs=1e-12)
+        for m in res.window_matrices:
+            assert np.array_equal(m, m.T)
+            assert (m.sum() + np.trace(m)) / 2.0 == pytest.approx(1.0, abs=1e-12)
+
+    def test_identical_inputs_make_eta_irrelevant(self):
+        # A double photon from one mode has no partner to be distinguishable
+        # from: interference and product terms coincide.
+        spec = DisorderSpec(p=0.7, steps=3, master_seed=2)
+        a = run_pair_ensemble(spec, COIN, 4, eta=1.0, pair_modes=((0, 0), (0, 0)))
+        b = run_pair_ensemble(spec, COIN, 4, eta=0.0, pair_modes=((0, 0), (0, 0)))
+        for x, y in zip(a.window_matrices, b.window_matrices, strict=True):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(a.mean_variance2, b.mean_variance2, rtol=0, atol=1e-14)
 
     def test_repeat_is_bit_identical(self):
         spec = DisorderSpec(p=0.9, steps=3, master_seed=2)
@@ -280,6 +241,11 @@ class TestPairEnsemble:
         with pytest.raises(DomainError):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 0, eta=1.0)
 
+    @pytest.mark.parametrize("eta", [1.2, -0.1, math.nan])
+    def test_eta_validated(self, eta):
+        with pytest.raises(DomainError, match="eta"):
+            run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 2, eta=eta)
+
     def test_a_long_scan_holds_only_its_light_cone(self):
         # A walk from the origin fills the (n + 1)^2 site pairs of parity n
         # at step n: 3310 of the 20 x 41 x 41 cells of full matrices, which
@@ -295,11 +261,8 @@ class TestPairEnsemble:
         assert peak < 10 * 2**20
         for ens in res[::25]:
             assert [m.shape for m in ens.window_matrices] == [(n + 1, n + 1) for n in range(1, 21)]
-            for n, (sites, cm) in enumerate(zip(ens.window_sites, ens.mean_matrices), start=1):
+            for n, sites in enumerate(ens.window_sites, start=1):
                 np.testing.assert_array_equal(sites, np.arange(-n, n + 1, 2))
-                off = np.ones(41, dtype=bool)
-                off[sites + 20] = False
-                assert not cm.probabilities[off].any() and not cm.probabilities[:, off].any()
 
 
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, QUARTER_TURNS], ids=["float64", "complex128"])
@@ -355,13 +318,13 @@ class TestPairScan:
         spec = DisorderSpec(p=0.0, steps=steps, alphabet=alphabet, master_seed=1)
         one = run_pair_ensemble(spec, COIN, 1, eta=0.6)
         res = run_pair_ensemble(spec, COIN, n_maps, eta=0.6)
-        for m1, m in zip(one.mean_matrices, res.mean_matrices, strict=True):
-            d = m1.probabilities / 2.0
-            np.fill_diagonal(d, np.diagonal(m1.probabilities))
+        for m1, m in zip(one.window_matrices, res.window_matrices, strict=True):
+            d = m1 / 2.0
+            np.fill_diagonal(d, np.diagonal(m1))
             total = np.stack([d] * n_maps).sum(axis=0)
             expect = 2.0 * total
             np.fill_diagonal(expect, np.diagonal(total))
-            assert np.array_equal(m.probabilities, expect / n_maps)
+            assert np.array_equal(m, expect / n_maps)
 
 
 class TestHomScan:
@@ -397,6 +360,27 @@ class TestHomScan:
         scan = hom_scan([0.0], coherence_time=1.0, visibility=1.0, coin=coin)
         assert scan.coincidences[0] == pytest.approx(0.01 / 0.505, abs=1e-12)
 
+    @pytest.mark.parametrize("coin", [COIN, coin_from_reflectivity(0.5)], ids=["hadamard", "R=0.5"])
+    def test_balanced_zero_delay_is_exactly_one_minus_visibility(self, coin):
+        for v in [*np.linspace(0.0, 1.0, 101), 0.93]:
+            assert hom_scan([0.0], 1.0, v, coin).coincidences[0] == 1.0 - v
+
+    @pytest.mark.parametrize("coin", [coin_from_reflectivity(0.45), coin_from_reflectivity(0.2), PHASE_COIN],
+                             ids=["R=0.45", "R=0.2", "complex"])
+    @pytest.mark.parametrize("visibility", [1.0, 0.8])
+    def test_matches_the_fock_lift_of_one_splitter_stage(self, coin, visibility):
+        # The photons enter coin 0 and coin 1 of the origin; after one step
+        # they are in different modes when they leave on different sites.
+        u = dense_unitary(1, coin, None, 1)
+        a, b = mode_index(0, 0, 1), mode_index(0, 1, 1)
+
+        def distinct(eta):
+            return site_pairs(two_boson_pair_probabilities(u, a, b, eta))[0, 2]
+
+        scan = hom_scan(np.linspace(-3.0, 3.0, 13), 1.3, visibility, coin)
+        expect = [distinct(eta) / distinct(0.0) for eta in scan.etas]
+        np.testing.assert_allclose(scan.coincidences, expect, rtol=0, atol=1e-15)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             hom_scan([], 1.0, 0.9, COIN)
@@ -404,3 +388,9 @@ class TestHomScan:
             hom_scan([0.0], 0.0, 0.9, COIN)
         with pytest.raises(DomainError):
             hom_scan([0.0], 1.0, 1.5, COIN)
+        for delays in ([0.0, math.nan], [math.inf], [[0.0, 1.0]], 0.0):
+            with pytest.raises(DomainError, match="delays"):
+                hom_scan(delays, 1.0, 0.9, COIN)
+        for coherence_time in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="coherence_time"):
+                hom_scan([0.0], coherence_time, 0.9, COIN)

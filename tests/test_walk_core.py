@@ -17,11 +17,11 @@ from pdqw import (
     evolve,
     generate_phase_map,
     hadamard_coin,
+    hom_scan,
     mode_index,
     position_distribution,
     run_ensemble,
     run_pair_ensemble,
-    single_particle_unitary,
     variance,
 )
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors
@@ -197,46 +197,6 @@ class TestInvariants:
                 assert weights[i] == 0.0
 
 
-class TestModeUnitary:
-    def test_unitarity(self):
-        pm = random_map(1.0, 5, seed=17)
-        u = single_particle_unitary(5, COIN, pm, 5)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
-
-    def test_zero_steps_is_identity(self):
-        u = single_particle_unitary(3, COIN, None, 0)
-        np.testing.assert_array_equal(u, np.eye(14))
-
-    def test_central_column_matches_evolve(self):
-        steps, n_max = 4, 6
-        pm = random_map(0.9, steps, seed=23)
-        u = single_particle_unitary(n_max, COIN, pm, steps)
-        col = u[:, mode_index(0, 0, n_max)]
-        final = evolve(n_max, COIN, pm, steps)[-1]
-        # mode_index(site, c) is 2 * (site + n_max) + c, the amplitude layout
-        np.testing.assert_array_equal(col.reshape(-1, 2), final.amplitudes)
-
-    def test_every_column_matches_the_periodic_dense_product(self):
-        # steps > n_max, so every column wraps around the ring; (0, 1, 2) rad
-        # phases and an unbalanced coin leave no symmetry to hide a wrong edge.
-        n_max, steps = 3, 6
-        coin = coin_from_reflectivity(0.45)
-        spec = DisorderSpec(p=0.8, steps=steps, alphabet=(0.0, 1.0, 2.0), master_seed=31)
-        pm = generate_phase_map(spec, 0)
-        expect = np.eye(2 * (2 * n_max + 1), dtype=complex)
-        for n in range(1, steps + 1):
-            expect = dense_step_matrix(n_max, coin, rows(pm)[n - 1], n, periodic=True) @ expect
-        u = single_particle_unitary(n_max, coin, pm, steps)
-        np.testing.assert_allclose(u, expect, rtol=0, atol=1e-12)
-
-    def test_mode_index_validation(self):
-        assert mode_index(-2, 1, 2) == 1
-        with pytest.raises(DomainError):
-            mode_index(0, 2, 3)
-        with pytest.raises(DomainError):
-            mode_index(4, 0, 3)
-
-
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, QUARTER_TURNS], ids=["float64", "complex128"])
 class TestWindowedDriver:
     """_walk steps only the light cone of its start state: after each step
@@ -375,7 +335,6 @@ class TestWalkOperands:
     def test_public_results_stay_complex(self):
         pm = random_map(0.7, 4, seed=3)
         assert evolve(5, COIN, pm, 4)[-1].amplitudes.dtype == np.complex128
-        assert single_particle_unitary(5, COIN, pm, 4).dtype == np.complex128
 
 
 class TestValidation:
@@ -397,11 +356,11 @@ class TestValidation:
         "run",
         [
             lambda coin: evolve(3, coin, None, 2),
-            lambda coin: single_particle_unitary(3, coin, None, 2),
+            lambda coin: hom_scan([0.0], 1.0, 0.9, coin),
             lambda coin: run_ensemble(DisorderSpec(p=0.5, steps=4), coin, 3),
             lambda coin: run_pair_ensemble(DisorderSpec(p=0.5, steps=4), coin, 3, eta=1.0),
         ],
-        ids=["evolve", "single_particle_unitary", "run_ensemble", "run_pair_ensemble"],
+        ids=["evolve", "hom_scan", "run_ensemble", "run_pair_ensemble"],
     )
     def test_nonunitary_coin_rejected(self, run, coin):
         with pytest.raises(DomainError, match="unitary"):
@@ -411,8 +370,13 @@ class TestValidation:
         pm = random_map(0.5, 2, seed=1)
         with pytest.raises(DomainError):
             evolve(5, COIN, pm, 4)
+
+    def test_mode_index_validation(self):
+        assert mode_index(-2, 1, 2) == 1
         with pytest.raises(DomainError):
-            single_particle_unitary(5, COIN, pm, 4)
+            mode_index(0, 2, 3)
+        with pytest.raises(DomainError):
+            mode_index(4, 0, 3)
 
     def test_reflectivity_range_checked(self):
         with pytest.raises(DomainError):
