@@ -167,6 +167,16 @@ def site_pairs(modes: np.ndarray) -> np.ndarray:
     return sites
 
 
+def on_lattice(ensemble, n: int) -> np.ndarray:
+    """Step n's window matrix of a pair ensemble (window_sites,
+    window_matrices, steps) on every site pair of -steps..steps, zero off
+    the window."""
+    m = np.zeros((2 * ensemble.steps + 1,) * 2)
+    at = ensemble.window_sites[n - 1] + ensemble.steps
+    m[np.ix_(at, at)] = ensemble.window_matrices[n - 1]
+    return m
+
+
 def pair_centroid_variance(sites: np.ndarray) -> float:
     """Variance of the pair centroid (i + j) / 2 over the upper triangle of
     an unordered site-pair matrix on sites -n..n."""

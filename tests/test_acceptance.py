@@ -8,7 +8,7 @@ conftest.py prints one verdict line per criterion after the run.
 import numpy as np
 import pytest
 
-from oracles import dense_unitary, phase_rows, site_pairs, two_boson_pair_probabilities
+from oracles import dense_unitary, on_lattice, phase_rows, site_pairs, two_boson_pair_probabilities
 from pdqw import (
     DisorderSpec,
     coin_from_reflectivity,
@@ -163,14 +163,6 @@ def test_criterion_06_unitarity_suite():
     assert run_pair_ensemble(uspec, COIN, 3, eta=1.0).max_norm_drift <= 1e-10
 
 
-def _site_matrix(ens):
-    """The last step's window matrix on all site pairs of -steps..steps."""
-    m = np.zeros((2 * ens.steps + 1,) * 2)
-    at = ens.window_sites[-1] + ens.steps
-    m[np.ix_(at, at)] = ens.window_matrices[-1]
-    return m
-
-
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_criterion_07_two_photon_oracle(steps):
     """Pair statistics match the two-boson Fock oracle and product limits."""
@@ -183,13 +175,13 @@ def test_criterion_07_two_photon_oracle(steps):
             got = run_pair_ensemble(spec, coin, 1, eta=1.0, pair_modes=modes)
             ia, ib = (mode_index(*m, steps) for m in modes)
             want = site_pairs(two_boson_pair_probabilities(u, ia, ib, 1.0))
-            assert np.abs(_site_matrix(got) - want).max() <= 1e-10
+            assert np.abs(on_lattice(got, steps) - want).max() <= 1e-10
         got0 = run_pair_ensemble(spec, coin, 1, eta=0.0)
         pa = np.abs(u[:, mode_index(0, 0, steps)]) ** 2
         pb = np.abs(u[:, mode_index(0, 1, steps)]) ** 2
         product = np.outer(pa, pb) + np.outer(pb, pa)
         product[np.diag_indices_from(product)] *= 0.5
-        assert np.abs(_site_matrix(got0) - site_pairs(product)).max() <= 1e-12
+        assert np.abs(on_lattice(got0, steps) - site_pairs(product)).max() <= 1e-12
 
 
 def test_criterion_08_hom_identities():

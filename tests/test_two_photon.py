@@ -11,6 +11,7 @@ import pdqw.two_photon
 from oracles import (
     dense_unitary,
     dense_walk,
+    on_lattice,
     pair_centroid_variance,
     pair_marginal,
     phase_rows,
@@ -43,21 +44,11 @@ def haar_unitary(dim, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def map_unitary(spec, k, coin=COIN, steps=None):
-    """The dense mode unitary of map k of spec after `steps` steps (all of
-    them by default), on the lattice of half-width spec.steps."""
+def map_unitary(spec, k, steps):
+    """The dense mode unitary of map k of spec after `steps` steps, on the
+    lattice of half-width spec.steps."""
     pm = generate_phase_map(spec, k)
-    steps = spec.steps if steps is None else steps
-    return dense_unitary(spec.steps, coin, phase_rows(pm.codes, pm.alphabet), steps)
-
-
-def on_lattice(ens, n):
-    """Step n's window matrix of a PairEnsemble placed on all the site pairs
-    of the lattice -steps..steps, zero off the window."""
-    m = np.zeros((2 * ens.steps + 1,) * 2)
-    at = ens.window_sites[n - 1] + ens.steps
-    m[np.ix_(at, at)] = ens.window_matrices[n - 1]
-    return m
+    return dense_unitary(spec.steps, COIN, phase_rows(pm.codes, pm.alphabet), steps)
 
 
 class TestOracleSelfChecks:
@@ -150,7 +141,7 @@ QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
 def assert_matches_fock_oracle(spec, eta, pair_modes):
     """One map's last-step pair statistics against the Fock oracle."""
     res = run_pair_ensemble(spec, COIN, 1, eta=eta, pair_modes=pair_modes)
-    expect = fock_site_pairs(map_unitary(spec, 0), pair_modes, eta)
+    expect = fock_site_pairs(map_unitary(spec, 0, spec.steps), pair_modes, eta)
     np.testing.assert_allclose(on_lattice(res, spec.steps), expect, atol=1e-10)
     assert res.mean_variance2[-1] == pytest.approx(pair_centroid_variance(expect), abs=1e-10)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_positions, dense_step_matrix, dense_walk, light_cone_windows, phase_rows
+from oracles import (brute_force_positions, dense_step_matrix, dense_unitary, dense_walk, light_cone_windows,
+                     phase_rows)
 from pdqw import (
     CapacityError,
     DisorderSpec,
@@ -77,6 +78,16 @@ class TestOracleSelfChecks:
         for site, mass in by_site.items():
             assert probs[site + 6] == pytest.approx(mass, abs=1e-12)
         assert sum(by_site.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_dense_unitary_is_unitary_and_walks_as_the_dense_oracle(self):
+        # Inside the lattice the ring's edge is never reached, so the
+        # origin's coin-0 column walks as dense_walk does.
+        pm = random_map(0.8, 5, seed=13)
+        u = dense_unitary(5, COIN, rows(pm), 5)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), rtol=0, atol=1e-12)
+        column = np.abs(u[:, 2 * 5]) ** 2
+        np.testing.assert_allclose(column[0::2] + column[1::2], dense_walk(5, COIN, rows(pm), 5)[-1],
+                                   rtol=0, atol=1e-15)
 
 
 class TestAgainstOracles:
