@@ -237,6 +237,13 @@ class TestPairEnsemble:
         with pytest.raises(DomainError, match="eta"):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 2, eta=eta)
 
+    @pytest.mark.parametrize("pair_modes", [((0, 2), (0, 1)), ((3, 0), (0, 1))], ids=["coin", "site"])
+    def test_pair_modes_validated(self, pair_modes):
+        # A coin outside {0, 1} or a site off the lattice -2..2.
+        with pytest.raises(DomainError):
+            run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 2, eta=1.0,
+                              pair_modes=pair_modes)
+
     def test_a_long_scan_holds_only_its_light_cone(self):
         # A walk from the origin fills the (n + 1)^2 site pairs of parity n
         # at step n: 3310 of the 20 x 41 x 41 cells of full matrices, which
@@ -372,13 +379,23 @@ class TestHomScan:
         expect = [distinct(eta) / distinct(0.0) for eta in scan.etas]
         np.testing.assert_allclose(scan.coincidences, expect, rtol=0, atol=1e-15)
 
+    def test_phases_on_the_splitter_ports_change_nothing(self):
+        # Input and output phases leave |perm c| and the distinguishable
+        # baseline as they are, so the dip is the one of the bare splitter.
+        coin = coin_from_reflectivity(0.3)
+        phased = np.diag(np.exp(1j * np.array([0.4, -1.1]))) @ coin @ np.diag(np.exp(1j * np.array([2.0, 0.7])))
+        delays = np.linspace(-2.0, 2.0, 9)
+        np.testing.assert_allclose(hom_scan(delays, 1.0, 0.85, phased).coincidences,
+                                   hom_scan(delays, 1.0, 0.85, coin).coincidences, rtol=0, atol=1e-15)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             hom_scan([], 1.0, 0.9, COIN)
         with pytest.raises(DomainError):
             hom_scan([0.0], 0.0, 0.9, COIN)
-        with pytest.raises(DomainError):
-            hom_scan([0.0], 1.0, 1.5, COIN)
+        for visibility in (1.5, -0.1, math.nan):
+            with pytest.raises(DomainError, match="visibility"):
+                hom_scan([0.0], 1.0, visibility, COIN)
         for delays in ([0.0, math.nan], [math.inf], [[0.0, 1.0]], 0.0):
             with pytest.raises(DomainError, match="delays"):
                 hom_scan(delays, 1.0, 0.9, COIN)
