@@ -386,6 +386,45 @@ class TestManifestTelemetry:
         assert "max_norm_drift" not in json.loads((out / "manifest_evolve.json").read_text())
 
 
+class TestManifestOutputs:
+    """Every command's manifest: the sha256 and size of each output, taken
+    as it is written, against the files on disk, and the writing time."""
+
+    CFG = ("steps: 3\nn_maps: 3\nmaster_seed: 5\np_values: [0.0, 0.5, 1.0]\n"
+           "p_grid: [0.0, 0.5, 1.0]\ncrossing_steps: [2, 3]\nfit_range: [1, 3]\n"
+           "two_photon: {display_normalization: true}\n")
+
+    def run(self, tmp_path, command):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        argv = command.split()
+        if argv[1:] == ["--map"]:
+            map_path = tmp_path / "m.txt"
+            save_map(generate_phase_map(DisorderSpec(p=0.5, steps=3, master_seed=5), 0), map_path)
+            argv.append(str(map_path))
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        return out, json.loads((out / f"manifest_{argv[0].replace('-', '_')}.json").read_text())
+
+    @pytest.mark.parametrize("command", ["evolve", "evolve --map", "ensemble", "beta", "crossing",
+                                         "two-photon", "hom", "gen-maps"])
+    def test_hashes_match_the_files(self, tmp_path, command):
+        out, manifest = self.run(tmp_path, command)
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*")
+                   if p.is_file() and not p.name.startswith("manifest_")}
+        assert set(manifest["outputs"]) == written
+        for name, meta in manifest["outputs"].items():
+            data = (out / name).read_bytes()
+            assert meta == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+    @pytest.mark.parametrize("command", ["evolve", "evolve --map", "ensemble", "beta", "crossing",
+                                         "two-photon", "hom", "gen-maps"])
+    def test_write_time_lies_within_the_total(self, tmp_path, command):
+        _, manifest = self.run(tmp_path, command)
+        timings = manifest["timings_seconds"]
+        assert set(timings) == {"total", "write"}
+        assert 0.0 <= timings["write"] <= timings["total"]
+
+
 class TestGenMaps:
     def test_files_round_trip_to_the_generator(self, tmp_path):
         cfg = write_config(tmp_path, "steps: 3\nn_maps: 3\nmaster_seed: 6\np_values: [0.5]\n")

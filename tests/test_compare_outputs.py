@@ -1,6 +1,9 @@
-"""tools/compare_outputs.py: the cell comparison of two CSVs and its report."""
+"""tools/compare_outputs.py: the cell comparison of two CSVs, its report,
+and the check of each manifest against the files written."""
 
+import hashlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -75,3 +78,48 @@ def test_report_adds_up_one_sided_zeros(tmp_path, capsys):
         "check_1: two-photon: two_photon_var2.csv differs (largest cell change: 2e-16 absolute, "
         "1 relative; 2 cells exactly 0.0 on one side only)",
     ]
+
+
+class TestManifestMismatches:
+    @staticmethod
+    def write_run(out):
+        """A command's output directory with a manifest that lists its files."""
+        files = {"hom.csv": b"delay,eta\n0.0,0.93\n", "maps/p0.5/map_00000.txt": b"steps=1\n"}
+        for name, data in files.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(data)
+        outputs = {name: {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+                   for name, data in files.items()}
+        (out / "manifest_hom.json").write_text(json.dumps({"outputs": outputs}), encoding="ascii")
+        return outputs
+
+    def tamper(self, out, edit):
+        outputs = self.write_run(out)
+        edit(outputs)
+        (out / "manifest_hom.json").write_text(json.dumps({"outputs": outputs}), encoding="ascii")
+
+    def test_a_true_manifest_has_none(self, tmp_path):
+        self.write_run(tmp_path)
+        assert compare_outputs._manifest_mismatches(tmp_path) == []
+
+    def test_no_output_directory_has_none(self, tmp_path):
+        assert compare_outputs._manifest_mismatches(tmp_path / "missing") == []
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda o: o["hom.csv"].update(sha256="0" * 64), "hom.csv listed as"),
+        (lambda o: o["hom.csv"].update(bytes=1), "hom.csv listed as"),
+        (lambda o: o.pop("maps/p0.5/map_00000.txt"), "maps/p0.5/map_00000.txt written but not listed"),
+        (lambda o: o.update({"extra.csv": {"sha256": "0" * 64, "bytes": 0}}),
+         "extra.csv listed but not written"),
+    ], ids=["sha256", "bytes", "unlisted", "unwritten"])
+    def test_a_tampered_manifest_is_reported(self, tmp_path, edit, problem):
+        self.tamper(tmp_path, edit)
+        mismatches = compare_outputs._manifest_mismatches(tmp_path)
+        assert len(mismatches) == 1
+        assert mismatches[0].startswith(f"manifest_hom.json: {problem}")
+
+    def test_a_changed_file_is_reported(self, tmp_path):
+        self.write_run(tmp_path)
+        (tmp_path / "hom.csv").write_bytes(b"delay,eta\n0.0,0.94\n")
+        (mismatch,) = compare_outputs._manifest_mismatches(tmp_path)
+        assert mismatch.startswith("manifest_hom.json: hom.csv listed as")

@@ -1,4 +1,4 @@
-"""The batched moments, the one-block light cone and the CSV writer,
+"""The batched moments, the light-cone row templates and the CSV writer,
 bit for bit against the step-by-step and broadcasting code they replaced,
 and the float64 walk against the complex128 walk it replaces wherever the
 coin and phase factors are real.
@@ -26,11 +26,13 @@ from pdqw import (
     run_ensemble,
     run_ensembles,
     run_pair_ensemble,
+    run_pair_ensembles,
 )
 from pdqw.analysis import Distribution
-from pdqw.cli import _cone_keys, _write_csv
+from pdqw.cli import _cone_rows, _Outputs, _write_csv, main
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors, sample_block
 from pdqw.ensemble import chunk_maps, mean_and_std
+from pdqw.errors import DomainError
 from pdqw.walk_core import _walk_operands
 
 COIN = hadamard_coin()
@@ -194,6 +196,11 @@ class TestRealWalk:
         assert np.array_equal(real[2], amplitudes)
 
 
+def write_csv(path, header, blocks):
+    """The CLI's small-table writer, writing `path`."""
+    _write_csv(_Outputs(path.parent), path.name, header, blocks)
+
+
 def csv_text(tmp_path, writer, header, blocks):
     path = tmp_path / f"{writer.__name__}.csv"
     writer(path, header, blocks)
@@ -224,43 +231,120 @@ class TestWriter:
                      id="pre-formatted text column"),
     ])
     def test_matches_the_broadcasting_writer(self, tmp_path, header, blocks):
-        assert (csv_text(tmp_path, _write_csv, header, blocks)
+        assert (csv_text(tmp_path, write_csv, header, blocks)
                 == csv_text(tmp_path, reference_write_csv, header, blocks))
 
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError):
-            _write_csv(tmp_path / "bad.csv", ["a", "b"], [[np.arange(2), np.arange(3.0)]])
+            write_csv(tmp_path / "bad.csv", ["a", "b"], [[np.arange(2), np.arange(3.0)]])
 
     def test_text_column_length_counts(self, tmp_path):
         # A pre-formatted column sets the row count like an array does.
         with pytest.raises(ValueError):
-            _write_csv(tmp_path / "bad.csv", ["p", "step", "site", "probability"],
-                       [[0.5, ["1,-1", "1,1"], np.arange(3.0)]])
+            write_csv(tmp_path / "bad.csv", ["p", "step", "site", "probability"],
+                      [[0.5, ["1,-1", "1,1"], np.arange(3.0)]])
         assert not (tmp_path / "bad.csv").exists()
         path = tmp_path / "scalars.csv"
-        _write_csv(path, ["step", "p_star", "seed"], [[5, 0.25, np.uint64(2**64 - 1)]])
+        write_csv(path, ["step", "p_star", "seed"], [[5, 0.25, np.uint64(2**64 - 1)]])
         assert path.read_text() == "step,p_star,seed\n5,0.25,18446744073709551615\n"
 
 
+def reached(steps):
+    """Mask of the (step, site) cells a walk from the origin reaches: |site|
+    <= step, with the parity of step."""
+    sites = np.arange(-steps, steps + 1)
+    step = np.arange(1, steps + 1)[:, None]
+    return (np.abs(sites) <= step) & ((sites + step) % 2 == 0)
+
+
+def cone_text(rows, header, blocks):
+    """The CLI's light-cone text: the header, then each (lead, source) block
+    through the row template."""
+    return header + "\n" + "".join(rows.text(rows.values(src), lead=lead) for lead, src in blocks)
+
+
 class TestConeBlock:
+    HEADER = ["p", "step", "site", "probability"]
+
     def test_one_block_per_p_matches_blocks_per_step(self, tmp_path):
+        # Walk-shaped: random values where the walk reaches, +0.0 elsewhere.
         rng = np.random.default_rng(4)
-        runs = {p: [Distribution(offset=-6, probabilities=rng.random(13)) for _ in range(6)]
-                for p in (0.0, 0.37, 1.0)}
-        header = ["p", "step", "site", "probability"]
-        keys, keep = _cone_keys(6)
-        got = csv_text(tmp_path, _write_csv, header,
-                       ([p, keys, np.stack([d.probabilities for d in dists])[keep]]
-                        for p, dists in runs.items()))
-        want = csv_text(tmp_path, reference_write_csv, header,
-                        (b for p, dists in runs.items() for b in reference_cone_blocks(dists, p)))
+        runs = {p: rng.random((6, 13)) * reached(6) for p in (0.0, 0.37, 1.0)}
+        got = cone_text(_cone_rows(6), ",".join(self.HEADER),
+                        ((f"{p!r},", probs) for p, probs in runs.items()))
+        want = csv_text(tmp_path, reference_write_csv, self.HEADER, (
+            b for p, probs in runs.items()
+            for b in reference_cone_blocks([Distribution(offset=-6, probabilities=row) for row in probs], p)))
         assert got == want
 
-    @pytest.mark.parametrize("steps", [5, 8])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 20])
+    def test_ensemble_distributions_match_blocks_per_step(self, tmp_path, steps):
+        specs = [DisorderSpec(p=p, steps=steps, master_seed=3) for p in (0.0, 1e-05, 0.5, 1.0)]
+        results = run_ensembles(specs, COIN, 5)
+        got = cone_text(_cone_rows(steps), ",".join(self.HEADER),
+                        ((f"{r.p!r},", r.mean_probabilities) for r in results))
+        want = csv_text(tmp_path, reference_write_csv, self.HEADER,
+                        (b for r in results for b in reference_cone_blocks(r.mean_distributions, r.p)))
+        assert got == want
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 7, 8, 20])
     def test_evolve_block_matches_blocks_per_step(self, tmp_path, steps):
-        dists = [position_distribution(s) for s in evolve(steps, COIN, None, steps)]
+        pm = generate_phase_map(DisorderSpec(p=0.5, steps=steps, master_seed=2), 0)
+        dists = [position_distribution(s) for s in evolve(steps, COIN, pm, steps)]
         header = ["step", "site", "probability"]
-        keys, keep = _cone_keys(steps)
         probs = np.stack([d.probabilities for d in dists])
-        assert (csv_text(tmp_path, _write_csv, header, [[keys, probs[keep]]])
+        assert (cone_text(_cone_rows(steps), ",".join(header), [("", probs)])
                 == csv_text(tmp_path, reference_write_csv, header, reference_cone_blocks(dists)))
+
+    @pytest.mark.parametrize("value", [1e-300, -0.0, math.nan])
+    def test_a_structural_zero_must_hold_plus_zero(self, value):
+        probs = np.stack([position_distribution(s).probabilities for s in evolve(4, COIN, None, 4)])
+        rows = _cone_rows(4)
+        rows.values(probs)
+        probs[2, 4] = value  # step 3, site 0: inside the cone, of the wrong parity
+        with pytest.raises(DomainError, match=r"\+0\.0"):
+            rows.values(probs)
+
+    def test_a_command_writes_no_file_from_a_bad_zero(self, tmp_path, monkeypatch, capsys):
+        def negative_zero(*args):
+            results = run_ensembles(*args)
+            results[-1].mean_probabilities[1, 2] = -0.0  # step 2, site -1
+            return results
+        monkeypatch.setattr("pdqw.cli.run_ensembles", negative_zero)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("steps: 3\nn_maps: 2\np_grid: [0.0, 0.5]\n")
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "+0.0" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv"]
+
+
+class TestPairMatrixText:
+    """The CLI's pair-matrix files against the window matrices placed on the
+    whole lattice and written cell by cell."""
+
+    @pytest.mark.parametrize("display", [False, True])
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_files_match_the_broadcasting_writer(self, tmp_path, eta, display):
+        steps, p_values = 5, [0.0, 1e-05, 0.5]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"steps: {steps}\nn_maps: 4\nmaster_seed: 8\np_values: [0.0, 1.0e-5, 0.5]\n"
+                       f"two_photon: {{eta: {eta}, display_normalization: {str(display).lower()}}}\n")
+        out = tmp_path / "out"
+        assert main(["two-photon", "--config", str(cfg), "--out", str(out)]) == 0
+        specs = [DisorderSpec(p=p, steps=steps, master_seed=8) for p in p_values]
+        header = ["site_i", "site_j", "probability"] + (["probability_display"] if display else [])
+        # The CLI's coin, which differs from hadamard_coin() in the last ulp.
+        coin = coin_from_reflectivity(0.5)
+        for p, ens in zip(p_values, run_pair_ensembles(specs, coin, 4, eta)):
+            for n, (sites, window) in enumerate(zip(ens.window_sites, ens.window_matrices), start=1):
+                full = np.zeros((2 * steps + 1, 2 * steps + 1))
+                full[np.ix_(sites + steps, sites + steps)] = window
+                i, j = np.triu_indices(2 * n + 1)
+                prob = full[i + steps - n, j + steps - n]
+                block = [i - n, j - n, prob]
+                if display:
+                    block.append(prob / full.max())
+                name = f"two_photon_matrix_p{p:g}_step{n}.csv"
+                assert ((out / name).read_text()
+                        == csv_text(tmp_path, reference_write_csv, header, [block]))

@@ -12,10 +12,13 @@ command (`gen-maps`, `evolve`, `evolve --map`, `ensemble`, `beta`,
 `evolve --map` reads the same map file under both revisions: the first map
 that REV_A's `gen-maps` wrote.
 
-Every CSV and map file is compared byte for byte; manifests are skipped,
-since they hold timestamps and absolute paths. The script prints each file
-that differs or exists on one side only, and each command whose exit code
-differs, then a summary line. A differing CSV with the same header and row
+Every CSV and map file is compared byte for byte. Manifests are not
+compared, since they hold timestamps and absolute paths; instead, on each
+side, every manifest's `outputs` map must list exactly the files the
+command wrote, each with the sha256 and size in bytes of the file on disk,
+and each disagreement counts as a difference. The script prints each file
+that differs or exists on one side only, each manifest disagreement, and
+each command whose exit code differs, then a summary line. A differing CSV with the same header and row
 count on both sides also gets the largest absolute and relative change of
 any numeric cell, and the number of numeric cells that are exactly 0.0 on
 one side only (an exact zero that became round-off, or the reverse); the
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -63,6 +68,30 @@ def _run(tree: Path, command: str, config: Path, seed, out: Path, map_file) -> i
 def _outputs(out: Path) -> set[Path]:
     return {p.relative_to(out) for p in out.rglob("*")
             if p.is_file() and not p.name.startswith("manifest_")}
+
+
+def _manifest_mismatches(out: Path) -> list[str]:
+    """How the manifests in the output directory `out` disagree with the
+    files there: each must list exactly the files written, each with its
+    sha256 and size in bytes."""
+    written = _outputs(out) if out.exists() else set()
+    mismatches = []
+    for manifest in sorted(out.glob("manifest_*.json")):
+        listed = {Path(name): entry for name, entry in
+                  json.loads(manifest.read_text(encoding="ascii"))["outputs"].items()}
+        for rel in sorted(written | listed.keys()):
+            if rel not in listed:
+                problem = "written but not listed"
+            elif rel not in written:
+                problem = "listed but not written"
+            else:
+                data = (out / rel).read_bytes()
+                actual = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+                if listed[rel] == actual:
+                    continue
+                problem = f"listed as {listed[rel]} but is {actual}"
+            mismatches.append(f"{manifest.name}: {rel.as_posix()} {problem}")
+    return mismatches
 
 
 def _cell_change(a: Path, b: Path):
@@ -123,7 +152,7 @@ def _report(prefix: str, outs: list[Path], revs: tuple[str, str], largest: list)
 
 def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
     shas = [_git("rev-parse", "--verify", f"{rev}^{{commit}}") for rev in (rev_a, rev_b)]
-    compared = differences = 0
+    compared = differences = mismatches = 0
     largest = [0.0, 0.0, 0]  # over every sized file: absolute, relative, one-sided zeros
     with tempfile.TemporaryDirectory(prefix="pdqw-compare-") as tmp:
         tmp = Path(tmp)
@@ -147,11 +176,17 @@ def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
                         n, d = _report(f"{label}: {command}", outs, (rev_a, rev_b), largest)
                         compared += n
                         differences += d
+                        for rev, out in zip((rev_a, rev_b), outs):
+                            for mismatch in _manifest_mismatches(out):
+                                mismatches += 1
+                                print(f"{label}: {command}: {rev}: {mismatch}")
         finally:
             for tree in trees:
                 if tree.exists():
                     _git("worktree", "remove", "--force", str(tree))
-    print(f"{compared} output files compared, {differences} differences, largest cell change "
+    differences += mismatches
+    print(f"{compared} output files compared, {differences} differences ({mismatches} manifest "
+          f"mismatches), largest cell change "
           f"{largest[0]:.3g} absolute, {largest[1]:.3g} relative, {largest[2]} cells exactly 0.0 "
           f"on one side only "
           f"({rev_a} {shas[0][:12]} -> {rev_b} {shas[1][:12]})")
