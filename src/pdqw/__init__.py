@@ -40,7 +40,6 @@ from .walk_core import (
     coin_from_reflectivity,
     evolve,
     hadamard_coin,
-    mode_index,
     position_distribution,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "hadamard_coin",
     "hom_scan",
     "load_map",
-    "mode_index",
     "position_distribution",
     "realized_fraction",
     "run_ensemble",

@@ -41,7 +41,7 @@ from .disorder import DisorderSpec, PhaseMap, generate_phase_map, load_map, map_
 from .ensemble import chunk_maps, run_ensembles, similarity_scan
 from .errors import ConfigError, DomainError, MapParseError, PdqwError
 from .two_photon import PAIR_CONVENTION, hom_scan, run_pair_ensembles
-from .walk_core import coin_from_reflectivity, evolve, light_cone, position_distribution
+from .walk_core import coin_from_reflectivity, evolve, position_distribution
 
 LOW_RESOLUTION_SPACING = 0.1
 # Marks the place of a value in a template row; no key or float text holds it.
@@ -177,14 +177,13 @@ class _Rows:
 def _cone_rows(steps: int) -> _Rows:
     """The "step,site" rows of the light cone |site| <= step, steps
     1..steps, of a (steps, 2 * steps + 1) array of distributions on sites
-    -steps..steps. The cells of the walk's windows (walk_core.light_cone
-    from the origin) are reached; every other cone cell is a structural 0.0."""
+    -steps..steps. A walk from the origin reaches the cells where site +
+    step is even; every other cone cell is a structural 0.0."""
     n_sites = 2 * steps + 1
     lines, at, zero = [], [], []
-    for n, window in enumerate(light_cone([steps], n_sites, steps)[1:], start=1):
-        reached = set(window.sites.tolist())
+    for n in range(1, steps + 1):
         for x in range(steps - n, steps + n + 1):
-            hit = x in reached
+            hit = (x - steps + n) % 2 == 0
             lines.append(f"{n},{x - steps},{_SLOT if hit else '0.0'}\n")
             (at if hit else zero).append((n - 1) * n_sites + x)
     return _Rows("".join(lines), at, zero)

@@ -6,7 +6,9 @@ field, so typos fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,10 +233,23 @@ def config_from_dict(data: dict) -> SimulationConfig:
     return cfg
 
 
+# A number with an exponent, which YAML 1.1 reads as a float only with a
+# dot and a signed exponent: 1e-05, 2E3 and 1.5e3 are strings to PyYAML.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+
+
+@functools.cache
+def _with_exponent_floats(base: type) -> type:
+    """The YAML loader class `base`, reading every exponent number as a float."""
+    loader = type(base.__name__, (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789."))
+    return loader
+
+
 def load_config(path) -> SimulationConfig:
     # libyaml's safe loader where PyYAML was built with it: the same
     # documents, parsed several times faster than the pure-Python one.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _with_exponent_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: bytes not UTF-8, an int too long

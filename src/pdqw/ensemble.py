@@ -23,8 +23,8 @@ import numpy as np
 from .analysis import Distribution
 from .disorder import DEFAULT_ALPHABET, DisorderSpec, ScanSampler
 from .errors import DomainError
-from .walk_core import (_abs2, _site_sums, _walk, _walk_operands, evolve, light_cone,
-                        position_distribution, walked_cells)
+from .walk_core import (_abs2, _site_sums, _walk, _walk_operands, evolve, position_distribution,
+                        walked_cells, window)
 
 # Cells (rows x window sites) stepped together: it bounds the amplitude
 # arrays of a batch and sets the maps per chunk. Larger batches save
@@ -87,23 +87,23 @@ def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
     return specs
 
 
-def _batches(specs, n_maps: int, moments: list | None, cone):
+def _batches(specs, n_maps: int, moments: list | None):
     """The batch plan of one scan, shared by run_ensembles and
-    run_pair_ensembles, whose walks step over `cone`.
+    run_pair_ensembles, whose walks start at the origin.
 
     Yields (i, start, k, codes, var), one tuple per walk. The walk holds maps
     start.. of specs i .. i + k - 1, stacked in spec order: either k whole p
     (start 0), or, past chunk_maps(steps) maps, one chunk of one p, the chunks
-    in map order. codes (cells, rows) holds each row's codes at
-    walked_cells(cone), read from the scan's ScanSampler, and the caller
-    fills var (rows, steps) with each row's variance. Once a p's last chunk
-    has been walked, the mean_and_std of its variances is appended to
-    `moments` (one call over all k p of a walk), so after the loop
-    moments[i] belongs to specs[i]. With moments None no variance is read:
-    var is None and no mean_and_std is taken.
+    in map order. codes (cells, rows) holds each row's codes at the cells
+    the walk reads (walked_cells), read from the scan's ScanSampler, and
+    the caller fills var (rows, steps) with each row's variance. Once a p's
+    last chunk has been walked, the mean_and_std of its variances is
+    appended to `moments` (one call over all k p of a walk), so after the
+    loop moments[i] belongs to specs[i]. With moments None no variance is
+    read: var is None and no mean_and_std is taken.
     """
-    sampler = ScanSampler(specs, *walked_cells(cone))
     steps = specs[0].steps
+    sampler = ScanSampler(specs, *walked_cells(steps, steps))
     size = chunk_maps(steps)
     chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
     # Several whole p per batch, or one chunk; either way equal-sized chunks.
@@ -131,22 +131,21 @@ def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np
     coin, table = _walk_operands(coin, specs[0].alphabet)
     steps = specs[0].steps
     n_sites = 2 * steps + 1
-    cone = light_cone([steps], n_sites, steps)
     # The window of step n as site coordinates and their squares, one row
     # per site.
-    sites = [(w.sites - steps).astype(float)[:, None] for w in cone[1:]]
+    sites = [np.arange(-n, n + 1, 2, dtype=float)[:, None] for n in range(1, steps + 1)]
     sites_sq = [x * x for x in sites]
 
     sums = np.zeros((len(specs), steps, n_sites))
     drifts = np.zeros(len(specs))
-    for i, start, k, codes, var in _batches(specs, n_maps, moments, cone):
+    for i, start, k, codes, var in _batches(specs, n_maps, moments):
         rows = codes.shape[1]
         # psi[c]: coin-c amplitudes on the origin, one column per map.
         psi = np.zeros((2, 1, rows), dtype=coin.dtype)
         psi[0] = 1.0
         totals = np.empty((steps, rows))
         acc = sums[i : i + k]
-        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, cone)):
+        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, steps)):
             w = _abs2(psi0) + _abs2(psi1)
             totals[n] = _site_sums(w)
             w /= totals[n]
@@ -156,7 +155,7 @@ def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np
             # Each map's distributions as one contiguous (k, sites) block:
             # summed over maps, they add in index order, as one mean would.
             w = np.ascontiguousarray(w.reshape(len(w), k, -1).transpose(2, 1, 0))
-            at = cone[n + 1].at
+            at = window(steps, n + 1)
             if start > 0:
                 # Carry the earlier chunks' sum into the first map.
                 w[0] += acc[:, n, at]

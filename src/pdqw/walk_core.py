@@ -3,13 +3,13 @@
 State model: a walker on sites -n_max..+n_max with a two-level coin. One
 step applies, in order, the per-site phase stage (coin-1 amplitudes pick up
 exp(i*phi)), the coin mix, and the coin-conditioned shift (coin 0 moves one
-site left, coin 1 one site right). The shift is periodic, so every step is
-exactly unitary on the finite lattice. Every walk steps only its light cone:
-the ring sites its start state can have reached, which for a walk from the
-origin are the n + 1 sites of parity n after n steps. Amplitude arrays are
-site-major, shaped (window sites, *batch), so per-site work is a handful of
-row operations over contiguous batches, and a walk reads its cell codes
-already gathered at the cells it walks (walked_cells).
+site left, coin 1 one site right). Every walk starts on one site, the
+origin, and steps only its light cone: after n steps the n + 1 sites of
+parity n from -n to n (window), which never reach the lattice edge while
+steps <= n_max. Amplitude arrays are site-major, shaped (window sites,
+*batch), so per-site work is a handful of row operations over contiguous
+batches, and a walk reads its cell codes already gathered at the cells it
+walks (walked_cells).
 """
 
 from __future__ import annotations
@@ -89,65 +89,20 @@ class WalkState:
         return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum()))
 
 
-@dataclass(frozen=True)
-class Window:
-    """The ring sites a walk can occupy after some step, and how the shift
-    reaches them from the step before.
-
-    `sites` are the sorted ring indices; `at` indexes them on a full lattice
-    axis (a slice where they are evenly spaced). `shift[c]` moves the coin-c
-    amplitudes one site (left for coin 0, right for coin 1) from the
-    previous window into this one: (dst, src) slice pairs to copy, and the
-    positions that receive nothing and hold 0.
-    """
-
-    sites: np.ndarray
-    at: slice | np.ndarray
-    shift: tuple = ()
+def window(n_max: int, n: int) -> slice:
+    """The lattice positions (site + n_max) a walk from the origin holds
+    after step n: every second one from site -n to site n."""
+    return slice(n_max - n, n_max + n + 1, 2)
 
 
-def _index(ix: list[int]) -> slice | np.ndarray:
-    """Sorted distinct indices as a slice where they are evenly spaced."""
-    if len(ix) < 2:
-        return slice(ix[0], ix[0] + 1) if ix else slice(0, 0)
-    d = ix[1] - ix[0]
-    evenly = all(b - a == d for a, b in zip(ix, ix[1:]))
-    return slice(ix[0], ix[-1] + 1, d) if evenly else np.array(ix, dtype=np.intp)
-
-
-def _moves(dst: list[int], width: int) -> tuple[list, slice | np.ndarray]:
-    """Copy runs sending position j of a window to dst[j] of one `width`
-    wide, and the positions of it left empty."""
-    cuts = [0, *(j for j in range(1, len(dst)) if dst[j] - dst[j - 1] != 1), len(dst)]
-    runs = [(slice(dst[a], dst[b - 1] + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-    filled = set(dst)
-    return runs, _index([j for j in range(width) if j not in filled])
-
-
-def light_cone(start, n_sites: int, steps: int) -> list[Window]:
-    """Windows of a walk on a ring of n_sites whose start state is nonzero
-    only at ring indices `start`: cone[0] holds the start sites and cone[n]
-    those after step n, each the previous one moved one site left and one
-    site right, modulo the ring. Once a window covers the ring it stays so.
-    Windows hold few sites, so they are built with Python ints and sets."""
-    prev = sorted({int(s) % n_sites for s in start})
-    cone = [Window(np.array(prev, dtype=np.intp), _index(prev))]
-    for _ in range(steps):
-        sites = sorted({(s + d) % n_sites for s in prev for d in (-1, 1)})
-        pos = {s: j for j, s in enumerate(sites)}  # the window position of each site
-        shift = tuple(_moves([pos[(s + d) % n_sites] for s in prev], len(sites)) for d in (-1, 1))
-        cone.append(Window(np.array(sites, dtype=np.intp), _index(sites), shift))
-        prev = sites
-    return cone
-
-
-def walked_cells(cone) -> tuple[np.ndarray, np.ndarray]:
-    """The code-plane cells a walk over `cone` reads, in reading order:
-    step n reads row n-1 at the sites of cone[n-1]. Returns their (row,
-    column) indices, so plane[walked_cells(cone)] gathers them; a plane's
-    columns are the ring indices."""
-    rows = np.repeat(np.arange(len(cone) - 1), [len(w.sites) for w in cone[:-1]])
-    return rows, np.concatenate([w.sites for w in cone])[: len(rows)]
+def walked_cells(centre: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The code-plane cells a walk of `steps` steps from column `centre`
+    reads, in reading order: step n reads row n-1 at the n columns of its
+    window after n-1 steps. Returns their (row, column) indices, so
+    plane[walked_cells(centre, steps)] gathers them."""
+    rows = np.repeat(np.arange(steps), np.arange(1, steps + 1))
+    j = np.arange(rows.size) - rows * (rows + 1) // 2  # the cell's place in its row
+    return rows, centre - rows + 2 * j
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -166,37 +121,35 @@ def _site_sums(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0)
 
 
-def _walk(psi0, psi1, coin, codes, table, cone):
-    """Step coin-component arrays shaped (sites of cone[0], *batch); yield
-    (psi0, psi1) on the sites of cone[n] after each step n.
+def _walk(psi0, psi1, coin, codes, table, steps: int):
+    """Step coin-component arrays shaped (1, *batch), the amplitudes on one
+    start site, `steps` times; yield (psi0, psi1) on the n + 1 sites of the
+    window after each step n, every second site from start - n to start + n.
 
     The one walk driver: the single walker, the batched ensemble and the
     two-photon input columns all step through it, so all perform identical
     elementwise float operations, in the dtype of the
     operands that _walk_operands gives them. `codes` holds the cell codes
-    of walked_cells(cone) along axis 0, with trailing axes that broadcast
-    against the batch. Step n takes the phase factors of its cells (the
-    sites of the previous window) with table.take (the values fancy
-    indexing gives, gathered faster), multiplies the coin-1 amplitudes by
-    them, mixes with the coin and shifts coin 0 one site left, coin 1 one
-    site right, periodically. Sites outside the window hold exact zeros on
-    the full lattice, so on the window every amplitude is the one the full
+    of walked_cells along axis 0, with trailing axes that broadcast against
+    the batch. Step n takes the phase factors of its n cells (the sites of
+    the previous window) with table.take (the values fancy indexing gives,
+    gathered faster), multiplies the coin-1 amplitudes by them, mixes with
+    the coin and shifts coin 0 one site left, coin 1 one site right: the
+    window grows by one site, which coin 1 alone reaches on the right and
+    coin 0 alone on the left. Every site off the window holds an exact zero
+    on the lattice, so on the window every amplitude is the one the full
     lattice walk gives, up to the sign of a zero.
     """
-    read = 0
-    for prev, window in zip(cone, cone[1:]):
-        b1 = table.take(codes[read : read + len(prev.sites)]) * psi1
-        read += len(prev.sites)
+    for n in range(steps):
+        b1 = table.take(codes[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]) * psi1
         a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
         a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
-        shifted = []
-        for a, (runs, empty) in zip((a0, a1), window.shift):
-            psi = np.empty((len(window.sites),) + a.shape[1:], dtype=a.dtype)
-            for dst, src in runs:
-                psi[dst] = a[src]
-            psi[empty] = 0.0
-            shifted.append(psi)
-        psi0, psi1 = shifted
+        psi0 = np.empty((n + 2,) + a0.shape[1:], dtype=a0.dtype)
+        psi0[: n + 1] = a0
+        psi0[n + 1] = 0.0
+        psi1 = np.empty_like(psi0)
+        psi1[1:] = a1
+        psi1[0] = 0.0
         yield psi0, psi1
 
 
@@ -226,13 +179,12 @@ def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
         raise DomainError("steps must be >= 1")
     if steps > n_max:
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
-    cone = light_cone([n_max], 2 * n_max + 1, steps)
-    codes = _map_on_lattice(phase_map, n_max, steps)[walked_cells(cone)]
-    walk = _walk(np.ones(1, dtype=coin.dtype), np.zeros(1, dtype=coin.dtype), coin, codes, table, cone)
+    codes = _map_on_lattice(phase_map, n_max, steps)[walked_cells(n_max, steps)]
+    walk = _walk(np.ones(1, dtype=coin.dtype), np.zeros(1, dtype=coin.dtype), coin, codes, table, steps)
     states = []
-    for n, (window, psi) in enumerate(zip(cone[1:], walk), start=1):
+    for n, psi in enumerate(walk, start=1):
         amplitudes = np.zeros((2 * n_max + 1, 2), dtype=complex)
-        amplitudes[window.at] = np.stack(psi, axis=1)
+        amplitudes[window(n_max, n)] = np.stack(psi, axis=1)
         states.append(WalkState(n_max=n_max, amplitudes=amplitudes, step=n))
     return states
 
@@ -247,12 +199,3 @@ def position_distribution(state: WalkState) -> Distribution:
     if total <= 0.0:
         raise DomainError("state carries no probability mass")
     return Distribution(offset=-state.n_max, probabilities=weights / total)
-
-
-def mode_index(site: int, coin: int, n_max: int) -> int:
-    """Flat index 2 * (site + n_max) + coin of lattice mode (site, coin)."""
-    if coin not in (0, 1):
-        raise DomainError("coin must be 0 or 1")
-    if abs(site) > n_max:
-        raise DomainError(f"site {site} outside lattice of half-width {n_max}")
-    return 2 * (site + n_max) + coin

@@ -54,6 +54,12 @@ def dense_step_matrix(n_max: int, coin: np.ndarray, phase_row: np.ndarray, step:
     return shift @ coin_full @ phase
 
 
+def mode(site: int, coin: int, n_max: int) -> int:
+    """Basis index 2*(site + n_max) + coin of |site, coin> in the dense
+    matrices below."""
+    return 2 * (site + n_max) + coin
+
+
 def dense_walk(n_max: int, coin: np.ndarray, phase_rows, steps: int, coin_amplitudes=(1.0, 0.0)):
     """Evolve |0, coin_amplitudes> by explicit matrix products.
 
@@ -278,39 +284,3 @@ def lemire_letters(words, n_letters: int) -> list[int]:
         letters.append(m >> 32)
     return letters
 
-
-def _index(ix: np.ndarray):
-    """Sorted distinct indices as a slice where they are evenly spaced."""
-    if len(ix) < 2:
-        return slice(int(ix[0]), int(ix[0]) + 1) if len(ix) else slice(0, 0)
-    d = int(ix[1] - ix[0])
-    return slice(int(ix[0]), int(ix[-1]) + 1, d) if (np.diff(ix) == d).all() else ix
-
-
-def _moves(dst: np.ndarray, width: int):
-    """Copy runs sending position j of a window to dst[j] of one `width`
-    wide, and the positions of it left empty."""
-    cuts = [0, *(np.flatnonzero(np.diff(dst) != 1) + 1), len(dst)]
-    runs = [(slice(int(dst[a]), int(dst[b - 1]) + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-    empty = np.ones(width, dtype=bool)
-    empty[dst] = False
-    return runs, _index(np.flatnonzero(empty))
-
-
-def light_cone_windows(start, n_sites: int, steps: int) -> list[tuple]:
-    """(sites, at, shift) of each window of walk_core.light_cone, built on
-    boolean ring masks: each window is the previous one rolled one site
-    left and one right, and a site's window position is the running count
-    of occupied sites."""
-    on = np.zeros(n_sites, dtype=bool)
-    on[np.asarray(start)] = True
-    prev = np.flatnonzero(on)
-    cone = [(prev, _index(prev), ())]
-    for _ in range(steps):
-        on = np.roll(on, -1) | np.roll(on, 1)
-        sites = np.flatnonzero(on)
-        pos = np.cumsum(on) - 1
-        shift = tuple(_moves(pos[(prev + d) % n_sites], len(sites)) for d in (-1, 1))
-        cone.append((sites, _index(sites), shift))
-        prev = sites
-    return cone

@@ -8,7 +8,7 @@ conftest.py prints one verdict line per criterion after the run.
 import numpy as np
 import pytest
 
-from oracles import dense_unitary, on_lattice, phase_rows, site_pairs, two_boson_pair_probabilities
+from oracles import dense_unitary, mode, on_lattice, phase_rows, site_pairs, two_boson_pair_probabilities
 from pdqw import (
     DisorderSpec,
     coin_from_reflectivity,
@@ -19,7 +19,6 @@ from pdqw import (
     generate_phase_map,
     hadamard_coin,
     hom_scan,
-    mode_index,
     position_distribution,
     run_ensemble,
     run_ensembles,
@@ -167,18 +166,17 @@ def test_criterion_06_unitarity_suite():
 def test_criterion_07_two_photon_oracle(steps):
     """Pair statistics match the two-boson Fock oracle and product limits."""
     cases = [(0.5, 21, COIN), (1.0, 22, COIN), (0.5, 23, coin_from_reflectivity(0.45))]
+    ia, ib = mode(0, 0, steps), mode(0, 1, steps)  # the photons' input modes
     for p, seed, coin in cases:
         spec = DisorderSpec(p=p, steps=steps, master_seed=seed)
         pm = generate_phase_map(spec, 0)
         u = dense_unitary(steps, coin, phase_rows(pm.codes, pm.alphabet), steps)
-        for modes in (((0, 0), (0, 1)), ((0, 0), (0, 0))):
-            got = run_pair_ensemble(spec, coin, 1, eta=1.0, pair_modes=modes)
-            ia, ib = (mode_index(*m, steps) for m in modes)
-            want = site_pairs(two_boson_pair_probabilities(u, ia, ib, 1.0))
-            assert np.abs(on_lattice(got, steps) - want).max() <= 1e-10
+        got = run_pair_ensemble(spec, coin, 1, eta=1.0)
+        want = site_pairs(two_boson_pair_probabilities(u, ia, ib, 1.0))
+        assert np.abs(on_lattice(got, steps) - want).max() <= 1e-10
         got0 = run_pair_ensemble(spec, coin, 1, eta=0.0)
-        pa = np.abs(u[:, mode_index(0, 0, steps)]) ** 2
-        pb = np.abs(u[:, mode_index(0, 1, steps)]) ** 2
+        pa = np.abs(u[:, ia]) ** 2
+        pb = np.abs(u[:, ib]) ** 2
         product = np.outer(pa, pb) + np.outer(pb, pa)
         product[np.diag_indices_from(product)] *= 0.5
         assert np.abs(on_lattice(got0, steps) - site_pairs(product)).max() <= 1e-12

@@ -1,6 +1,7 @@
 """Configuration parsing: defaults, overrides, and loud failures."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,44 @@ class TestParsing:
         # Where PyYAML lacks libyaml, the pure-Python loader parses it.
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert load_config(path) == fast
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize("text, field, value", [
+        ("p_values: [1e-05, 0.5]", "p_values", [1e-05, 0.5]),
+        ("p_grid: [0.0, 1e-05, 1.5e-1, 2E-1]", "p_grid", [0.0, 1e-05, 0.15, 0.2]),
+        ("p_grid: {start: 0, stop: 1e0, step: 5e-1}", "p_grid", [0.0, 0.5, 1.0]),
+        ("coin_reflectivity: 45e-2", "coin_reflectivity", 0.45),
+        ("two_photon: {eta: 8e-1}", "eta", 0.8),
+        ("two_photon: {delays: [-1e1, 0, +2e+0]}", "delays", [-10.0, 0.0, 2.0]),
+    ], ids=["p_values", "p_grid", "p_grid-mapping", "coin_reflectivity", "eta", "delays"])
+    def test_exponents_without_a_dot_are_numbers(self, tmp_path, monkeypatch, libyaml, text, field, value):
+        # YAML 1.1 reads 1e-05 as a string; both loaders read it as a float.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + "\n")
+        cfg = load_config(path)
+        assert getattr(cfg.two_photon if field in ("eta", "delays") else cfg, field) == value
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize("text, needle", [
+        ("n_maps: 1e3", "expected an integer, got 1000.0"),
+        ("p_values: ['1e-05']", "expected a finite number, got '1e-05'"),
+    ], ids=["float-n_maps", "quoted-exponent"])
+    def test_exponents_stay_what_their_field_rejects(self, tmp_path, monkeypatch, libyaml, text, needle):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            load_config(path)
+
+    def test_exponents_leave_the_yaml_loaders_as_they_are(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("p_values: [1e-05]\n")
+        load_config(path)
+        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+            assert yaml.load("1e-05", Loader=loader) == "1e-05"
 
     def test_invalid_yaml_is_a_config_error(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -49,7 +49,7 @@ from pdqw.disorder import (
 import pdqw.ensemble
 from pdqw.ensemble import chunk_maps, run_ensembles, similarity_scan
 from pdqw.two_photon import run_pair_ensembles
-from pdqw.walk_core import hadamard_coin, light_cone, walked_cells
+from pdqw.walk_core import hadamard_coin, walked_cells
 
 # A block boundary past the first map, where a runner's chunks could split.
 SPLIT = 128
@@ -421,9 +421,11 @@ def plane_cells(steps):
 
 
 def cone_cells(steps, start=(0,)):
-    """The cells a walk from the sites `start` reads, on the ring of the
-    code plane's columns."""
-    return walked_cells(light_cone([s + steps for s in start], 2 * steps + 1, steps))
+    """The cells that walks from each of the sites `start` read, one walk
+    after the other, with columns wrapped onto the code plane's."""
+    cells = [walked_cells(s + steps, steps) for s in start]
+    return (np.concatenate([rows for rows, _ in cells]),
+            np.concatenate([cols for _, cols in cells]) % (2 * steps + 1))
 
 
 def as_planes(codes, steps):
@@ -519,8 +521,9 @@ class TestScanSampler:
     )
     def test_codes_equal_a_fresh_sample_block(self, master, steps, n_letters, p_list, maps, size,
                                               chunk_major, mode, inputs):
-        # Walks from off-origin sites (the pair scan's inputs) also read
-        # cells outside a row's sites, and across the ring's seam.
+        # ScanSampler takes any cells: walks from off-origin sites read
+        # cells outside a row's sites, across the plane's seam and, where
+        # two walks overlap, the same cell twice.
         specs = [DisorderSpec(p, steps, range(n_letters), mode, master) for p in p_list]
         rows, cols = cone_cells(steps, [s % (2 * steps + 1) - steps for s in inputs])
         sampler = ScanSampler(specs, rows, cols)

@@ -11,6 +11,7 @@ import pdqw.two_photon
 from oracles import (
     dense_unitary,
     dense_walk,
+    mode,
     on_lattice,
     pair_centroid_variance,
     pair_marginal,
@@ -26,7 +27,6 @@ from pdqw import (
     generate_phase_map,
     hadamard_coin,
     hom_scan,
-    mode_index,
     run_pair_ensemble,
     run_pair_ensembles,
 )
@@ -97,13 +97,17 @@ class TestSingleStepHandValues:
 
 
 class TestSiteAggregation:
-    def test_marginal_of_identical_input_pair_is_the_single_photon_walk(self):
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    def test_marginal_of_the_pair_is_the_mean_single_photon_walk(self, eta):
+        # One detector sees each photon half the time whatever eta: the
+        # inputs are orthogonal, so interference moves no single-site mass.
         steps = 3
         spec = DisorderSpec(p=1.0, steps=steps, master_seed=6)
-        res = run_pair_ensemble(spec, COIN, 1, eta=0.0, pair_modes=((0, 0), (0, 0)))
+        res = run_pair_ensemble(spec, COIN, 1, eta=eta)
         pm = generate_phase_map(spec, 0)
-        single = dense_walk(steps, COIN, phase_rows(pm.codes, pm.alphabet), steps)[-1]
-        np.testing.assert_allclose(pair_marginal(on_lattice(res, steps)), single, atol=1e-12)
+        a, b = (dense_walk(steps, COIN, phase_rows(pm.codes, pm.alphabet), steps, coin_amplitudes=c)[-1]
+                for c in ((1.0, 0.0), (0.0, 1.0)))
+        np.testing.assert_allclose(pair_marginal(on_lattice(res, steps)), (a + b) / 2.0, atol=1e-12)
 
     def test_unnormalized_pair_mass_rejected(self):
         # The pair scan checks every map's pair mass at every step.
@@ -111,8 +115,33 @@ class TestSiteAggregation:
         with pytest.raises(DomainError):
             pdqw.two_photon._require_pair_normalized(np.array([1.0, 0.3]))
 
+    @pytest.mark.parametrize("drift", [2e-9, -2e-9, math.nan])
+    def test_pair_mass_beyond_the_tolerance_rejected(self, drift):
+        assert not abs(drift) <= pdqw.two_photon.PAIR_NORMALIZATION_TOL
+        with pytest.raises(DomainError, match="mass"):
+            pdqw.two_photon._require_pair_normalized(np.array([1.0, 1.0 + drift, 1.0]))
 
-def manual_pair_ensemble(spec, n_maps, eta, pair_modes=((0, 0), (0, 1))):
+    @pytest.mark.parametrize("drift", [5e-10, -5e-10])
+    def test_pair_mass_within_the_tolerance_accepted(self, drift):
+        pdqw.two_photon._require_pair_normalized(np.array([1.0 + drift, 1.0, 1.0 - drift]))
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, math.nan])
+    def test_non_orthonormal_input_columns_rejected(self, monkeypatch, scale):
+        # A coin scaled by 1 + 1e-9 passes no coin check, so it is slipped
+        # in after the check: each step then grows every column's weight by
+        # about 2e-9, far above UNITARY_TOL. A NaN coin makes NaN columns.
+        operands = pdqw.two_photon._walk_operands
+
+        def scaled(coin, alphabet):
+            coin, table = operands(coin, alphabet)
+            return coin * scale, table
+
+        monkeypatch.setattr(pdqw.two_photon, "_walk_operands", scaled)
+        with pytest.raises(DomainError, match="orthonormal"):
+            run_pair_ensemble(DisorderSpec(p=0.5, steps=3, master_seed=1), COIN, 2, eta=0.6)
+
+
+def manual_pair_ensemble(spec, n_maps, eta):
     """Per-map loop over dense mode unitaries and the Fock oracle: (mean
     matrices, per-map var2)."""
     steps = spec.steps
@@ -120,28 +149,26 @@ def manual_pair_ensemble(spec, n_maps, eta, pair_modes=((0, 0), (0, 1))):
     var2 = np.zeros((n_maps, steps))
     for k in range(n_maps):
         for n in range(1, steps + 1):
-            sites = fock_site_pairs(map_unitary(spec, k, steps=n), pair_modes, eta)
+            sites = fock_site_pairs(map_unitary(spec, k, steps=n), eta)
             mean[n - 1] += sites / n_maps
             var2[k, n - 1] = pair_centroid_variance(sites)
     return mean, var2
 
 
-def fock_site_pairs(u, pair_modes, eta):
-    """Unordered site-pair probabilities from the Fock oracle, coin traced out."""
+def fock_site_pairs(u, eta):
+    """Unordered site-pair probabilities from the Fock oracle for photons
+    entering coin 0 and coin 1 of the origin, coin traced out."""
     n_max = (u.shape[0] // 2 - 1) // 2
-    return site_pairs(two_boson_pair_probabilities(
-        u, mode_index(*pair_modes[0], n_max), mode_index(*pair_modes[1], n_max), eta
-    ))
+    return site_pairs(two_boson_pair_probabilities(u, mode(0, 0, n_max), mode(0, 1, n_max), eta))
 
 
-PAIR_MODES = [((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 0))]
 QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
 
 
-def assert_matches_fock_oracle(spec, eta, pair_modes):
+def assert_matches_fock_oracle(spec, eta):
     """One map's last-step pair statistics against the Fock oracle."""
-    res = run_pair_ensemble(spec, COIN, 1, eta=eta, pair_modes=pair_modes)
-    expect = fock_site_pairs(map_unitary(spec, 0, spec.steps), pair_modes, eta)
+    res = run_pair_ensemble(spec, COIN, 1, eta=eta)
+    expect = fock_site_pairs(map_unitary(spec, 0, spec.steps), eta)
     np.testing.assert_allclose(on_lattice(res, spec.steps), expect, atol=1e-10)
     assert res.mean_variance2[-1] == pytest.approx(pair_centroid_variance(expect), abs=1e-10)
 
@@ -179,39 +206,22 @@ class TestPairEnsemble:
         np.testing.assert_allclose(res.mean_variance2, var2.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(res.std_variance2, var2.std(axis=0, ddof=1), atol=1e-12)
 
-    # Each case is checked on the final step of one map. Inputs at sites +-1
-    # reach the lattice edge by step 4 and wrap around, as the periodic
-    # dense product does.
-    @pytest.mark.parametrize(
-        "p, eta, pair_modes",
-        [(0.5, eta, modes) for eta in (0.0, 0.4, 1.0) for modes in PAIR_MODES]
-        + [(0.0, 0.4, PAIR_MODES[0]), (1.0, 0.4, PAIR_MODES[0]), (1.0, 0.4, ((1, 0), (-1, 1)))],
-    )
-    def test_matches_fock_oracle(self, p, eta, pair_modes):
-        assert_matches_fock_oracle(DisorderSpec(p=p, steps=4, master_seed=12), eta, pair_modes)
+    # Each case is checked on the final step of one map.
+    @pytest.mark.parametrize("p, eta", [(0.5, 0.0), (0.5, 0.4), (0.5, 1.0), (0.0, 0.4), (1.0, 0.4)])
+    def test_matches_fock_oracle(self, p, eta):
+        assert_matches_fock_oracle(DisorderSpec(p=p, steps=4, master_seed=12), eta)
 
     # The default alphabet walks in float64, where G has no imaginary part;
     # this one keeps the walk in complex128.
-    @pytest.mark.parametrize("pair_modes", PAIR_MODES)
-    def test_complex_walk_matches_fock_oracle(self, pair_modes):
+    def test_complex_walk_matches_fock_oracle(self):
         spec = DisorderSpec(p=0.5, steps=4, master_seed=12, alphabet=QUARTER_TURNS)
-        assert_matches_fock_oracle(spec, 0.4, pair_modes)
+        assert_matches_fock_oracle(spec, 0.4)
 
     def test_mean_matrices_stay_normalized(self):
         res = run_pair_ensemble(DisorderSpec(p=0.5, steps=4, master_seed=3), COIN, 5, eta=0.7)
         for m in res.window_matrices:
             assert np.array_equal(m, m.T)
             assert (m.sum() + np.trace(m)) / 2.0 == pytest.approx(1.0, abs=1e-12)
-
-    def test_identical_inputs_make_eta_irrelevant(self):
-        # A double photon from one mode has no partner to be distinguishable
-        # from: interference and product terms coincide.
-        spec = DisorderSpec(p=0.7, steps=3, master_seed=2)
-        a = run_pair_ensemble(spec, COIN, 4, eta=1.0, pair_modes=((0, 0), (0, 0)))
-        b = run_pair_ensemble(spec, COIN, 4, eta=0.0, pair_modes=((0, 0), (0, 0)))
-        for x, y in zip(a.window_matrices, b.window_matrices, strict=True):
-            np.testing.assert_allclose(x, y, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(a.mean_variance2, b.mean_variance2, rtol=0, atol=1e-14)
 
     def test_repeat_is_bit_identical(self):
         spec = DisorderSpec(p=0.9, steps=3, master_seed=2)
@@ -236,13 +246,6 @@ class TestPairEnsemble:
     def test_eta_validated(self, eta):
         with pytest.raises(DomainError, match="eta"):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 2, eta=eta)
-
-    @pytest.mark.parametrize("pair_modes", [((0, 2), (0, 1)), ((3, 0), (0, 1))], ids=["coin", "site"])
-    def test_pair_modes_validated(self, pair_modes):
-        # A coin outside {0, 1} or a site off the lattice -2..2.
-        with pytest.raises(DomainError):
-            run_pair_ensemble(DisorderSpec(p=0.5, steps=2, master_seed=1), COIN, 2, eta=1.0,
-                              pair_modes=pair_modes)
 
     def test_a_long_scan_holds_only_its_light_cone(self):
         # A walk from the origin fills the (n + 1)^2 site pairs of parity n
@@ -275,17 +278,16 @@ class TestPairScan:
         for spec, res in zip(specs, run_pair_ensembles(specs, COIN, 30, eta=0.6), strict=True):
             assert_same_pair_ensemble(res, run_pair_ensemble(spec, COIN, 30, eta=0.6))
 
-    @pytest.mark.parametrize("pair_modes", [PAIR_MODES[0], PAIR_MODES[2]], ids=["distinct", "same"])
-    def test_chunk_split_changes_no_bit(self, alphabet, pair_modes, monkeypatch):
+    def test_chunk_split_changes_no_bit(self, alphabet, monkeypatch):
         # More maps than the old fixed chunk of 128: by default all five p
         # share one walk; then each p walks in three chunks (100, 100 and 31
         # maps); then two whole p share a walk (walks of 2, 2 and 1 p).
         specs = self.specs(alphabet)
-        whole = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
+        whole = run_pair_ensembles(specs, COIN, 231, eta=0.6)
         for maps in (100, 2 * 231):
             monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", 6 * maps)
             assert chunk_maps(5) == maps
-            split = run_pair_ensembles(specs, COIN, 231, eta=0.6, pair_modes=pair_modes)
+            split = run_pair_ensembles(specs, COIN, 231, eta=0.6)
             for a, b in zip(whole, split, strict=True):
                 assert_same_pair_ensemble(a, b)
 
@@ -370,7 +372,7 @@ class TestHomScan:
         # The photons enter coin 0 and coin 1 of the origin; after one step
         # they are in different modes when they leave on different sites.
         u = dense_unitary(1, coin, None, 1)
-        a, b = mode_index(0, 0, 1), mode_index(0, 1, 1)
+        a, b = mode(0, 0, 1), mode(0, 1, 1)
 
         def distinct(eta):
             return site_pairs(two_boson_pair_probabilities(u, a, b, eta))[0, 2]

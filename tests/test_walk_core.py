@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_force_positions, dense_step_matrix, dense_unitary, dense_walk, light_cone_windows,
-                     phase_rows)
+from oracles import brute_force_positions, dense_step_matrix, dense_unitary, dense_walk, mode, phase_rows
 from pdqw import (
     CapacityError,
     DisorderSpec,
@@ -19,14 +18,13 @@ from pdqw import (
     generate_phase_map,
     hadamard_coin,
     hom_scan,
-    mode_index,
     position_distribution,
     run_ensemble,
     run_pair_ensemble,
     variance,
 )
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors
-from pdqw.walk_core import _map_on_lattice, _site_sums, _walk, _walk_operands, light_cone, walked_cells
+from pdqw.walk_core import _map_on_lattice, _site_sums, _walk, _walk_operands, walked_cells, window
 
 COIN = hadamard_coin()
 QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
@@ -210,38 +208,32 @@ class TestInvariants:
 
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, QUARTER_TURNS], ids=["float64", "complex128"])
 class TestWindowedDriver:
-    """_walk steps only the light cone of its start state: after each step
-    its amplitudes on the window are the periodic dense product's, and the
+    """_walk steps only the light cone of the origin: after each step its
+    amplitudes on the window are the periodic dense product's, and the
     dense product has nothing outside the window."""
 
     COIN = coin_from_reflectivity(0.45)
 
-    @pytest.mark.parametrize("n_max, steps, modes", [
-        (5, 5, [(0, 0)]),  # the walk from the origin
-        (3, 3, [(-1, 0), (1, 1)]),  # inputs at +-1 wrap at steps = n_max
-        (3, 7, [(s, c) for s in range(-3, 4) for c in (0, 1)]),  # every basis column
-    ], ids=["origin", "wrapping-inputs", "every-column"])
-    def test_matches_the_periodic_dense_product(self, alphabet, n_max, steps, modes):
+    @pytest.mark.parametrize("n_max, steps", [(5, 5), (7, 4)], ids=["origin", "inside-the-lattice"])
+    def test_matches_the_periodic_dense_product(self, alphabet, n_max, steps):
         spec = DisorderSpec(p=0.8, steps=steps, alphabet=alphabet, master_seed=29)
         pm = generate_phase_map(spec, 0)
         coin, table = _walk_operands(self.COIN, alphabet)
         assert coin.dtype == (np.float64 if alphabet == DEFAULT_ALPHABET else np.complex128)
         n_sites = 2 * n_max + 1
-        cone = light_cone(sorted({s + n_max for s, _ in modes}), n_sites, steps)
-        start = np.searchsorted(cone[0].sites, [s + n_max for s, _ in modes])
-        psi = np.zeros((2, len(cone[0].sites), len(modes)), dtype=coin.dtype)
-        psi[[c for _, c in modes], start, np.arange(len(modes))] = 1.0
-        dense = np.eye(2 * n_sites, dtype=complex)[:, [mode_index(s, c, n_max) for s, c in modes]]
-        codes = _map_on_lattice(pm, n_max, steps)[walked_cells(cone)][:, None]
-        walk = _walk(*psi, coin, codes, table, cone)
-        for n, (psi0, psi1) in enumerate(walk, start=1):
+        # Column j starts in coin j at the origin, as the pair scan's photons.
+        psi = np.zeros((2, 1, 2), dtype=coin.dtype)
+        psi[[0, 1], 0, [0, 1]] = 1.0
+        dense = np.eye(2 * n_sites, dtype=complex)[:, [mode(0, 0, n_max), mode(0, 1, n_max)]]
+        codes = _map_on_lattice(pm, n_max, steps)[walked_cells(n_max, steps)][:, None]
+        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, steps), start=1):
             dense = dense_step_matrix(n_max, self.COIN, rows(pm)[n - 1], n, periodic=True) @ dense
-            by_site = dense.reshape(n_sites, 2, len(modes)).copy()
-            window = cone[n].sites
+            by_site = dense.reshape(n_sites, 2, 2).copy()
+            at = window(n_max, n)
             assert psi0.dtype == coin.dtype
-            np.testing.assert_allclose(psi0, by_site[window, 0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(psi1, by_site[window, 1], rtol=0, atol=1e-12)
-            by_site[window] = 0.0
+            np.testing.assert_allclose(psi0, by_site[at, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi1, by_site[at, 1], rtol=0, atol=1e-12)
+            by_site[at] = 0.0
             assert not by_site.any()
         assert n == steps
 
@@ -249,52 +241,15 @@ class TestWindowedDriver:
         n_max, steps = 7, 6
         pm = generate_phase_map(DisorderSpec(p=0.9, steps=steps, alphabet=alphabet, master_seed=3), 0)
         coin, table = _walk_operands(self.COIN, alphabet)
-        cone = light_cone([n_max], 2 * n_max + 1, steps)
         walk = _walk(np.ones(1, coin.dtype), np.zeros(1, coin.dtype), coin,
-                     _map_on_lattice(pm, n_max, steps)[walked_cells(cone)], table, cone)
+                     _map_on_lattice(pm, n_max, steps)[walked_cells(n_max, steps)], table, steps)
         for n, (state, psi) in enumerate(zip(evolve(n_max, self.COIN, pm, steps), walk), start=1):
-            assert list(cone[n].sites - n_max) == list(range(-n, n + 1, 2))
+            at = window(n_max, n)
+            assert list(range(-n_max, n_max + 1)[at]) == list(range(-n, n + 1, 2))
             amplitudes = state.amplitudes.copy()
-            assert np.array_equal(amplitudes[cone[n].sites], np.stack(psi, axis=1))
-            amplitudes[cone[n].sites] = 0.0
+            assert np.array_equal(amplitudes[at], np.stack(psi, axis=1))
+            amplitudes[at] = 0.0
             assert not amplitudes.any()
-
-
-class TestLightCone:
-    @staticmethod
-    def same_index(got, expect):
-        if isinstance(expect, slice):
-            return isinstance(got, slice) and got == expect
-        return isinstance(got, np.ndarray) and got.dtype == expect.dtype and np.array_equal(got, expect)
-
-    @pytest.mark.parametrize("start, n_sites, steps", [
-        ([7], 15, 7),           # the origin walk of a scan
-        ([20], 41, 20),
-        ([3, 6], 15, 7),        # two inputs, the pair scan's walk
-        ([0, 1], 9, 6),         # two adjacent inputs across the seam
-        ([0], 7, 9),            # wraps around and covers the ring
-        ([13, 2], 15, 12),      # unsorted inputs that wrap
-        (np.arange(9), 9, 4),   # the whole ring, the mode unitary's walk
-        ([4], 9, 0),
-    ])
-    def test_windows_equal_the_numpy_construction(self, start, n_sites, steps):
-        cone = light_cone(start, n_sites, steps)
-        expect = light_cone_windows(start, n_sites, steps)
-        assert len(cone) == len(expect) == steps + 1
-        for window, (sites, at, shift) in zip(cone, expect):
-            assert window.sites.dtype == sites.dtype
-            np.testing.assert_array_equal(window.sites, sites)
-            assert self.same_index(window.at, at)
-            assert len(window.shift) == len(shift)
-            for (runs, empty), (expect_runs, expect_empty) in zip(window.shift, shift):
-                assert runs == expect_runs
-                assert self.same_index(empty, expect_empty)
-
-    @settings(max_examples=60, deadline=None)
-    @given(n_sites=st.integers(1, 25), steps=st.integers(0, 14), data=st.data())
-    def test_windows_equal_the_numpy_construction_anywhere(self, n_sites, steps, data):
-        start = sorted(data.draw(st.sets(st.integers(0, n_sites - 1), min_size=1, max_size=3)))
-        self.test_windows_equal_the_numpy_construction(start, n_sites, steps)
 
 
 class TestSiteSums:
@@ -310,13 +265,22 @@ class TestSiteSums:
             assert got.shape == total.shape
             assert np.array_equal(got, total)
 
-    def test_walked_cells_of_the_walk_from_the_origin(self):
-        steps = 6
-        rows, cols = walked_cells(light_cone([steps], 2 * steps + 1, steps))
+    def test_walked_cells_of_the_walk_from_the_origin(self, steps=6, centre=6):
+        rows, cols = walked_cells(centre, steps)
+        assert rows.dtype == cols.dtype == np.intp
         assert len(rows) == len(cols) == steps * (steps + 1) // 2
+        assert list(rows) == sorted(rows)
         for n in range(1, steps + 1):
             # step n reads row n - 1 at the sites of the window after n - 1 steps
-            assert list(cols[rows == n - 1] - steps) == list(range(-(n - 1), n, 2))
+            assert list(cols[rows == n - 1] - centre) == list(range(-(n - 1), n, 2))
+
+    def test_walked_cells_move_with_their_centre(self):
+        # evolve reads its plane with the origin in column n_max > steps.
+        self.test_walked_cells_of_the_walk_from_the_origin(steps=4, centre=9)
+
+    def test_a_walk_of_no_steps_reads_no_cell(self):
+        rows, cols = walked_cells(3, 0)
+        assert rows.size == cols.size == 0
 
 
 class TestWalkOperands:
@@ -381,13 +345,6 @@ class TestValidation:
         pm = random_map(0.5, 2, seed=1)
         with pytest.raises(DomainError):
             evolve(5, COIN, pm, 4)
-
-    def test_mode_index_validation(self):
-        assert mode_index(-2, 1, 2) == 1
-        with pytest.raises(DomainError):
-            mode_index(0, 2, 3)
-        with pytest.raises(DomainError):
-            mode_index(4, 0, 3)
 
     def test_reflectivity_range_checked(self):
         with pytest.raises(DomainError):
