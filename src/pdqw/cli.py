@@ -1,5 +1,8 @@
 """Command-line front end.
 
+One table, `_COMMANDS`, names each subcommand with its function and its
+--help line; the argument parser is built from it.
+
 Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool, Python and numpy versions, sha256 and size per
 output, timings, peak resident memory, and for the ensemble commands the
@@ -337,21 +340,22 @@ def cmd_gen_maps(cfg: SimulationConfig, args, out: _Outputs) -> dict:
         spec = _spec(cfg, p)
         for start in range(0, cfg.n_maps, size):
             stop = min(start + size, cfg.n_maps)
-            seeds = map_seeds(cfg.master_seed, start, stop).tolist()
-            for k, seed, codes in zip(range(start, stop), seeds, sample_block(spec, start, stop)):
+            seeds = map_seeds(cfg.master_seed, start, stop)
+            for k, seed, codes in zip(range(start, stop), seeds.tolist(), sample_block(spec, seeds)):
                 with out.open(f"{sub}/map_{k:05d}.txt") as fh:
                     save_map(PhaseMap(spec.steps, codes, spec.alphabet, spec.p, seed, spec.sampling_mode), fh)
     return {}
 
 
+# Each subcommand, in --help order: its function and its --help line.
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "ensemble": cmd_ensemble,
-    "beta": cmd_beta,
-    "crossing": cmd_crossing,
-    "two-photon": cmd_two_photon,
-    "hom": cmd_hom,
-    "gen-maps": cmd_gen_maps,
+    "evolve": (cmd_evolve, "single-realization walk distributions per step"),
+    "ensemble": (cmd_ensemble, "disorder-averaged variance over the p grid"),
+    "beta": (cmd_beta, "growth exponent fits for the configured p values"),
+    "crossing": (cmd_crossing, "similarity curves and their crossing points"),
+    "two-photon": (cmd_two_photon, "pair coincidence matrices and centroid variances"),
+    "hom": (cmd_hom, "two-detector coincidence versus arrival delay"),
+    "gen-maps": (cmd_gen_maps, "write phase-map files for the configured ensembles"),
 }
 
 
@@ -410,15 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="must be >= 1; recorded in the manifest, but maps always run serially")
     common.add_argument("--out", default=None, help="override output_dir")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("evolve", "single-realization walk distributions per step"),
-        ("ensemble", "disorder-averaged variance over the p grid"),
-        ("beta", "growth exponent fits for the configured p values"),
-        ("crossing", "similarity curves and their crossing points"),
-        ("two-photon", "pair coincidence matrices and centroid variances"),
-        ("hom", "two-detector coincidence versus arrival delay"),
-        ("gen-maps", "write phase-map files for the configured ensembles"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, parents=[common])
         if name == "evolve":
             cmd.add_argument("--map", default=None, help="evolve this phase-map file instead of sampling")
@@ -449,7 +445,7 @@ def main(argv=None) -> int:
     try:
         manifest.unlink(missing_ok=True)
         out = _Outputs(out_dir)
-        fields = _COMMANDS[command](cfg, args, out)
+        fields = _COMMANDS[command][0](cfg, args, out)
         _write_manifest(manifest, command, cfg, args, out, fields, time.perf_counter() - started)
     except (ConfigError, MapParseError) as exc:
         print(f"pdqw {command}: input error: {exc}", file=sys.stderr)

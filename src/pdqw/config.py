@@ -1,7 +1,9 @@
 """Run configuration: a single YAML file drives every CLI subcommand.
 
-Unknown keys are rejected and every validation error names the offending
-field, so typos fail loudly instead of silently running defaults.
+The dataclasses below state each config field once: the known YAML keys
+are their fields, so unknown keys are rejected, and the manifest's echo
+is their `asdict`. Every validation error names the offending field, so
+typos fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -9,13 +11,13 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .disorder import SAMPLING_MODES, check_alphabet, parse_alphabet_token
+from .disorder import DEFAULT_ALPHABET, SAMPLING_MODES, check_alphabet, parse_alphabet_token
 from .errors import ConfigError, DomainError
 
 
@@ -48,7 +50,7 @@ class SimulationConfig:
     master_seed: int = 1
     coin_reflectivity: float = 0.5
     sampling_mode: str = "bernoulli"
-    alphabet: tuple[float, ...] = (0.0, math.pi)
+    alphabet: tuple[float, ...] = DEFAULT_ALPHABET
     fit_range: tuple[int, int] | None = None
     p_grid: list[float] = field(default_factory=lambda: [round(0.01 * k, 10) for k in range(101)])
     crossing_steps: list[int] = field(default_factory=lambda: [5, 6, 7])
@@ -75,16 +77,6 @@ class SimulationConfig:
         bad = [n for n in self.crossing_steps if not 1 <= n <= self.steps]
         if bad:
             raise ConfigError("crossing_steps", f"entries must lie in 1..steps ({self.steps}), got {bad}")
-
-
-_TOP_KEYS = {
-    "steps", "p_values", "n_maps", "master_seed", "coin_reflectivity",
-    "sampling_mode", "alphabet", "fit_range", "p_grid", "crossing_steps",
-    "two_photon", "output_dir",
-}
-_TWO_PHOTON_KEYS = {
-    "eta", "visibility", "coherence_time", "delays", "display_normalization",
-}
 
 
 def p_tag(p: float) -> str:
@@ -137,7 +129,7 @@ def _parse_p_grid(raw) -> list[float]:
 def _parse_two_photon(raw) -> TwoPhotonSettings:
     if not isinstance(raw, dict):
         raise ConfigError("two_photon", f"expected a mapping, got {raw!r}")
-    unknown = set(raw) - _TWO_PHOTON_KEYS
+    unknown = set(raw) - {f.name for f in fields(TwoPhotonSettings)}
     if unknown:
         raise ConfigError("two_photon", f"unknown keys {sorted(unknown)}")
     tp = TwoPhotonSettings()
@@ -167,7 +159,7 @@ def _parse_two_photon(raw) -> TwoPhotonSettings:
 def config_from_dict(data: dict) -> SimulationConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", f"config must be a mapping, got {type(data).__name__}")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - {f.name for f in fields(SimulationConfig)}
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config field")
 
@@ -260,24 +252,10 @@ def load_config(path) -> SimulationConfig:
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
-    """JSON-ready dump of the effective configuration, for the run manifest."""
-    return {
-        "steps": cfg.steps,
-        "p_values": list(cfg.p_values),
-        "n_maps": cfg.n_maps,
-        "master_seed": cfg.master_seed,
-        "coin_reflectivity": cfg.coin_reflectivity,
-        "sampling_mode": cfg.sampling_mode,
-        "alphabet_pi_units": [a / math.pi for a in cfg.alphabet],
-        "fit_range": list(cfg.effective_fit_range()),
-        "p_grid": list(cfg.p_grid),
-        "crossing_steps": list(cfg.crossing_steps),
-        "two_photon": {
-            "eta": cfg.two_photon.eta,
-            "visibility": cfg.two_photon.visibility,
-            "coherence_time": cfg.two_photon.coherence_time,
-            "delays": list(cfg.two_photon.delays),
-            "display_normalization": cfg.two_photon.display_normalization,
-        },
-        "output_dir": cfg.output_dir,
-    }
+    """JSON-ready dump of the effective configuration, for the run manifest:
+    every field, with `alphabet` echoed as `alphabet_pi_units` in multiples
+    of pi, and `fit_range` as the effective fit window."""
+    echo = asdict(cfg)
+    echo["alphabet_pi_units"] = [a / math.pi for a in echo.pop("alphabet")]
+    echo["fit_range"] = list(cfg.effective_fit_range())
+    return echo

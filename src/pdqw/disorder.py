@@ -409,18 +409,19 @@ def _draw_planes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds
     return codes.T.reshape(len(seeds), steps, 2 * steps + 1)
 
 
-def sample_block(spec: DisorderSpec, start: int, stop: int) -> np.ndarray:
-    """Cell codes of maps start..stop-1 of `spec`'s ensemble, drawn afresh, as
-    a (maps, steps, 2*steps+1) int8 tensor of PhaseMap code planes."""
-    seeds = map_seeds(spec.master_seed, start, stop)
+def sample_block(spec: DisorderSpec, seeds) -> np.ndarray:
+    """Cell codes of the maps of `spec`'s ensemble with the map seeds
+    `seeds` (map_seeds(spec.master_seed, start, stop) for maps
+    start..stop-1), drawn afresh, as a (maps, steps, 2*steps+1) int8 tensor
+    of PhaseMap code planes."""
     return _draw_planes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)
 
 
 class ScanSampler:
-    """sample(i, start, stop) gives sample_block(specs[i], start, stop) at
-    the code-plane cells (rows, cols), one row per cell and one column per
-    map, for the specs of one scan, which differ only in p and read each
-    chunk once.
+    """sample(i, start, stop) gives the sample_block of specs[i] for maps
+    start..stop-1 at the code-plane cells (rows, cols), one row per cell and
+    one column per map, for the specs of one scan, which differ only in p
+    and read each chunk once.
 
     Only those cells are built: a walk reads the cells of its light cone
     (walk_core.walked_cells), about a quarter of its code plane at 20 steps.
@@ -473,7 +474,7 @@ def generate_phase_map(spec: DisorderSpec, map_index: int) -> PhaseMap:
     if map_index < 0:
         raise DomainError("map_index must be >= 0")
     seeds = map_seeds(spec.master_seed, map_index, map_index + 1)
-    codes = _draw_planes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)[0]
+    codes = sample_block(spec, seeds)[0]
     return PhaseMap(spec.steps, codes, spec.alphabet, spec.p, int(seeds[0]), spec.sampling_mode)
 
 

@@ -153,19 +153,6 @@ def _walk(psi0, psi1, coin, codes, table, steps: int):
         yield psi0, psi1
 
 
-def _map_on_lattice(phase_map, n_max: int, steps: int) -> np.ndarray:
-    """The first `steps` rows of the map's code plane on sites -n_max..n_max
-    (cropped, or padded with unmarked cells). None stands for the map with
-    no phases."""
-    if phase_map is None:
-        return np.zeros((steps, 2 * n_max + 1), dtype=np.int8)
-    if phase_map.steps < steps:
-        raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
-    padded = np.pad(phase_map.codes[:steps], ((0, 0), (n_max, n_max)))
-    first = phase_map.steps  # the padded column of site -n_max
-    return padded[:, first : first + 2 * n_max + 1]
-
-
 def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
     """Run `steps` steps from the origin with coin state (1, 0) and return
     every state.
@@ -179,7 +166,12 @@ def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:
         raise DomainError("steps must be >= 1")
     if steps > n_max:
         raise CapacityError(f"steps={steps} exceeds lattice half-width n_max={n_max}")
-    codes = _map_on_lattice(phase_map, n_max, steps)[walked_cells(n_max, steps)]
+    if phase_map is None:
+        codes = np.zeros(steps * (steps + 1) // 2, dtype=np.int8)
+    elif phase_map.steps < steps:
+        raise DomainError(f"phase map has {phase_map.steps} rows but {steps} steps were requested")
+    else:
+        codes = phase_map.codes[walked_cells(phase_map.steps, steps)]
     walk = _walk(np.ones(1, dtype=coin.dtype), np.zeros(1, dtype=coin.dtype), coin, codes, table, steps)
     states = []
     for n, psi in enumerate(walk, start=1):

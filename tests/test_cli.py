@@ -26,6 +26,7 @@ from pdqw import (
     evolve,
 )
 from pdqw.cli import _build_parser, _peak_rss_mb, main
+from pdqw.disorder import map_seeds
 
 # The CLI always builds its coin from the reflectivity parameter; use the
 # same constructor here (hadamard_coin() differs in the last ulp).
@@ -450,6 +451,20 @@ class TestGenMaps:
                 save_map(generate_phase_map(spec, k), tmp_path / "single.txt")
                 written = out / "maps" / f"p{p:g}" / f"map_{k:05d}.txt"
                 assert written.read_bytes() == (tmp_path / "single.txt").read_bytes()
+
+    def test_each_block_is_seeded_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("pdqw.cli.chunk_maps", lambda steps: 2)  # blocks of 2, 2 and 1 maps
+        calls = []
+
+        def counted(master, start, stop):
+            calls.append((start, stop))
+            return map_seeds(master, start, stop)
+
+        monkeypatch.setattr("pdqw.cli.map_seeds", counted)
+        monkeypatch.setattr("pdqw.disorder.map_seeds", counted)
+        cfg = write_config(tmp_path, "steps: 3\nn_maps: 5\nmaster_seed: 6\np_values: [0.3, 1.0]\n")
+        assert main(["gen-maps", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(0, 2), (2, 4), (4, 5)] * 2
 
     def test_fractional_pi_alphabet_maps_evolve(self, tmp_path):
         cfg = write_config(

@@ -1,5 +1,6 @@
 """tools/compare_outputs.py: the cell comparison of two CSVs, its report,
-and the check of each manifest against the files written."""
+the check of each manifest against the files written, and the comparison
+of the two revisions' manifests."""
 
 import hashlib
 import importlib.util
@@ -123,3 +124,56 @@ class TestManifestMismatches:
         (tmp_path / "hom.csv").write_bytes(b"delay,eta\n0.0,0.94\n")
         (mismatch,) = compare_outputs._manifest_mismatches(tmp_path)
         assert mismatch.startswith("manifest_hom.json: hom.csv listed as")
+
+
+class TestManifestDifferences:
+    MANIFEST = {
+        "command": "ensemble",
+        "config": {"n_maps": 64, "output_dir": "/tmp/out_a", "two_photon": {"eta": 1.0}},
+        "created_utc": "2026-01-01T00:00:00+00:00",
+        "outputs": {"ensemble.csv": {"sha256": "0" * 64, "bytes": 10}},
+        "overrides": {"out": "/tmp/out_a", "seed": 7},
+        "peak_rss_mb": 50.0,
+        "timings_seconds": {"total": 1.0, "write": 0.5},
+    }
+
+    @staticmethod
+    def write(tmp_path, manifests):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out, manifest in zip(outs, manifests):
+            out.mkdir()
+            if manifest is not None:
+                (out / "manifest_ensemble.json").write_text(json.dumps(manifest), encoding="ascii")
+        return outs
+
+    def test_a_config_field_that_differs_is_named(self, tmp_path):
+        b = json.loads(json.dumps(self.MANIFEST))
+        b["config"]["n_maps"] = 65
+        b["config"]["two_photon"]["eta"] = 0.5
+        outs = self.write(tmp_path, [self.MANIFEST, b])
+        assert compare_outputs._manifest_differences(outs, ("A", "B")) == [
+            "manifest_ensemble.json: config.n_maps differs",
+            "manifest_ensemble.json: config.two_photon.eta differs",
+        ]
+
+    def test_a_field_on_one_side_only_is_named(self, tmp_path):
+        b = dict(self.MANIFEST, max_norm_drift=1e-15)
+        outs = self.write(tmp_path, [self.MANIFEST, b])
+        assert compare_outputs._manifest_differences(outs, ("A", "B")) == [
+            "manifest_ensemble.json: max_norm_drift differs",
+        ]
+
+    def test_the_fields_of_one_run_are_not_compared(self, tmp_path):
+        b = json.loads(json.dumps(self.MANIFEST))
+        b["config"]["output_dir"] = b["overrides"]["out"] = "/tmp/out_b"
+        b["created_utc"] = "2026-01-02T00:00:00+00:00"
+        b["outputs"] = {}
+        b["peak_rss_mb"] = None
+        b["timings_seconds"] = {"total": 2.0}
+        outs = self.write(tmp_path, [self.MANIFEST, b])
+        assert compare_outputs._manifest_differences(outs, ("A", "B")) == []
+
+    def test_a_manifest_on_one_side_only_is_named(self, tmp_path):
+        outs = self.write(tmp_path, [None, self.MANIFEST])
+        assert compare_outputs._manifest_differences(outs, ("A", "B")) == ["manifest_ensemble.json only in B"]
+        assert compare_outputs._manifest_differences([tmp_path / "x", tmp_path / "y"], ("A", "B")) == []

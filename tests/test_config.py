@@ -1,14 +1,16 @@
 """Configuration parsing: defaults, overrides, and loud failures."""
 
+import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
 from pdqw import ConfigError
-from pdqw.config import SimulationConfig, config_echo, config_from_dict, load_config
+from pdqw.config import SimulationConfig, TwoPhotonSettings, config_echo, config_from_dict, load_config
 
 
 class TestDefaults:
@@ -218,6 +220,33 @@ class TestEcho:
         assert echo["alphabet_pi_units"] == [0.0, 1.0]
         assert echo["fit_range"] == [1, 5]
         assert "n_max" not in echo and "enabled" not in echo["two_photon"]
-        import json
-
         json.dumps(echo)
+
+    def test_keys_are_the_dataclass_fields(self):
+        echo = config_echo(SimulationConfig())
+        top = {"alphabet_pi_units" if f.name == "alphabet" else f.name for f in fields(SimulationConfig)}
+        assert set(echo) == top
+        assert set(echo["two_photon"]) == {f.name for f in fields(TwoPhotonSettings)}
+
+    def test_a_config_that_sets_every_field_echoes_each_value(self):
+        two_photon = {"eta": 0.8, "visibility": 0.9, "coherence_time": 2.5,
+                      "delays": [-1.0, 0.0, 2.0], "display_normalization": True}
+        data = {
+            "steps": 9, "p_values": [0.15, 0.75], "n_maps": 17, "master_seed": 2**40 + 3,
+            "coin_reflectivity": 0.3, "sampling_mode": "exact_fraction", "alphabet": [0.5, "pi"],
+            "fit_range": [2, 8], "p_grid": [0.0, 0.4, 0.8], "crossing_steps": [3, 9],
+            "two_photon": two_photon, "output_dir": "runs/x",
+        }
+        assert set(data) == {f.name for f in fields(SimulationConfig)}
+        assert set(two_photon) == {f.name for f in fields(TwoPhotonSettings)}
+        cfg, default = config_from_dict(data), SimulationConfig()
+        # No value is a default, so an echo that fell back to one would show.
+        for f in fields(SimulationConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for f in fields(TwoPhotonSettings):
+            assert getattr(cfg.two_photon, f.name) != getattr(default.two_photon, f.name), f.name
+        expected = {**data, "alphabet_pi_units": [0.5, 1.0]}
+        del expected["alphabet"]
+        echo = config_echo(cfg)
+        assert echo == expected
+        assert json.loads(json.dumps(echo)) == expected

@@ -167,10 +167,10 @@ class TestBlockSampler:
     def test_block_matches_per_map_generation(self, mode, alphabet):
         steps = 4
         spec = DisorderSpec(p=0.3, steps=steps, alphabet=alphabet, sampling_mode=mode, master_seed=12)
-        codes = sample_block(spec, 0, SPLIT + 3)
+        codes = sample_block(spec, map_seeds(12, 0, SPLIT + 3))
         assert codes.dtype == np.int8
         assert codes.shape == (SPLIT + 3, steps, 2 * steps + 1)
-        np.testing.assert_array_equal(sample_block(spec, SPLIT, SPLIT + 3), codes[SPLIT:])
+        np.testing.assert_array_equal(sample_block(spec, map_seeds(12, SPLIT, SPLIT + 3)), codes[SPLIT:])
         for k in range(SPLIT + 3):
             pm = generate_phase_map(spec, k)
             seed, ref_rows, ref_mask = reference_phase_map(12, k, steps, 0.3, alphabet, mode)
@@ -272,8 +272,8 @@ class TestPcg64Words:
         # in a fresh interpreter; only exact_fraction needs its Generator.
         # (numpy 1 imports it with numpy itself.)
         code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
-                "from pdqw.disorder import DisorderSpec, sample_block, generate_phase_map; "
-                "sample_block(DisorderSpec(0.3, 5, (0.0, 1.0, 2.0)), 0, 50); "
+                "from pdqw.disorder import DisorderSpec, map_seeds, sample_block, generate_phase_map; "
+                "sample_block(DisorderSpec(0.3, 5, (0.0, 1.0, 2.0)), map_seeds(0, 0, 50)); "
                 "generate_phase_map(DisorderSpec(0.3, 5), 1); "
                 "print(before, 'numpy.random' in sys.modules)")
         src = os.path.dirname(os.path.dirname(pdqw.disorder.__file__))
@@ -490,7 +490,7 @@ class TestScanSampler:
         for i, spec in enumerate(specs):
             for start, stop in [(0, SPLIT), (SPLIT, SPLIT + 3)]:
                 np.testing.assert_array_equal(sampler.sample(i, start, stop),
-                                              sample_block(spec, start, stop)[:, rows, cols].T)
+                                              sample_block(spec, map_seeds(2, start, stop))[:, rows, cols].T)
         # once by the sampler and once by the reference, per p and chunk
         assert sorted(draws[0]) == sorted(chunk_draws(2, SPLIT + 3, SPLIT) * 2 * len(specs))
 
@@ -532,7 +532,7 @@ class TestScanSampler:
             reads.sort(key=lambda r: r[1])
         for i, start, stop in reads:
             np.testing.assert_array_equal(sampler.sample(i, start, stop),
-                                          sample_block(specs[i], start, stop)[:, rows, cols].T)
+                                          sample_block(specs[i], map_seeds(master, start, stop))[:, rows, cols].T)
 
 
 class TestPhaseFactors:

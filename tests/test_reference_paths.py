@@ -30,7 +30,7 @@ from pdqw import (
 )
 from pdqw.analysis import Distribution
 from pdqw.cli import _cone_rows, _Outputs, _write_csv, main
-from pdqw.disorder import DEFAULT_ALPHABET, phase_factors, sample_block
+from pdqw.disorder import DEFAULT_ALPHABET, map_seeds, phase_factors, sample_block
 from pdqw.ensemble import chunk_maps, mean_and_std
 from pdqw.errors import DomainError
 from pdqw.walk_core import _walk_operands
@@ -56,7 +56,7 @@ def reference_chunk(spec, coin, table, start, stop):
     steps = spec.steps
     n_sites = 2 * steps + 1
     block = stop - start
-    codes = sample_block(spec, start, stop)
+    codes = sample_block(spec, map_seeds(spec.master_seed, start, stop))
     psi0 = np.zeros((block, n_sites), dtype=complex)
     psi1 = np.zeros_like(psi0)
     psi0[:, steps] = 1.0

@@ -24,7 +24,7 @@ from pdqw import (
     variance,
 )
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors
-from pdqw.walk_core import _map_on_lattice, _site_sums, _walk, _walk_operands, walked_cells, window
+from pdqw.walk_core import _site_sums, _walk, _walk_operands, walked_cells, window
 
 COIN = hadamard_coin()
 QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
@@ -225,7 +225,7 @@ class TestWindowedDriver:
         psi = np.zeros((2, 1, 2), dtype=coin.dtype)
         psi[[0, 1], 0, [0, 1]] = 1.0
         dense = np.eye(2 * n_sites, dtype=complex)[:, [mode(0, 0, n_max), mode(0, 1, n_max)]]
-        codes = _map_on_lattice(pm, n_max, steps)[walked_cells(n_max, steps)][:, None]
+        codes = pm.codes[walked_cells(pm.steps, steps)][:, None]
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, steps), start=1):
             dense = dense_step_matrix(n_max, self.COIN, rows(pm)[n - 1], n, periodic=True) @ dense
             by_site = dense.reshape(n_sites, 2, 2).copy()
@@ -242,7 +242,7 @@ class TestWindowedDriver:
         pm = generate_phase_map(DisorderSpec(p=0.9, steps=steps, alphabet=alphabet, master_seed=3), 0)
         coin, table = _walk_operands(self.COIN, alphabet)
         walk = _walk(np.ones(1, coin.dtype), np.zeros(1, coin.dtype), coin,
-                     _map_on_lattice(pm, n_max, steps)[walked_cells(n_max, steps)], table, steps)
+                     pm.codes[walked_cells(pm.steps, steps)], table, steps)
         for n, (state, psi) in enumerate(zip(evolve(n_max, self.COIN, pm, steps), walk), start=1):
             at = window(n_max, n)
             assert list(range(-n_max, n_max + 1)[at]) == list(range(-n, n + 1, 2))

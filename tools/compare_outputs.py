@@ -12,13 +12,18 @@ command (`gen-maps`, `evolve`, `evolve --map`, `ensemble`, `beta`,
 `evolve --map` reads the same map file under both revisions: the first map
 that REV_A's `gen-maps` wrote.
 
-Every CSV and map file is compared byte for byte. Manifests are not
-compared, since they hold timestamps and absolute paths; instead, on each
-side, every manifest's `outputs` map must list exactly the files the
-command wrote, each with the sha256 and size in bytes of the file on disk,
-and each disagreement counts as a difference. The script prints each file
-that differs or exists on one side only, each manifest disagreement, and
-each command whose exit code differs, then a summary line. A differing CSV with the same header and row
+Every CSV and map file is compared byte for byte. Each manifest is
+compared field by field with the other revision's, the config echo
+included, except for the fields that differ between two runs of the same
+code: `created_utc`, `timings_seconds`, `peak_rss_mb`, and `overrides.out`
+and `config.output_dir`, which record the output directory that differs per
+side. Its `outputs` are checked on each side instead: they must list
+exactly the files the command wrote, each with the sha256 and size in bytes
+of the file on disk. Each field that differs and each `outputs`
+disagreement counts as a difference. The script prints each file that
+differs or exists on one side only, each manifest field that differs (by
+its dotted key), each `outputs` disagreement, and each command whose exit
+code differs, then a summary line. A differing CSV with the same header and row
 count on both sides also gets the largest absolute and relative change of
 any numeric cell, and the number of numeric cells that are exactly 0.0 on
 one side only (an exact zero that became round-off, or the reverse); the
@@ -43,6 +48,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIGS = sorted((ROOT / "tests" / "data").glob("check_*.yaml"))
 # gen-maps first: evolve --map reads one of its maps.
 COMMANDS = ["gen-maps", "evolve", "evolve --map", "ensemble", "beta", "crossing", "two-photon", "hom"]
+# Manifest fields, by dotted key, that are not compared across revisions:
+# `outputs` is checked on each side, and the others differ between runs.
+RUN_FIELDS = {"outputs", "created_utc", "timings_seconds", "peak_rss_mb",
+              "overrides.out", "config.output_dir"}
 
 
 def _git(*args: str) -> str:
@@ -92,6 +101,35 @@ def _manifest_mismatches(out: Path) -> list[str]:
                 problem = f"listed as {listed[rel]} but is {actual}"
             mismatches.append(f"{manifest.name}: {rel.as_posix()} {problem}")
     return mismatches
+
+
+def _fields(value, key: str = "") -> dict:
+    """The leaves of a manifest's JSON as {dotted key: value}, without the
+    RUN_FIELDS and what they hold."""
+    if key in RUN_FIELDS:
+        return {}
+    if not isinstance(value, dict) or not value:
+        return {key: value}
+    leaves = {}
+    for name, item in value.items():
+        leaves.update(_fields(item, f"{key}.{name}" if key else name))
+    return leaves
+
+
+def _manifest_differences(outs: list[Path], revs: tuple[str, str]) -> list[str]:
+    """How the manifests of the two output directories differ: each
+    manifest on one side only, and each field, by dotted key, that differs
+    or is on one side only."""
+    names = sorted({m.name for out in outs for m in out.glob("manifest_*.json")})
+    differences = []
+    for name in names:
+        if not all((out / name).exists() for out in outs):
+            differences.append(f"{name} only in {revs[0] if (outs[0] / name).exists() else revs[1]}")
+            continue
+        a, b = (_fields(json.loads((out / name).read_text(encoding="ascii"))) for out in outs)
+        differences += [f"{name}: {key} differs" for key in sorted(a.keys() | b.keys())
+                        if key not in a or key not in b or a[key] != b[key]]
+    return differences
 
 
 def _cell_change(a: Path, b: Path):
@@ -176,6 +214,9 @@ def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
                         n, d = _report(f"{label}: {command}", outs, (rev_a, rev_b), largest)
                         compared += n
                         differences += d
+                        for difference in _manifest_differences(outs, (rev_a, rev_b)):
+                            differences += 1
+                            print(f"{label}: {command}: {difference}")
                         for rev, out in zip((rev_a, rev_b), outs):
                             for mismatch in _manifest_mismatches(out):
                                 mismatches += 1
