@@ -224,25 +224,32 @@ def crossing_point(p_grid, s_ordered, s_disordered, step: int) -> CrossingPoint:
     """Locate the unique p where the two similarity curves cross.
 
     The difference s_ordered - s_disordered must change sign exactly once on
-    the grid; the crossing is then linearly interpolated. Zero, or more than
-    one, sign change raises AmbiguityError (the caller should refine the grid
-    or average more maps).
+    the grid; the crossing is then linearly interpolated. A run of exact
+    zeros counts as one crossing, at its first point, if it touches an end of
+    the grid or if the difference has opposite signs on its two sides; a
+    tangency (the same sign on both sides) is no crossing. Zero, or more
+    than one, crossing raises AmbiguityError (the caller should refine the
+    grid or average more maps); so do curves equal on the whole grid.
     """
     p = np.asarray(p_grid, dtype=float)
     d = np.asarray(s_ordered, dtype=float) - np.asarray(s_disordered, dtype=float)
     if p.size != d.size or p.size < 2:
         raise DomainError("curves and grid must share a length >= 2")
 
+    sign = np.sign(d)  # NaN where d is: nonzero, but no sign change
+    nonzero = np.flatnonzero(sign).tolist()
     crossings: list[float] = []
-    for i in range(d.size - 1):
-        if d[i] == 0.0:
-            if i == 0 or d[i - 1] != 0.0:
-                crossings.append(float(p[i]))
-        elif d[i] * d[i + 1] < 0.0:
-            frac = d[i] / (d[i] - d[i + 1])
-            crossings.append(float(p[i] + (p[i + 1] - p[i]) * frac))
-    if d[-1] == 0.0 and (d.size < 2 or d[-2] != 0.0):
-        crossings.append(float(p[-1]))
+    if nonzero and nonzero[0] > 0:
+        crossings.append(float(p[0]))
+    for a, b in zip(nonzero, nonzero[1:]):
+        if sign[a] * sign[b] < 0.0:
+            if b == a + 1:
+                frac = d[a] / (d[a] - d[b])
+                crossings.append(float(p[a] + (p[b] - p[a]) * frac))
+            else:
+                crossings.append(float(p[a + 1]))
+    if nonzero and nonzero[-1] < d.size - 1:
+        crossings.append(float(p[nonzero[-1] + 1]))
 
     if len(crossings) != 1:
         raise AmbiguityError(

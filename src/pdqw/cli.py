@@ -8,13 +8,12 @@ manifest (config echo, tool, Python and numpy versions, sha256 and size per
 output, timings, peak resident memory, and for the ensemble commands the
 largest norm drift) into the output directory, and exits 0 only if all
 outputs were produced. Every value cell is written as repr of its float (or
-str of an integer), so identical runs produce byte-identical files. The
-small tables go through one column writer, `_write_csv`. The light-cone
-files (`evolve_*.csv`, `ensemble_distributions.csv` and the pair matrices)
-go through a row template instead: each key and each whole row of a cone
-cell the walk cannot reach (written as 0.0, after a check that the data
-holds exactly +0.0 there) is formatted once per command call, and each block
-formats only the values of the cells its walk reaches.
+of its integer), so identical runs produce byte-identical files. Every CSV
+goes through one writer, a row template (`_Rows`): each constant cell (a
+key, a step, `n_maps`, the seed, the fit window) and each whole row of a
+light-cone cell the walk cannot reach (written as 0.0, after a check that
+the data holds exactly +0.0 there) is formatted once per command call, and
+each value column fills a slot of every row that has one.
 Each output, map file and manifest is written under a temporary name and
 renamed into place; an output's sha256 and byte count are taken from the
 bytes as they are written. A command deletes its old manifest before it
@@ -111,44 +110,18 @@ class _Outputs:
         self.files[name] = {"sha256": sink.sha256.hexdigest(), "bytes": sink.bytes}
 
 
-def _write_csv(out: _Outputs, name: str, header: list[str], blocks) -> None:
-    """Write a small CSV table one block of rows at a time.
-
-    A block is a list of columns: equal-length 1-D arrays, scalars that
-    repeat down the block, or lists of str. A list holds cells already
-    formatted and goes out as it is. A float column is written as repr of
-    each value, any other column with str. A scalar is formatted once and
-    repeated, and each block goes to the file in one write.
-    """
-    with out.open(name) as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            cells = []
-            for c in block:
-                if not isinstance(c, list):
-                    c = np.asarray(c)
-                    fmt = repr if c.dtype.kind == "f" else str
-                    c = list(map(fmt, c.tolist())) if c.ndim else fmt(c.tolist())
-                cells.append(c)
-            # One row for an all-scalar block; ValueError if column lengths differ.
-            (n_rows,) = {len(c) for c in cells if isinstance(c, list)} or {1}
-            rows = zip(*(c if isinstance(c, list) else [c] * n_rows for c in cells))
-            text = "\n".join(map(",".join, rows))
-            if text:
-                fh.write(text + "\n")
-
-
 class _Rows:
-    """The rows of one light-cone CSV block, as a template filled per block.
+    """The rows of one block of CSV text, as a template filled per block.
 
     `text` holds every row in file order, each ending in a newline: a row
-    the walk reaches is its key cells and a _SLOT cell per value column; any
-    other row is written whole, its values 0.0. `at` gives the flat index in
-    the block's source array of each reached row's value, in row order, and
-    `zero` that of each cell the source holds that a 0.0 row stands for.
+    with values is its constant cells and a _SLOT cell per value column; any
+    other row is written whole (a light-cone cell the walk cannot reach, its
+    values 0.0). For a light-cone block, `at` gives the flat index in the
+    block's source array of each slot row's value, in row order, and `zero`
+    that of each cell the source holds that a 0.0 row stands for.
     """
 
-    def __init__(self, text: str, at, zero=(), width: int = 1):
+    def __init__(self, text: str, at=(), zero=(), width: int = 1):
         pieces = text.split(_SLOT)
         self._template = [None] * (2 * len(pieces) - 1)
         self._template[::2] = pieces
@@ -166,7 +139,7 @@ class _Rows:
         return source.take(self._at)
 
     def text(self, *columns: np.ndarray, lead: str = "") -> str:
-        """The block's text: `columns` hold one value per reached row each,
+        """The block's text: `columns` hold one value per slot row each,
         written with repr, and every row starts with `lead`."""
         rows = self._template.copy()
         for c, column in enumerate(columns):
@@ -175,6 +148,21 @@ class _Rows:
         if lead:
             text = lead + text.replace("\n", "\n" + lead, self._n_rows - 1)
         return text
+
+
+def _write_table(out: _Outputs, name: str, header: str, keys, columns,
+                 tail: str = "", leads=("",)) -> None:
+    """Write the small table `name`: `header`, then for each entry of
+    `leads` a block of one row per entry of `keys`. A row is the lead and
+    the key (the text of its leading cells), one value from each of
+    `columns` and the constant cells `tail`. Each column holds the values
+    of every block, in row order once flattened."""
+    with out.open(name) as fh:
+        row = ",".join([_SLOT] * len(columns)) + tail + "\n"
+        rows = _Rows("".join(k + row for k in keys), width=len(columns))
+        fh.write(header + "\n")
+        for lead, *values in zip(leads, *(np.reshape(c, (len(leads), -1)) for c in columns)):
+            fh.write(rows.text(*values, lead=lead))
 
 
 def _cone_rows(steps: int) -> _Rows:
@@ -246,18 +234,20 @@ def cmd_evolve(cfg: SimulationConfig, args, out: _Outputs) -> dict:
 def cmd_ensemble(cfg: SimulationConfig, args, out: _Outputs) -> dict:
     coin = _coin(cfg)
     results = run_ensembles([_spec(cfg, p) for p in cfg.p_grid], coin, cfg.n_maps)
-    peak = np.max([r.mean_variance for r in results], axis=0)
-    step = [str(n) for n in range(1, cfg.steps + 1)]
-    header = ["p", "step", "mean_var", "std_var", "mean_var_normalized", "n_maps", "seed"]
-    _write_csv(out, "ensemble.csv", header, (
-        [r.p, step, r.mean_variance, r.std_variance, r.mean_variance / peak, r.n_maps, r.master_seed]
-        for r in results
-    ))
+    means = np.array([r.mean_variance for r in results])
+    peak = means.max(axis=0)
+    # A step whose largest variance is 0 (a deterministic walk) normalizes to 0.0.
+    normalized = np.divide(means, peak, out=np.zeros_like(means), where=peak > 0)
+    leads = [f"{p!r}," for p in cfg.p_grid]
+    _write_table(out, "ensemble.csv", "p,step,mean_var,std_var,mean_var_normalized,n_maps,seed",
+                 [f"{n}," for n in range(1, cfg.steps + 1)],
+                 [means, [r.std_variance for r in results], normalized],
+                 tail=f",{cfg.n_maps},{cfg.master_seed}", leads=leads)
     with out.open("ensemble_distributions.csv") as fh:
         fh.write("p,step,site,probability\n")
         rows = _cone_rows(cfg.steps)
-        for r in results:
-            fh.write(rows.text(rows.values(r.mean_probabilities), lead=f"{r.p!r},"))
+        for lead, r in zip(leads, results):
+            fh.write(rows.text(rows.values(r.mean_probabilities), lead=lead))
     return {"max_norm_drift": max(r.max_norm_drift for r in results)}
 
 
@@ -267,11 +257,10 @@ def cmd_beta(cfg: SimulationConfig, args, out: _Outputs) -> dict:
     fit_range = cfg.effective_fit_range()
     results = run_ensembles([_spec(cfg, p) for p in cfg.p_values], coin, cfg.n_maps)
     fits = [fit_beta(r.mean_variance, fit_range) for r in results]
-    header = ["p", "beta", "beta_stderr", "prefactor", "fit_lo", "fit_hi", "n_maps", "seed"]
-    _write_csv(out, "beta.csv", header, (
-        [p, fit.beta, fit.beta_stderr, fit.prefactor, *fit.fit_range, cfg.n_maps, cfg.master_seed]
-        for p, fit in zip(cfg.p_values, fits)
-    ))
+    _write_table(out, "beta.csv", "p,beta,beta_stderr,prefactor,fit_lo,fit_hi,n_maps,seed",
+                 [f"{p!r}," for p in cfg.p_values],
+                 [[f.beta for f in fits], [f.beta_stderr for f in fits], [f.prefactor for f in fits]],
+                 tail=f",{fit_range[0]},{fit_range[1]},{cfg.n_maps},{cfg.master_seed}")
     return {"max_norm_drift": max(r.max_norm_drift for r in results)}
 
 
@@ -285,20 +274,21 @@ def cmd_crossing(cfg: SimulationConfig, args, out: _Outputs) -> dict:
         grid, cfg.steps, cfg.n_maps, _coin(cfg), cfg.master_seed,
         sampling_mode=cfg.sampling_mode, alphabet=cfg.alphabet,
     )
-    p_text = list(map(repr, grid.tolist()))
-    _write_csv(out, "similarity_scan.csv", ["p", "step", "s_ordered", "s_disordered"],
-               ([p_text, n + 1, scan.s_ordered[n], scan.s_disordered[n]] for n in range(cfg.steps)))
+    p_text = [f"{p!r}," for p in grid.tolist()]
+    _write_table(out, "similarity_scan.csv", "p,step,s_ordered,s_disordered",
+                 [p + f"{n}," for n in range(1, cfg.steps + 1) for p in p_text],
+                 [scan.s_ordered, scan.s_disordered])
 
     points = [crossing_point(grid, scan.s_ordered[n - 1], scan.s_disordered[n - 1], n)
               for n in cfg.crossing_steps]
-    _write_csv(out, "crossing.csv", ["step", "p_star"], ([cp.step, cp.p_star] for cp in points))
+    _write_table(out, "crossing.csv", "step,p_star", [f"{n}," for n in cfg.crossing_steps],
+                 [[cp.p_star for cp in points]])
     return {"max_norm_drift": scan.max_norm_drift}
 
 
 def cmd_two_photon(cfg: SimulationConfig, args, out: _Outputs) -> dict:
     display = cfg.two_photon.display_normalization
     header = "site_i,site_j,probability" + (",probability_display" if display else "") + "\n"
-    step = [str(n) for n in range(1, cfg.steps + 1)]
     specs = [_spec(cfg, p) for p in cfg.p_values]
     results = run_pair_ensembles(specs, _coin(cfg), cfg.n_maps, cfg.two_photon.eta)
     templates = _pair_rows(cfg.steps, results[0].window_sites, 2 if display else 1)
@@ -315,18 +305,18 @@ def cmd_two_photon(cfg: SimulationConfig, args, out: _Outputs) -> dict:
                     peak = max(matrix.max(), 0.0)
                     columns.append(prob / peak if peak > 0 else np.zeros_like(prob))
                 fh.write(header + rows.text(*columns))
-    _write_csv(out, "two_photon_var2.csv", ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"], (
-        [p, step, ens.mean_variance2, ens.std_variance2, cfg.n_maps, cfg.master_seed]
-        for p, ens in zip(cfg.p_values, results)
-    ))
+    _write_table(out, "two_photon_var2.csv", "p,step,mean_var2,std_var2,n_maps,seed",
+                 [f"{n}," for n in range(1, cfg.steps + 1)],
+                 [[ens.mean_variance2 for ens in results], [ens.std_variance2 for ens in results]],
+                 tail=f",{cfg.n_maps},{cfg.master_seed}", leads=[f"{p!r}," for p in cfg.p_values])
     return {"max_norm_drift": max(ens.max_norm_drift for ens in results)}
 
 
 def cmd_hom(cfg: SimulationConfig, args, out: _Outputs) -> dict:
     tp = cfg.two_photon
     scan = hom_scan(tp.delays, tp.coherence_time, tp.visibility, _coin(cfg))
-    _write_csv(out, "hom.csv", ["delay", "eta", "normalized_coincidence"],
-               [[scan.delays, scan.etas, scan.coincidences]])
+    _write_table(out, "hom.csv", "delay,eta,normalized_coincidence", [""] * scan.delays.size,
+                 [scan.delays, scan.etas, scan.coincidences])
     return {}
 
 

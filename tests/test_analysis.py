@@ -205,6 +205,33 @@ class TestCrossingPoint:
         got = crossing_point(p, [1.0, 0.6, 0.2], [0.2, 0.6, 1.0], step=5)
         assert got.p_star == 0.5
 
+    def test_a_zero_run_between_opposite_signs_crosses_at_its_start(self):
+        p = [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert crossing_point(p, [0.3, 0.0, 0.0, -0.2, -0.4], [0.0] * 5, step=5).p_star == 0.25
+
+    @pytest.mark.parametrize("diff, p_star", [
+        ([0.0, 0.1, 0.2], 0.0), ([0.0, 0.0, 0.2], 0.0), ([0.2, 0.1, 0.0], 1.0),
+    ])
+    def test_a_zero_run_at_an_end_of_the_grid_crosses_there(self, diff, p_star):
+        p = [0.0, 0.5, 1.0]
+        assert crossing_point(p, diff, [0.0] * 3, step=5).p_star == p_star
+
+    @pytest.mark.parametrize("diff", [[0.2, 0.0, 0.1], [-0.2, 0.0, 0.0, -0.1]])
+    def test_a_tangent_zero_is_no_crossing(self, diff):
+        p = np.linspace(0.0, 1.0, len(diff))
+        with pytest.raises(AmbiguityError, match="found 0"):
+            crossing_point(p, diff, np.zeros(len(diff)), step=5)
+
+    def test_a_tangent_zero_beside_a_crossing_leaves_that_crossing(self):
+        p = [0.0, 0.25, 0.5, 0.75, 1.0]
+        got = crossing_point(p, [0.2, 0.0, 0.2, 0.1, -0.1], [0.0] * 5, step=5)
+        assert got.p_star == pytest.approx(0.875, abs=1e-12)
+
+    def test_identical_curves_raise(self):
+        s = [1.0, 0.5, 0.25]
+        with pytest.raises(AmbiguityError, match="found 0"):
+            crossing_point([0.0, 0.5, 1.0], s, s, step=5)
+
     def test_no_crossing_raises(self):
         p = [0.0, 0.5, 1.0]
         with pytest.raises(AmbiguityError):

@@ -119,6 +119,19 @@ class TestEnsemble:
             peaks = [float(r[4]) for r in rows if r[1] == step]
             assert max(peaks) == 1.0
 
+    @pytest.mark.parametrize("reflectivity", [0.0, 1.0])
+    def test_a_zero_peak_normalizes_to_zero(self, tmp_path, reflectivity):
+        # A coin that only transmits or only reflects walks each map the same
+        # way at every p, so mean_var is 0 at every step; the normalized
+        # column is 0.0 there, with no division warning (an error under the
+        # suite's warning filter).
+        cfg = write_config(tmp_path, f"steps: 3\nn_maps: 2\np_grid: [0.0, 1.0]\n"
+                                     f"coin_reflectivity: {reflectivity}\n")
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "ensemble.csv")
+        assert [(r[2], r[4]) for r in rows] == [("0.0", "0.0")] * 6
+
     def test_distribution_file_structure(self, tmp_path):
         cfg = write_config(tmp_path, self.CFG)
         out = tmp_path / "out"
@@ -210,6 +223,19 @@ class TestCrossing:
             "steps: 3\nn_maps: 10\nmaster_seed: 4\np_grid: [0.9, 0.95, 1.0]\ncrossing_steps: [3]\n",
         )
         assert main(["crossing", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("reflectivity", [0.0, 1.0])
+    def test_identical_curves_are_a_runtime_error(self, tmp_path, capsys, reflectivity):
+        # Every map walks the same way, so both similarity curves are 1 at
+        # every p: there is no crossing to report.
+        cfg = write_config(tmp_path, f"steps: 3\nn_maps: 2\np_grid: [0.0, 0.5, 1.0]\n"
+                                     f"crossing_steps: [3]\ncoin_reflectivity: {reflectivity}\n")
+        out = tmp_path / "out"
+        assert main(["crossing", "--config", cfg, "--out", str(out)]) == 1
+        assert "found 0" in capsys.readouterr().err
+        _, rows = read_csv(out / "similarity_scan.csv")
+        assert {(r[2], r[3]) for r in rows} == {("1.0", "1.0")}
+        assert not (out / "crossing.csv").exists()
 
     def test_default_crossing_steps_beyond_steps_is_a_usage_error(self, tmp_path, capsys):
         # The default crossing_steps [5, 6, 7] exceed steps 5: crossing names
@@ -391,8 +417,9 @@ class TestManifestOutputs:
     """Every command's manifest: the sha256 and size of each output, taken
     as it is written, against the files on disk, and the writing time."""
 
+    # No crossing at step 2: the two similarity curves are equal on this grid there.
     CFG = ("steps: 3\nn_maps: 3\nmaster_seed: 5\np_values: [0.0, 0.5, 1.0]\n"
-           "p_grid: [0.0, 0.5, 1.0]\ncrossing_steps: [2, 3]\nfit_range: [1, 3]\n"
+           "p_grid: [0.0, 0.5, 1.0]\ncrossing_steps: [3]\nfit_range: [1, 3]\n"
            "two_photon: {display_normalization: true}\n")
 
     def run(self, tmp_path, command):

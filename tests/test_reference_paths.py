@@ -1,5 +1,5 @@
-"""The batched moments, the light-cone row templates and the CSV writer,
-bit for bit against the step-by-step and broadcasting code they replaced,
+"""The batched moments, the row templates of every CSV table and light-cone
+file, bit for bit against the step-by-step and broadcasting code they replaced,
 and the float64 walk against the complex128 walk it replaces wherever the
 coin and phase factors are real.
 
@@ -19,17 +19,21 @@ import pdqw.walk_core
 from pdqw import (
     DisorderSpec,
     coin_from_reflectivity,
+    crossing_point,
     evolve,
+    fit_beta,
     generate_phase_map,
     hadamard_coin,
+    hom_scan,
     position_distribution,
     run_ensemble,
     run_ensembles,
     run_pair_ensemble,
     run_pair_ensembles,
+    similarity_scan,
 )
 from pdqw.analysis import Distribution
-from pdqw.cli import _cone_rows, _Outputs, _write_csv, main
+from pdqw.cli import _cone_rows, _Outputs, _write_table, main
 from pdqw.disorder import DEFAULT_ALPHABET, map_seeds, phase_factors, sample_block
 from pdqw.ensemble import chunk_maps, mean_and_std
 from pdqw.errors import DomainError
@@ -196,9 +200,9 @@ class TestRealWalk:
         assert np.array_equal(real[2], amplitudes)
 
 
-def write_csv(path, header, blocks):
-    """The CLI's small-table writer, writing `path`."""
-    _write_csv(_Outputs(path.parent), path.name, header, blocks)
+def write_table(path, header, keys, columns, **kwargs):
+    """The CLI's table writer, writing `path`."""
+    _write_table(_Outputs(path.parent), path.name, header, keys, columns, **kwargs)
 
 
 def csv_text(tmp_path, writer, header, blocks):
@@ -207,46 +211,120 @@ def csv_text(tmp_path, writer, header, blocks):
     return path.read_text()
 
 
+HOM = [np.array([-1e-05, 0.0, 3.0]), np.array([0.5, 0.93, 1e-300]), np.array([1.0, 0.07, -0.0])]
+
+
 class TestWriter:
-    @pytest.mark.parametrize("header, blocks", [
-        pytest.param(["step", "p_star"],
-                     [[5, 0.31], [6, float("nan")], [7, np.float64(1 / 3)]],
-                     id="all-scalar blocks"),
-        pytest.param(["site_i", "site_j", "probability", "probability_display"],
-                     [[np.array([-1, -1, 0]), np.array([-1, 1, 0]), np.zeros(3), 0.0]],
-                     id="scalar 0.0 column"),
-        pytest.param(["p", "step", "site", "probability"],
-                     [[0.5, np.arange(0), np.arange(0), np.array([])],
-                      [0.25, 3, np.array([], dtype=int), np.zeros(0)]],
-                     id="zero-length arrays"),
+    @pytest.mark.parametrize("header, table, blocks", [
+        pytest.param(["step", "p_star"], dict(keys=["5,", "6,", "7,"], columns=[[0.31, math.nan, 1 / 3]]),
+                     [[5, 0.31], [6, math.nan], [7, np.float64(1 / 3)]],
+                     id="one value column"),
+        pytest.param(["step", "p_star"], dict(keys=[], columns=[np.array([])]), [[np.arange(0), np.array([])]],
+                     id="no rows"),
         pytest.param(["p", "step", "mean_var", "n_maps", "seed"],
+                     dict(keys=["1,", "2,", "3,"], columns=[[np.array([1.0, 2.5, 1e-300]), np.arange(3.0)]],
+                          tail=f",64,{2**64 - 1}", leads=["0.01,", f"{0.1 + 0.2!r},"]),
                      [[0.01, np.arange(1, 4), np.array([1.0, 2.5, 1e-300]), 64, 2**64 - 1],
-                      [np.float64(0.1 + 0.2), np.arange(1, 4), np.arange(3.0), 64, 0]],
-                     id="int and float columns"),
-        pytest.param(["p", "step", "s"],
-                     [[np.array([0.0, 0.5, 1.0]), n, np.array([0.1, 0.7, 1.0]) / n] for n in (1, 2)],
-                     id="array and scalar columns"),
-        pytest.param(["p", "step", "site", "probability"],
-                     [[p, ["1,-1", "1,1", "2,0"], np.array([0.5, 0.5, 1 / 3]) * p] for p in (1e-05, 0.75)],
-                     id="pre-formatted text column"),
+                      [np.float64(0.1 + 0.2), np.arange(1, 4), np.arange(3.0), 64, 2**64 - 1]],
+                     id="a block per lead, constant tail cells"),
+        pytest.param(["p", "step", "s", "t"],
+                     dict(keys=[f"{p!r},{n}," for n in (1, 2) for p in (0.0, 0.5, 1.0)],
+                          columns=[np.array([[0.1, 0.7, 1.0], [0.05, 0.35, 0.5]]), -np.arange(6.0).reshape(2, 3)]),
+                     [[np.array([0.0, 0.5, 1.0]), n, np.array([0.1, 0.7, 1.0]) / n, -np.arange(3.0 * n - 3, 3.0 * n)]
+                      for n in (1, 2)],
+                     id="2-D columns, step-major"),
+        pytest.param(["delay", "eta", "normalized_coincidence"], dict(keys=[""] * 3, columns=HOM), [HOM],
+                     id="no key cells"),
     ])
-    def test_matches_the_broadcasting_writer(self, tmp_path, header, blocks):
-        assert (csv_text(tmp_path, write_csv, header, blocks)
-                == csv_text(tmp_path, reference_write_csv, header, blocks))
+    def test_matches_the_broadcasting_writer(self, tmp_path, header, table, blocks):
+        path = tmp_path / "table.csv"
+        write_table(path, ",".join(header), **table)
+        assert path.read_text() == csv_text(tmp_path, reference_write_csv, header, blocks)
 
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], [[np.arange(2), np.arange(3.0)]])
+            write_table(tmp_path / "bad.csv", "a,b", ["", ""], [np.arange(2.0), np.arange(3.0)])
 
-    def test_text_column_length_counts(self, tmp_path):
-        # A pre-formatted column sets the row count like an array does.
+    @pytest.mark.parametrize("leads, n_values", [(("",), 3), (["0.5,", "1.0,"], 5), (["0.5,", "1.0,"], 6)])
+    def test_text_column_length_counts(self, tmp_path, leads, n_values):
+        # The key cells, once per lead, set the row count: a column of
+        # another length fails, and no file is left.
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "bad.csv", ["p", "step", "site", "probability"],
-                      [[0.5, ["1,-1", "1,1"], np.arange(3.0)]])
+            write_table(tmp_path / "bad.csv", "p,step,site,probability", ["1,-1,", "1,1,"],
+                        [np.arange(float(n_values))], leads=leads)
         assert not (tmp_path / "bad.csv").exists()
-        path = tmp_path / "scalars.csv"
-        write_csv(path, ["step", "p_star", "seed"], [[5, 0.25, np.uint64(2**64 - 1)]])
-        assert path.read_text() == "step,p_star,seed\n5,0.25,18446744073709551615\n"
+
+
+@pytest.mark.parametrize("seed", [9, 2**64 - 1])
+class TestTables:
+    """Each small table a command writes, through main, against the
+    broadcasting writer applied to the same results computed in process.
+    1e-05 is a p whose repr has an exponent, 0.1 + 0.2 one that needs 17
+    digits, and 2**64 - 1 the largest --seed."""
+
+    P = [0.0, 1e-05, 0.1 + 0.2, 1.0]
+    # The CLI's coin, which differs from hadamard_coin() in the last ulp.
+    COIN = coin_from_reflectivity(0.5)
+
+    def run(self, tmp_path, command, seed, extra=""):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("steps: 4\nn_maps: 3\nmaster_seed: 9\ncrossing_steps: [3, 4]\n"
+                       "p_values: [0.0, 1e-05, 0.30000000000000004, 1.0]\n"
+                       "p_grid: [0.0, 1e-05, 0.30000000000000004, 1.0]\n" + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+        return out
+
+    def specs(self, seed):
+        return [DisorderSpec(p=p, steps=4, master_seed=seed) for p in self.P]
+
+    def test_ensemble(self, tmp_path, seed):
+        out = self.run(tmp_path, "ensemble", seed)
+        results = run_ensembles(self.specs(seed), self.COIN, 3)
+        peak = np.max([r.mean_variance for r in results], axis=0)
+        header = ["p", "step", "mean_var", "std_var", "mean_var_normalized", "n_maps", "seed"]
+        assert (out / "ensemble.csv").read_text() == csv_text(tmp_path, reference_write_csv, header, (
+            [r.p, np.arange(1, 5), r.mean_variance, r.std_variance, r.mean_variance / peak, 3, seed]
+            for r in results))
+
+    def test_beta(self, tmp_path, seed):
+        out = self.run(tmp_path, "beta", seed)
+        results = run_ensembles(self.specs(seed), self.COIN, 3)
+        header = ["p", "beta", "beta_stderr", "prefactor", "fit_lo", "fit_hi", "n_maps", "seed"]
+        blocks = []
+        for r in results:
+            fit = fit_beta(r.mean_variance, (1, 4))
+            blocks.append([r.p, fit.beta, fit.beta_stderr, fit.prefactor, *fit.fit_range, 3, seed])
+        assert (out / "beta.csv").read_text() == csv_text(tmp_path, reference_write_csv, header, blocks)
+
+    def test_crossing(self, tmp_path, seed):
+        out = self.run(tmp_path, "crossing", seed)
+        scan = similarity_scan(self.P, 4, 3, self.COIN, seed)
+        assert (out / "similarity_scan.csv").read_text() == csv_text(
+            tmp_path, reference_write_csv, ["p", "step", "s_ordered", "s_disordered"],
+            ([np.array(self.P), n, scan.s_ordered[n - 1], scan.s_disordered[n - 1]] for n in range(1, 5)))
+        points = [crossing_point(self.P, scan.s_ordered[n - 1], scan.s_disordered[n - 1], n) for n in (3, 4)]
+        assert (out / "crossing.csv").read_text() == csv_text(
+            tmp_path, reference_write_csv, ["step", "p_star"], ([cp.step, cp.p_star] for cp in points))
+
+    @pytest.mark.parametrize("display", [False, True])
+    def test_two_photon(self, tmp_path, seed, display):
+        out = self.run(tmp_path, "two-photon", seed,
+                       f"two_photon: {{eta: 0.8, display_normalization: {str(display).lower()}}}\n")
+        results = run_pair_ensembles(self.specs(seed), self.COIN, 3, 0.8)
+        header = ["p", "step", "mean_var2", "std_var2", "n_maps", "seed"]
+        assert (out / "two_photon_var2.csv").read_text() == csv_text(tmp_path, reference_write_csv, header, (
+            [p, np.arange(1, 5), ens.mean_variance2, ens.std_variance2, 3, seed]
+            for p, ens in zip(self.P, results)))
+
+    def test_hom(self, tmp_path, seed):
+        delays = [-3.0, -1e-05, 0.0, 0.1 + 0.2, 2.5]
+        out = self.run(tmp_path, "hom", seed, "two_photon: {visibility: 0.9, coherence_time: 0.7, "
+                                              "delays: [-3.0, -1e-05, 0.0, 0.30000000000000004, 2.5]}\n")
+        scan = hom_scan(delays, 0.7, 0.9, self.COIN)
+        assert (out / "hom.csv").read_text() == csv_text(
+            tmp_path, reference_write_csv, ["delay", "eta", "normalized_coincidence"],
+            [[scan.delays, scan.etas, scan.coincidences]])
 
 
 def reached(steps):
