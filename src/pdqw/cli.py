@@ -1,7 +1,9 @@
 """Command-line front end.
 
 One table, `_COMMANDS`, names each subcommand with its function and its
---help line; the argument parser is built from it.
+--help line; the argument parser is built from it. main parses with the
+invoked command's own parser, and builds the full parser only to print
+help, the version or a usage error.
 
 Every subcommand reads one YAML config, writes CSVs plus a JSON run
 manifest (config echo, tool, Python and numpy versions, sha256 and size per
@@ -354,9 +356,10 @@ def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
     the status file is absent. ru_maxrss is not used: Linux carries the
     spawning process's peak into it across exec."""
     try:
-        with open(status, encoding="ascii", errors="replace") as fh:
+        # Read as bytes: a text read would load a codec in a fresh process.
+        with open(status, "rb") as fh:
             for line in fh:
-                if line.startswith("VmHWM:"):
+                if line.startswith(b"VmHWM:"):
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass
@@ -391,28 +394,61 @@ def _write_manifest(path: Path, command: str, cfg: SimulationConfig, args,
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's own parser: it raises ArgumentError where argparse would
+    print an error and exit, so that the full parser words the error."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _command_parser(name: str, add_help: bool = True) -> _CommandParser:
+    """The options of command `name`: the parser main runs on the command's
+    arguments, and without help the parent of its subparser in the full
+    parser."""
+    parser = _CommandParser(prog=f"pdqw {name}", add_help=add_help)
+    parser.add_argument("--config", required=True, help="path to the YAML run configuration")
+    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="must be >= 1; recorded in the manifest, but maps always run serially")
+    parser.add_argument("--out", default=None, help="override output_dir")
+    if name == "evolve":
+        parser.add_argument("--map", default=None, help="evolve this phase-map file instead of sampling")
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser of `pdqw`."""
     parser = argparse.ArgumentParser(
         prog="pdqw",
         description="Phase-disordered discrete-time quantum walk simulator",
     )
     parser.add_argument("--version", action="version", version=f"pdqw {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the YAML run configuration")
-    common.add_argument("--seed", type=int, default=None, help="override master_seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="must be >= 1; recorded in the manifest, but maps always run serially")
-    common.add_argument("--out", default=None, help="override output_dir")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "evolve":
-            cmd.add_argument("--map", default=None, help="evolve this phase-map file instead of sampling")
+        sub.add_parser(name, help=help_text, parents=[_command_parser(name, add_help=False)])
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` as the full parser does. Only the parser of the command
+    in argv[0] is built, which is most of a short run's fixed cost. What
+    that parser rejects or leaves over, no command and an unknown one go to
+    the full parser, so every help text, error message and exit status is
+    its own."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        except argparse.ArgumentError:
+            extras = True
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = args.command
     try:
         cfg = load_config(args.config)

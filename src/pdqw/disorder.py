@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -363,9 +362,10 @@ def _draw(steps: int, n_letters: int, seeds, at, p: float | None = None):
 
 def _mark_count(steps: int, p: float) -> int:
     """How many cells an exact_fraction map marks: the floor of p * cells on
-    the exact rational value of the float p, so the count never suffers a
-    binary off-by-one."""
-    return int(Fraction(p) * steps * (steps + 2))
+    the exact rational value num / den of the float p, in integers, so the
+    count never suffers a binary off-by-one."""
+    num, den = p.as_integer_ratio()
+    return num * (steps * (steps + 2)) // den
 
 
 def _draw_exact(steps: int, n_letters: int, seeds, at, count: int):

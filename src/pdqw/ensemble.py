@@ -144,17 +144,26 @@ def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np
         psi = np.zeros((2, 1, rows), dtype=coin.dtype)
         psi[0] = 1.0
         totals = np.empty((steps, rows))
+        # Scratch of the batch, taken per step as the C-contiguous first
+        # (n + 2) * rows cells, so each operation rounds as on a new array.
+        w_buf, t_buf, by_map = np.empty((3, (steps + 1) * rows))
+        m1, m2 = np.empty((2, rows))
         acc = sums[i : i + k]
         for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, steps)):
-            w = _abs2(psi0) + _abs2(psi1)
-            totals[n] = _site_sums(w)
+            size = (n + 2) * rows
+            w, t = w_buf[:size].reshape(n + 2, rows), t_buf[:size].reshape(n + 2, rows)
+            _abs2(psi0, out=w)
+            w += _abs2(psi1, out=t)
+            _site_sums(w, out=totals[n])
             w /= totals[n]
             if var is not None:
-                m1 = _site_sums(w * sites[n])
-                var[:, n] = _site_sums(w * sites_sq[n]) - m1 * m1
+                _site_sums(np.multiply(w, sites[n], out=t), out=m1)
+                _site_sums(np.multiply(w, sites_sq[n], out=t), out=m2)
+                np.subtract(m2, np.multiply(m1, m1, out=m1), out=var[:, n])
             # Each map's distributions as one contiguous (k, sites) block:
             # summed over maps, they add in index order, as one mean would.
-            w = np.ascontiguousarray(w.reshape(len(w), k, -1).transpose(2, 1, 0))
+            w = by_map[:size].reshape(rows // k, k, n + 2)
+            w[...] = w_buf[:size].reshape(n + 2, k, -1).transpose(2, 1, 0)
             at = window(steps, n + 1)
             if start > 0:
                 # Carry the earlier chunks' sum into the first map.

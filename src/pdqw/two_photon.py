@@ -216,7 +216,13 @@ def hom_scan(delays, coherence_time: float, visibility: float, coin) -> HomScan:
     c, _ = _walk_operands(coin, ())
     interfering = abs(c[0, 0] * c[1, 1] + c[0, 1] * c[1, 0]) ** 2
     distinguishable = abs(c[0, 0] * c[1, 1]) ** 2 + abs(c[0, 1] * c[1, 0]) ** 2
-    etas = visibility * np.exp(-((delays / coherence_time) ** 2))
+    # exp(-(tau / tau_c)^2) is exactly 0.0 in float64 once |tau / tau_c|
+    # exceeds 28, so clipping |tau| at 1e3 tau_c changes no eta, and the
+    # ratio and its square cannot overflow (as they would past about
+    # 1.3e154). The bound is a Python float: past tau_c = 1.8e305 it is inf,
+    # without a warning, and clips nothing.
+    bound = 1e3 * float(coherence_time)
+    etas = visibility * np.exp(-((np.minimum(np.abs(delays), bound) / coherence_time) ** 2))
     return HomScan(
         delays=delays,
         coherence_time=coherence_time,

@@ -9,7 +9,8 @@ parity n from -n to n (window), which never reach the lattice edge while
 steps <= n_max. Amplitude arrays are site-major, shaped (window sites,
 *batch), so per-site work is a handful of row operations over contiguous
 batches, and a walk reads its cell codes already gathered at the cells it
-walks (walked_cells).
+walks (walked_cells). A walk steps in state buffers that it allocates once,
+so each step it yields is overwritten two steps later (see _walk).
 """
 
 from __future__ import annotations
@@ -105,20 +106,51 @@ def walked_cells(centre: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, centre - rows + 2 * j
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    """|x|^2: x * x in float64, which is the bits np.abs(x) ** 2 gives there."""
-    return x * x if x.dtype.kind == "f" else np.abs(x) ** 2
+def _abs2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^2, into `out` if given: x * x in float64, which is the bits
+    np.abs(x) ** 2 gives there."""
+    if x.dtype.kind == "f":
+        return np.multiply(x, x, out=out)
+    return np.square(np.abs(x, out=out), out=out)
 
 
-def _site_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 of a site-major array, added left to right in site
-    order whatever the batch. numpy reduces the outer axis of a C-contiguous
-    array one site at a time, elementwise over the batch, but drops a batch
-    of one element and then sums pairwise, which rounds differently once 8
-    sites or more are added; a lone column is therefore accumulated."""
-    if a[0].size == 1:
-        return np.add.accumulate(a, axis=0)[-1]
-    return a.sum(axis=0)
+def _site_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over axis 0 of a site-major array, into `out` if given, added
+    left to right in site order whatever the batch. numpy reduces the outer
+    axis of a C-contiguous array one site at a time, elementwise over the
+    batch, but drops a batch of one element and then sums pairwise, which
+    rounds differently once 8 sites or more are added; a lone column is
+    therefore accumulated."""
+    if a[0].size > 1:
+        return a.sum(axis=0, out=out)
+    sums = np.add.accumulate(a, axis=0)[-1]
+    if out is None:
+        return sums
+    out[...] = sums
+    return out
+
+
+def _step(psi0, b1, coin, out0, out1) -> None:
+    """The coin mix and the window-growing shift of one step, on site-major
+    arrays with any trailing axes.
+
+    psi0 and b1 hold the coin-0 amplitudes and the coin-1 amplitudes after
+    the phase stage on the m sites of a window. out0 and out1, of m + 1
+    sites each, receive the next window: coin 0 shifted one site left
+    (out0[:m]) and coin 1 one site right (out1[1:]). The sites the shift
+    leaves empty, out0[m] and out1[0], are not written and must hold zeros.
+    Each amplitude is coin[c, 0] * psi0 + coin[c, 1] * b1, multiplied and
+    added in that order, so it rounds as that expression does. b1 is
+    overwritten.
+    """
+    m = len(psi0)
+    a0, a1 = out0[:m], out1[1:]
+    np.multiply(coin[0, 1], b1, out=a1)
+    np.multiply(coin[0, 0], psi0, out=a0)
+    a0 += a1
+    np.multiply(coin[1, 1], b1, out=b1)
+    np.multiply(coin[1, 0], psi0, out=a1)
+    a1 += b1
 
 
 def _walk(psi0, psi1, coin, codes, table, steps: int):
@@ -133,23 +165,29 @@ def _walk(psi0, psi1, coin, codes, table, steps: int):
     of walked_cells along axis 0, with trailing axes that broadcast against
     the batch. Step n takes the phase factors of its n cells (the sites of
     the previous window) with table.take (the values fancy indexing gives,
-    gathered faster), multiplies the coin-1 amplitudes by them, mixes with
-    the coin and shifts coin 0 one site left, coin 1 one site right: the
-    window grows by one site, which coin 1 alone reaches on the right and
-    coin 0 alone on the left. Every site off the window holds an exact zero
-    on the lattice, so on the window every amplitude is the one the full
-    lattice walk gives, up to the sign of a zero.
+    gathered faster) and multiplies the coin-1 amplitudes by them; _step
+    mixes with the coin and shifts coin 0 one site left, coin 1 one site
+    right: the window grows by one site, which coin 1 alone reaches on the
+    right and coin 0 alone on the left. Every site off the window holds an
+    exact zero on the lattice, so on the window every amplitude is the one
+    the full lattice walk gives, up to the sign of a zero.
+
+    The walk allocates its buffers once, not per step. It writes step n
+    into the first n + 2 sites of state buffer n % 2 of two zero-initialised
+    ones, so each yielded pair is a view that the walk overwrites two steps
+    later. A caller uses (or copies) a step's arrays before it advances the
+    walk twice, and never writes into them.
     """
+    dtype = np.result_type(psi0, psi1, coin, table)
+    batch = np.broadcast_shapes(psi0.shape[1:], psi1.shape[1:], codes.shape[1:])
+    states = np.zeros((2, 2, steps + 1, *batch), dtype=dtype)
+    b1 = np.empty((steps, *batch), dtype=dtype)
     for n in range(steps):
-        b1 = table.take(codes[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]) * psi1
-        a0 = coin[0, 0] * psi0 + coin[0, 1] * b1
-        a1 = coin[1, 0] * psi0 + coin[1, 1] * b1
-        psi0 = np.empty((n + 2,) + a0.shape[1:], dtype=a0.dtype)
-        psi0[: n + 1] = a0
-        psi0[n + 1] = 0.0
-        psi1 = np.empty_like(psi0)
-        psi1[1:] = a1
-        psi1[0] = 0.0
+        phased = b1[: n + 1]
+        np.multiply(table.take(codes[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]), psi1, out=phased)
+        out0, out1 = states[n % 2, :, : n + 2]
+        _step(psi0, phased, coin, out0, out1)
+        psi0, psi1 = out0, out1
         yield psi0, psi1
 
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,8 +26,13 @@ from pdqw import (
     save_map,
     evolve,
 )
-from pdqw.cli import _build_parser, _peak_rss_mb, main
+from pdqw.cli import _build_parser, _parse_args, _peak_rss_mb, main
 from pdqw.disorder import map_seeds
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
 
 # The CLI always builds its coin from the reflectivity parameter; use the
 # same constructor here (hadamard_coin() differs in the last ulp).
@@ -303,6 +309,19 @@ class TestTwoPhotonCommands:
         center = [r for r in rows if r[0] == "0.0"][0]
         assert float(center[1]) == 0.93
         assert float(center[2]) == pytest.approx(0.07, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coherence_time", [1e-300, 1.0])
+    def test_far_delays_give_the_distinguishable_baseline(self, tmp_path, coherence_time):
+        # (tau / tau_c) ** 2 would overflow here; the Gaussian is exactly 0.0.
+        cfg = write_config(tmp_path, "two_photon: {delays: [-1.0e+308, 0.0, 1.0e+308], "
+                                     f"coherence_time: {coherence_time!r}}}\n")
+        out = tmp_path / "out"
+        assert main(["hom", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "hom.csv")
+        assert [r[0] for r in rows] == ["-1e+308", "0.0", "1e+308"]
+        assert [r[1:] for r in rows[::2]] == [["0.0", "1.0"]] * 2
+        assert float(rows[1][1]) == 0.93
 
 
 class TestTextOracle:
@@ -678,6 +697,29 @@ class TestParser:
             _build_parser().parse_args(["crossing"])
         assert exc.value.code == 2
         assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    # Argument lists that the parser answers itself: help, the version and
+    # usage errors, for every command and for no command or an unknown one.
+    # tools/compare_outputs.py asks both revisions the same ones.
+    ANSWERED = compare_outputs.ANSWERED
+
+    @pytest.mark.parametrize("argv", ANSWERED, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_main_answers_as_the_full_parser(self, argv, capsys):
+        # main builds only the invoked command's parser; what it prints and
+        # its exit status are the full parser's.
+        with pytest.raises(SystemExit) as expected:
+            _build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, *capsys.readouterr()) == (expected.value.code, *want)
+
+    @pytest.mark.parametrize("argv", [
+        [name, "--config", "c.yaml", "--seed", "5", "--threads", "2", "--out", "o"] for name in COMMANDS
+    ] + [["evolve", "--config", "c", "--map", "m"], ["hom", "--conf", "c", "--se", "-3"]],
+        ids=lambda argv: " ".join(argv))
+    def test_arguments_parse_as_in_the_full_parser(self, argv):
+        assert vars(_parse_args(argv)) == vars(_build_parser().parse_args(argv))
 
 
 class TestEntryPoint:

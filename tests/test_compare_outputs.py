@@ -1,6 +1,6 @@
 """tools/compare_outputs.py: the cell comparison of two CSVs, its report,
-the check of each manifest against the files written, and the comparison
-of the two revisions' manifests."""
+the check of each manifest against the files written, the comparison
+of the two revisions' manifests, and of their parsers' answers."""
 
 import hashlib
 import importlib.util
@@ -177,3 +177,33 @@ class TestManifestDifferences:
         outs = self.write(tmp_path, [None, self.MANIFEST])
         assert compare_outputs._manifest_differences(outs, ("A", "B")) == ["manifest_ensemble.json only in B"]
         assert compare_outputs._manifest_differences([tmp_path / "x", tmp_path / "y"], ("A", "B")) == []
+
+
+class TestAnswerDifferences:
+    @staticmethod
+    def tree(tmp_path, name, script):
+        """A checkout whose `python -m pdqw.cli` runs `script`."""
+        package = tmp_path / name / "src" / "pdqw"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("", encoding="ascii")
+        (package / "cli.py").write_text("import sys\n" + script, encoding="ascii")
+        return tmp_path / name
+
+    def test_a_changed_exit_code_or_stream_is_named(self, tmp_path):
+        usage = "print('usage: pdqw', sys.argv[1:], file=sys.stderr)\nsys.exit(2)\n"
+        trees = [
+            self.tree(tmp_path, "a", usage),
+            self.tree(tmp_path, "b", "if sys.argv[1:] == ['--version']:\n"
+                                     "    print('pdqw 0.1.0')\n    sys.exit(0)\n" + usage),
+        ]
+        argvs = [["--version"], ["hom", "--bogus"]]
+        assert compare_outputs._answer_differences(trees, argvs) == [
+            "pdqw --version: exit code 2 -> 0",
+            "pdqw --version: stdout differs",
+            "pdqw --version: stderr differs",
+        ]
+        assert compare_outputs._answer_differences(trees[:1] * 2, argvs) == []
+
+    def test_every_command_is_asked(self):
+        asked = {argv[0] for argv in compare_outputs.ANSWERED if argv}
+        assert asked >= set(compare_outputs.COMMANDS) - {"evolve --map"}

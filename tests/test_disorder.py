@@ -36,6 +36,7 @@ from pdqw.disorder import (
     _draw,
     _draw_exact,
     _lcg_jumps,
+    _mark_count,
     _map_letters,
     _mul128,
     _pcg64_keys,
@@ -122,6 +123,11 @@ class TestGeneration:
         spec = DisorderSpec(p=p, steps=steps, sampling_mode="exact_fraction", master_seed=3)
         pm = generate_phase_map(spec, 0)
         assert int((pm.codes > 0).sum()) == int(Fraction(p) * pm.n_cells)
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.5, 1 - 1e-16, 1.0])
+    @pytest.mark.parametrize("steps", [1, 7, 20, 1000])
+    def test_mark_count_is_the_floor_on_the_exact_rational(self, p, steps):
+        assert _mark_count(steps, p) == int(Fraction(p) * steps * (steps + 2))
 
     def test_bernoulli_calibration_three_sigma(self):
         # steps=100 -> 10200 cells, comfortably past the 1e4 bar.

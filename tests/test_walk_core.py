@@ -24,7 +24,7 @@ from pdqw import (
     variance,
 )
 from pdqw.disorder import DEFAULT_ALPHABET, phase_factors
-from pdqw.walk_core import _site_sums, _walk, _walk_operands, walked_cells, window
+from pdqw.walk_core import _site_sums, _step, _walk, _walk_operands, walked_cells, window
 
 COIN = hadamard_coin()
 QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi)
@@ -250,6 +250,34 @@ class TestWindowedDriver:
             assert np.array_equal(amplitudes[at], np.stack(psi, axis=1))
             amplitudes[at] = 0.0
             assert not amplitudes.any()
+
+    def test_a_step_holds_until_the_walk_advances_twice(self, alphabet):
+        steps = 6
+        pm = generate_phase_map(DisorderSpec(p=0.7, steps=steps, alphabet=alphabet, master_seed=5), 0)
+        coin, table = _walk_operands(self.COIN, alphabet)
+        psi = np.ones((1, 3), coin.dtype), np.zeros((1, 3), coin.dtype)
+        codes = pm.codes[walked_cells(pm.steps, steps)][:, None]
+        held = None
+        for step in _walk(*psi, coin, codes, table, steps):
+            if held is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(*held))
+            held = step, [a.copy() for a in step]
+
+
+class TestStep:
+    PHASE_COIN = np.diag([1, 1j]) @ hadamard_coin()
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("coin", [coin_from_reflectivity(0.45), PHASE_COIN], ids=["real", "complex"])
+    def test_mixes_and_shifts_as_the_expression_rounds(self, coin, batch):
+        rng = np.random.default_rng(3)
+        psi0, b1 = (rng.standard_normal((6, *batch)) + 1j * rng.standard_normal((6, *batch)) for _ in range(2))
+        zero = np.zeros((1, *batch))
+        want0 = np.concatenate([coin[0, 0] * psi0 + coin[0, 1] * b1, zero])
+        want1 = np.concatenate([zero, coin[1, 0] * psi0 + coin[1, 1] * b1])
+        out0, out1 = np.zeros((2, 7, *batch), dtype=complex)
+        _step(psi0, b1, coin, out0, out1)
+        assert np.array_equal(out0, want0) and np.array_equal(out1, want1)
 
 
 class TestSiteSums:

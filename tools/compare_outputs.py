@@ -10,7 +10,10 @@ command (`gen-maps`, `evolve`, `evolve --map`, `ensemble`, `beta`,
 `tests/data/check_*.yaml` of the checkout that holds this script, once per
 `--seed` override, or once with the config's own seed if none is given.
 `evolve --map` reads the same map file under both revisions: the first map
-that REV_A's `gen-maps` wrote.
+that REV_A's `gen-maps` wrote. Each argument list that the parser answers
+itself (ANSWERED: help, the version, usage errors) also runs once under
+both revisions, and a change in its exit code, stdout or stderr counts as a
+difference.
 
 Every CSV and map file is compared byte for byte. Each manifest is
 compared field by field with the other revision's, the config echo
@@ -48,6 +51,15 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIGS = sorted((ROOT / "tests" / "data").glob("check_*.yaml"))
 # gen-maps first: evolve --map reads one of its maps.
 COMMANDS = ["gen-maps", "evolve", "evolve --map", "ensemble", "beta", "crossing", "two-photon", "hom"]
+# Argument lists that pdqw's parser answers itself: help, the version and
+# usage errors, for every command and for no command or an unknown one.
+# `--map` is a usage error on every command but evolve.
+ANSWERED = [[], ["--version"], ["--help"], ["no-such-command"]] + [
+    argv for name in COMMANDS if " " not in name
+    for argv in ([name, "--help"], [name], [name, "--config", "c.yaml", "--bogus"],
+                 [name, "--config", "c.yaml", "--seed", "abc"], [name, "--config", "c.yaml", "--map", "m"])
+    if not (name == "evolve" and "--map" in argv)
+]
 # Manifest fields, by dotted key, that are not compared across revisions:
 # `outputs` is checked on each side, and the others differ between runs.
 RUN_FIELDS = {"outputs", "created_utc", "timings_seconds", "peak_rss_mb",
@@ -72,6 +84,28 @@ def _run(tree: Path, command: str, config: Path, seed, out: Path, map_file) -> i
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
+
+
+def _answer(tree: Path, argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of pdqw of the checkout `tree` on `argv`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pdqw.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _answer_differences(trees: list[Path], argvs=ANSWERED) -> list[str]:
+    """How the two checkouts answer each argument list of `argvs`
+    differently: its exit code, its stdout or its stderr."""
+    differences = []
+    for argv in argvs:
+        a, b = (_answer(tree, argv) for tree in trees)
+        label = " ".join(["pdqw", *argv])
+        if a[0] != b[0]:
+            differences.append(f"{label}: exit code {a[0]} -> {b[0]}")
+        differences += [f"{label}: {stream} differs" for stream, x, y in
+                        zip(("stdout", "stderr"), a[1:], b[1:]) if x != y]
+    return differences
 
 
 def _outputs(out: Path) -> set[Path]:
@@ -198,6 +232,9 @@ def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
         try:
             for tree, sha in zip(trees, shas):
                 _git("worktree", "add", "--detach", str(tree), sha)
+            for difference in _answer_differences(trees):
+                differences += 1
+                print(difference)
             for config in configs:
                 for seed in seeds or [None]:
                     label = config.stem if seed is None else f"{config.stem} seed {seed}"
@@ -226,7 +263,8 @@ def compare(rev_a: str, rev_b: str, configs: list[Path], seeds: list) -> int:
                 if tree.exists():
                     _git("worktree", "remove", "--force", str(tree))
     differences += mismatches
-    print(f"{compared} output files compared, {differences} differences ({mismatches} manifest "
+    print(f"{compared} output files and {len(ANSWERED)} parser answers compared, "
+          f"{differences} differences ({mismatches} manifest "
           f"mismatches), largest cell change "
           f"{largest[0]:.3g} absolute, {largest[1]:.3g} relative, {largest[2]} cells exactly 0.0 "
           f"on one side only "
