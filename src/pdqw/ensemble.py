@@ -23,8 +23,8 @@ import numpy as np
 from .analysis import Distribution
 from .disorder import DEFAULT_ALPHABET, DisorderSpec, ScanSampler
 from .errors import DomainError
-from .walk_core import (_abs2, _site_sums, _walk, _walk_operands, evolve, position_distribution,
-                        walked_cells, window)
+from .walk_core import (_site_sums, _walk, _walk_operands, _WalkBuffers, evolve,
+                        position_distribution, walked_cells, window)
 
 # Cells (rows x window sites) stepped together: it bounds the amplitude
 # arrays of a batch and sets the maps per chunk. Larger batches save
@@ -60,10 +60,22 @@ class EnsembleResult:
 def mean_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over maps (axis -2, so values may stack several p ahead of it)
     and the n-1 standard deviation, which is exactly 0 wherever every map
-    holds the same value (one map included)."""
-    std = values.std(axis=-2, ddof=1) if values.shape[-2] > 1 else np.zeros_like(values[..., 0, :])
-    std[(values == values[..., :1, :]).all(axis=-2)] = 0.0
-    return values.mean(axis=-2), std
+    holds the same value (one map included).
+
+    The mean is taken once and the deviations from it with the ufuncs that
+    values.mean and values.std(ddof=1) apply (sum, divide by n, subtract,
+    square, sum, divide by n - 1, root), in their order, so both are
+    theirs bit for bit."""
+    n = values.shape[-2]
+    mean = np.true_divide(np.add.reduce(values, -2), n)
+    if n > 1:
+        deviations = np.subtract(values, mean[..., None, :])
+        std = np.true_divide(np.add.reduce(np.square(deviations, deviations), -2), n - 1)
+        np.sqrt(std, std)
+    else:
+        std = np.zeros_like(mean)
+    std[np.logical_and.reduce(values == values[..., :1, :], -2)] = 0.0
+    return mean, std
 
 
 def chunk_maps(steps: int) -> int:
@@ -94,8 +106,9 @@ def _batches(specs, n_maps: int, moments: list | None):
     Yields (i, start, k, codes, var), one tuple per walk. The walk holds maps
     start.. of specs i .. i + k - 1, stacked in spec order: either k whole p
     (start 0), or, past chunk_maps(steps) maps, one chunk of one p, the chunks
-    in map order. codes (cells, rows) holds each row's codes at the cells
-    the walk reads (walked_cells), read from the scan's ScanSampler, and
+    in map order. No walk has more rows than the first, so a caller can size
+    its scratch from it. codes (cells, rows) holds each row's codes at the
+    cells the walk reads (walked_cells), read from the scan's ScanSampler, and
     the caller fills var (rows, steps) with each row's variance. Once a p's
     last chunk has been walked, the mean_and_std of its variances is
     appended to `moments` (one call over all k p of a walk), so after the
@@ -123,52 +136,87 @@ def _batches(specs, n_maps: int, moments: list | None):
             variances = []
 
 
+def _scan_views(scratch: np.ndarray, steps: int, rows: int, k: int) -> tuple:
+    """_scan_means' views of its flat `scratch` for a batch of `rows` maps
+    of k p: the weights' totals (steps, rows), the moments m1 and m2
+    (rows,), and per step (w, t, total, by_site, by_map, first): the
+    weights and a scratch (window sites, rows), the step's totals, w as
+    the maps' map-major distributions, those as one contiguous (k, sites)
+    block per map (in t's cells, free by then), and the first map's block.
+    Each is a C-contiguous run of cells, so each operation rounds as on a
+    new array."""
+    cells = (steps + 1) * rows
+    w_buf, t_buf, rest = scratch[:cells], scratch[cells : 2 * cells], scratch[2 * cells :]
+    totals = rest[: steps * rows].reshape(steps, rows)
+    m1, m2 = rest[steps * rows : (steps + 2) * rows].reshape(2, rows)
+    per_step = []
+    for n in range(steps):
+        size = (n + 2) * rows
+        w, t = w_buf[:size].reshape(n + 2, rows), t_buf[:size].reshape(n + 2, rows)
+        by_map = t_buf[:size].reshape(rows // k, k, n + 2)
+        per_step.append((w, t, totals[n], w.reshape(n + 2, k, -1).transpose(2, 1, 0), by_map, by_map[0]))
+    return totals, m1, m2, per_step
+
+
 def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np.ndarray], np.ndarray]:
     """Each spec's mean distributions (steps, sites) and max_norm_drift, in
     spec order, walked as run_ensembles walks them; `moments` is passed to
-    _batches, so None skips the per-map variances."""
+    _batches, so None skips the per-map variances.
+
+    Every view a step takes of the walk's and the scan's scratch is built
+    once per batch shape, and every ufunc is called directly."""
     specs = check_scan(specs, n_maps)
     coin, table = _walk_operands(coin, specs[0].alphabet)
+    real = coin.dtype.kind == "f"
     steps = specs[0].steps
     n_sites = 2 * steps + 1
     # The window of step n as site coordinates and their squares, one row
-    # per site.
+    # per site, and as lattice positions.
     sites = [np.arange(-n, n + 1, 2, dtype=float)[:, None] for n in range(1, steps + 1)]
     sites_sq = [x * x for x in sites]
+    windows = [window(steps, n) for n in range(1, steps + 1)]
+    # psi[c]: coin-c amplitudes on the origin, broadcast over the maps.
+    psi = np.zeros((2, 1, 1), dtype=coin.dtype)
+    psi[0] = 1.0
 
     sums = np.zeros((len(specs), steps, n_sites))
     drifts = np.zeros(len(specs))
+    walk_buffers, views = None, {}
     for i, start, k, codes, var in _batches(specs, n_maps, moments):
         rows = codes.shape[1]
-        # psi[c]: coin-c amplitudes on the origin, one column per map.
-        psi = np.zeros((2, 1, rows), dtype=coin.dtype)
-        psi[0] = 1.0
-        totals = np.empty((steps, rows))
-        # Scratch of the batch, taken per step as the C-contiguous first
-        # (n + 2) * rows cells, so each operation rounds as on a new array.
-        w_buf, t_buf, by_map = np.empty((3, (steps + 1) * rows))
-        m1, m2 = np.empty((2, rows))
+        if walk_buffers is None:
+            # _batches' first batch is its largest: one set of scratch for
+            # every batch, and each batch shape's views of it built once.
+            walk_buffers = _WalkBuffers(steps, coin.dtype, rows)
+            scratch = np.empty((3 * steps + 4) * rows)
+        if (rows, k) not in views:
+            views[rows, k] = _scan_views(scratch, steps, rows, k)
+        totals, m1, m2, step_views = views[rows, k]
+        sum_sites = np.add.reduce if rows > 1 else _site_sums
         acc = sums[i : i + k]
-        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes, table, steps)):
-            size = (n + 2) * rows
-            w, t = w_buf[:size].reshape(n + 2, rows), t_buf[:size].reshape(n + 2, rows)
-            _abs2(psi0, out=w)
-            w += _abs2(psi1, out=t)
-            _site_sums(w, out=totals[n])
-            w /= totals[n]
+        walk = _walk(*psi, coin, codes, table, steps, walk_buffers)
+        for n, ((psi0, psi1), (w, t, total, by_site, by_map, first)) in enumerate(zip(walk, step_views)):
+            if real:
+                np.multiply(psi0, psi0, w)
+                np.multiply(psi1, psi1, t)
+            else:  # |x|^2 as np.abs(x) ** 2 rounds
+                np.square(np.absolute(psi0, w), w)
+                np.square(np.absolute(psi1, t), t)
+            np.add(w, t, w)
+            sum_sites(w, 0, None, total)
+            np.true_divide(w, total, w)
             if var is not None:
-                _site_sums(np.multiply(w, sites[n], out=t), out=m1)
-                _site_sums(np.multiply(w, sites_sq[n], out=t), out=m2)
-                np.subtract(m2, np.multiply(m1, m1, out=m1), out=var[:, n])
+                sum_sites(np.multiply(w, sites[n], t), 0, None, m1)
+                sum_sites(np.multiply(w, sites_sq[n], t), 0, None, m2)
+                np.subtract(m2, np.multiply(m1, m1, m1), var[:, n])
             # Each map's distributions as one contiguous (k, sites) block:
             # summed over maps, they add in index order, as one mean would.
-            w = by_map[:size].reshape(rows // k, k, n + 2)
-            w[...] = w_buf[:size].reshape(n + 2, k, -1).transpose(2, 1, 0)
-            at = window(steps, n + 1)
+            np.copyto(by_map, by_site)
+            at = acc[:, n, windows[n]]
             if start > 0:
                 # Carry the earlier chunks' sum into the first map.
-                w[0] += acc[:, n, at]
-            acc[:, n, at] = w.sum(axis=0)
+                np.add(first, at, first)
+            np.add.reduce(by_map, 0, None, at)
         drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
         np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
     return [total / n_maps for total in sums], drifts

@@ -27,7 +27,7 @@ import numpy as np
 from .disorder import DisorderSpec
 from .ensemble import _batches, check_scan
 from .errors import DomainError
-from .walk_core import _abs2, _site_sums, _walk, _walk_operands
+from .walk_core import _site_sums, _walk, _walk_operands, _WalkBuffers
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -98,58 +98,96 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float) -> list[PairEnsembl
     coin, table = _walk_operands(coin, specs[0].alphabet)
     real = coin.dtype.kind == "f"  # nothing to conjugate, and Im G is 0
     steps = specs[0].steps
-    # Per step: the window's sites, as coordinates with one row per site,
-    # and the sums over the window's site pairs.
+    # Per step: the window's sites, as coordinates with one row per site
+    # (and by input column, with their squares), and the sums over the
+    # window's site pairs.
     window_sites = [np.arange(-n, n + 1, 2) for n in range(1, steps + 1)]
     sites = [x.astype(float)[:, None] for x in window_sites]
+    by_column = [(x[:, None], (x * x)[:, None]) for x in sites]
     sums = [np.zeros((len(specs), x.size, x.size)) for x in window_sites]
     drifts = np.zeros(len(specs))
+    # psi[c][site, j]: coin-c amplitudes of input column j (0: A, 1: B) on
+    # the origin, broadcast over the maps.
+    psi = np.zeros((2, 1, 2, 1), dtype=coin.dtype)
+    psi[0, 0, 0] = 1.0
+    psi[1, 0, 1] = 1.0
+    walk_buffers = None
     moments = []
     for i, start, k, codes, var2 in _batches(specs, n_maps, moments):
         rows = codes.shape[1]
-        # psi[c][site, j, row]: coin-c amplitudes of input column j (0: A,
-        # 1: B) on the origin, one column per map.
-        psi = np.zeros((2, 1, 2, rows), dtype=coin.dtype)
-        psi[0, 0, 0] = 1.0
-        psi[1, 0, 1] = 1.0
-        for n, (psi0, psi1) in enumerate(_walk(*psi, coin, codes[:, None], table, steps)):
-            weights = _abs2(psi0) + _abs2(psi1)
-            b0, b1 = (psi0[:, 1], psi1[:, 1]) if real else (psi0[:, 1].conj(), psi1[:, 1].conj())
-            g = psi0[:, 0] * b0 + psi1[:, 0] * b1
-            drift = np.maximum(np.abs(_site_sums(weights) - 1.0).max(axis=0), np.abs(_site_sums(g)))
-            if not drift.max() <= UNITARY_TOL:  # NaN drift raises too
+        if walk_buffers is None:
+            # _batches' first batch is its largest: one set of scratch for
+            # every batch, taken per step as C-contiguous prefixes, so each
+            # operation rounds as on a new array. one_body: the weights and
+            # their products (window sites, input column, rows) and the
+            # site densities (input column, rows, window sites); g_terms: G
+            # and its second term (window sites, rows) and G by map (rows,
+            # window sites); two_body: the density and its terms (rows,
+            # window sites, window sites), one more in the complex walk for
+            # Im G x Im G.
+            walk_buffers = _WalkBuffers(steps, coin.dtype, 2 * rows)
+            cells = (steps + 1) * rows
+            one_body = np.empty((3, 2 * cells))
+            g_terms = np.empty((3, cells), dtype=coin.dtype)
+            two_body = np.empty((2 if real else 3, (steps + 1) * cells))
+        sum_sites = np.add.reduce if rows > 1 else _site_sums
+        walk = _walk(*psi, coin, codes[:, None], table, steps, walk_buffers)
+        for n, (psi0, psi1) in enumerate(walk):
+            m = n + 2
+            weights, product = one_body[:2, : 2 * m * rows].reshape(2, m, 2, rows)
+            g, term = g_terms[:2, : m * rows].reshape(2, m, rows)
+            if real:
+                np.multiply(psi0, psi0, weights)
+                np.multiply(psi1, psi1, product)
+            else:  # |x|^2 as np.abs(x) ** 2 rounds
+                np.square(np.absolute(psi0, weights), weights)
+                np.square(np.absolute(psi1, product), product)
+            np.add(weights, product, weights)
+            np.multiply(psi0[:, 0], psi0[:, 1] if real else np.conjugate(psi0[:, 1], term), g)
+            np.multiply(psi1[:, 0], psi1[:, 1] if real else np.conjugate(psi1[:, 1], term), term)
+            np.add(g, term, g)
+            drift = np.maximum(np.maximum.reduce(np.abs(np.add.reduce(weights, 0) - 1.0), 0),
+                               np.abs(sum_sites(g, 0)))
+            if not np.maximum.reduce(drift) <= UNITARY_TOL:  # NaN drift raises too
                 raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
-            np.maximum(drifts[i : i + k], drift.reshape(k, -1).max(axis=1), out=drifts[i : i + k])
+            np.maximum(drifts[i : i + k], np.maximum.reduce(drift.reshape(k, -1), 1), out=drifts[i : i + k])
 
             x = sites[n]
-            m1 = _site_sums(weights * x[:, None])
-            sigma_sq = _site_sums(weights * (x * x)[:, None]) - m1 * m1  # (input column, rows)
+            x1, x2 = by_column[n]
+            m1 = np.add.reduce(np.multiply(weights, x1, product), 0)
+            sigma_sq = np.add.reduce(np.multiply(weights, x2, product), 0) - m1 * m1  # (input column, rows)
             # Separate float sums of Re G x and Im G x, so the float walk,
             # which has no Im G, gives the complex walk's bits.
-            s_re, s_im = _site_sums(g.real * x), _site_sums(g.imag * x)
+            scratch = one_body[1, : m * rows].reshape(m, rows)
+            s_re = sum_sites(np.multiply(g.real, x, scratch), 0)
+            s_im = sum_sites(np.multiply(g.imag, x, scratch), 0)
             var2[:, n] = ((sigma_sq[0] + sigma_sq[1]) / 4.0
                           + eta * s_re * s_re / 2.0 + eta * s_im * s_im / 2.0)
-            # The maps' site densities as contiguous rows (rows, sites),
-            # combined in place, so fewer (rows, sites, sites) temporaries
-            # are alive.
-            pa, pb = np.ascontiguousarray(weights.transpose(1, 2, 0))
-            density = pa[:, :, None] * pb[:, None, :]
-            density += pb[:, :, None] * pa[:, None, :]
-            density *= 0.5
-            g = np.ascontiguousarray(g.T)
-            interfering = g.real[:, :, None] * g.real[:, None, :]
+            # The maps' site densities and G as contiguous rows (rows,
+            # sites), combined into the density in place.
+            pair = one_body[2, : 2 * rows * m].reshape(2, rows, m)
+            np.copyto(pair, weights.transpose(1, 2, 0))
+            pa, pb = pair
+            by_map = g_terms[2, : rows * m].reshape(rows, m)
+            np.copyto(by_map, g.T)
+            density, *terms = two_body[:, : rows * m * m].reshape(-1, rows, m, m)
+            np.multiply(pa[:, :, None], pb[:, None, :], density)
+            np.add(density, np.multiply(pb[:, :, None], pa[:, None, :], terms[0]), density)
+            np.multiply(density, 0.5, density)
+            interfering = np.multiply(by_map.real[:, :, None], by_map.real[:, None, :], terms[0])
             if not real:  # the complex walk's Im G x Im G is +-0.0 where the float walk has none
-                interfering += g.imag[:, :, None] * g.imag[:, None, :]
-            interfering *= eta
-            density += interfering
-            _require_pair_normalized(density.reshape(rows, -1).sum(axis=1))
-            density = density.reshape(k, -1, *density.shape[1:])
+                im = by_map.imag
+                np.add(interfering, np.multiply(im[:, :, None], im[:, None, :], terms[1]), interfering)
+            np.multiply(interfering, eta, interfering)
+            np.add(density, interfering, density)
+            _require_pair_normalized(np.add.reduce(density.reshape(rows, -1), 1))
+            density = density.reshape(k, -1, m, m)
             acc = sums[n][i : i + k]
             if start > 0:
                 # Carry the earlier chunks' sum into the first map, as
                 # run_ensembles does, so the maps add in index order.
-                density[:, 0] += acc
-            acc[...] = density.sum(axis=1)
+                np.add(density[:, 0], acc, density[:, 0])
+            np.add.reduce(density, 1, None, acc)
 
     # The sums become the unordered mean matrices in place.
     for total in sums:

@@ -9,12 +9,16 @@ parity n from -n to n (window), which never reach the lattice edge while
 steps <= n_max. Amplitude arrays are site-major, shaped (window sites,
 *batch), so per-site work is a handful of row operations over contiguous
 batches, and a walk reads its cell codes already gathered at the cells it
-walks (walked_cells). A walk steps in state buffers that it allocates once,
-so each step it yields is overwritten two steps later (see _walk).
+walks (walked_cells). A walk steps in state buffers allocated once, for
+the walk or for a whole scan (_WalkBuffers), and takes each step's views
+of them from a list built once per batch shape, so a step is a few ufunc
+calls with positional outputs; each step it yields is overwritten two
+steps later (see _walk).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,54 +110,96 @@ def walked_cells(centre: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, centre - rows + 2 * j
 
 
-def _abs2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|x|^2, into `out` if given: x * x in float64, which is the bits
-    np.abs(x) ** 2 gives there."""
-    if x.dtype.kind == "f":
-        return np.multiply(x, x, out=out)
-    return np.square(np.abs(x, out=out), out=out)
-
-
-def _site_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _site_sums(a: np.ndarray, axis: int = 0, dtype=None, out: np.ndarray | None = None) -> np.ndarray:
     """Sums over axis 0 of a site-major array, into `out` if given, added
     left to right in site order whatever the batch. numpy reduces the outer
     axis of a C-contiguous array one site at a time, elementwise over the
     batch, but drops a batch of one element and then sums pairwise, which
     rounds differently once 8 sites or more are added; a lone column is
-    therefore accumulated."""
+    therefore accumulated. Takes np.add.reduce's positional arguments (axis
+    0 only), so a loop over one batch shape calls np.add.reduce itself when
+    the batch has more than one element and this function otherwise."""
     if a[0].size > 1:
-        return a.sum(axis=0, out=out)
-    sums = np.add.accumulate(a, axis=0)[-1]
+        return np.add.reduce(a, 0, dtype, out)
+    sums = np.add.accumulate(a, 0, dtype)[-1]
     if out is None:
         return sums
     out[...] = sums
     return out
 
 
-def _step(psi0, b1, coin, out0, out1) -> None:
+def _step(psi0, b1, c00, c01, c10, c11, a0, a1) -> None:
     """The coin mix and the window-growing shift of one step, on site-major
     arrays with any trailing axes.
 
     psi0 and b1 hold the coin-0 amplitudes and the coin-1 amplitudes after
-    the phase stage on the m sites of a window. out0 and out1, of m + 1
-    sites each, receive the next window: coin 0 shifted one site left
-    (out0[:m]) and coin 1 one site right (out1[1:]). The sites the shift
-    leaves empty, out0[m] and out1[0], are not written and must hold zeros.
-    Each amplitude is coin[c, 0] * psi0 + coin[c, 1] * b1, multiplied and
-    added in that order, so it rounds as that expression does. b1 is
-    overwritten.
+    the phase stage on the m sites of a window; c00, c01, c10 and c11 are
+    the coin's entries. The next window has m + 1 sites, out0 and out1 per
+    coin: a0 = out0[:m] receives coin 0 shifted one site left and
+    a1 = out1[1:] coin 1 shifted one site right. The sites the shift leaves
+    empty, out0[m] and out1[0], are not written and must hold zeros. Each
+    amplitude is c_c0 * psi0 + c_c1 * b1 for coin c, multiplied and added
+    in that order, so it rounds as that expression does. b1 is overwritten.
     """
-    m = len(psi0)
-    a0, a1 = out0[:m], out1[1:]
-    np.multiply(coin[0, 1], b1, out=a1)
-    np.multiply(coin[0, 0], psi0, out=a0)
-    a0 += a1
-    np.multiply(coin[1, 1], b1, out=b1)
-    np.multiply(coin[1, 0], psi0, out=a1)
-    a1 += b1
+    np.multiply(c01, b1, a1)
+    np.multiply(c00, psi0, a0)
+    np.add(a0, a1, a0)
+    np.multiply(c11, b1, b1)
+    np.multiply(c10, psi0, a1)
+    np.add(a1, b1, a1)
 
 
-def _walk(psi0, psi1, coin, codes, table, steps: int):
+class _WalkBuffers:
+    """The state buffers of walks of `steps` steps over batches of up to
+    `size` elements, allocated once, and the views that every step of a
+    batch shape takes of them, built once per shape (see _walk).
+
+    Two state buffers, each (coin, site, *batch) with steps + 1 sites, hold
+    the steps in turn: step n writes the first n + 2 sites of buffer n % 2.
+    A scan passes one _WalkBuffers, sized for its largest batch, to each of
+    its walks, so they all step in the same memory.
+    """
+
+    def __init__(self, steps: int, dtype, size: int):
+        self.steps = steps
+        self._states = np.empty(4 * (steps + 1) * size, dtype=dtype)
+        self._b1 = np.empty(steps * size, dtype=dtype)
+        self._views = {}
+
+    def views(self, batch: tuple) -> tuple:
+        """(start0, start1, empty, per_step) for walks over `batch`, views of
+        C-contiguous prefixes of the buffers. start0 and start1 take a
+        walk's coin-0 and coin-1 amplitudes on its start site; empty lists
+        the cells that a step's shift leaves empty, which must hold zeros
+        when the step is taken; per_step holds each step's (cells, b1,
+        psi0, psi1, a0, a1, out0, out1): the slice of its cell codes, the
+        phased coin-1 amplitudes, the window it reads, the windows _step
+        writes and the window it yields."""
+        views = self._views.get(batch)
+        if views is not None:
+            return views
+        steps, size = self.steps, math.prod(batch)
+        states = self._states[: 4 * (steps + 1) * size].reshape(2, 2, steps + 1, *batch)
+        b1 = self._b1[: steps * size].reshape(steps, *batch)
+        # Step n reads the sites step n - 1 wrote; step 0 reads the start
+        # site, coin 0 in buffer 1 (step 1 overwrites it) and coin 1 in b1,
+        # which the phase stage multiplies in place.
+        psi0, psi1 = states[1, 0, :1], b1[:1]
+        per_step = []
+        for n in range(steps):
+            out0, out1 = states[n % 2, :, : n + 2]
+            per_step.append((slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2), b1[: n + 1],
+                             psi0, psi1, out0[: n + 1], out1[1:], out0, out1))
+            psi0, psi1 = out0, out1
+        # Step n leaves site n + 1 of coin 0 in buffer n % 2 and site 0 of
+        # coin 1 empty; later steps, of this walk or an earlier one, write
+        # the former.
+        empty = (states[0, 0, 1::2], states[1, 0, 2::2], states[:, 1, 0])
+        views = self._views[batch] = (states[1, 0, :1], b1[:1], empty, per_step)
+        return views
+
+
+def _walk(psi0, psi1, coin, codes, table, steps: int, buffers: _WalkBuffers | None = None):
     """Step coin-component arrays shaped (1, *batch), the amplitudes on one
     start site, `steps` times; yield (psi0, psi1) on the n + 1 sites of the
     window after each step n, every second site from start - n to start + n.
@@ -172,23 +218,28 @@ def _walk(psi0, psi1, coin, codes, table, steps: int):
     exact zero on the lattice, so on the window every amplitude is the one
     the full lattice walk gives, up to the sign of a zero.
 
-    The walk allocates its buffers once, not per step. It writes step n
-    into the first n + 2 sites of state buffer n % 2 of two zero-initialised
-    ones, so each yielded pair is a view that the walk overwrites two steps
-    later. A caller uses (or copies) a step's arrays before it advances the
-    walk twice, and never writes into them.
+    The walk steps in `buffers` (by default new ones for this walk alone),
+    whose views of each step it builds once per batch shape, not per step;
+    per walk it only zeroes the cells the shift leaves empty. It writes
+    step n into state buffer n % 2, so each yielded pair is a view that
+    the walk overwrites two steps later, and the next walk in the same
+    buffers overwrites all of them. A caller uses (or copies) a step's
+    arrays before it advances the walk twice, and never writes into them.
     """
-    dtype = np.result_type(psi0, psi1, coin, table)
     batch = np.broadcast_shapes(psi0.shape[1:], psi1.shape[1:], codes.shape[1:])
-    states = np.zeros((2, 2, steps + 1, *batch), dtype=dtype)
-    b1 = np.empty((steps, *batch), dtype=dtype)
-    for n in range(steps):
-        phased = b1[: n + 1]
-        np.multiply(table.take(codes[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]), psi1, out=phased)
-        out0, out1 = states[n % 2, :, : n + 2]
-        _step(psi0, phased, coin, out0, out1)
-        psi0, psi1 = out0, out1
-        yield psi0, psi1
+    if buffers is None:
+        buffers = _WalkBuffers(steps, np.result_type(psi0, psi1, coin, table), math.prod(batch))
+    start0, start1, empty, per_step = buffers.views(batch)
+    for zeros in empty:
+        zeros.fill(0)
+    start0[...] = psi0
+    start1[...] = psi1
+    c00, c01, c10, c11 = coin.ravel()
+    take = table.take
+    for cells, b1, psi0, psi1, a0, a1, out0, out1 in per_step:
+        np.multiply(take(codes[cells]), psi1, b1)
+        _step(psi0, b1, c00, c01, c10, c11, a0, a1)
+        yield out0, out1
 
 
 def evolve(n_max: int, coin, phase_map, steps: int) -> list[WalkState]:

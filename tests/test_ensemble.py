@@ -21,7 +21,7 @@ from pdqw import (
 )
 import pdqw.ensemble
 from pdqw.analysis import Distribution
-from pdqw.ensemble import _similarities, chunk_maps, mean_and_std
+from pdqw.ensemble import _batches, _similarities, chunk_maps, mean_and_std
 
 COIN = hadamard_coin()
 
@@ -97,6 +97,23 @@ class TestRunner:
         np.testing.assert_array_equal(std, [0.0, 0.0, values[:, 2].std(ddof=1)])
         mean, std = mean_and_std(values[:1])
         np.testing.assert_array_equal(std, np.zeros(3))
+
+    @pytest.mark.parametrize("n_maps", [2, 3, 64, chunk_maps(20) + 51])
+    def test_mean_and_std_are_numpys_bit_for_bit(self, n_maps):
+        # The mean is taken once, the std from it with numpy's own ufuncs:
+        # both equal values.mean and values.std(ddof=1) exactly, except
+        # where every map agrees and the std is 0 by rule.
+        rng = np.random.default_rng(n_maps)
+        for scale in (1e-3, 1.0, 1e3):
+            values = scale * rng.random((3, n_maps, 20)) ** 3
+            values[:, :, :4] = values[:, :1, :4]  # steps where every map agrees
+            values[1, :, 7] = 0.1
+            mean, std = mean_and_std(values)
+            assert mean.tobytes() == values.mean(axis=-2).tobytes()
+            agree = (values == values[:, :1]).all(axis=-2)
+            assert agree.sum() == 3 * 4 + 1
+            assert not std[agree].any()
+            assert std[~agree].tobytes() == values.std(axis=-2, ddof=1)[~agree].tobytes()
 
     def test_mean_and_std_of_stacked_p_match_one_call_per_p(self):
         values = np.random.default_rng(3).random((4, 5, 6))
@@ -196,6 +213,14 @@ class TestRunner:
                 assert np.array_equal(res.std_variance, ref.std_variance)
                 assert np.array_equal(res.mean_probabilities, ref.mean_probabilities)
                 assert res.max_norm_drift == ref.max_norm_drift
+
+    @pytest.mark.parametrize("n_specs, n_maps, maps", [(5, 23, 8), (5, 23, 2 * 23), (7, 3, 4), (1, 1, 10)])
+    def test_no_walk_has_more_rows_than_the_first(self, monkeypatch, n_specs, n_maps, maps):
+        # The scans size their scratch from the first walk of the plan.
+        monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", maps * (3 + 1))
+        specs = [DisorderSpec(p=0.1 * j, steps=3, master_seed=2) for j in range(n_specs)]
+        rows = [codes.shape[1] for _, _, _, codes, _ in _batches(specs, n_maps, None)]
+        assert rows[0] == max(rows)
 
     def test_memory_stays_within_a_few_batches(self):
         # Keeping every map's (steps, sites) distributions until the end

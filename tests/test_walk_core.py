@@ -276,7 +276,7 @@ class TestStep:
         want0 = np.concatenate([coin[0, 0] * psi0 + coin[0, 1] * b1, zero])
         want1 = np.concatenate([zero, coin[1, 0] * psi0 + coin[1, 1] * b1])
         out0, out1 = np.zeros((2, 7, *batch), dtype=complex)
-        _step(psi0, b1, coin, out0, out1)
+        _step(psi0, b1, *coin.ravel(), out0[:6], out1[1:])
         assert np.array_equal(out0, want0) and np.array_equal(out1, want1)
 
 
