@@ -16,7 +16,6 @@ from .disorder import (
     PhaseMap,
     generate_phase_map,
     load_map,
-    realized_fraction,
     save_map,
 )
 from .ensemble import EnsembleResult, SimilarityScan, run_ensemble, run_ensembles, similarity_scan
@@ -73,7 +72,6 @@ __all__ = [
     "hom_scan",
     "load_map",
     "position_distribution",
-    "realized_fraction",
     "run_ensemble",
     "run_ensembles",
     "run_pair_ensemble",

@@ -90,10 +90,6 @@ class PhaseMap:
             raise DomainError(f"cell codes must be integers in 0..{top}")
         self.codes = codes.astype(np.int8, copy=False)
 
-    @property
-    def n_cells(self) -> int:
-        return self.steps * self.steps + 2 * self.steps
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseMap):
             return NotImplemented
@@ -476,17 +472,6 @@ def generate_phase_map(spec: DisorderSpec, map_index: int) -> PhaseMap:
     seeds = map_seeds(spec.master_seed, map_index, map_index + 1)
     codes = sample_block(spec, seeds)[0]
     return PhaseMap(spec.steps, codes, spec.alphabet, spec.p, int(seeds[0]), spec.sampling_mode)
-
-
-def realized_fraction(phase_map: PhaseMap) -> float:
-    """Fraction of cells marked disordered (not the fraction of nonzero phases:
-    a disordered cell may legitimately draw 0)."""
-    if not phase_map.marks_known:
-        raise DomainError(
-            "disorder mask unavailable: this map was loaded from a file whose header "
-            "does not regenerate its rows, so realized_fraction is undefined"
-        )
-    return int((phase_map.codes > 0).sum()) / phase_map.n_cells
 
 
 def _format_pi_units(value_rad: float) -> str:

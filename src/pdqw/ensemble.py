@@ -10,8 +10,8 @@ maps; chunks of several p are stacked into one batch and walked together.
 After each step every map's moments are sums over the window, added left to
 right in site order (walk_core._site_sums), and each p's mean distribution
 is a running sum over its maps in index order, so no result depends on
-where chunks or batches split. The pair scan of pdqw.two_photon walks the
-same batches (_batches).
+where chunks or batches split. That batch loop (_scan) is shared with the
+pair scan of pdqw.two_photon, which hands it its own per-step statistics.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import Distribution
 from .disorder import DEFAULT_ALPHABET, DisorderSpec, ScanSampler
 from .errors import DomainError
-from .walk_core import (_site_sums, _walk, _walk_operands, _WalkBuffers, evolve,
+from .walk_core import (_empty_aligned, _site_sums, _walk, _walk_operands, _WalkBuffers, evolve,
                         position_distribution, walked_cells, window)
 
 # Cells (rows x window sites) stepped together: it bounds the amplitude
@@ -99,103 +99,83 @@ def check_scan(specs, n_maps: int) -> list[DisorderSpec]:
     return specs
 
 
-def _batches(specs, n_maps: int, moments: list | None):
-    """The batch plan of one scan, shared by run_ensembles and
-    run_pair_ensembles, whose walks start at the origin.
+def _scan(specs, coin, n_maps: int, columns: int, moments: list | None,
+          stepper) -> tuple[list[np.ndarray], np.ndarray]:
+    """The one scan loop, shared by run_ensembles, similarity_scan and
+    two_photon.run_pair_ensembles: walk `columns` input columns from the
+    origin (column j enters coin j) through maps 0..n_maps-1 of each of the
+    checked specs, and add each step's per-map values over each p's maps.
 
-    Yields (i, start, k, codes, var), one tuple per walk. The walk holds maps
-    start.. of specs i .. i + k - 1, stacked in spec order: either k whole p
-    (start 0), or, past chunk_maps(steps) maps, one chunk of one p, the chunks
-    in map order. No walk has more rows than the first, so a caller can size
-    its scratch from it. codes (cells, rows) holds each row's codes at the
-    cells the walk reads (walked_cells), read from the scan's ScanSampler, and
-    the caller fills var (rows, steps) with each row's variance. Once a p's
-    last chunk has been walked, the mean_and_std of its variances is
-    appended to `moments` (one call over all k p of a walk), so after the
-    loop moments[i] belongs to specs[i]. With moments None no variance is
-    read: var is None and no mean_and_std is taken.
+    A walk holds either several whole p (start 0) or, past chunk_maps(steps)
+    maps, one chunk of one p, the chunks in map order and the p in spec
+    order. The first walk is the largest, so all scratch is sized from it:
+    stepper(rows, dtype), called once with its maps and the walks' dtype,
+    sizes the caller's and returns step(n, psi0, psi1, w, t, total, by_map,
+    block, var, overlap), called after each step n of a walk of k p, when w
+    (window sites, *column, rows) holds the weights |psi0|^2 + |psi1|^2 and
+    total (*column, rows) their sums over the window's sites, added left to
+    right (one input column has no column axis). t, shaped like w, is free
+    scratch until step writes block, which shares its cells; by_map is w
+    viewed as (maps, k, *column, window sites). step writes each map's
+    values into block (maps, k, *cell), one site axis per input column; fills var, the step's (rows,) column of per-map variances,
+    unless moments is None (var None); and writes into overlap (pairs of
+    input columns, rows) each pair's overlap modulus, 0 for orthonormal
+    columns. The scan adds block over its maps into the step's sums,
+    carrying the earlier chunks' sums into the first map, so each p's maps
+    add in index order wherever chunks or walks split. Once a p's last chunk
+    is walked, the mean_and_std of its variances (one call over all k p of a
+    walk) is appended to moments, so moments[i] belongs to specs[i].
+
+    Returns each step's sums (specs, *cell) and each spec's max_norm_drift:
+    the largest |total - 1| and overlap over its maps and steps.
     """
+    coin, table = _walk_operands(coin, specs[0].alphabet)
+    real = coin.dtype.kind == "f"
     steps = specs[0].steps
     sampler = ScanSampler(specs, *walked_cells(steps, steps))
     size = chunk_maps(steps)
     chunks = [(i, a, min(a + size, n_maps)) for i in range(len(specs)) for a in range(0, n_maps, size)]
-    # Several whole p per batch, or one chunk; either way equal-sized chunks.
+    # Several whole p per walk, or one chunk; either way equal-sized chunks.
     per_batch = max(1, size // n_maps)
+    # psi[c]: the coin-c amplitudes of the input columns on the origin,
+    # broadcast over the maps, as the codes are over the columns.
+    column = (columns,) if columns > 1 else ()
+    pairs = columns * (columns - 1) // 2
+    psi = np.eye(2, columns, dtype=coin.dtype).reshape(2, 1, *column, 1)
+    sums = [np.zeros((len(specs),) + (n + 2,) * columns) for n in range(steps)]
+    drifts = np.zeros(len(specs))
     variances = []  # per-map variances of the chunks of the current p so far
+    step, views = None, {}
     for b in range(0, len(chunks), per_batch):
         batch = chunks[b : b + per_batch]
+        (i, start, _), k = batch[0], len(batch)
         codes = np.concatenate([sampler.sample(j, a, z) for j, a, z in batch], axis=1)
-        var = None if moments is None else np.empty((codes.shape[1], steps))
-        yield batch[0][0], batch[0][1], len(batch), codes, var
-        if var is None:
-            continue
-        variances.append(var)
-        if batch[-1][2] == n_maps:
-            mean, std = mean_and_std(np.concatenate(variances).reshape(len(batch), n_maps, steps))
-            moments.extend(zip(mean, std))
-            variances = []
-
-
-def _scan_views(scratch: np.ndarray, steps: int, rows: int, k: int) -> tuple:
-    """_scan_means' views of its flat `scratch` for a batch of `rows` maps
-    of k p: the weights' totals (steps, rows), the moments m1 and m2
-    (rows,), and per step (w, t, total, by_site, by_map, first): the
-    weights and a scratch (window sites, rows), the step's totals, w as
-    the maps' map-major distributions, those as one contiguous (k, sites)
-    block per map (in t's cells, free by then), and the first map's block.
-    Each is a C-contiguous run of cells, so each operation rounds as on a
-    new array."""
-    cells = (steps + 1) * rows
-    w_buf, t_buf, rest = scratch[:cells], scratch[cells : 2 * cells], scratch[2 * cells :]
-    totals = rest[: steps * rows].reshape(steps, rows)
-    m1, m2 = rest[steps * rows : (steps + 2) * rows].reshape(2, rows)
-    per_step = []
-    for n in range(steps):
-        size = (n + 2) * rows
-        w, t = w_buf[:size].reshape(n + 2, rows), t_buf[:size].reshape(n + 2, rows)
-        by_map = t_buf[:size].reshape(rows // k, k, n + 2)
-        per_step.append((w, t, totals[n], w.reshape(n + 2, k, -1).transpose(2, 1, 0), by_map, by_map[0]))
-    return totals, m1, m2, per_step
-
-
-def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each spec's mean distributions (steps, sites) and max_norm_drift, in
-    spec order, walked as run_ensembles walks them; `moments` is passed to
-    _batches, so None skips the per-map variances.
-
-    Every view a step takes of the walk's and the scan's scratch is built
-    once per batch shape, and every ufunc is called directly."""
-    specs = check_scan(specs, n_maps)
-    coin, table = _walk_operands(coin, specs[0].alphabet)
-    real = coin.dtype.kind == "f"
-    steps = specs[0].steps
-    n_sites = 2 * steps + 1
-    # The window of step n as site coordinates and their squares, one row
-    # per site, and as lattice positions.
-    sites = [np.arange(-n, n + 1, 2, dtype=float)[:, None] for n in range(1, steps + 1)]
-    sites_sq = [x * x for x in sites]
-    windows = [window(steps, n) for n in range(1, steps + 1)]
-    # psi[c]: coin-c amplitudes on the origin, broadcast over the maps.
-    psi = np.zeros((2, 1, 1), dtype=coin.dtype)
-    psi[0] = 1.0
-
-    sums = np.zeros((len(specs), steps, n_sites))
-    drifts = np.zeros(len(specs))
-    walk_buffers, views = None, {}
-    for i, start, k, codes, var in _batches(specs, n_maps, moments):
         rows = codes.shape[1]
-        if walk_buffers is None:
-            # _batches' first batch is its largest: one set of scratch for
-            # every batch, and each batch shape's views of it built once.
-            walk_buffers = _WalkBuffers(steps, coin.dtype, rows)
-            scratch = np.empty((3 * steps + 4) * rows)
+        if step is None:
+            step = stepper(rows, coin.dtype)
+            walk_buffers = _WalkBuffers(steps, coin.dtype, columns * rows)
+            w_buf = _empty_aligned((steps + 1) * columns * rows)
+            t_buf = _empty_aligned(rows * (steps + 1) ** columns)
+            norms_buf = _empty_aligned(steps * (columns + pairs) * rows)
         if (rows, k) not in views:
-            views[rows, k] = _scan_views(scratch, steps, rows, k)
-        totals, m1, m2, step_views = views[rows, k]
-        sum_sites = np.add.reduce if rows > 1 else _site_sums
-        acc = sums[i : i + k]
-        walk = _walk(*psi, coin, codes, table, steps, walk_buffers)
-        for n, ((psi0, psi1), (w, t, total, by_site, by_map, first)) in enumerate(zip(walk, step_views)):
+            # Each batch shape's views of the scratch, built once. Each is
+            # a C-contiguous run of cells, so each operation rounds as on a
+            # new array.
+            norms = norms_buf[: steps * (columns + pairs) * rows].reshape(steps, columns + pairs, rows)
+            per_step = []
+            for n in range(steps):
+                m = n + 2
+                w = w_buf[: m * columns * rows].reshape(m, *column, rows)
+                t = t_buf[: m * columns * rows].reshape(m, *column, rows)
+                block = t_buf[: rows * m**columns].reshape(rows // k, k, *(m,) * columns)
+                by_map = w.reshape(m, *column, k, -1).T
+                total = norms[n, :columns].reshape(*column, rows)
+                per_step.append((w, t, total, by_map, block, norms[n, columns:]))
+            views[rows, k] = norms, per_step
+        norms, per_step = views[rows, k]
+        var = None if moments is None else np.empty((rows, steps))
+        walk = _walk(*psi, coin, codes.reshape(-1, *(1,) * len(column), rows), table, steps, walk_buffers)
+        for n, ((psi0, psi1), (w, t, total, by_map, block, overlap)) in enumerate(zip(walk, per_step)):
             if real:
                 np.multiply(psi0, psi0, w)
                 np.multiply(psi1, psi1, t)
@@ -203,23 +183,58 @@ def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np
                 np.square(np.absolute(psi0, w), w)
                 np.square(np.absolute(psi1, t), t)
             np.add(w, t, w)
-            sum_sites(w, 0, None, total)
-            np.true_divide(w, total, w)
-            if var is not None:
-                sum_sites(np.multiply(w, sites[n], t), 0, None, m1)
-                sum_sites(np.multiply(w, sites_sq[n], t), 0, None, m2)
-                np.subtract(m2, np.multiply(m1, m1, m1), var[:, n])
-            # Each map's distributions as one contiguous (k, sites) block:
-            # summed over maps, they add in index order, as one mean would.
-            np.copyto(by_map, by_site)
-            at = acc[:, n, windows[n]]
+            _site_sums(w, total)
+            step(n, psi0, psi1, w, t, total, by_map, block, None if var is None else var[:, n], overlap)
+            at = sums[n][i : i + k]
             if start > 0:
                 # Carry the earlier chunks' sum into the first map.
-                np.add(first, at, first)
-            np.add.reduce(by_map, 0, None, at)
-        drift = np.abs(totals - 1.0).reshape(steps, k, -1).max(axis=(0, 2))
+                np.add(block[0], at, block[0])
+            np.add.reduce(block, 0, None, at)
+        # Each map's drift: |total - 1| per column and each overlap.
+        np.subtract(norms[:, :columns], 1.0, norms[:, :columns])
+        np.absolute(norms, norms)
+        drift = norms.reshape(steps, -1, k, rows // k).max(axis=(0, 1, 3))
         np.maximum(drifts[i : i + k], drift, out=drifts[i : i + k])
-    return [total / n_maps for total in sums], drifts
+        if var is None:
+            continue
+        variances.append(var)
+        if batch[-1][2] == n_maps:
+            mean, std = mean_and_std(np.concatenate(variances).reshape(k, n_maps, steps))
+            moments.extend(zip(mean, std))
+            variances = []
+    return sums, drifts
+
+
+def _scan_means(specs, coin, n_maps: int, moments: list | None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each spec's mean distributions (steps, sites) and max_norm_drift, in
+    spec order, walked by _scan as run_ensembles walks them; `moments` is
+    passed to _scan, so None skips the per-map variances."""
+    specs = check_scan(specs, n_maps)
+    steps = specs[0].steps
+    # Each step's window as site coordinates (one row per site) and squares.
+    sites = [np.arange(-n, n + 1, 2, dtype=float)[:, None] for n in range(1, steps + 1)]
+    sites_sq = [x * x for x in sites]
+
+    def stepper(rows, dtype):
+        moment_buf = _empty_aligned((2, rows))  # the moments m1 and m2 of each map
+
+        def step(n, psi0, psi1, w, t, total, by_map, block, var, overlap):
+            np.true_divide(w, total, w)
+            if var is not None:
+                m1, m2 = moment_buf[:, : w.shape[1]]
+                _site_sums(np.multiply(w, sites[n], t), m1)
+                _site_sums(np.multiply(w, sites_sq[n], t), m2)
+                np.subtract(m2, np.multiply(m1, m1, m1), var)
+            # Each map's distributions as one contiguous (k, sites) block.
+            np.copyto(block, by_map)
+
+        return step
+
+    sums, drifts = _scan(specs, coin, n_maps, 1, moments, stepper)
+    means = np.zeros((len(specs), steps, 2 * steps + 1))
+    for n, total in enumerate(sums, start=1):
+        means[:, n - 1, window(steps, n)] = total / n_maps
+    return list(means), drifts
 
 
 def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
@@ -227,7 +242,7 @@ def run_ensembles(specs, coin, n_maps: int) -> list[EnsembleResult]:
 
     One coin check, one phase table and one ScanSampler serve the whole
     scan. Whole p (or, past chunk_maps(steps) maps, single chunks of one p)
-    are stacked along the batch axis of one walk (see _batches), and each
+    are stacked along the batch axis of one walk (see _scan), and each
     result equals the one-spec call bit for bit.
     """
     specs = list(specs)

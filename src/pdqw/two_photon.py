@@ -8,14 +8,14 @@ sums to 1. Partial distinguishability is a classical mixture: a fraction
 eta of pairs interferes, the rest behaves as independent photons.
 
 In the disorder ensemble photon A enters coin 0 and photon B coin 1 of the
-origin. Only the amplitudes of these two input modes are evolved, through
-the shared walk driver on the origin's light cone, in the batches that
-run_ensembles walks, with amplitude arrays shaped (window sites, input
-column, map). Each map's pair-centroid variance comes from one-body sums
-of the two columns, added left to right over the window's sites; the
-site-pair density is built only for the mean matrices and the pair-mass
-check. The delay scan is one
-splitter stage, whose coincidence follows from the coin's 2x2 permanent.
+origin. Only the amplitudes of these two input modes are evolved, on the
+origin's light cone, by the scan loop that run_ensembles uses
+(ensemble._scan), with amplitude arrays shaped (window sites, input column,
+map). Each map's pair-centroid variance comes from one-body sums of the two
+columns, added left to right over the window's sites; the site-pair
+density is built only for the mean matrices and the pair-mass check. The
+delay scan is one splitter stage, whose coincidence follows from the
+coin's 2x2 permanent.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec
-from .ensemble import _batches, check_scan
+from .ensemble import _scan, check_scan
 from .errors import DomainError
-from .walk_core import _site_sums, _walk, _walk_operands, _WalkBuffers
+from .walk_core import _empty_aligned, _site_sums, _walk_operands
 
 UNITARY_TOL = 1e-10
 PAIR_NORMALIZATION_TOL = 1e-9
@@ -76,9 +76,9 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float) -> list[PairEnsembl
     in p.
 
     Photon A enters coin 0 and photon B coin 1 of the origin. Only their
-    walks A and B are evolved, on the light cone of the origin, in the
-    batches that run_ensembles walks (ensemble._batches): several whole p
-    per walk, or chunks of one p. With per-site sums pA = sum_c |A_sc|^2,
+    walks A and B are evolved, on the light cone of the origin, by the scan
+    loop of run_ensembles (ensemble._scan): several whole p per walk, or
+    chunks of one p. With per-site sums pA = sum_c |A_sc|^2,
     pB likewise and G = sum_c A_sc conj(B_sc), the ordered site-pair
     density is 1/2 (pA x pB + pB x pA) + eta Re(G x G*). It is built on the
     window's site pairs only, and every other pair has probability 0; it
@@ -95,100 +95,69 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float) -> list[PairEnsembl
     specs = check_scan(specs, n_maps)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
-    coin, table = _walk_operands(coin, specs[0].alphabet)
-    real = coin.dtype.kind == "f"  # nothing to conjugate, and Im G is 0
     steps = specs[0].steps
     # Per step: the window's sites, as coordinates with one row per site
-    # (and by input column, with their squares), and the sums over the
-    # window's site pairs.
+    # (and by input column, with their squares).
     window_sites = [np.arange(-n, n + 1, 2) for n in range(1, steps + 1)]
     sites = [x.astype(float)[:, None] for x in window_sites]
     by_column = [(x[:, None], (x * x)[:, None]) for x in sites]
-    sums = [np.zeros((len(specs), x.size, x.size)) for x in window_sites]
-    drifts = np.zeros(len(specs))
-    # psi[c][site, j]: coin-c amplitudes of input column j (0: A, 1: B) on
-    # the origin, broadcast over the maps.
-    psi = np.zeros((2, 1, 2, 1), dtype=coin.dtype)
-    psi[0, 0, 0] = 1.0
-    psi[1, 0, 1] = 1.0
-    walk_buffers = None
-    moments = []
-    for i, start, k, codes, var2 in _batches(specs, n_maps, moments):
-        rows = codes.shape[1]
-        if walk_buffers is None:
-            # _batches' first batch is its largest: one set of scratch for
-            # every batch, taken per step as C-contiguous prefixes, so each
-            # operation rounds as on a new array. one_body: the weights and
-            # their products (window sites, input column, rows) and the
-            # site densities (input column, rows, window sites); g_terms: G
-            # and its second term (window sites, rows) and G by map (rows,
-            # window sites); two_body: the density and its terms (rows,
-            # window sites, window sites), one more in the complex walk for
-            # Im G x Im G.
-            walk_buffers = _WalkBuffers(steps, coin.dtype, 2 * rows)
-            cells = (steps + 1) * rows
-            one_body = np.empty((3, 2 * cells))
-            g_terms = np.empty((3, cells), dtype=coin.dtype)
-            two_body = np.empty((2 if real else 3, (steps + 1) * cells))
-        sum_sites = np.add.reduce if rows > 1 else _site_sums
-        walk = _walk(*psi, coin, codes[:, None], table, steps, walk_buffers)
-        for n, (psi0, psi1) in enumerate(walk):
-            m = n + 2
-            weights, product = one_body[:2, : 2 * m * rows].reshape(2, m, 2, rows)
-            g, term = g_terms[:2, : m * rows].reshape(2, m, rows)
-            if real:
-                np.multiply(psi0, psi0, weights)
-                np.multiply(psi1, psi1, product)
-            else:  # |x|^2 as np.abs(x) ** 2 rounds
-                np.square(np.absolute(psi0, weights), weights)
-                np.square(np.absolute(psi1, product), product)
-            np.add(weights, product, weights)
+
+    def stepper(rows, dtype):
+        # Scratch for the largest walk, taken per step as C-contiguous
+        # prefixes, so each operation rounds as on a new array: G, its second
+        # term and G by map; the site densities by map; the density's terms,
+        # one more in the complex walk for Im G x Im G.
+        real = dtype.kind == "f"  # nothing to conjugate, and Im G is 0
+        cells = (steps + 1) * rows
+        g_terms = _empty_aligned((3, cells), dtype)
+        one_body = _empty_aligned(2 * cells)
+        two_body = _empty_aligned((1 if real else 2, (steps + 1) * cells))
+
+        def step(n, psi0, psi1, w, t, total, by_map, block, var2, overlap):
+            maps, k, m = block.shape[:3]
+            g, term, g_by_map = g_terms[:, : m * maps * k].reshape(3, m, maps * k)
             np.multiply(psi0[:, 0], psi0[:, 1] if real else np.conjugate(psi0[:, 1], term), g)
             np.multiply(psi1[:, 0], psi1[:, 1] if real else np.conjugate(psi1[:, 1], term), term)
             np.add(g, term, g)
-            drift = np.maximum(np.maximum.reduce(np.abs(np.add.reduce(weights, 0) - 1.0), 0),
-                               np.abs(sum_sites(g, 0)))
+            np.absolute(_site_sums(g), overlap)
+            drift = np.maximum(np.maximum.reduce(np.abs(total - 1.0), 0), overlap[0])
             if not np.maximum.reduce(drift) <= UNITARY_TOL:  # NaN drift raises too
                 raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
-            np.maximum(drifts[i : i + k], np.maximum.reduce(drift.reshape(k, -1), 1), out=drifts[i : i + k])
 
             x = sites[n]
             x1, x2 = by_column[n]
-            m1 = np.add.reduce(np.multiply(weights, x1, product), 0)
-            sigma_sq = np.add.reduce(np.multiply(weights, x2, product), 0) - m1 * m1  # (input column, rows)
+            m1 = np.add.reduce(np.multiply(w, x1, t), 0)
+            sigma_sq = np.add.reduce(np.multiply(w, x2, t), 0) - m1 * m1  # (input column, rows)
             # Separate float sums of Re G x and Im G x, so the float walk,
             # which has no Im G, gives the complex walk's bits.
-            scratch = one_body[1, : m * rows].reshape(m, rows)
-            s_re = sum_sites(np.multiply(g.real, x, scratch), 0)
-            s_im = sum_sites(np.multiply(g.imag, x, scratch), 0)
-            var2[:, n] = ((sigma_sq[0] + sigma_sq[1]) / 4.0
-                          + eta * s_re * s_re / 2.0 + eta * s_im * s_im / 2.0)
-            # The maps' site densities and G as contiguous rows (rows,
-            # sites), combined into the density in place.
-            pair = one_body[2, : 2 * rows * m].reshape(2, rows, m)
-            np.copyto(pair, weights.transpose(1, 2, 0))
-            pa, pb = pair
-            by_map = g_terms[2, : rows * m].reshape(rows, m)
-            np.copyto(by_map, g.T)
-            density, *terms = two_body[:, : rows * m * m].reshape(-1, rows, m, m)
-            np.multiply(pa[:, :, None], pb[:, None, :], density)
-            np.add(density, np.multiply(pb[:, :, None], pa[:, None, :], terms[0]), density)
-            np.multiply(density, 0.5, density)
-            interfering = np.multiply(by_map.real[:, :, None], by_map.real[:, None, :], terms[0])
+            scratch = t.reshape(-1, maps * k)[:m]
+            s_re = _site_sums(np.multiply(g.real, x, scratch))
+            s_im = _site_sums(np.multiply(g.imag, x, scratch))
+            var2[:] = ((sigma_sq[0] + sigma_sq[1]) / 4.0
+                       + eta * s_re * s_re / 2.0 + eta * s_im * s_im / 2.0)
+            # The maps' site densities and G as contiguous rows (maps, k,
+            # sites), combined into the density in block.
+            site_densities = one_body[: by_map.size].reshape(by_map.shape)
+            np.copyto(site_densities, by_map)
+            pa, pb = site_densities[:, :, 0], site_densities[:, :, 1]
+            g_by_map = g_by_map.reshape(maps, k, m)
+            np.copyto(g_by_map, g.reshape(m, k, maps).T)
+            terms = two_body[:, : block.size].reshape(-1, *block.shape)
+            np.multiply(pa[..., :, None], pb[..., None, :], block)
+            np.add(block, np.multiply(pb[..., :, None], pa[..., None, :], terms[0]), block)
+            np.multiply(block, 0.5, block)
+            interfering = np.multiply(g_by_map.real[..., :, None], g_by_map.real[..., None, :], terms[0])
             if not real:  # the complex walk's Im G x Im G is +-0.0 where the float walk has none
-                im = by_map.imag
-                np.add(interfering, np.multiply(im[:, :, None], im[:, None, :], terms[1]), interfering)
+                im = g_by_map.imag
+                np.add(interfering, np.multiply(im[..., :, None], im[..., None, :], terms[1]), interfering)
             np.multiply(interfering, eta, interfering)
-            np.add(density, interfering, density)
-            _require_pair_normalized(np.add.reduce(density.reshape(rows, -1), 1))
-            density = density.reshape(k, -1, m, m)
-            acc = sums[n][i : i + k]
-            if start > 0:
-                # Carry the earlier chunks' sum into the first map, as
-                # run_ensembles does, so the maps add in index order.
-                np.add(density[:, 0], acc, density[:, 0])
-            np.add.reduce(density, 1, None, acc)
+            np.add(block, interfering, block)
+            _require_pair_normalized(np.add.reduce(block.reshape(-1, m * m), 1))
 
+        return step
+
+    moments = []
+    sums, drifts = _scan(specs, coin, n_maps, 2, moments, stepper)
     # The sums become the unordered mean matrices in place.
     for total in sums:
         diagonal = np.arange(total.shape[-1])

@@ -15,13 +15,14 @@ from pdqw import (
     position_distribution,
     run_ensemble,
     run_ensembles,
+    run_pair_ensembles,
     similarity,
     similarity_scan,
     variance,
 )
 import pdqw.ensemble
 from pdqw.analysis import Distribution
-from pdqw.ensemble import _batches, _similarities, chunk_maps, mean_and_std
+from pdqw.ensemble import _similarities, chunk_maps, mean_and_std
 
 COIN = hadamard_coin()
 
@@ -214,12 +215,29 @@ class TestRunner:
                 assert np.array_equal(res.mean_probabilities, ref.mean_probabilities)
                 assert res.max_norm_drift == ref.max_norm_drift
 
-    @pytest.mark.parametrize("n_specs, n_maps, maps", [(5, 23, 8), (5, 23, 2 * 23), (7, 3, 4), (1, 1, 10)])
-    def test_no_walk_has_more_rows_than_the_first(self, monkeypatch, n_specs, n_maps, maps):
-        # The scans size their scratch from the first walk of the plan.
+    # (specs, maps per p, maps per chunk, each walk's maps): every p in one
+    # walk; several whole p per walk, the last walk holding fewer; one p
+    # per walk; chunks of one p, the last one shorter.
+    PLANS = [(5, 3, 15, [15]), (1, 1, 10, [1]), (5, 3, 7, [6, 6, 3]), (5, 23, 2 * 23, [46, 46, 23]),
+             (7, 3, 4, [3] * 7), (5, 23, 8, [8, 8, 7] * 5)]
+
+    @pytest.mark.parametrize("n_specs, n_maps, maps, walks", PLANS, ids=[f"{a}-{b}-{c}" for a, b, c, _ in PLANS])
+    def test_both_scans_walk_one_batch_plan(self, monkeypatch, n_specs, n_maps, maps, walks):
+        # The scans size their scratch from the first walk of the plan, so
+        # it must be the largest.
         monkeypatch.setattr(pdqw.ensemble, "BATCH_CELLS", maps * (3 + 1))
+        walk, rows = pdqw.ensemble._walk, []
+
+        def counting_walk(*args):
+            rows.append(args[3].shape[-1])  # the codes: one column per map
+            return walk(*args)
+
+        monkeypatch.setattr(pdqw.ensemble, "_walk", counting_walk)
         specs = [DisorderSpec(p=0.1 * j, steps=3, master_seed=2) for j in range(n_specs)]
-        rows = [codes.shape[1] for _, _, _, codes, _ in _batches(specs, n_maps, None)]
+        run_ensembles(specs, COIN, n_maps)
+        ensemble, rows[:] = rows[:], []
+        run_pair_ensembles(specs, COIN, n_maps, eta=0.6)
+        assert ensemble == rows == walks
         assert rows[0] == max(rows)
 
     def test_memory_stays_within_a_few_batches(self):

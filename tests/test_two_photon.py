@@ -130,13 +130,13 @@ class TestSiteAggregation:
         # A coin scaled by 1 + 1e-9 passes no coin check, so it is slipped
         # in after the check: each step then grows every column's weight by
         # about 2e-9, far above UNITARY_TOL. A NaN coin makes NaN columns.
-        operands = pdqw.two_photon._walk_operands
+        operands = pdqw.ensemble._walk_operands
 
         def scaled(coin, alphabet):
             coin, table = operands(coin, alphabet)
             return coin * scale, table
 
-        monkeypatch.setattr(pdqw.two_photon, "_walk_operands", scaled)
+        monkeypatch.setattr(pdqw.ensemble, "_walk_operands", scaled)
         with pytest.raises(DomainError, match="orthonormal"):
             run_pair_ensemble(DisorderSpec(p=0.5, steps=3, master_seed=1), COIN, 2, eta=0.6)
 
@@ -300,13 +300,13 @@ class TestPairScan:
 
     def test_a_small_scan_is_one_walk(self, alphabet, monkeypatch):
         # The two-photon-20 benchmark shape: 5 p x 12 maps fit one batch.
-        walk, walks = pdqw.two_photon._walk, []
+        walk, walks = pdqw.ensemble._walk, []
 
         def counting_walk(*args):
             walks.append(args[3].shape[-1])  # the codes: one column per map
             return walk(*args)
 
-        monkeypatch.setattr(pdqw.two_photon, "_walk", counting_walk)
+        monkeypatch.setattr(pdqw.ensemble, "_walk", counting_walk)
         run_pair_ensembles(self.specs(alphabet, steps=20), COIN, 12, eta=0.6)
         assert walks == [5 * 12]
 
