@@ -111,8 +111,14 @@ def _parse_p_grid(raw) -> list[float]:
             raise ConfigError("p_grid", "need step > 0 and stop >= start")
         # Floor, not round, so no point lies past stop; the tolerance keeps
         # the last point of grids such as 0.3/0.1 = 2.9999999999999996.
-        count = math.floor((stop - start) / step + 1e-9)
-        grid = [round(start + k * step, 10) for k in range(count + 1)]
+        span = (stop - start) / step + 1e-9
+        digits = 10
+        # Rounded to `digits` decimals, [0, 1] holds 10**digits + 1 points, so
+        # a longer grid (an infinite span included) would fail the checks
+        # below: reject it before it is built.
+        if not span < 10**digits + 1:
+            raise ConfigError("p_grid", f"more than {10**digits + 1} points cannot all be distinct in [0, 1]")
+        grid = [round(start + k * step, digits) for k in range(math.floor(span) + 1)]
     elif isinstance(raw, list):
         grid = [_as_number(v, "p_grid") for v in raw]
     else:

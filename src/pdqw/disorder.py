@@ -397,20 +397,16 @@ def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds,
     return letters * marked
 
 
-def _draw_planes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds) -> np.ndarray:
-    """Cell codes of one map per seed as a (maps, steps, 2*steps+1) int8
-    tensor of PhaseMap code planes, drawn afresh."""
-    rows, cols = np.indices((steps, 2 * steps + 1)).reshape(2, -1)
-    codes = _draw_codes(steps, p, n_letters, sampling_mode, seeds, _draw_index(steps, rows, cols))
-    return codes.T.reshape(len(seeds), steps, 2 * steps + 1)
-
-
 def sample_block(spec: DisorderSpec, seeds) -> np.ndarray:
     """Cell codes of the maps of `spec`'s ensemble with the map seeds
     `seeds` (map_seeds(spec.master_seed, start, stop) for maps
     start..stop-1), drawn afresh, as a (maps, steps, 2*steps+1) int8 tensor
     of PhaseMap code planes."""
-    return _draw_planes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds)
+    steps = spec.steps
+    rows, cols = np.indices((steps, 2 * steps + 1)).reshape(2, -1)
+    at = _draw_index(steps, rows, cols)
+    codes = _draw_codes(steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds, at)
+    return codes.T.reshape(len(seeds), steps, 2 * steps + 1)
 
 
 class ScanSampler:
@@ -619,7 +615,8 @@ def load_map(path) -> PhaseMap:
     if trailing:
         raise MapParseError(f"unexpected trailing content: {trailing[0]!r}", 5 + steps + 1)
 
-    regenerated = _draw_planes(steps, p_nominal, len(alphabet), mode, np.array([seed], dtype=np.uint64))[0]
+    spec = DisorderSpec(p_nominal, steps, alphabet, mode)
+    regenerated = sample_block(spec, np.array([seed], dtype=np.uint64))[0]
     phases = np.array([0.0, *alphabet])
     marks_known = np.array_equal(phases[regenerated], phases[codes])
     return PhaseMap(steps, regenerated if marks_known else codes, alphabet, p_nominal, seed, mode,

@@ -156,8 +156,7 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float) -> list[PairEnsembl
 
         return step
 
-    moments = []
-    sums, drifts = _scan(specs, coin, n_maps, 2, moments, stepper)
+    sums, drifts, moments = _scan(specs, coin, n_maps, 2, True, stepper)
     # The sums become the unordered mean matrices in place.
     for total in sums:
         diagonal = np.arange(total.shape[-1])

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -585,6 +586,22 @@ class TestFailureModes:
         cfg = write_config(tmp_path, "steps: 2\n" + text)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["{start: 0.0, stop: 1.0e+308, step: 1.0e-308}", "{step: 1.0e-12}"],
+        ids=["overflowing-span", "10**12-points"],
+    )
+    def test_p_grid_mappings_too_long_to_be_distinct_are_rejected_unbuilt(self, tmp_path, capsys, grid):
+        # An infinite span once overflowed math.floor, and 10**12 points
+        # were built before the distinctness check could reject them.
+        cfg = write_config(tmp_path, f"steps: 3\nn_maps: 2\np_grid: {grid}\n")
+        started = time.perf_counter()
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "config field 'p_grid'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text, line",

@@ -1,8 +1,9 @@
-"""Pinned output bytes of the scans on the benchmark's three configs.
+"""Pinned output bytes of the scans on the benchmark's three configs, and
+on the pair scan's config at eta 0.6, where the interfering terms weigh in.
 
 Each command runs in process at two master seeds, one of them 2**32 (two
 32-bit seed words), and every CSV it writes is hashed from disk, together
-with the manifest's max_norm_drift. The configs walk in float64 with
+with the manifest's max_norm_drift. The configs draw bernoulli maps from
 pdqw's own PCG64 words, so the digests do not depend on numpy's Generator.
 
 A change that moves these bytes on purpose records the fresh table that a
@@ -25,9 +26,16 @@ CONFIGS = {
     "two-photon-20": ("two-photon", {"steps": 20, "n_maps": 12, "p_values": [0.0, 0.05, 0.1, 0.2, 1.0],
                                      "two_photon": {"eta": 1.0}}),
 }
+# At eta 1.0, eta * x equals x exactly, so the pair scan's eta terms also
+# run at 0.6: over the default alphabet (a real walk) and over three letters
+# (a complex walk, whose letters Lemire's rule draws), still bernoulli.
+PAIR = CONFIGS["two-photon-20"][1]
+CONFIGS["two-photon-20 eta 0.6"] = ("two-photon", {**PAIR, "two_photon": {"eta": 0.6}})
+CONFIGS["two-photon-20 eta 0.6 alphabet [0, 0.5, pi]"] = (
+    "two-photon", {**PAIR, "two_photon": {"eta": 0.6}, "alphabet": [0, 0.5, "pi"]})
 SEEDS = (1, 4294967296)
 
-# Recorded at commit b64537b. Per run: each CSV's sha256 (two-photon: one
+# Recorded at commit b64537b, the eta 0.6 runs at af72fd9. Per run: each CSV's sha256 (two-photon: one
 # sha256 over the sorted "name sha256" lines of its 101 CSVs) and the
 # manifest's max_norm_drift.
 EXPECTED = {
@@ -57,6 +65,22 @@ EXPECTED = {
     },
     "two-photon-20 seed 4294967296": {
         "*.csv": "2f4d6aa6690037d51bf90e6490db87e2d6d1690c152ab5544317956cd4f2ad5c",
+        "max_norm_drift": 2.886579864025407e-15,
+    },
+    "two-photon-20 eta 0.6 seed 1": {
+        "*.csv": "4d2a95b8d0f6ff288d3d360b1313873867e0fcf2697ad9d2eb555fcc4c519e84",
+        "max_norm_drift": 2.886579864025407e-15,
+    },
+    "two-photon-20 eta 0.6 seed 4294967296": {
+        "*.csv": "77f193279bbbc6fb42c2b44dd6731cc2f377cfff66f7491b6a745b447fe7829e",
+        "max_norm_drift": 2.886579864025407e-15,
+    },
+    "two-photon-20 eta 0.6 alphabet [0, 0.5, pi] seed 1": {
+        "*.csv": "d47b05d0c620bfeab71e7cd481c99b959aaa451befb91f58a07707bafa7d5c12",
+        "max_norm_drift": 2.886579864025407e-15,
+    },
+    "two-photon-20 eta 0.6 alphabet [0, 0.5, pi] seed 4294967296": {
+        "*.csv": "136cead23e0050b4818babe1bfcc2e45fe307428f36a72a92e51eb1dc458d5c8",
         "max_norm_drift": 2.886579864025407e-15,
     },
 }
