@@ -127,7 +127,7 @@ def _parse_p_grid(raw) -> list[float]:
         raise ConfigError("p_grid", "needs at least 2 points")
     if any(not 0.0 <= p <= 1.0 for p in grid):
         raise ConfigError("p_grid", "entries must lie in [0, 1]")
-    if sorted(set(grid)) != grid:
+    if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError("p_grid", "entries must be strictly increasing")
     return grid
 

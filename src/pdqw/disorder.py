@@ -412,21 +412,20 @@ def sample_block(spec: DisorderSpec, seeds) -> np.ndarray:
 class ScanSampler:
     """sample(i, start, stop) gives the sample_block of specs[i] for maps
     start..stop-1 at the code-plane cells (rows, cols), one row per cell and
-    one column per map, for the specs of one scan, which differ only in p
-    and read each chunk once.
+    one column per map, for the specs of one scan, which differ only in p.
 
     Only those cells are built: a walk reads the cells of its light cone
     (walk_core.walked_cells), about a quarter of its code plane at 20 steps.
     A bernoulli chunk's uniforms and letters do not depend on p: they are
-    drawn at the cells when a spec first asks for the chunk and dropped
-    once every spec has read them. exact_fraction draws afresh, as its
-    cells depend on p.
+    drawn at the cells when a spec first asks for the chunk and held for
+    the sampler's life, which is one scan. exact_fraction draws afresh, as
+    its cells depend on p.
     """
 
     def __init__(self, specs, rows, cols):
         self.specs = list(specs)
         self._at = _draw_index(self.specs[0].steps, rows, cols)
-        self._held: dict = {}  # (start, stop) -> [uniforms, letters (at the cells), reads left]
+        self._held: dict = {}  # (start, stop) -> (uniforms, letters), at the cells
 
     def sample(self, i: int, start: int, stop: int) -> np.ndarray:
         spec = self.specs[i]
@@ -436,11 +435,7 @@ class ScanSampler:
         held = self._held.get((start, stop))
         if held is None:
             seeds = map_seeds(spec.master_seed, start, stop)
-            held = self._held[start, stop] = [*_draw(spec.steps, len(spec.alphabet), seeds, self._at),
-                                              len(self.specs)]
-        held[2] -= 1
-        if not held[2]:
-            del self._held[start, stop]
+            held = self._held[start, stop] = _draw(spec.steps, len(spec.alphabet), seeds, self._at)
         return held[1] * (held[0] < spec.p)
 
 

@@ -104,18 +104,17 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float) -> list[PairEnsembl
 
     def stepper(rows, dtype):
         # Scratch for the largest walk, taken per step as C-contiguous
-        # prefixes, so each operation rounds as on a new array: G, its second
-        # term and G by map; the site densities by map; the density's terms,
-        # one more in the complex walk for Im G x Im G.
+        # prefixes, so each operation rounds as on a new array: G and its
+        # second term; the density's terms, one more in the complex walk for
+        # Im G x Im G.
         real = dtype.kind == "f"  # nothing to conjugate, and Im G is 0
         cells = (steps + 1) * rows
-        g_terms = _empty_aligned((3, cells), dtype)
-        one_body = _empty_aligned(2 * cells)
+        g_terms = _empty_aligned((2, cells), dtype)
         two_body = _empty_aligned((1 if real else 2, (steps + 1) * cells))
 
         def step(n, psi0, psi1, w, t, total, by_map, block, var2, overlap):
             maps, k, m = block.shape[:3]
-            g, term, g_by_map = g_terms[:, : m * maps * k].reshape(3, m, maps * k)
+            g, term = g_terms[:, : m * maps * k].reshape(2, m, maps * k)
             np.multiply(psi0[:, 0], psi0[:, 1] if real else np.conjugate(psi0[:, 1], term), g)
             np.multiply(psi1[:, 0], psi1[:, 1] if real else np.conjugate(psi1[:, 1], term), term)
             np.add(g, term, g)
@@ -124,24 +123,19 @@ def run_pair_ensembles(specs, coin, n_maps: int, eta: float) -> list[PairEnsembl
             if not np.maximum.reduce(drift) <= UNITARY_TOL:  # NaN drift raises too
                 raise DomainError(f"evolved input columns are not orthonormal within {UNITARY_TOL}")
 
-            x = sites[n]
             x1, x2 = by_column[n]
             m1 = np.add.reduce(np.multiply(w, x1, t), 0)
             sigma_sq = np.add.reduce(np.multiply(w, x2, t), 0) - m1 * m1  # (input column, rows)
-            # Separate float sums of Re G x and Im G x, so the float walk,
-            # which has no Im G, gives the complex walk's bits.
-            scratch = t.reshape(-1, maps * k)[:m]
-            s_re = _site_sums(np.multiply(g.real, x, scratch))
-            s_im = _site_sums(np.multiply(g.imag, x, scratch))
+            # x is real, so the parts of S are the sums of Re G x and Im G x,
+            # up to the sign of an exact zero, which the squares erase; the
+            # float walk's Im S is 0.
+            s = _site_sums(np.multiply(g, sites[n], term))
             var2[:] = ((sigma_sq[0] + sigma_sq[1]) / 4.0
-                       + eta * s_re * s_re / 2.0 + eta * s_im * s_im / 2.0)
-            # The maps' site densities and G as contiguous rows (maps, k,
-            # sites), combined into the density in block.
-            site_densities = one_body[: by_map.size].reshape(by_map.shape)
-            np.copyto(site_densities, by_map)
-            pa, pb = site_densities[:, :, 0], site_densities[:, :, 1]
-            g_by_map = g_by_map.reshape(maps, k, m)
-            np.copyto(g_by_map, g.reshape(m, k, maps).T)
+                       + eta * s.real * s.real / 2.0 + eta * s.imag * s.imag / 2.0)
+            # The maps' site densities and G by map, (maps, k, sites),
+            # combined into the density in block.
+            pa, pb = by_map[:, :, 0], by_map[:, :, 1]
+            g_by_map = g.reshape(m, k, maps).T
             terms = two_body[:, : block.size].reshape(-1, *block.shape)
             np.multiply(pa[..., :, None], pb[..., None, :], block)
             np.add(block, np.multiply(pb[..., :, None], pa[..., None, :], terms[0]), block)

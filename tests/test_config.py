@@ -200,6 +200,8 @@ class TestRejection:
             ({"two_photon": {"enabled": True}}, "enabled"),
             ({"two_photon": 3}, "two_photon"),
             ({"output_dir": ""}, "output_dir"),
+            # New cases go last: the case names carry their index in this list.
+            ({"p_grid": [0.1, 0.1, 0.2]}, "p_grid"),
         ],
     )
     def test_bad_values_name_the_field(self, data, needle):

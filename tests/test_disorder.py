@@ -474,18 +474,6 @@ class TestScanSampler:
             calls[runner]()
             assert sorted(draws[0]) == sorted(chunk_draws(8, n_maps, 10) * repeat)
 
-    def test_a_chunk_is_dropped_after_its_last_read(self, draws):
-        sampler = ScanSampler([DisorderSpec(p, 3, master_seed=6) for p in (0.2, 0.5, 0.2)], *cone_cells(3))
-        sampler.sample(0, 0, 10)
-        sampler.sample(1, 0, 10)
-        gc.collect()
-        arrays = draws[1]
-        assert len(arrays) == 2 and all(ref() is not None for ref in arrays)
-        sampler.sample(2, 0, 10)
-        gc.collect()
-        assert all(ref() is None for ref in arrays)
-        assert len(draws[0]) == 1
-
     def test_exact_fraction_draws_afresh_for_every_p(self, draws):
         specs = [DisorderSpec(p, 4, sampling_mode="exact_fraction", master_seed=2) for p in self.P_GRID]
         rows, cols = cone_cells(4)
