@@ -18,7 +18,7 @@ from .errors import AmbiguityError, DomainError
 NORMALIZATION_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class Distribution:
     """Probabilities over a contiguous run of lattice sites.
 
@@ -123,21 +123,22 @@ _BETA_BRACKET = (-2.0, 6.0)
 _BETA_GRID_POINTS = 321
 
 
-def _profile_sse(logn: np.ndarray, y: np.ndarray, beta: float):
+# The fit runs on Python floats, with libm's exp and log and fsum's correctly
+# rounded sums: numpy's exp and log loops and BLAS round by the CPU.
+def _profile_sse(logn: list, y: list, beta: float) -> tuple[float, float]:
     # For fixed beta the optimal prefactor is a linear LSQ in closed form.
-    basis = np.exp(beta * logn)
-    c = float(basis @ y) / float(basis @ basis)
-    resid = y - c * basis
-    return float(resid @ resid), c
+    basis = [math.exp(beta * x) for x in logn]
+    c = math.fsum(b * v for b, v in zip(basis, y)) / math.fsum(b * b for b in basis)
+    return math.fsum((v - c * b) * (v - c * b) for b, v in zip(basis, y)), c
 
 
-def _profile_slope(logn: np.ndarray, y: np.ndarray, beta: float) -> float:
+def _profile_slope(logn: list, y: list, beta: float) -> float:
     """b'.r with b = n**beta, b' = b ln n and r the residual of the best
     prefactor: the derivative of the profiled SSE times -1/(2c), so
     positive where the SSE falls and negative where it rises."""
-    basis = np.exp(beta * logn)
-    c = float(basis @ y) / float(basis @ basis)
-    return float((basis * logn) @ (y - c * basis))
+    basis = [math.exp(beta * x) for x in logn]
+    c = math.fsum(b * v for b, v in zip(basis, y)) / math.fsum(b * b for b in basis)
+    return math.fsum(b * x * (v - c * b) for b, x, v in zip(basis, logn, y))
 
 
 def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit:
@@ -170,14 +171,13 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
     lo, hi = int(fit_range[0]), int(fit_range[1])
     if lo < 1 or hi > var.size or hi - lo + 1 < 2:
         raise DomainError(f"fit range {fit_range} needs >= 2 points inside steps 1..{var.size}")
-    y = var[lo - 1 : hi]
-    if np.any(y <= 0):
+    y = var[lo - 1 : hi].tolist()
+    if min(y) <= 0:
         raise DomainError("variances in the fit range must be positive")
-    n = np.arange(lo, hi + 1, dtype=float)
-    logn = np.log(n)
+    logn = [math.log(n) for n in range(lo, hi + 1)]
 
     grid = np.linspace(_BETA_BRACKET[0], _BETA_BRACKET[1], _BETA_GRID_POINTS)
-    k = int(np.argmin([_profile_sse(logn, y, b)[0] for b in grid]))
+    k = int(np.argmin([_profile_sse(logn, y, b)[0] for b in grid.tolist()]))
     beta = float(grid[k])
     h = _profile_slope(logn, y, beta)
     # The sign change sits on the side of the grid minimum that the SSE
@@ -193,17 +193,17 @@ def fit_beta(variances, fit_range: tuple[int, int] | None = None) -> PowerLawFit
         beta = a
     sse, c = _profile_sse(logn, y, beta)
 
-    # Standard error from the Gauss-Newton covariance at the optimum.
-    dof = n.size - 2
+    # Standard error from the Gauss-Newton covariance at the optimum: the
+    # (beta, beta) entry of (J^T J)^-1 sse / dof, for the Jacobian columns
+    # b and c b ln n, by the closed-form inverse of the 2x2 matrix.
+    dof = len(y) - 2
     if dof > 0:
-        basis = np.exp(beta * logn)
-        jac = np.column_stack([basis, c * basis * logn])
-        jtj = jac.T @ jac
-        try:
-            cov = np.linalg.inv(jtj) * (sse / dof)
-            stderr = math.sqrt(max(float(cov[1, 1]), 0.0))
-        except np.linalg.LinAlgError:
-            stderr = float("nan")
+        basis = [math.exp(beta * x) for x in logn]
+        slope = [c * b * x for b, x in zip(basis, logn)]
+        bb = math.fsum(b * b for b in basis)
+        off = math.fsum(b * s for b, s in zip(basis, slope))
+        det = bb * math.fsum(s * s for s in slope) - off * off
+        stderr = math.sqrt(max(bb / det * (sse / dof), 0.0)) if det != 0.0 else math.nan
     else:
         stderr = 0.0
     return PowerLawFit(

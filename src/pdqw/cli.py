@@ -41,7 +41,7 @@ import numpy as np
 from . import __version__
 from .analysis import crossing_point, fit_beta
 from .config import SimulationConfig, config_echo, load_config, p_tag
-from .disorder import DisorderSpec, PhaseMap, generate_phase_map, load_map, map_seeds, sample_block, save_map
+from .disorder import DisorderSpec, PhaseMap, ScanSampler, generate_phase_map, load_map, save_map
 from .ensemble import chunk_maps, run_ensembles, similarity_scan
 from .errors import ConfigError, DomainError, MapParseError, PdqwError
 from .two_photon import PAIR_CONVENTION, hom_scan, run_pair_ensembles
@@ -323,19 +323,22 @@ def cmd_hom(cfg: SimulationConfig, args, out: _Outputs) -> dict:
 
 
 def cmd_gen_maps(cfg: SimulationConfig, args, out: _Outputs) -> dict:
-    # Maps are drawn a block at a time, as the ensembles draw them: one
-    # seeding pass per block, and memory bounded by the block's cells.
-    size = chunk_maps(cfg.steps)
-    for p in cfg.p_values:
-        sub = f"maps/p{p_tag(p)}"
-        (out.directory / sub).mkdir(parents=True, exist_ok=True)
-        spec = _spec(cfg, p)
-        for start in range(0, cfg.n_maps, size):
-            stop = min(start + size, cfg.n_maps)
-            seeds = map_seeds(cfg.master_seed, start, stop)
-            for k, seed, codes in zip(range(start, stop), seeds.tolist(), sample_block(spec, seeds)):
-                with out.open(f"{sub}/map_{k:05d}.txt") as fh:
-                    save_map(PhaseMap(spec.steps, codes, spec.alphabet, spec.p, seed, spec.sampling_mode), fh)
+    # Maps are drawn a chunk at a time, as the scans draw them: one sampler
+    # per chunk, so memory is bounded by the chunk's cells, and a bernoulli
+    # chunk is drawn once for every p.
+    steps, size = cfg.steps, chunk_maps(cfg.steps)
+    specs = [_spec(cfg, p) for p in cfg.p_values]
+    for spec in specs:
+        (out.directory / f"maps/p{p_tag(spec.p)}").mkdir(parents=True, exist_ok=True)
+    for start in range(0, cfg.n_maps, size):
+        stop = min(start + size, cfg.n_maps)
+        sampler = ScanSampler.whole_plane(specs)
+        seeds = sampler.seeds(start, stop).tolist()
+        for i, spec in enumerate(specs):
+            planes = sampler.sample(i, start, stop).T.reshape(-1, steps, 2 * steps + 1)
+            for k, seed, codes in zip(range(start, stop), seeds, planes):
+                with out.open(f"maps/p{p_tag(spec.p)}/map_{k:05d}.txt") as fh:
+                    save_map(PhaseMap(steps, codes, spec.alphabet, spec.p, seed, spec.sampling_mode), fh)
     return {}
 
 

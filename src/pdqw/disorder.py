@@ -6,8 +6,9 @@ inert). A fraction p of cells is marked disordered and draws its phase
 uniformly from the alphabet (default {0, pi}); every other cell carries
 phase 0. In memory a map is an int8 code plane (see PhaseMap); radians
 appear only in the map-file text. Sampling is reproducible: the per-map
-seed is derived from (master_seed, map_index) and the draw order is fixed,
-so regenerating from the stored header is bit-identical.
+seed is derived from (master_seed, map_index) and the draw order is fixed.
+One sampler, ScanSampler, draws every map, for a scan's walks and for
+whole planes alike; loading a map file draws nothing.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class PhaseMap:
 
     codes[n-1, steps+s] is the cell of step n at site s (|s| <= n): 0 for an
     unmarked cell, 1 + i for a cell marked with alphabet letter i; cells
-    outside the light cone are 0. `marks_known` is False for a map loaded
-    from a file whose header does not regenerate it: its phases are right,
-    but which cells were marked is unknown. It is excluded from equality.
+    outside the light cone are 0. A map loaded from a file holds its phases
+    only: a cell of phase 0 loads as code 0, marked or not. So two maps are
+    equal when their headers and their phase planes are.
     """
 
     steps: int
@@ -77,7 +78,6 @@ class PhaseMap:
     p_nominal: float
     seed: int
     sampling_mode: str
-    marks_known: bool = True
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -95,7 +95,8 @@ class PhaseMap:
             return NotImplemented
         header = ("steps", "p_nominal", "seed", "sampling_mode", "alphabet")
         same = all(getattr(self, f) == getattr(other, f) for f in header)
-        return same and np.array_equal(self.codes, other.codes)
+        phases = np.array([0.0, *self.alphabet])
+        return same and np.array_equal(phases[self.codes], phases[other.codes])
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[int, ...]:
@@ -299,12 +300,12 @@ def _letter_stream(keys: np.ndarray, total: int, n_letters: int) -> np.ndarray:
         n_words *= 2
 
 
-def _draw(steps: int, n_letters: int, seeds, at, p: float | None = None):
+def _draw(steps: int, n_letters: int, seeds, at):
     """The bernoulli draws of one map per seed at the draw indices `at` (see
-    _draw_index), as (marks, letters), one row per cell and one column per
-    map. Letters are int8 codes, 1 + letter index, and 0 at index -1. The
-    marks are the cells' uniforms, which do not depend on p (a cell is
-    marked where its uniform is below p), or with p given those booleans.
+    _draw_index), as (uniforms, letters), one row per cell and one column
+    per map. Letters are int8 codes, 1 + letter index, and 0 at index -1.
+    The uniforms do not depend on p: a cell is marked where its uniform is
+    below p.
 
     This rule defines a map's rows. Let w be the 64-bit words that
     PCG64(seed).random_raw() gives and total = steps * (steps + 2). Cell
@@ -335,14 +336,13 @@ def _draw(steps: int, n_letters: int, seeds, at, p: float | None = None):
     jumps = _lcg_jumps(ks)
     keys = _pcg64_keys(seeds)
     shift = (cell % 2 * 32).astype(np.uint64)
-    marks = np.empty((len(at), len(seeds)), dtype=float if p is None else bool)
+    uniforms = np.empty((len(at), len(seeds)))
     letters = np.empty((len(at), len(seeds)), dtype=np.int8)
     block = max(1, _BLOCK_WORDS // len(ks))
     for a in range(0, len(seeds), block):
         b = min(a + block, len(seeds))
         words = _pcg64_words(keys[:, a:b], jumps)
-        uniforms = (words[:, column[: len(at)]] >> 11) * 2.0**-53
-        marks[:, a:b] = (uniforms if p is None else uniforms < p).T
+        uniforms[:, a:b] = ((words[:, column[: len(at)]] >> 11) * 2.0**-53).T
         halves = words[:, column[len(at) : 2 * len(at)]] >> shift & _MASK32
         letters[:, a:b] = (halves * np.uint64(n_letters) >> 32).T
         if threshold:
@@ -353,7 +353,7 @@ def _draw(steps: int, n_letters: int, seeds, at, p: float | None = None):
                 letters[:, a + j] = _letter_stream(keys[:, a + j : a + j + 1], total, n_letters)[cell]
     letters += 1
     letters[at < 0] = 0
-    return marks, letters
+    return uniforms, letters
 
 
 def _mark_count(steps: int, p: float) -> int:
@@ -387,56 +387,52 @@ def _draw_exact(steps: int, n_letters: int, seeds, at, count: int):
     return marks.T[at], letters
 
 
-def _draw_codes(steps: int, p: float, n_letters: int, sampling_mode: str, seeds, at) -> np.ndarray:
-    """Cell codes of one map per seed at the draw indices `at`, one row per
-    cell and one column per map, drawn afresh."""
-    if sampling_mode == "bernoulli":
-        marked, letters = _draw(steps, n_letters, seeds, at, p)
-    else:
-        marked, letters = _draw_exact(steps, n_letters, seeds, at, _mark_count(steps, p))
-    return letters * marked
-
-
-def sample_block(spec: DisorderSpec, seeds) -> np.ndarray:
-    """Cell codes of the maps of `spec`'s ensemble with the map seeds
-    `seeds` (map_seeds(spec.master_seed, start, stop) for maps
-    start..stop-1), drawn afresh, as a (maps, steps, 2*steps+1) int8 tensor
-    of PhaseMap code planes."""
-    steps = spec.steps
-    rows, cols = np.indices((steps, 2 * steps + 1)).reshape(2, -1)
-    at = _draw_index(steps, rows, cols)
-    codes = _draw_codes(steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds, at)
-    return codes.T.reshape(len(seeds), steps, 2 * steps + 1)
-
-
 class ScanSampler:
-    """sample(i, start, stop) gives the sample_block of specs[i] for maps
-    start..stop-1 at the code-plane cells (rows, cols), one row per cell and
-    one column per map, for the specs of one scan, which differ only in p.
+    """The one map sampler. For specs that differ only in p, sample(i,
+    start, stop) gives the cell codes of maps start..stop-1 of specs[i] at
+    the code-plane cells (rows, cols), one row per cell and one column per
+    map, and seeds(start, stop) their map_seeds, computed once per chunk.
 
-    Only those cells are built: a walk reads the cells of its light cone
-    (walk_core.walked_cells), about a quarter of its code plane at 20 steps.
+    Only those cells are built: a walk reads its light cone
+    (walk_core.walked_cells), about a quarter of the plane at 20 steps.
     A bernoulli chunk's uniforms and letters do not depend on p: they are
-    drawn at the cells when a spec first asks for the chunk and held for
-    the sampler's life, which is one scan. exact_fraction draws afresh, as
-    its cells depend on p.
+    drawn when a spec first asks for the chunk and held for the sampler's
+    life, one scan or one chunk of gen-maps. exact_fraction draws afresh.
     """
 
     def __init__(self, specs, rows, cols):
         self.specs = list(specs)
         self._at = _draw_index(self.specs[0].steps, rows, cols)
-        self._held: dict = {}  # (start, stop) -> (uniforms, letters), at the cells
+        self._held: dict = {}  # (start, stop) -> (seeds, bernoulli draws at the cells or None)
+
+    @classmethod
+    def whole_plane(cls, specs) -> ScanSampler:
+        """A sampler over every cell of the code plane, row by row, so that
+        sample(...).T reshapes to the maps' (steps, 2*steps+1) planes."""
+        steps = specs[0].steps
+        return cls(specs, *np.indices((steps, 2 * steps + 1)).reshape(2, -1))
+
+    def _chunk(self, start: int, stop: int):
+        held = self._held.get((start, stop))
+        if held is None:
+            spec = self.specs[0]
+            seeds, draws = map_seeds(spec.master_seed, start, stop), None
+            if spec.sampling_mode == "bernoulli":
+                draws = _draw(spec.steps, len(spec.alphabet), seeds, self._at)
+            held = self._held[start, stop] = seeds, draws
+        return held
+
+    def seeds(self, start: int, stop: int) -> np.ndarray:
+        return self._chunk(start, stop)[0]
 
     def sample(self, i: int, start: int, stop: int) -> np.ndarray:
         spec = self.specs[i]
-        if spec.sampling_mode != "bernoulli":
-            seeds = map_seeds(spec.master_seed, start, stop)
-            return _draw_codes(spec.steps, spec.p, len(spec.alphabet), spec.sampling_mode, seeds, self._at)
-        held = self._held.get((start, stop))
-        if held is None:
-            seeds = map_seeds(spec.master_seed, start, stop)
-            held = self._held[start, stop] = _draw(spec.steps, len(spec.alphabet), seeds, self._at)
-        return held[1] * (held[0] < spec.p)
+        seeds, draws = self._chunk(start, stop)
+        if draws is None:
+            marks, letters = _draw_exact(spec.steps, len(spec.alphabet), seeds, self._at,
+                                         _mark_count(spec.steps, spec.p))
+            return letters * marks
+        return draws[1] * (draws[0] < spec.p)
 
 
 def phase_factors(alphabet) -> np.ndarray:
@@ -460,9 +456,10 @@ def generate_phase_map(spec: DisorderSpec, map_index: int) -> PhaseMap:
     """Map number `map_index` of the ensemble described by `spec`."""
     if map_index < 0:
         raise DomainError("map_index must be >= 0")
-    seeds = map_seeds(spec.master_seed, map_index, map_index + 1)
-    codes = sample_block(spec, seeds)[0]
-    return PhaseMap(spec.steps, codes, spec.alphabet, spec.p, int(seeds[0]), spec.sampling_mode)
+    sampler = ScanSampler.whole_plane([spec])
+    codes = sampler.sample(0, map_index, map_index + 1).reshape(spec.steps, -1)
+    seed = int(sampler.seeds(map_index, map_index + 1)[0])
+    return PhaseMap(spec.steps, codes, spec.alphabet, spec.p, seed, spec.sampling_mode)
 
 
 def _format_pi_units(value_rad: float) -> str:
@@ -496,8 +493,8 @@ def save_map(phase_map: PhaseMap, dest) -> None:
     file: header lines, then one row per step.
 
     Row entries are multiples of pi (so the default alphabet serializes as
-    0/1). The header is sufficient to regenerate the map, which is how the
-    marked cells survive a round trip.
+    0/1). The header records the ensemble and seed the map was drawn from;
+    a round trip keeps the phases, not which phase-0 cells were marked.
     """
     lines = [
         f"steps={phase_map.steps}",
@@ -519,13 +516,13 @@ def save_map(phase_map: PhaseMap, dest) -> None:
 
 
 def _snap_to_code(value_rad: float, alphabet: tuple[float, ...], line: int, col: int) -> int:
-    """Code of the first alphabet letter within 1e-9 rad of the value, else
-    0 (unmarked) for a value near 0, whether or not the alphabet holds it."""
-    for i, member in enumerate(alphabet):
-        if abs(value_rad - member) <= 1e-9:
-            return 1 + i
-    if abs(value_rad) <= 1e-9:
-        return 0
+    """Code of the nearest of phase 0 (code 0, whether or not the alphabet
+    holds it) and the alphabet's letters, if it lies within 1e-9 rad of the
+    value; a tie goes to 0, then to the first letter."""
+    gaps = [abs(value_rad - member) for member in (0.0, *alphabet)]
+    code = gaps.index(min(gaps))
+    if gaps[code] <= 1e-9:
+        return code
     raise MapParseError(
         f"entry {col} is {value_rad / math.pi!r} pi, outside the alphabet "
         f"{tuple(round(a / math.pi, 12) for a in alphabet)} (in pi units) and not 0",
@@ -536,11 +533,9 @@ def _snap_to_code(value_rad: float, alphabet: tuple[float, ...], line: int, col:
 def load_map(path) -> PhaseMap:
     """Parse a map file; inverse of save_map.
 
-    Entries are snapped straight to cell codes: the declared alphabet's
-    letters, or 0 (tolerance 1e-9 rad). If the codes regenerated from the
-    header give the same phases, the map holds the regenerated codes and its
-    marks are known; otherwise it is treated as hand-made and holds the
-    parsed codes, with marks unknown.
+    Entries snap to cell codes (_snap_to_code, tolerance 1e-9 rad), so a
+    phase 0 loads as code 0. Nothing is drawn: the map holds the file's
+    phases, and its header records the ensemble and seed it came from.
     """
     data = Path(path).read_bytes()
     try:
@@ -609,10 +604,4 @@ def load_map(path) -> PhaseMap:
     trailing = [ln for ln in body[steps:] if ln.strip()]
     if trailing:
         raise MapParseError(f"unexpected trailing content: {trailing[0]!r}", 5 + steps + 1)
-
-    spec = DisorderSpec(p_nominal, steps, alphabet, mode)
-    regenerated = sample_block(spec, np.array([seed], dtype=np.uint64))[0]
-    phases = np.array([0.0, *alphabet])
-    marks_known = np.array_equal(phases[regenerated], phases[codes])
-    return PhaseMap(steps, regenerated if marks_known else codes, alphabet, p_nominal, seed, mode,
-                    marks_known)
+    return PhaseMap(steps, codes, alphabet, p_nominal, seed, mode)

@@ -32,7 +32,7 @@ from .walk_core import (_empty_aligned, _site_sums, _walk, _walk_operands, _Walk
 BATCH_CELLS = 8192
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleResult:
     """Per-step statistics over n_maps disorder realizations.
 
@@ -260,7 +260,7 @@ def run_ensemble(spec: DisorderSpec, coin, n_maps: int) -> EnsembleResult:
     return run_ensembles([spec], coin, n_maps)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityScan:
     """Similarity of ensemble means against the two limiting walks.
 

@@ -20,6 +20,7 @@ coin's 2x2 permanent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ def _require_pair_normalized(mass) -> None:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class PairEnsemble:
     """Disorder-averaged pair statistics, step by step.
 
@@ -179,7 +180,7 @@ def run_pair_ensemble(spec: DisorderSpec, coin, n_maps: int, eta: float) -> Pair
     return run_pair_ensembles([spec], coin, n_maps, eta)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class HomScan:
     """Normalized two-detector coincidence versus arrival-time delay."""
 
@@ -220,9 +221,11 @@ def hom_scan(delays, coherence_time: float, visibility: float, coin) -> HomScan:
     # exceeds 28, so clipping |tau| at 1e3 tau_c changes no eta, and the
     # ratio and its square cannot overflow (as they would past about
     # 1.3e154). The bound is a Python float: past tau_c = 1.8e305 it is inf,
-    # without a warning, and clips nothing.
+    # without a warning, and clips nothing. The exps are libm's, whose
+    # roundings do not depend on the SIMD loops numpy dispatches to.
     bound = 1e3 * float(coherence_time)
-    etas = visibility * np.exp(-((np.minimum(np.abs(delays), bound) / coherence_time) ** 2))
+    squares = (np.minimum(np.abs(delays), bound) / coherence_time) ** 2
+    etas = visibility * np.array([math.exp(-x) for x in squares.tolist()])
     return HomScan(
         delays=delays,
         coherence_time=coherence_time,

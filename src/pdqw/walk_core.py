@@ -69,7 +69,7 @@ def _walk_operands(coin, alphabet) -> tuple[np.ndarray, np.ndarray]:
     return coin.real.copy(), table.real.copy()
 
 
-@dataclass
+@dataclass(eq=False)
 class WalkState:
     """Walker amplitudes on the lattice.
 

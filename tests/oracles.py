@@ -284,3 +284,47 @@ def lemire_letters(words, n_letters: int) -> list[int]:
         letters.append(m >> 32)
     return letters
 
+
+
+
+def enumerated_means(steps: int, p_values, coin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact disorder means of bernoulli maps over the alphabet {0, pi}, by
+    walking every flip pattern once. Returns, for each p of p_values, each
+    step's mean variance (p, steps) and mean distribution (p, steps,
+    2*steps+1) over sites -steps..steps.
+
+    Step n puts its phases on coin 1 before its coin, at sites -n..n, but
+    only the n sites -(n-1), -(n-1)+2, ..., n-1 that hold amplitude then
+    matter. Each of those C = steps(steps+1)/2 cells flips the sign of coin
+    1 with probability q = p/2 (marked with p, then letter pi with 1/2)
+    and leaves it alone otherwise, so the 2**C patterns of flips, a pattern
+    with k flips weighing q**k (1-q)**(C-k), give the exact means. Every
+    pattern walks from |0, coin 0> at once, as a (patterns, sites) array
+    per coin, on the open lattice of sites -steps..steps.
+    """
+    cells = steps * (steps + 1) // 2
+    signs = 1.0 - 2.0 * (np.arange(2**cells)[:, None] >> np.arange(cells) & 1)
+    flips = np.count_nonzero(signs < 0, axis=1)
+    q = np.asarray(p_values, dtype=float)[:, None] / 2
+    weights = q**flips * (1 - q) ** (cells - flips)  # (p, patterns)
+    sites = np.arange(-steps, steps + 1)
+    psi0 = np.zeros((2**cells, sites.size), dtype=np.result_type(coin, float))
+    psi1 = np.zeros_like(psi0)
+    psi0[:, steps] = 1.0
+    first = 0
+    variances, dists = [], []
+    for n in range(1, steps + 1):
+        held = steps + np.arange(-(n - 1), n, 2)  # the sites holding amplitude
+        psi1[:, held] *= signs[:, first : first + n]
+        first += n
+        a0 = coin[0, 0] * psi0 + coin[0, 1] * psi1
+        a1 = coin[1, 0] * psi0 + coin[1, 1] * psi1
+        psi0 = np.zeros_like(a0)
+        psi1 = np.zeros_like(a1)
+        psi0[:, :-1] = a0[:, 1:]  # coin 0 moves one site left
+        psi1[:, 1:] = a1[:, :-1]  # coin 1 one site right
+        probs = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
+        mean = probs @ sites
+        variances.append(probs @ sites**2 - mean**2)
+        dists.append(probs)
+    return weights @ np.array(variances).T, np.einsum("ap,npx->anx", weights, np.array(dists))

@@ -500,18 +500,25 @@ class TestGenMaps:
                 assert written.read_bytes() == (tmp_path / "single.txt").read_bytes()
 
     def test_each_block_is_seeded_once(self, tmp_path, monkeypatch):
+        # One seeding pass and one bernoulli draw per block serve every p.
         monkeypatch.setattr("pdqw.cli.chunk_maps", lambda steps: 2)  # blocks of 2, 2 and 1 maps
-        calls = []
+        seeded, drawn = [], []
 
         def counted(master, start, stop):
-            calls.append((start, stop))
+            seeded.append((start, stop))
             return map_seeds(master, start, stop)
 
-        monkeypatch.setattr("pdqw.cli.map_seeds", counted)
+        def recording(real):
+            def draw(steps, n_letters, seeds, at):
+                drawn.append(seeded[-1])
+                return real(steps, n_letters, seeds, at)
+            return draw
+
         monkeypatch.setattr("pdqw.disorder.map_seeds", counted)
+        monkeypatch.setattr("pdqw.disorder._draw", recording(pdqw.disorder._draw))
         cfg = write_config(tmp_path, "steps: 3\nn_maps: 5\nmaster_seed: 6\np_values: [0.3, 1.0]\n")
         assert main(["gen-maps", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert calls == [(0, 2), (2, 4), (4, 5)] * 2
+        assert seeded == drawn == [(0, 2), (2, 4), (4, 5)]
 
     def test_fractional_pi_alphabet_maps_evolve(self, tmp_path):
         cfg = write_config(
@@ -527,7 +534,6 @@ class TestGenMaps:
             assert (saved.codes == 2).any()  # letter 1, 0.5 pi
             back = load_map(path)
             assert back == saved
-            assert back.marks_known
             assert main(["evolve", "--config", cfg, "--out", str(out), "--map", str(path)]) == 0
 
     def test_a_failed_write_leaves_no_truncated_map(self, tmp_path):

@@ -44,7 +44,6 @@ from pdqw.disorder import (
     map_seeds,
     parse_alphabet_token,
     phase_factors,
-    sample_block,
 )
 import pdqw.ensemble
 from pdqw.ensemble import chunk_maps, run_ensembles, similarity_scan
@@ -136,12 +135,15 @@ class TestGeneration:
         sigma = math.sqrt(p * (1 - p) / cells)
         assert abs(int((pm.codes > 0).sum()) / cells - p) <= 3 * sigma
 
-    def test_marks_known_not_part_of_equality(self):
+    def test_equality_compares_phases(self):
+        # Letter 0 of the default alphabet is phase 0: as code 0 or code 1,
+        # the map is the same; another phase, or another header, is not.
         pm = generate_phase_map(DisorderSpec(p=0.4, steps=4, master_seed=5), 0)
-        stripped = PhaseMap(
-            pm.steps, pm.codes, pm.alphabet, pm.p_nominal, pm.seed, pm.sampling_mode, marks_known=False
-        )
-        assert pm == stripped
+        assert (pm.codes == 1).any()
+        header = (pm.alphabet, pm.p_nominal, pm.seed, pm.sampling_mode)
+        assert pm == PhaseMap(pm.steps, np.where(pm.codes == 1, 0, pm.codes), *header)
+        assert pm != PhaseMap(pm.steps, np.where(pm.codes == 1, 2, pm.codes), *header)
+        assert pm != PhaseMap(pm.steps, pm.codes, pm.alphabet, pm.p_nominal, pm.seed + 1, pm.sampling_mode)
 
 
 class TestBlockSampler:
@@ -170,10 +172,11 @@ class TestBlockSampler:
     def test_block_matches_per_map_generation(self, mode, alphabet):
         steps = 4
         spec = DisorderSpec(p=0.3, steps=steps, alphabet=alphabet, sampling_mode=mode, master_seed=12)
-        codes = sample_block(spec, map_seeds(12, 0, SPLIT + 3))
+        codes = as_planes(ScanSampler.whole_plane([spec]).sample(0, 0, SPLIT + 3), steps)
         assert codes.dtype == np.int8
         assert codes.shape == (SPLIT + 3, steps, 2 * steps + 1)
-        np.testing.assert_array_equal(sample_block(spec, map_seeds(12, SPLIT, SPLIT + 3)), codes[SPLIT:])
+        tail = ScanSampler.whole_plane([spec]).sample(0, SPLIT, SPLIT + 3)
+        np.testing.assert_array_equal(as_planes(tail, steps), codes[SPLIT:])
         for k in range(SPLIT + 3):
             pm = generate_phase_map(spec, k)
             seed, ref_rows, ref_mask = reference_phase_map(12, k, steps, 0.3, alphabet, mode)
@@ -270,14 +273,16 @@ class TestPcg64Words:
         for row, seed in zip(words, seeds.tolist()):
             np.testing.assert_array_equal(row, np.random.PCG64(seed).random_raw(701)[ks])
 
-    def test_bernoulli_sampling_leaves_numpy_random_unimported(self):
+    def test_bernoulli_sampling_leaves_numpy_random_unimported(self, tmp_path):
         # numpy 2 imports numpy.random on first use, which costs several ms
-        # in a fresh interpreter; only exact_fraction needs its Generator.
-        # (numpy 1 imports it with numpy itself.)
+        # in a fresh interpreter; only drawing exact_fraction maps needs its
+        # Generator, not loading one. (numpy 1 imports it with numpy itself.)
+        map_file = tmp_path / "exact.txt"
+        save_map(generate_phase_map(DisorderSpec(0.3, 5, sampling_mode="exact_fraction"), 1), map_file)
         code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
-                "from pdqw.disorder import DisorderSpec, map_seeds, sample_block, generate_phase_map; "
-                "sample_block(DisorderSpec(0.3, 5, (0.0, 1.0, 2.0)), map_seeds(0, 0, 50)); "
-                "generate_phase_map(DisorderSpec(0.3, 5), 1); "
+                "from pdqw.disorder import DisorderSpec, ScanSampler, generate_phase_map, load_map; "
+                "ScanSampler.whole_plane([DisorderSpec(0.3, 5, (0.0, 1.0, 2.0))]).sample(0, 0, 50); "
+                f"generate_phase_map(DisorderSpec(0.3, 5), 1); load_map({str(map_file)!r}); "
                 "print(before, 'numpy.random' in sys.modules)")
         src = os.path.dirname(os.path.dirname(pdqw.disorder.__file__))
         path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -323,10 +328,6 @@ class TestRawDraw:
         assert got_uniforms[inside].tobytes() == uniforms[at[inside]].tobytes()
         np.testing.assert_array_equal(got_letters[inside], letters[at[inside]])
         assert not got_letters[~inside].any()
-        # with p, the marks are whether the uniforms are below it
-        marked, same = _draw(steps, n_letters, seeds, at, 0.4)
-        np.testing.assert_array_equal(marked, got_uniforms < 0.4)
-        np.testing.assert_array_equal(same, got_letters)
 
     @pytest.mark.parametrize("steps, n_letters", [(1, 3), (7, 2), (20, 5)])
     def test_blocks_do_not_change_the_draws(self, monkeypatch, steps, n_letters):
@@ -436,6 +437,12 @@ def as_planes(codes, steps):
     return codes.T.reshape(-1, steps, 2 * steps + 1)
 
 
+def fresh_plane_codes(spec, start, stop):
+    """The code planes of maps start..stop-1 of `spec`, from a fresh
+    whole-plane sampler."""
+    return as_planes(ScanSampler.whole_plane([spec]).sample(0, start, stop), spec.steps)
+
+
 class TestScanSampler:
     P_GRID = [0.0, 0.3, 0.5, 1.0]
 
@@ -481,7 +488,7 @@ class TestScanSampler:
         for i, spec in enumerate(specs):
             for start, stop in [(0, SPLIT), (SPLIT, SPLIT + 3)]:
                 np.testing.assert_array_equal(sampler.sample(i, start, stop),
-                                              sample_block(spec, map_seeds(2, start, stop))[:, rows, cols].T)
+                                              fresh_plane_codes(spec, start, stop)[:, rows, cols].T)
         # once by the sampler and once by the reference, per p and chunk
         assert sorted(draws[0]) == sorted(chunk_draws(2, SPLIT + 3, SPLIT) * 2 * len(specs))
 
@@ -514,16 +521,23 @@ class TestScanSampler:
                                               chunk_major, mode, inputs):
         # ScanSampler takes any cells: walks from off-origin sites read
         # cells outside a row's sites, across the plane's seam and, where
-        # two walks overlap, the same cell twice.
-        specs = [DisorderSpec(p, steps, range(n_letters), mode, master) for p in p_list]
+        # two walks overlap, the same cell twice. Each read equals those
+        # cells of a fresh whole-plane sampler's block, and each spec's
+        # first and last maps equal numpy's own draw.
+        alphabet = tuple(float(a) for a in range(n_letters))
+        specs = [DisorderSpec(p, steps, alphabet, mode, master) for p in p_list]
         rows, cols = cone_cells(steps, [s % (2 * steps + 1) - steps for s in inputs])
         sampler = ScanSampler(specs, rows, cols)
         reads = [(i, a, min(a + size, maps)) for i in range(len(specs)) for a in range(0, maps, size)]
         if chunk_major:
             reads.sort(key=lambda r: r[1])
         for i, start, stop in reads:
-            np.testing.assert_array_equal(sampler.sample(i, start, stop),
-                                          sample_block(specs[i], map_seeds(master, start, stop))[:, rows, cols].T)
+            block = fresh_plane_codes(specs[i], start, stop)
+            np.testing.assert_array_equal(sampler.sample(i, start, stop), block[:, rows, cols].T)
+            for k in {0, maps - 1} & {start, stop - 1}:
+                _, ref_rows, _ = reference_phase_map(master, k, steps, specs[i].p, alphabet, mode)
+                for got, expect in zip(phase_rows(block[k - start], alphabet), ref_rows):
+                    np.testing.assert_array_equal(got, expect)
 
 
 class TestPhaseFactors:
@@ -600,8 +614,6 @@ class TestFileFormat:
         save_map(pm, path)
         back = load_map(path)
         assert back == pm
-        assert back.marks_known
-        assert np.array_equal(back.codes > 0, pm.codes > 0)
 
     @pytest.mark.parametrize(
         "alphabet",
@@ -615,8 +627,9 @@ class TestFileFormat:
         save_map(pm, path)
         back = load_map(path)
         assert back == pm
-        assert back.marks_known
-        np.testing.assert_array_equal(back.codes, pm.codes)
+        # A marked cell of phase 0 loads as an unmarked one, code 0.
+        phase_0 = np.array([0.0, *alphabet])[pm.codes] == 0.0
+        np.testing.assert_array_equal(back.codes, np.where(phase_0, 0, pm.codes))
 
     def test_round_trip_of_a_numpy_p(self, tmp_path):
         # p taken from a numpy grid must be written as a plain number.
@@ -626,9 +639,7 @@ class TestFileFormat:
         path = tmp_path / "map.txt"
         save_map(pm, path)
         assert "p=0.5\n" in path.read_text()
-        back = load_map(path)
-        assert back == pm
-        assert back.marks_known
+        assert load_map(path) == pm
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         pm = generate_phase_map(
@@ -639,6 +650,14 @@ class TestFileFormat:
         save_map(pm, first)
         save_map(load_map(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    def test_loading_draws_nothing(self, tmp_path, draws, mode):
+        pm = generate_phase_map(DisorderSpec(p=0.5, steps=4, sampling_mode=mode, master_seed=3), 0)
+        save_map(pm, tmp_path / "map.txt")
+        draws[0].clear()
+        assert load_map(tmp_path / "map.txt") == pm
+        assert draws[0] == []
 
     def test_header_format(self, tmp_path):
         pm = generate_phase_map(DisorderSpec(p=0.25, steps=2, master_seed=4), 0)
@@ -653,13 +672,21 @@ class TestFileFormat:
         assert len(lines) == 7
 
     def test_hand_made_file_parses_but_has_no_mask(self, tmp_path):
+        # Phase 0 loads as code 0, though the alphabet holds it as letter 0.
         path = tmp_path / "edited.txt"
         path.write_text(
             "steps=2\np=0.5\nseed=123\nmode=bernoulli\nalphabet=0,pi\n1 0 1\n0 1 0 1 0\n"
         )
         pm = load_map(path)
         np.testing.assert_array_equal(phase_rows(pm.codes, pm.alphabet)[0], [math.pi, 0.0, math.pi])
-        assert not pm.marks_known
+        np.testing.assert_array_equal(pm.codes, [[0, 2, 0, 2, 0], [0, 2, 0, 2, 0]])
+
+    def test_entries_snap_to_the_nearest_phase(self, tmp_path):
+        # A letter 1e-10 pi from 0 lies within the tolerance of phase 0:
+        # each entry takes the nearer of the two.
+        path = tmp_path / "near.txt"
+        path.write_text("steps=1\np=1\nseed=0\nmode=bernoulli\nalphabet=1e-10\n0 1e-10 -1e-11\n")
+        np.testing.assert_array_equal(load_map(path).codes, [[0, 1, 0]])
 
     def test_near_alphabet_entries_snap_exactly(self, tmp_path):
         path = tmp_path / "snap.txt"
@@ -721,6 +748,4 @@ class TestFileFormat:
         )
         path = tmp_path_factory.mktemp("maps") / "m.txt"
         save_map(pm, path)
-        back = load_map(path)
-        assert back == pm
-        assert back.marks_known
+        assert load_map(path) == pm

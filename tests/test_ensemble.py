@@ -23,6 +23,7 @@ from pdqw import (
 import pdqw.ensemble
 from pdqw.analysis import Distribution
 from pdqw.ensemble import _similarities, chunk_maps, mean_and_std
+from oracles import dense_walk, enumerated_means
 
 COIN = hadamard_coin()
 
@@ -340,3 +341,29 @@ class TestSimilarityScan:
     def test_short_grid_rejected(self):
         with pytest.raises(DomainError):
             similarity_scan([0.5], steps=4, n_maps=10, coin=COIN, master_seed=1)
+
+
+class TestEnumeratedMeans:
+    """run_ensembles against the exact means of every flip pattern of a
+    bernoulli {0, pi} map (oracles.enumerated_means), at steps 5."""
+
+    STEPS, N_MAPS = 5, 2000
+
+    def test_means_lie_within_four_standard_errors(self):
+        p_values = [0.1, 0.5]
+        exact_var, exact_dist = enumerated_means(self.STEPS, p_values, COIN)
+        results = run_ensembles([DisorderSpec(p, self.STEPS, master_seed=5) for p in p_values], COIN, self.N_MAPS)
+        for ens, var, dist in zip(results, exact_var, exact_dist):
+            # A distribution cell lies in [0, 1], so its variance over maps
+            # is at most P(1 - P). Steps 1-3 are equal in every map, so
+            # their spread is round-off: the 1e-12 floor.
+            se_var = ens.std_variance / np.sqrt(self.N_MAPS)
+            se_dist = np.sqrt(dist * (1 - dist) / self.N_MAPS)
+            np.testing.assert_array_less(abs(ens.mean_variance - var), 4 * se_var + 1e-12)
+            np.testing.assert_array_less(abs(ens.mean_probabilities - dist), 4 * se_dist + 1e-12)
+
+    def test_enumeration_at_p_0_is_the_ordered_walk(self):
+        exact_var, exact_dist = enumerated_means(self.STEPS, [0.0], COIN)
+        ordered = run_ensemble(DisorderSpec(0.0, self.STEPS), COIN, 1)
+        np.testing.assert_allclose(exact_dist[0], dense_walk(self.STEPS, COIN, None, self.STEPS), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact_var[0], ordered.mean_variance, rtol=0, atol=1e-13)

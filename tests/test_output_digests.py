@@ -14,16 +14,29 @@ tests of test_disorder.py do.
 
 A change that moves these bytes on purpose records the fresh table that a
 failure prints, and says so in CHANGES.md.
+
+The pins hold on any FMA-capable x86-64 CPU under one glibc: beta.csv and
+hom.csv take their exps, logs and sums from libm and math.fsum, not from
+numpy's SIMD loops or BLAS, and a test reruns them with other kernels.
 """
 
 import hashlib
 import json
+import os
 import pprint
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pdqw
 from pdqw.cli import main
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1
+    from numpy.core import _multiarray_umath as umath
 
 GRID = [round(0.01 * k, 10) for k in range(101)]
 
@@ -102,9 +115,10 @@ COMMANDS = ["gen-maps", "evolve", "evolve --map", "ensemble", "beta", "crossing"
 # Commands that write many files, and the key of their one digest.
 MANY = {"gen-maps": "maps/*/*.txt", "two-photon": "*.csv"}
 
-# Recorded at commit 5d3d54f. Per run: its exit code if that is not 0, else
-# the digests of its files as above and the manifest's max_norm_drift where
-# it has one.
+# Recorded at commit 5d3d54f, beta.csv and hom.csv again when fit_beta and
+# hom_scan moved to libm and math.fsum. Per run: its exit code if that is
+# not 0, else the digests of its files as above and the manifest's
+# max_norm_drift where it has one.
 EXPECTED_CHECKS = {
     "check_1 gen-maps": {
         "maps/*/*.txt": "1629ff15293d74fbe487bcd02c5565d450b79156ad3fd753e42acf01a0423966",
@@ -125,7 +139,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 8.881784197001252e-16,
     },
     "check_1 beta": {
-        "beta.csv": "250a54c01fcb1f4801c3ce687624dbd5675ff3dea704a2d97cfdaac6e53546db",
+        "beta.csv": "b1594de128c87bc302e87160c714a207bb15b7c708f30e748e372aa469c0c0c3",
         "max_norm_drift": 8.881784197001252e-16,
     },
     "check_1 crossing": {
@@ -138,7 +152,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 8.881784197001252e-16,
     },
     "check_1 hom": {
-        "hom.csv": "179389c14b26d410a11b3a9a022d7ed3bd8a44698f9eaa12e9336664f221e1b2",
+        "hom.csv": "549178e98b3afa924fdbe33694a602ca8a10d5a0b8b66473990c2d211fd8cca2",
     },
     "check_2 gen-maps": {
         "maps/*/*.txt": "74aaad25ae8dcef0e9282260394e82ac1dfbf62b6ebd691a97e955adb1ff8063",
@@ -159,7 +173,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 3.1086244689504383e-15,
     },
     "check_2 beta": {
-        "beta.csv": "bf90637e680c040f8fcf6de1b5b22b20e7257d5dc515e3ba247415ac05ce081b",
+        "beta.csv": "4721e8cefb3594c5dab271c672fabebf60d99a6f6bbb63cf79c7755f2341a80c",
         "max_norm_drift": 3.1086244689504383e-15,
     },
     "check_2 crossing": {
@@ -172,7 +186,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 3.3306690738754696e-15,
     },
     "check_2 hom": {
-        "hom.csv": "179389c14b26d410a11b3a9a022d7ed3bd8a44698f9eaa12e9336664f221e1b2",
+        "hom.csv": "549178e98b3afa924fdbe33694a602ca8a10d5a0b8b66473990c2d211fd8cca2",
     },
     "check_3 gen-maps": {
         "maps/*/*.txt": "a36924412d8106e2b196369f8e180b71dfe64d648120743a12d51672e872b434",
@@ -193,7 +207,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 4.440892098500626e-16,
     },
     "check_3 beta": {
-        "beta.csv": "97900d554e7519c9ad2f0c547a162a29edc99c4d7ef1b1d14f9a246837d35f88",
+        "beta.csv": "b8076b024404529b51ae4e50ad152916dba485704186d9489044ef84015b969f",
         "max_norm_drift": 4.440892098500626e-16,
     },
     "check_3 crossing": {
@@ -204,7 +218,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 4.440892098500626e-16,
     },
     "check_3 hom": {
-        "hom.csv": "179389c14b26d410a11b3a9a022d7ed3bd8a44698f9eaa12e9336664f221e1b2",
+        "hom.csv": "549178e98b3afa924fdbe33694a602ca8a10d5a0b8b66473990c2d211fd8cca2",
     },
     "check_4 gen-maps": {
         "maps/*/*.txt": "e39726680500e784a9d185516b845539e23fb6cab0be0b6583473ac746444dc6",
@@ -225,7 +239,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 3.1086244689504383e-15,
     },
     "check_4 beta": {
-        "beta.csv": "d44fbb3f2b2a3bba15cd94c7c0e6db001076d9b526438c37462aca8705050975",
+        "beta.csv": "fc62949beab52776eedf72ad700373d1b01f17067723492f02bf7068ccaadec2",
         "max_norm_drift": 2.886579864025407e-15,
     },
     "check_4 crossing": {
@@ -238,7 +252,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 2.886579864025407e-15,
     },
     "check_4 hom": {
-        "hom.csv": "179389c14b26d410a11b3a9a022d7ed3bd8a44698f9eaa12e9336664f221e1b2",
+        "hom.csv": "549178e98b3afa924fdbe33694a602ca8a10d5a0b8b66473990c2d211fd8cca2",
     },
     "check_5 gen-maps": {
         "maps/*/*.txt": "bc1f8243a80866230749120e08a228098ce644b2dd530a5b40cfbc1dba1cdc28",
@@ -259,7 +273,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 2.220446049250313e-15,
     },
     "check_5 beta": {
-        "beta.csv": "3ec571cee17aaf28ced87fea10cff9d2bd36262715391cf1df3cb5c77104f29c",
+        "beta.csv": "0273e77d1235684b31f3ffdd46cc62699428e11cb9ff2bedef73ff1e5e84250e",
         "max_norm_drift": 1.9984014443252818e-15,
     },
     "check_5 crossing": {
@@ -272,7 +286,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 1.9984014443252818e-15,
     },
     "check_5 hom": {
-        "hom.csv": "54f56f6a642419c34c5d85e0e7c880d55aff8878a106f909bf2dc2ed75251394",
+        "hom.csv": "471b14decb1e5a7d03eeb6afc2a55c1bb865f3a4ccbfa14bec16b96410e88bf8",
     },
     "check_6 gen-maps": {
         "maps/*/*.txt": "a881e1cb644a4a37ef0015a24956483d65d16d92b3dd46bebaebdf0ba8e4c374",
@@ -293,7 +307,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 1.9984014443252818e-15,
     },
     "check_6 beta": {
-        "beta.csv": "0116fd947d14499b006304b59e73f576221d38c01a05a4ddd7b6e45fe790b16d",
+        "beta.csv": "5a12e8ba71452a3171a66b47e22235b031813f4927e166dc60ef16563060752c",
         "max_norm_drift": 1.7763568394002505e-15,
     },
     "check_6 crossing": {
@@ -306,7 +320,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 1.9984014443252818e-15,
     },
     "check_6 hom": {
-        "hom.csv": "179389c14b26d410a11b3a9a022d7ed3bd8a44698f9eaa12e9336664f221e1b2",
+        "hom.csv": "549178e98b3afa924fdbe33694a602ca8a10d5a0b8b66473990c2d211fd8cca2",
     },
     "check_7 gen-maps": {
         "maps/*/*.txt": "f549717d9db7e3c3b9ccbe478b6306c9239970d1f6dacb23697ea8ec6679bbf6",
@@ -363,7 +377,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 3.1086244689504383e-15,
     },
     "check_7 beta": {
-        "beta.csv": "80e99c07c49c44ef39145576b83a0f4316bb2c677386e825998ab36c69ec323f",
+        "beta.csv": "7fc512a1d986b7fb59a6b684a4f6cdb2baa00ef46bea2b8d76ae38e75d48338c",
         "max_norm_drift": 3.1086244689504383e-15,
     },
     "check_7 crossing": {
@@ -376,7 +390,7 @@ EXPECTED_CHECKS = {
         "max_norm_drift": 3.1086244689504383e-15,
     },
     "check_7 hom": {
-        "hom.csv": "179389c14b26d410a11b3a9a022d7ed3bd8a44698f9eaa12e9336664f221e1b2",
+        "hom.csv": "549178e98b3afa924fdbe33694a602ca8a10d5a0b8b66473990c2d211fd8cca2",
     },
 }
 
@@ -425,3 +439,45 @@ def test_every_command_writes_the_recorded_bytes_on_a_check_config(tmp_path, che
             map_file = min((tmp_path / command).glob("maps/*/map_00000.txt"))
     expected = {key: value for key, value in EXPECTED_CHECKS.items() if key.startswith(check.stem + " ")}
     assert fresh == expected, "fresh table:\n" + pprint.pformat(fresh, width=120, sort_dicts=False)
+
+
+# numpy's AVX-512 dispatch targets that this CPU has: disabling them with
+# NPY_DISABLE_CPU_FEATURES runs the loops a CPU without AVX-512 runs.
+AVX512 = [f for f in umath.__cpu_dispatch__
+          if umath.__cpu_features__.get(f) and (f == "X86_V4" or f.startswith("AVX512"))]
+# What each run changes: OpenBLAS's kernel for an AVX2-only CPU, and
+# numpy's SIMD loops without AVX-512.
+KERNELS = {
+    "OpenBLAS Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy without AVX-512": {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512)},
+}
+CHILD = """
+import sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+from pdqw.cli import main
+disabled = sys.argv[1].split()
+assert not any(umath.__cpu_features__[f] for f in disabled), "numpy kept a disabled feature"
+for command, out in zip(("beta", "hom"), sys.argv[3:]):
+    assert main([command, "--config", sys.argv[2], "--out", out]) == 0
+"""
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_beta_and_hom_bytes_do_not_depend_on_the_cpu_kernels(tmp_path, kernels):
+    if kernels == "numpy without AVX-512" and not AVX512:
+        pytest.skip("numpy dispatches to no AVX-512 loop on this CPU")
+    env = KERNELS[kernels]
+    check = CHECKS[0]
+    outs = [tmp_path / f"{command} child" for command in ("beta", "hom")]
+    src = str(Path(pdqw.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    argv = [sys.executable, "-c", CHILD, env.get("NPY_DISABLE_CPU_FEATURES", ""), str(check), *map(str, outs)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, **env, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    for command, out in zip(("beta", "hom"), outs):
+        name = f"{command}.csv"
+        assert main([command, "--config", str(check), "--out", str(tmp_path / command)]) == 0
+        assert (out / name).read_bytes() == (tmp_path / command / name).read_bytes()
